@@ -38,7 +38,12 @@ class DiscretizationInvalid(UavbcError, ValueError):
 
 
 class GridTooCoarse(UavbcError, ValueError):
-    """DP position grid too coarse to represent the per-slot motion budget."""
+    """DP grid that the oracle cannot represent.
+
+    Raised for fewer than 2 slots or 3 positions, for a position spacing
+    wider than the per-slot motion budget, and for a per-slot motion of more
+    than 127 grid steps (the time grid is too coarse for the int8 move code).
+    """
 
 
 class NoSignChange(UavbcError, RuntimeError):

@@ -71,18 +71,32 @@ class FeasibilityReport:
 # dynamic-program trajectory oracle
 # ---------------------------------------------------------------------------
 
+_MAX_MOVE_STEPS = 127  # largest grid-step move an int8 move code holds
+
 
 def validate_dp_config(params: SystemParams, cfg: DpConfig) -> DpConfig:
     if cfg.n_slots < 2:
-        raise ValueError("DP needs at least 2 slots")
+        raise GridTooCoarse(
+            f"DP needs at least 2 slots, got {cfg.n_slots}; use more slots"
+        )
     if cfg.n_positions < 3:
-        raise ValueError("DP needs at least 3 positions")
+        raise GridTooCoarse(
+            f"DP needs at least 3 positions, got {cfg.n_positions}; "
+            "use more positions"
+        )
     spacing = params.D / (cfg.n_positions - 1)
     delta = params.T / cfg.n_slots
     if params.V > 0.0 and spacing > params.V * delta + 1e-9:
         raise GridTooCoarse(
             f"grid spacing {spacing:.3g} m exceeds per-slot motion "
             f"{params.V * delta:.3g} m; motion not representable"
+        )
+    steps = math.floor(params.V * delta / spacing + 1e-12)
+    if steps > _MAX_MOVE_STEPS:
+        raise GridTooCoarse(
+            f"per-slot motion spans {steps} grid steps, more than the "
+            f"{_MAX_MOVE_STEPS} an int8 move code holds; use more slots "
+            "or fewer positions"
         )
     return cfg
 
@@ -165,6 +179,14 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     returned value is achieved by a concrete speed-feasible path.  No HFH
     structure is imposed.
 
+    The slot loop relies on three invariants.  After n slots only bins below
+    min(B, 1 + n * max(dk)) can be finite, so both stages run on that
+    frontier; bins past it stay -inf, which never wins.  Every comparison is
+    a strict ``>`` taken in a fixed order (stay, shifts +-1 ... +-m, then the
+    two interpolated moves; menu entries in index order), so the first
+    candidate wins a tie.  Moves are int8 codes, so a slot moves at most 127
+    grid steps (``validate_dp_config`` enforces it).
+
     Returns (r, positions): the certified rate scale and the winning path
     positions (length cfg.n_slots).
     """
@@ -191,6 +213,7 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     q = params.peak_rate / (B - 1)
     dk = np.minimum((menu_r1 / N / q).astype(np.int64), B - 1)  # floored bins
     dr2 = (menu_r2 / N).astype(np.float32)
+    step = int(dk.max())
 
     reach = params.V * delta
     m = int(math.floor(reach / spacing + 1e-12))
@@ -198,63 +221,58 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     # predecessor offsets live in an int8; pick the finest representable unit
     move_scale = max(1, 120 // (m + 1))
     neg = np.float32(-np.inf)
+    # motion offers (int8 code, near row shift, far row shift) in tie-break
+    # order; shift t takes predecessor j - t, and an interpolated offer
+    # weighs (1 - frac) of its near shift against frac of its far one, which
+    # stays -inf where either is
+    offers = [(-sign * s * move_scale, sign * s, sign * s)
+              for s in range(1, min(m, P - 1) + 1) for sign in (1, -1)]
+    if frac > 1e-12 and m + 1 < P:
+        off = int((m + frac) * move_scale)
+        offers += [(-sign * off, sign * m, sign * (m + 1)) for sign in (1, -1)]
+    w_near, w_far = np.float32(1.0 - frac), np.float32(frac)
 
     value = np.full((P, B), neg, dtype=np.float32)
     value[:, 0] = 0.0  # before the first slot: free position, nothing accrued
-    moves = np.empty((N, P, B), dtype=np.int8)
-    splits = np.empty((N, P, B), dtype=np.int8)
+    new = np.full_like(value, neg)
+    win, cand, tmp = (np.empty_like(value) for _ in range(3))
+    mask = np.empty((P, B), dtype=bool)
+    # cells no candidate reaches read 0 (stay, menu entry 0) for the backtrack
+    moves = np.zeros((N, P, B), dtype=np.int8)
+    splits = np.zeros((N, P, B), dtype=np.int8)
     bins = np.arange(B)[None, :]
 
-    def shifted_rows(arr, s):
-        """arr with rows displaced by s grid steps (predecessor j - s)."""
-        out = np.full_like(arr, neg)
-        if s > 0:
-            out[s:] = arr[:-s]
-        elif s < 0:
-            out[:s] = arr[-s:]
-        else:
-            out[:] = arr
-        return out
-
     for n in range(N):
-        # motion stage: best predecessor within |dx| <= V*delta (interpolated)
-        win = value.copy()
-        mv = np.zeros((P, B), dtype=np.int8)
-        for s in range(1, m + 1):
-            for sign in (1, -1):
-                cand = shifted_rows(value, sign * s)
-                better = cand > win
-                mv = np.where(better, np.int8(-sign * s * move_scale), mv)
-                win = np.where(better, cand, win)
-        if frac > 1e-12 and params.V > 0.0:
-            off = int((m + frac) * move_scale)
-            for sign in (1, -1):
-                near = shifted_rows(value, sign * m)
-                far = shifted_rows(value, sign * (m + 1))
-                cand = (1.0 - frac) * near + frac * far
-                cand = np.where(np.isfinite(near) & np.isfinite(far), cand, neg)
-                better = cand > win
-                mv = np.where(better, np.int8(-sign * off), mv)
-                win = np.where(better, cand, win)
+        hi = min(B, 1 + n * step)  # bins reachable after n slots
+        hi_new = min(B, hi + step)
+        w = win[:, :hi]
         if n == 0:
-            # initial position is free
-            win = np.broadcast_to(value.max(axis=0), (P, B)).copy()
-            mv = np.zeros((P, B), dtype=np.int8)
+            w[:] = value[:, :hi].max(axis=0)  # initial position is free
+        else:
+            # motion stage: best predecessor within |dx| <= V*delta
+            np.copyto(w, value[:, :hi])
+            for code, t, t_far in offers:
+                lo, up = max(t_far, 0), P + min(t_far, 0)  # rows with predecessors
+                src = value[lo - t:up - t, :hi]
+                if t != t_far:
+                    src = np.multiply(src, w_near, out=cand[lo:up, :hi])
+                    src += np.multiply(value[lo - t_far:up - t_far, :hi], w_far,
+                                       out=tmp[lo:up, :hi])
+                hit = np.greater(src, win[lo:up, :hi], out=mask[lo:up, :hi])
+                np.copyto(win[lo:up, :hi], src, where=hit)
+                np.copyto(moves[n, lo:up, :hi], np.int8(code), where=hit)
 
-        # reward stage: choose a power split, advancing the user-1 bin
-        new = np.full((P, B), neg, dtype=np.float32)
-        sp = np.zeros((P, B), dtype=np.int8)
-        for s in range(n_menu):
-            idx = bins - dk[:, s][:, None]
-            valid = idx >= 0
-            cand = np.take_along_axis(win, np.maximum(idx, 0), axis=1)
-            cand = np.where(valid, cand + dr2[:, s][:, None], neg)
-            better = cand > new
-            sp = np.where(better, np.int8(s), sp)
-            new = np.where(better, cand, new)
-        moves[n] = mv
-        splits[n] = sp
-        value = new
+        # reward stage: choose a power split, advancing the user-1 bin by the
+        # row's constant dk[j, s]
+        new[:, :hi_new] = neg
+        for j in range(P):
+            for s, d in enumerate(dk[j].tolist()):
+                L = min(hi, hi_new - d)
+                c = np.add(w[j, :L], dr2[j, s], out=cand[j, :L])
+                hit = np.greater(c, new[j, d:d + L], out=mask[j, :L])
+                np.copyto(new[j, d:d + L], c, where=hit)
+                np.copyto(splits[n, j, d:d + L], np.int8(s), where=hit)
+        value, new = new, value
 
     with np.errstate(invalid="ignore"):
         objective = np.minimum((bins * q) / a1, value / a2)

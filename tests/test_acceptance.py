@@ -238,7 +238,8 @@ def test_criterion_6_oracle_certification(base):
         ("every DP path unidirectional", all_unidirectional, "reversal found"),
         ("at most two hover clusters", max_clusters <= 2, f"got {max_clusters}"),
     ]
-    _finish(6, checks, time.perf_counter() - t0, 600.0)
+    # ~20 s measured; a DP at the old ~14 s per profile (64-102 s here) fails it
+    _finish(6, checks, time.perf_counter() - t0, 55.0)
 
 
 def test_criterion_7_intersection_closed_forms(base):

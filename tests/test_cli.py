@@ -151,12 +151,18 @@ class TestFixedCommand:
 
 
 class TestOracleCheckCommand:
-    def test_coarse_grid_is_config_error(self, scenario, tmp_path):
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--dp-positions", "8"],
+            ["--dp-slots", "8", "--dp-positions", "1001"],
+            ["--dp-slots", "1"],
+        ],
+        ids=["spacing", "int8-moves", "one-slot"],
+    )
+    def test_coarse_grid_is_config_error(self, scenario, tmp_path, grid):
         out = tmp_path / "oracle.csv"
-        code = main(
-            ["oracle-check", "--scenario", scenario, "--dp-positions", "8",
-             "--out", str(out)]
-        )
+        code = main(["oracle-check", "--scenario", scenario, *grid, "--out", str(out)])
         assert code == 2
 
     def test_corner_profiles_agree(self, scenario, tmp_path):

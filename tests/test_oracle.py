@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,35 @@ class TestIntersectionOracle:
 
 class TestDpOracle:
     def test_grid_too_coarse(self, base):
-        with pytest.raises(GridTooCoarse):
-            validate_dp_config(base, DpConfig(n_slots=64, n_positions=8))
+        for cfg in (
+            DpConfig(n_slots=64, n_positions=8),  # spacing wider than V*delta
+            DpConfig(n_slots=8, n_positions=1001),  # 225 steps a slot, int8 holds 127
+            DpConfig(n_slots=1),
+        ):
+            with pytest.raises(GridTooCoarse):
+                validate_dp_config(base, cfg)
+
+    @pytest.mark.parametrize(
+        "case, cfg, alpha1, r_want, path_want",
+        [
+            # (r, path) as the take_along_axis implementation returned them
+            # interpolated moves: m = 1, frac ~ 0.41
+            ("base", DpConfig(32, 26, 7, 2048), 0.4, 5.259161138230586,
+             np.r_[[492.0] * 10, 436.0 - 56.0 * np.arange(17), [-500.0] * 5]),
+            # multi-step moves: m = 9
+            ("fast", DpConfig(16, 41, 5, 1024), 0.3, 5.962896253731146,
+             np.r_[[500.0] * 9, 275.0 - 225.0 * np.arange(4), [-500.0] * 3]),
+            # no motion
+            ("static", DpConfig(32, 51, 7, 4096), 0.5, 2.4731433231106226,
+             np.full(32, 180.0)),
+        ],
+        ids=["interpolated", "multi-step", "static"],
+    )
+    def test_exact_output(self, base, static, case, cfg, alpha1, r_want, path_want):
+        params = {"base": base, "fast": replace(base, V=60.0), "static": static}[case]
+        r, path = dp_trajectory_oracle(params, RateProfile.of(alpha1), cfg)
+        assert r == r_want
+        assert np.array_equal(path, path_want)
 
     def test_corner_path(self, base):
         cfg = DpConfig(32, 26, 7, r1_bins=2048)
