@@ -33,6 +33,7 @@ from .errors import (
     GridTooCoarse,
     InfeasibleFlight,
     InvalidParams,
+    InvalidTrajectory,
     NoSignChange,
     PowerBudgetExceeded,
     TimeOutOfRange,

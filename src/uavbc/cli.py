@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import asymptotic, hfh_solver, oracle, tdma_solver
@@ -222,28 +221,6 @@ def _tdma_config(settings) -> TdmaSearchConfig:
     return TdmaSearchConfig(**kwargs)
 
 
-def thread_count():
-    """Parallelism bound from UAVBC_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("UAVBC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 8)
-    return max(n, 1)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when UAVBC_THREADS allows."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -393,11 +370,7 @@ def cmd_compare(args):
     variants = [params]
     for text in args.override or []:
         variants.append(apply_overrides(params, text))
-
-    def solve(p):
-        return _trace(p, args.mode, n_profiles, settings)
-
-    boundaries = parallel_map(solve, variants)
+    boundaries = [_trace(p, args.mode, n_profiles, settings) for p in variants]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["V", "T"] + REGION_COLUMNS)
@@ -467,7 +440,7 @@ def cmd_oracle_check(args):
         unidir, clusters = oracle.path_shape_stats(path, spacing * 1.5)
         return prof, sol, r_dp, gap, unidir, clusters
 
-    results = parallel_map(run, range(n_profiles))
+    results = [run(i) for i in range(n_profiles)]
     worst = 0.0
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

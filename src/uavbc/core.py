@@ -14,7 +14,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidParams, PowerBudgetExceeded, TimeOutOfRange, ZeroSpeedLeg
+from .errors import (
+    InvalidParams,
+    InvalidTrajectory,
+    PowerBudgetExceeded,
+    TimeOutOfRange,
+    ZeroSpeedLeg,
+)
 from .numerics import adaptive_simpson
 
 LOG2 = math.log(2.0)
@@ -190,33 +196,26 @@ class HfhTrajectory:
 def make_hfh(params: SystemParams, x_I: float, x_F: float, t_I: float) -> HfhTrajectory:
     """Construct a valid HFH trajectory, deriving t_F from the time budget.
 
-    For V = 0 only x_I == x_F is representable.  Raises ValueError on
-    infeasible geometry or timing.
+    For V = 0 only x_I == x_F is representable.  Raises InvalidTrajectory
+    (a ValueError) on infeasible geometry or timing.
     """
     half = 0.5 * params.D
     if not (-half - REL_EPS * params.D <= x_I <= x_F <= half + REL_EPS * params.D):
-        raise ValueError(f"hover locations ({x_I}, {x_F}) outside [-D/2, D/2] or unordered")
+        raise InvalidTrajectory(
+            f"hover locations ({x_I}, {x_F}) outside [-D/2, D/2] or unordered"
+        )
     if params.V == 0.0:
         if x_I != x_F:
-            raise ValueError("V = 0 admits only a fixed hover (x_I == x_F)")
+            raise InvalidTrajectory("V = 0 admits only a fixed hover (x_I == x_F)")
         flight = 0.0
     else:
         flight = (x_F - x_I) / params.V
     t_F = params.T - t_I - flight
     if t_I < -REL_EPS * params.T or t_F < -REL_EPS * params.T:
-        raise ValueError(
+        raise InvalidTrajectory(
             f"hover times infeasible: t_I={t_I}, flight={flight}, T={params.T}"
         )
     return HfhTrajectory(x_I, x_F, max(t_I, 0.0), max(t_F, 0.0))
-
-
-def validate_hfh(params: SystemParams, traj: HfhTrajectory) -> HfhTrajectory:
-    """Re-check the HfhTrajectory invariants against ``params``."""
-    make_hfh(params, traj.x_I, traj.x_F, traj.t_I)
-    flight = 0.0 if params.V == 0.0 else traj.span / params.V
-    if abs(traj.t_I + flight + traj.t_F - params.T) > 1e-6 * params.T:
-        raise ValueError("hover and flight times do not add up to T")
-    return traj
 
 
 def hfh_position(traj: HfhTrajectory, params: SystemParams, t: float) -> float:

@@ -29,6 +29,14 @@ class DegenerateLocations(UavbcError, ValueError):
     """Two hover locations coincide where distinct ones are required."""
 
 
+class InvalidTrajectory(UavbcError, ValueError):
+    """Hover-fly-hover inputs that no trajectory realizes.
+
+    Raised by `make_hfh` for hover locations outside [-D/2, D/2] or out of
+    order, distinct locations with V = 0, and hover times that do not fit T.
+    """
+
+
 class InfeasibleFlight(UavbcError, ValueError):
     """The UAV cannot traverse the inter-user distance within the flight time."""
 
@@ -52,7 +60,3 @@ class NoSignChange(UavbcError, RuntimeError):
 
 class ValidityError(UavbcError, ValueError):
     """Asymptotic formula requested far outside its validity regime."""
-
-
-class SolverError(UavbcError, RuntimeError):
-    """A solver failed to produce a solution."""

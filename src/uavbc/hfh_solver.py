@@ -14,6 +14,11 @@ while every reported solution is re-evaluated with exact per-slot
 integration (closed-form hover segments, Gauss nodes on flight segments cut
 at the hover/flight switch times), so emitted rate pairs are achievable to
 quadrature precision and survive independent feasibility re-checks.
+
+The mu-independent terms of a slot's split (`_split_frame`) are built once
+per evaluator, or once per run of equal positions in a grid row (mostly two
+hover runs), and each weight runs only the mu-dependent step; outputs are
+bit-identical to evaluating the plain formula on every element.
 """
 
 from __future__ import annotations
@@ -101,12 +106,16 @@ class BoundarySolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _hfh_positions(params, x_I, x_F, t_I, t_F, times):
+    """HFH positions at `times`; the trajectory terms may be broadcast arrays."""
+    x = np.minimum(np.maximum(x_I + (times - t_I) * params.V, x_I), x_F)
+    x = np.where(times <= t_I, x_I, x)
+    return np.where(times >= params.T - t_F, x_F, x)
+
+
 def positions_at(params: SystemParams, traj: HfhTrajectory, times: np.ndarray) -> np.ndarray:
     """Vectorized HFH position lookup (no bounds checking)."""
-    flight = traj.x_I + (times - traj.t_I) * params.V
-    x = np.clip(flight, traj.x_I, traj.x_F)
-    x = np.where(times <= traj.t_I, traj.x_I, x)
-    return np.where(times >= params.T - traj.t_F, traj.x_F, x)
+    return _hfh_positions(params, traj.x_I, traj.x_F, traj.t_I, traj.t_F, times)
 
 
 def discretize(params: SystemParams, traj: HfhTrajectory, n_slots: int) -> DiscretizedTrajectory:
@@ -139,22 +148,51 @@ def validate_discretization(params: SystemParams, disc: DiscretizedTrajectory) -
 # ---------------------------------------------------------------------------
 
 
-def _strong_power_split(hs, hw, mus, muw, Pbar):
+def _gains(params, x):
+    """Noise-normalized gains (h1, h2) at positions x."""
+    half, H2 = 0.5 * params.D, params.H * params.H
+    return params.beta0 / ((x + half) ** 2 + H2), params.beta0 / ((x - half) ** 2 + H2)
+
+
+def _split_frame(h1, h2, Pbar):
+    """(strong2, hs, hw, 1 + Pbar*hw, 1 + Pbar*hs, +-hs*hw): the mu-independent
+    split terms; hs*hw is negated where user 1 is strong, so that times
+    mu - (1 - mu) it equals hs*hw*(muw - mus) exactly."""
+    strong2 = h2 >= h1
+    hs = np.where(strong2, h2, h1)
+    hw = np.where(strong2, h1, h2)
+    hshw = hs * hw
+    return strong2, hs, hw, 1.0 + Pbar * hw, 1.0 + Pbar * hs, np.where(strong2, hshw, -hshw)
+
+
+def _strong_power(frame, mu, Pbar):
     """Strong-user power maximizing mus*r_s + muw*r_w at full total power.
 
-    The derivative of the weighted objective in p_s is proportional to
+    mus and muw weigh the strong and the weak user.  The derivative of the
+    weighted objective in p_s is proportional to
     mus*hs/(1 + p hs) - muw*hw/(1 + p hw), whose root is unique and whose
     endpoint signs decide the clamping: nonpositive at 0 means all power to
     the weak user, nonnegative at Pbar means all power to the strong one,
     otherwise the interior stationary point
         p* = (muw*hw - mus*hs) / (hw*hs*(mus - muw)).
     """
-    d0 = mus * hs - muw * hw
-    dP = mus * hs * (1.0 + Pbar * hw) - muw * hw * (1.0 + Pbar * hs)
+    strong2, hs, hw, cw, cs, hshw = frame
+    nu = 1.0 - mu
+    a = np.where(strong2, nu, mu) * hs
+    b = np.where(strong2, mu, nu) * hw
+    d0 = a - b
+    dP = a * cw - b * cs
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_star = d0 / (hs * hw * (muw - mus))
-    p_star = np.where(np.isfinite(p_star), np.clip(p_star, 0.0, Pbar), 0.0)
+        p_star = d0 / (hshw * (mu - nu))
+    p_star = np.where(np.isfinite(p_star), np.minimum(np.maximum(p_star, 0.0), Pbar), 0.0)
     return np.where(d0 <= 0.0, 0.0, np.where(dP >= 0.0, Pbar, p_star))
+
+
+def _split_powers(frame, mu, Pbar):
+    """Per-slot (p1, p2) of the split at weight mu."""
+    ps = _strong_power(frame, mu, Pbar)
+    p_weak = Pbar - ps
+    return np.where(frame[0], p_weak, ps), np.where(frame[0], ps, p_weak)
 
 
 def split_weighted(h1, h2, mu, Pbar):
@@ -164,24 +202,12 @@ def split_weighted(h1, h2, mu, Pbar):
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    strong2 = h2 >= h1
-    hs = np.where(strong2, h2, h1)
-    hw = np.where(strong2, h1, h2)
-    mus = np.where(strong2, 1.0 - mu, mu)
-    muw = np.where(strong2, mu, 1.0 - mu)
-    ps = _strong_power_split(hs, hw, mus, muw, Pbar)
-    p_weak = Pbar - ps
-    p1 = np.where(strong2, p_weak, ps)
-    p2 = np.where(strong2, ps, p_weak)
-    return p1, p2
+    return _split_powers(_split_frame(h1, h2, Pbar), mu, Pbar)
 
 
 def per_slot_weighted_split(params: SystemParams, x: float, mu: float):
     """Scalar convenience wrapper of split_weighted at a single position."""
-    from .core import gain_pair
-
-    h1, h2 = gain_pair(params, x)
-    p1, p2 = split_weighted(np.array([h1]), np.array([h2]), mu, params.Pbar)
+    p1, p2 = split_weighted(*_gains(params, np.array([x])), mu, params.Pbar)
     return float(p1[0]), float(p2[0])
 
 
@@ -198,17 +224,20 @@ class TrajectoryEvaluator:
     integrate each slot exactly: hover portions as single weighted points,
     flight portions with two Gauss-Legendre nodes (the integrand is smooth
     within a slot once cut at the hover/flight switch times).
+
+    The mu-independent terms (slot split frame, atom strong user and gains)
+    are built once here, so `solve_weight` runs only the mu-dependent ufuncs,
+    bit-identical to `split_weighted` plus the per-atom rate formula.
     """
 
     def __init__(self, params, mid_positions, atom_pos, atom_w, atom_slot):
         self.params = params
-        H2 = params.H * params.H
-        b0 = params.beta0
-        half = 0.5 * params.D
-        self.h1m = b0 / ((mid_positions + half) ** 2 + H2)
-        self.h2m = b0 / ((mid_positions - half) ** 2 + H2)
-        self.ah1 = b0 / ((atom_pos + half) ** 2 + H2)
-        self.ah2 = b0 / ((atom_pos - half) ** 2 + H2)
+        self.h1m, self.h2m = _gains(params, mid_positions)
+        self.frame = _split_frame(self.h1m, self.h2m, params.Pbar)
+        ah1, ah2 = _gains(params, atom_pos)
+        self.astrong2 = ah2 >= ah1
+        self.ahs = np.where(self.astrong2, ah2, ah1)
+        self.ahw = np.where(self.astrong2, ah1, ah2)
         self.aw = atom_w / params.T
         self.aslot = atom_slot
         self.n_slots = len(mid_positions)
@@ -239,7 +268,7 @@ class TrajectoryEvaluator:
         pos_parts, w_parts, slot_parts = [], [], []
 
         def add_hover(x_h, lo_edge, hi_edge):
-            dur = np.clip(np.minimum(t1, hi_edge) - np.maximum(t0, lo_edge), 0.0, None)
+            dur = np.maximum(np.minimum(t1, hi_edge) - np.maximum(t0, lo_edge), 0.0)
             idx = np.nonzero(dur > 1e-15 * T)[0]
             if idx.size:
                 pos_parts.append(np.full(idx.size, x_h))
@@ -260,9 +289,8 @@ class TrajectoryEvaluator:
                 mid = 0.5 * (lo[idx] + hi[idx])
                 off = 0.5 * dur[idx] / _SQRT3
                 t_nodes = np.concatenate([mid - off, mid + off])
-                x_nodes = np.clip(
-                    traj.x_I + (t_nodes - traj.t_I) * params.V, traj.x_I, traj.x_F
-                )
+                x_nodes = traj.x_I + (t_nodes - traj.t_I) * params.V
+                x_nodes = np.minimum(np.maximum(x_nodes, traj.x_I), traj.x_F)
                 pos_parts.append(x_nodes)
                 w_parts.append(np.concatenate([0.5 * dur[idx]] * 2))
                 slot_parts.append(np.concatenate([idx, idx]))
@@ -273,18 +301,6 @@ class TrajectoryEvaluator:
             np.concatenate(pos_parts),
             np.concatenate(w_parts),
             np.concatenate(slot_parts),
-        )
-
-    @classmethod
-    def midpoint(cls, params, disc: DiscretizedTrajectory):
-        """Fast midpoint-rule evaluator (used for coarse grid ranking)."""
-        n = disc.n_slots
-        return cls(
-            params,
-            disc.positions,
-            disc.positions,
-            np.full(n, disc.slot_duration),
-            np.arange(n),
         )
 
     @classmethod
@@ -300,22 +316,18 @@ class TrajectoryEvaluator:
         """Average (r1, r2) of the superposition rates under a slot schedule."""
         p1a = p1[self.aslot]
         p2a = p2[self.aslot]
-        strong2 = self.ah2 >= self.ah1
-        r1a = np.where(
-            strong2,
-            np.log1p(p1a * self.ah1 / (p2a * self.ah1 + 1.0)),
-            np.log1p(p1a * self.ah1),
-        )
-        r2a = np.where(
-            strong2,
-            np.log1p(p2a * self.ah2),
-            np.log1p(p2a * self.ah2 / (p1a * self.ah2 + 1.0)),
-        )
+        strong2 = self.astrong2
+        ps = np.where(strong2, p2a, p1a)
+        pw = np.where(strong2, p1a, p2a)
+        r_strong = np.log1p(ps * self.ahs)
+        r_weak = np.log1p(pw * self.ahw / (ps * self.ahw + 1.0))
+        r1a = np.where(strong2, r_weak, r_strong)
+        r2a = np.where(strong2, r_strong, r_weak)
         scale = 1.0 / math.log(2.0)
         return scale * float(self.aw @ r1a), scale * float(self.aw @ r2a)
 
     def solve_weight(self, mu):
-        p1, p2 = split_weighted(self.h1m, self.h2m, mu, self.params.Pbar)
+        p1, p2 = _split_powers(self.frame, mu, self.params.Pbar)
         r1, r2 = self.rates_for_powers(p1, p2)
         return p1, p2, r1, r2
 
@@ -342,6 +354,9 @@ def _min_scale(profile: RateProfile, r1: float, r2: float) -> float:
 
 
 def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> P5Result:
+    """Bisection on mu, one `ev.solve_weight` per iterate, then the tie-break
+    blend if needed; the mu = 0 and mu = 1 states are solved only when the
+    blend needs a bracket end that never moved."""
     Pbar = params.Pbar
     n = ev.n_slots
     if profile.alpha1 == 0.0 or profile.alpha2 == 0.0:
@@ -362,8 +377,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> 
         return a2 * r1 - a1 * r2
 
     lo, hi = 0.0, 1.0
-    state_lo = ev.solve_weight(lo)
-    state_hi = ev.solve_weight(hi)
+    state_lo = state_hi = None
     iterations = 0
     best = None
     for _ in range(max_iter):
@@ -392,8 +406,8 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> 
     # such slots the slot region degenerates to the line r1 + r2 = const, so
     # any blend of the bracket schedules is realized exactly by an
     # intermediate power; blend with the ratio-matching coefficient.
-    p1L, p2L, r1L, r2L = state_lo
-    p1H, p2H, r1H, r2H = state_hi
+    p1L, p2L, r1L, r2L = state_lo or ev.solve_weight(lo)
+    p1H, p2H, r1H, r2H = state_hi or ev.solve_weight(hi)
     gL, gH = imbalance(r1L, r2L), imbalance(r1H, r2H)
     mixed = None
     if gL <= 0.0 <= gH and gH - gL > 0.0:
@@ -454,45 +468,53 @@ def solve_p5(
 # ---------------------------------------------------------------------------
 
 
+# Candidate rows per block of the grid ranking: a block's whole bisection
+# (its split frame, rates and expanded rows) stays in cache.
+_GRID_BLOCK = 256
+
+
 def _batched_profile_values(params, pos_matrix, profile, iters):
     """Midpoint-rule profile-constrained values for many trajectories at once.
 
-    pos_matrix has one row of slot-midpoint positions per candidate.  Runs a
-    fixed-iteration mu bisection on all rows simultaneously; good enough for
-    ranking (winners are re-scored exactly afterwards).
+    pos_matrix has one row of slot-midpoint positions per candidate.  A
+    fixed-iteration mu bisection runs on a block of rows at a time; good
+    enough for ranking (winners are re-scored exactly afterwards).  Each run
+    of equal adjacent positions in a row (an HFH hover) gets one split frame
+    and one split per iteration, and the rates are expanded to full rows
+    before the unchanged row mean, so the values are bit-identical to
+    splitting every element.
     """
-    half = 0.5 * params.D
-    H2 = params.H * params.H
-    h1 = params.beta0 / ((pos_matrix + half) ** 2 + H2)
-    h2 = params.beta0 / ((pos_matrix - half) ** 2 + H2)
     Pbar = params.Pbar
     a1, a2 = profile.alpha1, profile.alpha2
-    n_cand = pos_matrix.shape[0]
+    values = np.empty(pos_matrix.shape[0])
+    for start in range(0, len(values), _GRID_BLOCK):
+        block = pos_matrix[start : start + _GRID_BLOCK]
+        n_rows, n_slots = block.shape
+        run_start = np.ones(block.shape, dtype=bool)
+        run_start[:, 1:] = block[:, 1:] != block[:, :-1]
+        run_start = run_start.ravel()
+        expand = np.cumsum(run_start) - 1      # element -> its run
+        row = np.nonzero(run_start)[0] // n_slots  # run -> its row
+        frame = _split_frame(*_gains(params, block.ravel()[run_start]), Pbar)
+        strong2, hs, hw = frame[:3]
 
-    strong2 = h2 >= h1
-    hs = np.where(strong2, h2, h1)
-    hw = np.where(strong2, h1, h2)
-
-    lo = np.zeros(n_cand)
-    hi = np.ones(n_cand)
-    r1 = np.zeros(n_cand)
-    r2 = np.zeros(n_cand)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        mu = mid[:, None]
-        mus = np.where(strong2, 1.0 - mu, mu)
-        muw = np.where(strong2, mu, 1.0 - mu)
-        ps = _strong_power_split(hs, hw, mus, muw, Pbar)
-        pw = Pbar - ps
-        r_strong = np.log1p(ps * hs)
-        r_weak = np.log1p(pw * hw / (ps * hw + 1.0))
-        r1 = np.where(strong2, r_weak, r_strong).mean(axis=1) / math.log(2.0)
-        r2 = np.where(strong2, r_strong, r_weak).mean(axis=1) / math.log(2.0)
-        g = a2 * r1 - a1 * r2
-        take = g <= 0.0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return np.minimum(r1 / a1, r2 / a2)
+        lo, hi = np.zeros(n_rows), np.ones(n_rows)
+        r1 = r2 = np.zeros(n_rows)
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            ps = _strong_power(frame, mid[row], Pbar)
+            pw = Pbar - ps
+            r_strong = np.log1p(ps * hs)
+            r_weak = np.log1p(pw * hw / (ps * hw + 1.0))
+            r1 = np.where(strong2, r_weak, r_strong)[expand].reshape(n_rows, n_slots)
+            r2 = np.where(strong2, r_strong, r_weak)[expand].reshape(n_rows, n_slots)
+            r1 = r1.mean(axis=1) / math.log(2.0)
+            r2 = r2.mean(axis=1) / math.log(2.0)
+            take = a2 * r1 - a1 * r2 <= 0.0
+            lo = np.where(take, mid, lo)
+            hi = np.where(take, hi, mid)
+        values[start : start + n_rows] = np.minimum(r1 / a1, r2 / a2)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +585,27 @@ def mirror_solution(params: SystemParams, sol: BoundarySolution) -> BoundarySolu
     )
 
 
+def _grid_candidates(params, cfg):
+    """The (x_I, x_F, t_I) grid over the feasible wedge, in search order, and
+    the positions of each make_hfh(x_I, x_F, t_I) at `cfg.coarse_slots`
+    slot midpoints, computed as `positions_at` does."""
+    half = 0.5 * params.D
+    cands = []
+    for x_i in np.linspace(-half, half, cfg.grid_xi):
+        reach = min(half, x_i + params.V * params.T)
+        if reach <= x_i:
+            continue
+        for x_f in np.linspace(x_i, reach, cfg.grid_xf)[1:]:
+            slack = params.T - (x_f - x_i) / params.V
+            for t_i in np.linspace(0.0, slack, cfg.grid_ti) if slack > 0 else [0.0]:
+                cands.append((x_i, x_f, t_i))
+    x_i, x_f, t_i = np.array(cands).reshape(-1, 3).T
+    t_f = np.maximum(params.T - t_i - (x_f - x_i) / params.V, 0.0)
+    mids = (np.arange(cfg.coarse_slots) + 0.5) * (params.T / cfg.coarse_slots)
+    col = (x_i[:, None], x_f[:, None], t_i[:, None], t_f[:, None])
+    return x_i, x_f, t_i, _hfh_positions(params, *col, mids)
+
+
 def _feasible_ti(params, x_i, x_f, t_i):
     flight = 0.0 if params.V == 0.0 else (x_f - x_i) / params.V
     return min(max(t_i, 0.0), max(params.T - flight, 0.0))
@@ -607,30 +650,14 @@ def solve_profile(
 
     if params.V > 0.0:
         # Feasible wedge grid, ranked with the batched midpoint solver.
-        cand_trajs = []
-        rows = []
-        n_coarse = cfg.coarse_slots
-        mids = (np.arange(n_coarse) + 0.5) * (params.T / n_coarse)
-        for x_i in np.linspace(-half, half, cfg.grid_xi):
-            reach = min(half, x_i + params.V * params.T)
-            if reach <= x_i:
-                continue
-            for x_f in np.linspace(x_i, reach, cfg.grid_xf)[1:]:
-                slack = params.T - (x_f - x_i) / params.V
-                ti_grid = np.linspace(0.0, slack, cfg.grid_ti) if slack > 0 else [0.0]
-                for t_i in ti_grid:
-                    traj = make_hfh(params, x_i, x_f, float(t_i))
-                    cand_trajs.append(traj)
-                    rows.append(positions_at(params, traj, mids))
-        if cand_trajs:
-            values = _batched_profile_values(
-                params, np.array(rows), profile, cfg.coarse_mu_iter
-            )
+        g_xi, g_xf, g_ti, rows = _grid_candidates(params, cfg)
+        if g_xi.size:
+            values = _batched_profile_values(params, rows, profile, cfg.coarse_mu_iter)
             order = np.argsort(values)[::-1][: cfg.rerank_top]
-            diagnostics["grid_candidates"] = len(cand_trajs)
+            diagnostics["grid_candidates"] = len(values)
             diagnostics["grid_best_coarse"] = float(values[order[0]])
             for idx in order:
-                traj = cand_trajs[int(idx)]
+                traj = make_hfh(params, g_xi[idx], g_xf[idx], float(g_ti[idx]))
                 ev = TrajectoryEvaluator.exact(params, traj, cfg.n_slots)
                 res = _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter)
                 tie = cfg.tie_tol_rel * max(best_r, 1e-12)

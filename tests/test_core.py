@@ -6,6 +6,7 @@ import pytest
 
 from uavbc import (
     InvalidParams,
+    InvalidTrajectory,
     PowerBudgetExceeded,
     RateProfile,
     SystemParams,
@@ -141,6 +142,25 @@ class TestHfhPosition:
     def test_time_budget_must_close(self, base):
         with pytest.raises(ValueError):
             make_hfh(base, -500.0, 500.0, base.T)  # no time left to fly
+
+    @pytest.mark.parametrize(
+        "x_I, x_F, t_I",
+        [(-600.0, 0.0, 0.0), (100.0, -100.0, 0.0)],
+        ids=["outside", "unordered"],
+    )
+    def test_bad_locations_are_typed(self, base, x_I, x_F, t_I):
+        with pytest.raises(InvalidTrajectory, match="outside"):
+            make_hfh(base, x_I, x_F, t_I)
+
+    def test_zero_speed_flight_is_typed(self, static):
+        with pytest.raises(InvalidTrajectory, match="V = 0"):
+            make_hfh(static, -100.0, 100.0, 0.0)
+
+    @pytest.mark.parametrize("t_I", [60.0, -1.0], ids=["no-time-to-fly", "negative"])
+    def test_bad_hover_times_are_typed(self, base, t_I):
+        with pytest.raises(InvalidTrajectory, match="hover times") as err:
+            make_hfh(base, -500.0, 500.0, t_I)
+        assert isinstance(err.value, ValueError)
 
 
 class TestLegRateIntegral:
