@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from uavbc import (
     solve_p5,
     solve_profile,
     solve_v0,
+    tdma_solve_profile,
     trace_region,
     triangle_contains,
 )
@@ -144,6 +146,45 @@ class TestSolveProfile:
         assert a.rate_pair.r1 == pytest.approx(b.rate_pair.r2, abs=1e-6)
         assert a.rate_pair.r2 == pytest.approx(b.rate_pair.r1, abs=1e-6)
         assert check_feasibility(base, b).passed
+
+
+@functools.lru_cache(maxsize=None)
+def _sc(params, alpha1):
+    return solve_profile(params, RateProfile.of(alpha1))
+
+
+def test_flight_across_x0_inside_a_slot_is_feasible(base):
+    """The strong user flips at x = 0, so rates jump there: both the
+    evaluator and the feasibility check cut the flight at the crossing."""
+    report = check_feasibility(base, solve_profile(base, RateProfile.of(0.375)))
+    assert report.passed, report
+
+
+# (T, alpha1) points of the theory's invariants
+INVARIANT_POINTS = [(200.0, 0.1), (400.0, 0.2), (60.0, 0.4), (20.0, 0.5)]
+
+
+class TestInvariants:
+    """Orderings the theory guarantees for the optimal SC boundary point."""
+
+    @pytest.mark.parametrize("T, alpha1", INVARIANT_POINTS)
+    def test_sc_at_least_tdma(self, base, T, alpha1):
+        params = replace(base, T=T)
+        tdma = tdma_solve_profile(params, RateProfile.of(alpha1))
+        assert _sc(params, alpha1).r >= tdma.r * (1.0 - 1e-5)
+
+    @pytest.mark.parametrize("alpha1", [0.2, 0.4])
+    def test_nondecreasing_in_T(self, base, alpha1):
+        r = [_sc(replace(base, T=T), alpha1).r for T in (20.0, 60.0, 200.0)]
+        assert r[0] <= r[1] <= r[2]
+
+    @pytest.mark.parametrize("T, alpha1", INVARIANT_POINTS)
+    def test_sc_at_least_best_hover(self, base, T, alpha1):
+        params = replace(base, T=T)
+        prof = RateProfile.of(alpha1)
+        xs = np.linspace(-0.5 * base.D, 0.5 * base.D, 257)
+        hover = max(hfh_solver._hover_value(params, float(x), prof) for x in xs)
+        assert _sc(params, alpha1).r >= hover
 
 
 def test_trace_region_small(base):
