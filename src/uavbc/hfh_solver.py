@@ -216,6 +216,18 @@ def per_slot_weighted_split(params: SystemParams, x: float, mu: float):
 # ---------------------------------------------------------------------------
 
 
+def _flight_windows(params, traj):
+    """Time windows of the flight, cut where it crosses x = 0: the strong
+    user flips there, so the rates jump."""
+    fly_start, fly_end = traj.t_I, params.T - traj.t_F
+    if params.V == 0.0 or fly_end - fly_start <= 1e-15 * params.T:
+        return []
+    if traj.x_I < 0.0 < traj.x_F:
+        cross = fly_start - traj.x_I / params.V
+        return [(fly_start, cross), (cross, fly_end)]
+    return [(fly_start, fly_end)]
+
+
 class TrajectoryEvaluator:
     """Caches per-trajectory geometry for repeated (P5) solves.
 
@@ -223,7 +235,8 @@ class TrajectoryEvaluator:
     "atoms" (position, time-weight, owning slot).  With exact=True the atoms
     integrate each slot exactly: hover portions as single weighted points,
     flight portions with two Gauss-Legendre nodes (the integrand is smooth
-    within a slot once cut at the hover/flight switch times).
+    within a slot once cut at the hover/flight switch times and at the x = 0
+    crossing).
 
     The mu-independent terms (slot split frame, atom strong user and gains)
     are built once here, so `solve_weight` runs only the mu-dependent ufuncs,
@@ -280,9 +293,9 @@ class TrajectoryEvaluator:
         add_hover(traj.x_I, 0.0, fly_start)
         add_hover(traj.x_F, fly_end, T)
 
-        if params.V > 0.0 and fly_end - fly_start > 1e-15 * T:
-            lo = np.maximum(t0, fly_start)
-            hi = np.minimum(t1, fly_end)
+        for lo_edge, hi_edge in _flight_windows(params, traj):
+            lo = np.maximum(t0, lo_edge)
+            hi = np.minimum(t1, hi_edge)
             dur = hi - lo
             idx = np.nonzero(dur > 1e-15 * T)[0]
             if idx.size:

@@ -29,6 +29,7 @@ from .fixed_region import fixed_region_sample
 from .hfh_solver import (
     BoundarySolution,
     PowerSchedule,
+    _flight_windows,
     positions_at,
     split_weighted,
 )
@@ -451,7 +452,7 @@ def _inequality_integrals(params, traj, p1_slots, p2_slots):
 
     Integrates piecewise: hover portions exactly, flight portions with a
     9-point composite Simpson rule per slot piece (the integrand is smooth
-    inside a piece).
+    inside a piece once the flight is cut at the x = 0 crossing).
     """
     n = len(p1_slots)
     T = params.T
@@ -474,16 +475,17 @@ def _inequality_integrals(params, traj, p1_slots, p2_slots):
             slot_list.append(idx)
             # position is constant on the window; encode via time at center
             ts_list[-1] = np.clip(ts_list[-1], lo_edge, hi_edge)
-    lo = np.maximum(t0, fly_start)
-    hi = np.minimum(t1, fly_end)
-    dur = hi - lo
-    idx = np.nonzero(dur > 1e-15 * T)[0]
-    if idx.size:
-        nodes = lo[idx, None] + dur[idx, None] * _OFFS9[None, :]
-        weights = dur[idx, None] * _SIMPSON9[None, :]
-        ts_list.append(nodes.ravel())
-        w_list.append(weights.ravel())
-        slot_list.append(np.repeat(idx, len(_OFFS9)))
+    for lo_edge, hi_edge in _flight_windows(params, traj):
+        lo = np.maximum(t0, lo_edge)
+        hi = np.minimum(t1, hi_edge)
+        dur = hi - lo
+        idx = np.nonzero(dur > 1e-15 * T)[0]
+        if idx.size:
+            nodes = lo[idx, None] + dur[idx, None] * _OFFS9[None, :]
+            weights = dur[idx, None] * _SIMPSON9[None, :]
+            ts_list.append(nodes.ravel())
+            w_list.append(weights.ravel())
+            slot_list.append(np.repeat(idx, len(_OFFS9)))
 
     ts = np.concatenate(ts_list)
     w = np.concatenate(w_list) / T
