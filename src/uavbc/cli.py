@@ -43,9 +43,6 @@ DEFAULT_SCENARIO = {
 _SOLVER_KEYS = {
     "profiles": int,
     "n_slots": int,
-    "grid_xi": int,
-    "grid_xf": int,
-    "grid_ti": int,
     "hover_grid": int,
     "tdma_x_grid": int,
     "tdma_ti_grid": int,
@@ -199,17 +196,8 @@ def apply_overrides(params, override_text):
 
 
 def _search_config(settings) -> SearchConfig:
-    kwargs = {}
-    for src, dst in (
-        ("n_slots", "n_slots"),
-        ("grid_xi", "grid_xi"),
-        ("grid_xf", "grid_xf"),
-        ("grid_ti", "grid_ti"),
-        ("hover_grid", "hover_grid"),
-    ):
-        if src in settings:
-            kwargs[dst] = settings[src]
-    return SearchConfig(**kwargs)
+    keys = ("n_slots", "hover_grid")
+    return SearchConfig(**{k: settings[k] for k in keys if k in settings})
 
 
 def _tdma_config(settings) -> TdmaSearchConfig:

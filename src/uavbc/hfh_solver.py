@@ -1,24 +1,24 @@
 """General finite-speed finite-duration capacity solver.
 
-For a fixed hover-fly-hover trajectory the power/rate allocation problem is
-convex; its profile-constrained optimum is found by bisection on a scalar
+For a fixed hover-fly-hover (HFH) trajectory the power/rate allocation (P5)
+is convex; its profile-constrained optimum is found by bisection on a scalar
 weight mu in [0, 1] (the normalized dual weight of user 1), where each
 weight decouples into independent per-slot full-power splits with a closed
-form.  The trajectory itself is then optimized by a three-dimensional grid
-search over (x_I, x_F, t_I) with coordinate-wise golden-section refinement,
-plus a dense one-dimensional hover scan so the degenerate x_I == x_F family
-is never under-resolved.
+form.  The trajectory is searched over endpoint pairs (x_I, x_F): for fixed
+endpoints, sharing the slack time between the two hovers is a time-share,
+so the pair's rate set is convex and its profile value is one mu-root with
+a blend across the bracket.  Per-weight tables of hover rates and
+cumulative flight integrals (`pair_tables`, independent of T, V and the
+profile) give every pair's value in a few vectorized passes; the best pair
+is zoomed on local tables, and its switch times are aligned with the slots
+by golden searches on the slotted P5.  A dense hover scan covers the
+x_I == x_F family exactly.
 
-Rate bookkeeping: searching uses a fast midpoint rule over uniform slots,
-while every reported solution is re-evaluated with exact per-slot
-integration (closed-form hover segments, Gauss nodes on flight segments cut
-at the hover/flight switch times), so emitted rate pairs are achievable to
-quadrature precision and survive independent feasibility re-checks.
-
-The mu-independent terms of a slot's split (`_split_frame`) are built once
-per evaluator, or once per run of equal positions in a grid row (mostly two
-hover runs), and each weight runs only the mu-dependent step; outputs are
-bit-identical to evaluating the plain formula on every element.
+Every reported solution is evaluated with exact per-slot integration
+(closed-form hover segments, Gauss nodes on flight segments cut at the
+hover/flight switch times and at x = 0), so emitted rate pairs are
+achievable to quadrature precision and survive independent feasibility
+re-checks.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    LOG2,
     HfhTrajectory,
     RatePair,
     RateProfile,
@@ -46,20 +47,25 @@ _SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the trajectory search and the inner weight bisection."""
+    """Knobs of the trajectory search and the inner weight bisection.
+
+    The search reads n_slots, hover_grid, golden_iters, mu_tol, mu_max_iter,
+    tie_tol_rel, slot_doubling_tol and max_slot_doublings.  The other fields
+    are accepted, so configs that set them keep working, but not read.
+    """
 
     n_slots: int = 512            # schedule slots of reported solutions
-    grid_xi: int = 17             # x_I grid points
-    grid_xf: int = 17             # x_F grid points per x_I (feasible wedge)
-    grid_ti: int = 9              # t_I grid points per (x_I, x_F)
+    grid_xi: int = 17
+    grid_xf: int = 17
+    grid_ti: int = 9
     hover_grid: int = 257         # dense scan of the x_I == x_F family
-    refine_rounds: int = 3        # coordinate golden-section rounds
-    golden_iters: int = 30
+    refine_rounds: int = 3
+    golden_iters: int = 30        # cap of each slot-alignment golden search
     mu_tol: float = 1e-6          # |r1/a1 - r2/a2| <= mu_tol * r at exit
     mu_max_iter: int = 60
-    coarse_slots: int = 128       # midpoint slots for grid ranking
+    coarse_slots: int = 128
     coarse_mu_iter: int = 24
-    rerank_top: int = 16          # grid winners re-scored exactly
+    rerank_top: int = 16
     tie_tol_rel: float = 1e-6     # prefer least flying among near-ties
     slot_doubling_tol: float = 1e-4
     max_slot_doublings: int = 3
@@ -106,16 +112,11 @@ class BoundarySolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _hfh_positions(params, x_I, x_F, t_I, t_F, times):
-    """HFH positions at `times`; the trajectory terms may be broadcast arrays."""
-    x = np.minimum(np.maximum(x_I + (times - t_I) * params.V, x_I), x_F)
-    x = np.where(times <= t_I, x_I, x)
-    return np.where(times >= params.T - t_F, x_F, x)
-
-
 def positions_at(params: SystemParams, traj: HfhTrajectory, times: np.ndarray) -> np.ndarray:
     """Vectorized HFH position lookup (no bounds checking)."""
-    return _hfh_positions(params, traj.x_I, traj.x_F, traj.t_I, traj.t_F, times)
+    x = np.minimum(np.maximum(traj.x_I + (times - traj.t_I) * params.V, traj.x_I), traj.x_F)
+    x = np.where(times <= traj.t_I, traj.x_I, x)
+    return np.where(times >= params.T - traj.t_F, traj.x_F, x)
 
 
 def discretize(params: SystemParams, traj: HfhTrajectory, n_slots: int) -> DiscretizedTrajectory:
@@ -188,6 +189,13 @@ def _strong_power(frame, mu, Pbar):
     return np.where(d0 <= 0.0, 0.0, np.where(dP >= 0.0, Pbar, p_star))
 
 
+def _sc_rates(strong2, hs, hw, ps, pw):
+    """Superposition rates (r1, r2) in nats at strong/weak powers ps, pw."""
+    r_strong = np.log1p(ps * hs)
+    r_weak = np.log1p(pw * hw / (ps * hw + 1.0))
+    return np.where(strong2, r_weak, r_strong), np.where(strong2, r_strong, r_weak)
+
+
 def _split_powers(frame, mu, Pbar):
     """Per-slot (p1, p2) of the split at weight mu."""
     ps = _strong_power(frame, mu, Pbar)
@@ -219,13 +227,11 @@ def per_slot_weighted_split(params: SystemParams, x: float, mu: float):
 def _flight_windows(params, traj):
     """Time windows of the flight, cut where it crosses x = 0: the strong
     user flips there, so the rates jump."""
-    fly_start, fly_end = traj.t_I, params.T - traj.t_F
-    if params.V == 0.0 or fly_end - fly_start <= 1e-15 * params.T:
+    start, end = traj.t_I, params.T - traj.t_F
+    if params.V == 0.0 or end - start <= 1e-15 * params.T:
         return []
-    if traj.x_I < 0.0 < traj.x_F:
-        cross = fly_start - traj.x_I / params.V
-        return [(fly_start, cross), (cross, fly_end)]
-    return [(fly_start, fly_end)]
+    cuts = [start - traj.x_I / params.V] if traj.x_I < 0.0 < traj.x_F else []
+    return list(zip([start, *cuts], [*cuts, end]))
 
 
 class TrajectoryEvaluator:
@@ -332,11 +338,8 @@ class TrajectoryEvaluator:
         strong2 = self.astrong2
         ps = np.where(strong2, p2a, p1a)
         pw = np.where(strong2, p1a, p2a)
-        r_strong = np.log1p(ps * self.ahs)
-        r_weak = np.log1p(pw * self.ahw / (ps * self.ahw + 1.0))
-        r1a = np.where(strong2, r_weak, r_strong)
-        r2a = np.where(strong2, r_strong, r_weak)
-        scale = 1.0 / math.log(2.0)
+        r1a, r2a = _sc_rates(strong2, self.ahs, self.ahw, ps, pw)
+        scale = 1.0 / LOG2
         return scale * float(self.aw @ r1a), scale * float(self.aw @ r2a)
 
     def solve_weight(self, mu):
@@ -477,57 +480,173 @@ def solve_p5(
 
 
 # ---------------------------------------------------------------------------
-# batched coarse ranking of grid candidates
+# endpoint-pair tables
 # ---------------------------------------------------------------------------
 
 
-# Candidate rows per block of the grid ranking: a block's whole bisection
-# (its split frame, rates and expanded rows) stays in cache.
-_GRID_BLOCK = 256
+# Position nodes (odd, so x = 0 is a node) and weights mu of the pair tables,
+# Gauss sub-cells per node cell, and weight rows per build chunk (bounds the
+# build's temporaries).  The polish zooms in _POLISH_STAGES stages, each on
+# _POLISH_SIDE positions around either endpoint at a quarter of the previous
+# spacing and _POLISH_WEIGHTS weights across the widened bracket.
+_PAIR_NODES = 201
+_PAIR_WEIGHTS = 129
+_SUBCELLS = 16
+_TABLE_CHUNK = 8
+_POLISH_SIDE = 9
+_POLISH_WEIGHTS = 17
+_POLISH_STAGES = 5
 
 
-def _batched_profile_values(params, pos_matrix, profile, iters):
-    """Midpoint-rule profile-constrained values for many trajectories at once.
+@dataclass(frozen=True)
+class PairTables:
+    """At weight mu[m] (row m) and sorted positions x: hover rates (h1, h2)
+    in bps/Hz and cumulative flight integrals (c1, c2) of the per-position
+    rates from x[0], in bps/Hz times meters.  They depend on (beta0, H, D,
+    Pbar) only."""
 
-    pos_matrix has one row of slot-midpoint positions per candidate.  A
-    fixed-iteration mu bisection runs on a block of rows at a time; good
-    enough for ranking (winners are re-scored exactly afterwards).  Each run
-    of equal adjacent positions in a row (an HFH hover) gets one split frame
-    and one split per iteration, and the rates are expanded to full rows
-    before the unchanged row mean, so the values are bit-identical to
-    splitting every element.
+    x: np.ndarray
+    mu: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+
+
+def _gauss_rates(params, a, b, mu):
+    """2-point Gauss integrals over [a, b] of the per-position rates (r1, r2)
+    in nats times meters at weights mu (broadcast against a[..., None]), and
+    the split's regime at both nodes (0 weak, 1 interior, 2 strong power)."""
+    half = 0.5 * (b - a)
+    x = (a + half)[..., None] + (half / _SQRT3)[..., None] * np.array([-1.0, 1.0])
+    frame = _split_frame(*_gains(params, x), params.Pbar)
+    ps = _strong_power(frame, mu[..., None], params.Pbar)
+    r1, r2 = _sc_rates(*frame[:3], ps, params.Pbar - ps)
+    regime = (ps > 0.0).astype(np.int8) + (ps >= params.Pbar)
+    return half * (r1[..., 0] + r1[..., 1]), half * (r2[..., 0] + r2[..., 1]), regime
+
+
+def _rate_tables(params, x, mu) -> PairTables:
+    """PairTables at sorted positions x and weights mu.
+
+    Flight integrals use 2-point Gauss on sub-cells at most
+    D / ((_PAIR_NODES - 1) * _SUBCELLS) wide, cut at every x and at x = 0
+    (the rates jump there).  A sub-cell whose Gauss nodes, or whose node and
+    its neighbour's, disagree on the split's regime holds a kink and is
+    integrated on _SUBCELLS pieces instead.
     """
-    Pbar = params.Pbar
-    a1, a2 = profile.alpha1, profile.alpha2
-    values = np.empty(pos_matrix.shape[0])
-    for start in range(0, len(values), _GRID_BLOCK):
-        block = pos_matrix[start : start + _GRID_BLOCK]
-        n_rows, n_slots = block.shape
-        run_start = np.ones(block.shape, dtype=bool)
-        run_start[:, 1:] = block[:, 1:] != block[:, :-1]
-        run_start = run_start.ravel()
-        expand = np.cumsum(run_start) - 1      # element -> its run
-        row = np.nonzero(run_start)[0] // n_slots  # run -> its row
-        frame = _split_frame(*_gains(params, block.ravel()[run_start]), Pbar)
-        strong2, hs, hw = frame[:3]
+    cuts = np.union1d(x, [0.0]) if x[0] < 0.0 < x[-1] else np.unique(x)
+    gaps = np.diff(cuts)
+    n_sub = np.ceil(gaps / params.D * (_PAIR_NODES - 1) * _SUBCELLS - 1e-9).clip(1).astype(int)
+    ends = np.concatenate([[0], np.cumsum(n_sub)])
+    k = np.arange(ends[-1]) - np.repeat(ends[:-1], n_sub)
+    edges = np.append(np.repeat(cuts[:-1], n_sub) + np.repeat(gaps / n_sub, n_sub) * k, cuts[-1])
+    node_frame = _split_frame(*_gains(params, x), params.Pbar)
+    at_x = ends[np.searchsorted(cuts, x)]
+    out = np.empty((4, len(mu), len(x)))
+    for s in range(0, len(mu), _TABLE_CHUNK):
+        rows = slice(s, s + _TABLE_CHUNK)
+        m = mu[rows, None]
+        ps = _strong_power(node_frame, m, params.Pbar)
+        out[0, rows], out[1, rows] = _sc_rates(*node_frame[:3], ps, params.Pbar - ps)
+        f1, f2, regime = _gauss_rates(params, edges[:-1], edges[1:], m)
+        step = regime[:, :-1, 1] != regime[:, 1:, 0]
+        kink = regime[..., 0] != regime[..., 1]
+        kink[:, :-1] |= step
+        kink[:, 1:] |= step
+        r, c = np.nonzero(kink)
+        piece = (edges[c + 1] - edges[c])[:, None] / _SUBCELLS
+        a = edges[c, None] + piece * np.arange(_SUBCELLS)
+        k1, k2, _ = _gauss_rates(params, a, a + piece, m[r])
+        f1[r, c], f2[r, c] = k1.sum(-1), k2.sum(-1)
+        out[2, rows] = np.pad(np.cumsum(f1, axis=1), ((0, 0), (1, 0)))[:, at_x]
+        out[3, rows] = np.pad(np.cumsum(f2, axis=1), ((0, 0), (1, 0)))[:, at_x]
+    return PairTables(x, mu, *(out / LOG2))
 
-        lo, hi = np.zeros(n_rows), np.ones(n_rows)
-        r1 = r2 = np.zeros(n_rows)
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            ps = _strong_power(frame, mid[row], Pbar)
-            pw = Pbar - ps
-            r_strong = np.log1p(ps * hs)
-            r_weak = np.log1p(pw * hw / (ps * hw + 1.0))
-            r1 = np.where(strong2, r_weak, r_strong)[expand].reshape(n_rows, n_slots)
-            r2 = np.where(strong2, r_strong, r_weak)[expand].reshape(n_rows, n_slots)
-            r1 = r1.mean(axis=1) / math.log(2.0)
-            r2 = r2.mean(axis=1) / math.log(2.0)
-            take = a2 * r1 - a1 * r2 <= 0.0
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        values[start : start + n_rows] = np.minimum(r1 / a1, r2 / a2)
-    return values
+
+def pair_tables(params: SystemParams) -> PairTables:
+    """The search's tables: _PAIR_NODES positions over [-D/2, D/2] and
+    _PAIR_WEIGHTS weights over [0, 1]."""
+    half = 0.5 * params.D
+    x = np.linspace(-half, half, _PAIR_NODES)
+    return _rate_tables(params, x, np.linspace(0.0, 1.0, _PAIR_WEIGHTS))
+
+
+def _pair_primal(params, tables, m, i, j):
+    """(r1, r2, at_i) of the pairs (x[i], x[j]) at weight index m: fly at the
+    per-position split and hover all slack at the endpoint with the larger
+    weighted hover rate (x[i] when at_i)."""
+    t = tables
+    slack = params.T - (t.x[j] - t.x[i]) / params.V
+    w = t.mu[m]
+    at_i = w * t.h1[m, i] + (1.0 - w) * t.h2[m, i] >= w * t.h1[m, j] + (1.0 - w) * t.h2[m, j]
+    e = np.where(at_i, i, j)
+    r1 = ((t.c1[m, j] - t.c1[m, i]) / params.V + slack * t.h1[m, e]) / params.T
+    r2 = ((t.c2[m, j] - t.c2[m, i]) / params.V + slack * t.h2[m, e]) / params.T
+    return r1, r2, at_i
+
+
+def _batched_profile_values(params, pairs, profile, tables):
+    """Achievable profile values of many HFH endpoint pairs at once.
+
+    Row (i, j) of `pairs` is the pair x[i] <= x[j] of `tables`, with a
+    feasible flight.  The weight index is bisected for all pairs at once,
+    and the primal points at the bracket ends (imbalance <= 0 at lo, > 0 at
+    hi) are time-shared onto the profile ray.  Returns (value, t_I, lo, hi):
+    the value, the hover time at x[i] that realizes it, and the bracket.
+    """
+    a1, a2 = profile.alpha1, profile.alpha2
+    i, j = pairs[:, 0], pairs[:, 1]
+    lo = np.zeros(len(pairs), dtype=int)
+    hi = np.full(len(pairs), len(tables.mu) - 1)
+    for _ in range(math.ceil(math.log2(len(tables.mu) - 1))):
+        mid = (lo + hi) // 2
+        r1, r2, _ = _pair_primal(params, tables, mid, i, j)
+        take = a2 * r1 - a1 * r2 <= 0.0
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    r1L, r2L, iL = _pair_primal(params, tables, lo, i, j)
+    r1H, r2H, iH = _pair_primal(params, tables, hi, i, j)
+    gL, gH = a2 * r1L - a1 * r2L, a2 * r1H - a1 * r2H
+    lam = gH / (gH - gL)  # mu = 1 gives r2 = 0, so gH > 0 >= gL
+    r1 = lam * r1L + (1.0 - lam) * r1H
+    r2 = lam * r2L + (1.0 - lam) * r2H
+    slack = params.T - (tables.x[j] - tables.x[i]) / params.V
+    t_I = slack * (lam * iL + (1.0 - lam) * iH)
+    return np.minimum(r1 / a1, r2 / a2), t_I, lo, hi
+
+
+def _best_pair(params, profile, tables):
+    """The best feasible pair of `tables`, zoomed in _POLISH_STAGES stages of
+    local tables around it.  Returns (x_I, x_F, t_I, value, upper bound,
+    polished value): the table pick's value and its upper bound, the min
+    over the weights of D(mu) / (mu a1 + (1 - mu) a2), above which no
+    schedule on that pair reaches."""
+    half = 0.5 * params.D
+    offsets = (tables.x[1] - tables.x[0]) * (np.arange(_POLISH_SIDE) - _POLISH_SIDE // 2)
+    for stage in range(_POLISH_STAGES + 1):
+        if stage:
+            pos = np.union1d(
+                np.clip(x_I + offsets * 0.25 ** stage, -half, half),
+                np.clip(x_F + offsets * 0.25 ** stage, -half, half),
+            )
+            w = mu_hi - mu_lo  # widened bracket, with mu = 0 and 1 as sentinels
+            mu = np.linspace(max(mu_lo - w, 0.0), min(mu_hi + w, 1.0), _POLISH_WEIGHTS)
+            tables = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu))
+        x, mu = tables.x, tables.mu
+        i, j = np.triu_indices(len(x))
+        keep = x[j] - x[i] <= params.V * params.T
+        pairs = np.stack([i[keep], j[keep]], axis=1)
+        value, t_I, lo, hi = _batched_profile_values(params, pairs, profile, tables)
+        k = int(np.argmax(value))
+        i, j = pairs[k]
+        x_I, x_F, mu_lo, mu_hi = x[i], x[j], mu[lo[k]], mu[hi[k]]
+        if not stage:
+            r1, r2, _ = _pair_primal(params, tables, np.arange(len(mu)), i, j)
+            a1, a2 = profile.alpha1, profile.alpha2
+            bound = np.min((mu * r1 + (1.0 - mu) * r2) / (mu * a1 + (1.0 - mu) * a2))
+            pair_value = value[k]
+    return float(x_I), float(x_F), float(t_I[k]), float(pair_value), float(bound), float(value[k])
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +668,7 @@ def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics):
     validate_discretization(params, disc)
     diag = dict(diagnostics)
     diag.update(n_slots=n_slots, mu_iterations=res.iterations, tie_break=res.tie_break)
-    return BoundarySolution(
-        profile, res.rate_pair, res.r, traj, res.schedule, res.mu, diag
-    )
+    return BoundarySolution(profile, res.rate_pair, res.r, traj, res.schedule, res.mu, diag)
 
 
 def _corner_solution(params, profile, cfg) -> BoundarySolution:
@@ -564,14 +681,9 @@ def _corner_solution(params, profile, cfg) -> BoundarySolution:
     p1 = params.Pbar - p2
     peak = params.peak_rate
     pair = RatePair(0.0, peak) if user == 2 else RatePair(peak, 0.0)
+    mu = 0.0 if user == 2 else 1.0
     return BoundarySolution(
-        profile,
-        pair,
-        peak,
-        traj,
-        PowerSchedule(p1, p2),
-        0.0 if user == 2 else 1.0,
-        {"corner": True, "n_slots": n},
+        profile, pair, peak, traj, PowerSchedule(p1, p2), mu, {"corner": True, "n_slots": n}
     )
 
 
@@ -588,58 +700,33 @@ def mirror_solution(params: SystemParams, sol: BoundarySolution) -> BoundarySolu
     diag = dict(sol.diagnostics)
     diag["mirrored"] = True
     return BoundarySolution(
-        sol.profile.mirrored(),
-        sol.rate_pair.swapped(),
-        sol.r,
-        traj,
-        sched,
-        1.0 - sol.mu,
-        diag,
+        sol.profile.mirrored(), sol.rate_pair.swapped(), sol.r, traj, sched, 1.0 - sol.mu, diag
     )
-
-
-def _grid_candidates(params, cfg):
-    """The (x_I, x_F, t_I) grid over the feasible wedge, in search order, and
-    the positions of each make_hfh(x_I, x_F, t_I) at `cfg.coarse_slots`
-    slot midpoints, computed as `positions_at` does."""
-    half = 0.5 * params.D
-    cands = []
-    for x_i in np.linspace(-half, half, cfg.grid_xi):
-        reach = min(half, x_i + params.V * params.T)
-        if reach <= x_i:
-            continue
-        for x_f in np.linspace(x_i, reach, cfg.grid_xf)[1:]:
-            slack = params.T - (x_f - x_i) / params.V
-            for t_i in np.linspace(0.0, slack, cfg.grid_ti) if slack > 0 else [0.0]:
-                cands.append((x_i, x_f, t_i))
-    x_i, x_f, t_i = np.array(cands).reshape(-1, 3).T
-    t_f = np.maximum(params.T - t_i - (x_f - x_i) / params.V, 0.0)
-    mids = (np.arange(cfg.coarse_slots) + 0.5) * (params.T / cfg.coarse_slots)
-    col = (x_i[:, None], x_f[:, None], t_i[:, None], t_f[:, None])
-    return x_i, x_f, t_i, _hfh_positions(params, *col, mids)
-
-
-def _feasible_ti(params, x_i, x_f, t_i):
-    flight = 0.0 if params.V == 0.0 else (x_f - x_i) / params.V
-    return min(max(t_i, 0.0), max(params.T - flight, 0.0))
 
 
 def solve_profile(
     params: SystemParams,
     profile: RateProfile,
     cfg: SearchConfig = DEFAULT_CONFIG,
+    *,
+    tables: Optional[PairTables] = None,
 ) -> BoundarySolution:
     """Boundary point of the capacity region for one rate profile.
 
-    Searches the HFH family: a dense hover scan, a (x_I, x_F, t_I) grid over
-    the feasible wedge ranked with a fast midpoint rule, exact re-scoring of
-    the leaders, coordinate-wise golden-section refinement, and a final slot
-    doubling check.  Near-ties prefer the smallest flight span.
+    Searches the HFH family: a dense hover scan, then (for V > 0) the best
+    endpoint pair of `tables` (`pair_tables(params)`, built here when none
+    are passed; they must come from the same beta0, H, D and Pbar), zoomed
+    on local tables, with its switch times aligned to the slots by golden
+    searches on the slotted exact P5.  The flight replaces the hover only
+    when it is better by more than `cfg.tie_tol_rel`.  Ends with a slot
+    doubling check.  Diagnostics report the hover value, the pair's table
+    value and upper bound, the polished value and the P5 solve count.
     """
     if profile.is_corner:
         return _corner_solution(params, profile, cfg)
     if profile.alpha1 > profile.alpha2:
-        return mirror_solution(params, solve_profile(params, profile.mirrored(), cfg))
+        mirrored = solve_profile(params, profile.mirrored(), cfg, tables=tables)
+        return mirror_solution(params, mirrored)
 
     half = 0.5 * params.D
     diagnostics: dict = {}
@@ -648,93 +735,61 @@ def solve_profile(
     xs = np.linspace(-half, half, cfg.hover_grid)
     hover_vals = [_hover_value(params, x, profile) for x in xs]
     ih = int(np.argmax(hover_vals))
-    x_h, r_h = golden_max(
-        lambda x: _hover_value(params, x, profile),
-        xs[max(ih - 1, 0)],
-        xs[min(ih + 1, len(xs) - 1)],
-        iters=60,
-        xtol=1e-10 * params.D,
-    )
+    x_h, r_h = golden_max(lambda x: _hover_value(params, x, profile), xs[max(ih - 1, 0)],
+                          xs[min(ih + 1, len(xs) - 1)], iters=60, xtol=1e-10 * params.D)
     if hover_vals[ih] > r_h:
         x_h, r_h = float(xs[ih]), hover_vals[ih]
     best_traj = make_hfh(params, x_h, x_h, params.T)
     best_r = r_h
     diagnostics["hover_r"] = r_h
+    p5_calls = 0
 
     if params.V > 0.0:
-        # Feasible wedge grid, ranked with the batched midpoint solver.
-        g_xi, g_xf, g_ti, rows = _grid_candidates(params, cfg)
-        if g_xi.size:
-            values = _batched_profile_values(params, rows, profile, cfg.coarse_mu_iter)
-            order = np.argsort(values)[::-1][: cfg.rerank_top]
-            diagnostics["grid_candidates"] = len(values)
-            diagnostics["grid_best_coarse"] = float(values[order[0]])
-            for idx in order:
-                traj = make_hfh(params, g_xi[idx], g_xf[idx], float(g_ti[idx]))
-                ev = TrajectoryEvaluator.exact(params, traj, cfg.n_slots)
-                res = _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter)
-                tie = cfg.tie_tol_rel * max(best_r, 1e-12)
-                if res.r > best_r + tie or (
-                    res.r > best_r - tie and traj.span < best_traj.span - 1e-12
-                ):
-                    best_r, best_traj = res.r, traj
+        x_I, x_F, t_I, pair_value, bound, polished = _best_pair(
+            params, profile, pair_tables(params) if tables is None else tables
+        )
+        diagnostics.update(pair_value=pair_value, pair_upper_bound=bound, polish_value=polished)
+        tie = cfg.tie_tol_rel * max(r_h, 1e-12)
+        best = [-math.inf, None]
 
-        # Coordinate golden-section refinement around the incumbent.
-        if best_traj.span > 0.0:
-            dx = params.D / (cfg.grid_xi - 1)
-            dt = params.T / max(cfg.grid_ti - 1, 1)
+        def value_of(x_i, t):
+            nonlocal p5_calls
+            p5_calls += 1
+            traj = make_hfh(params, x_i, x_F, min(t, params.T - (x_F - x_i) / params.V))
+            ev = TrajectoryEvaluator.exact(params, traj, cfg.n_slots)
+            r = _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter).r
+            best[:] = max(best, [r, traj], key=lambda b: b[0])
+            return r
 
-            def value_of(x_i, x_f, t_i):
-                if x_f < x_i:
-                    return -math.inf
-                x_i = min(max(x_i, -half), half)
-                x_f = min(max(x_f, x_i), min(half, x_i + params.V * params.T))
-                traj = make_hfh(params, x_i, x_f, _feasible_ti(params, x_i, x_f, t_i))
-                ev = TrajectoryEvaluator.exact(params, traj, cfg.n_slots)
-                return _solve_p5_on(
-                    params, ev, profile, cfg.mu_tol, cfg.mu_max_iter
-                ).r
-
-            x_i, x_f, t_i = best_traj.x_I, best_traj.x_F, best_traj.t_I
-            for _ in range(cfg.refine_rounds):
-                x_i, _ = golden_max(
-                    lambda v: value_of(v, x_f, t_i),
-                    max(-half, x_i - dx), min(x_f, x_i + dx),
-                    iters=cfg.golden_iters, xtol=1e-7 * params.D,
-                )
-                x_f, _ = golden_max(
-                    lambda v: value_of(x_i, v, t_i),
-                    max(x_i, x_f - dx),
-                    min(min(half, x_i + params.V * params.T), x_f + dx),
-                    iters=cfg.golden_iters, xtol=1e-7 * params.D,
-                )
-                t_i, _ = golden_max(
-                    lambda v: value_of(x_i, x_f, v),
-                    max(0.0, t_i - dt),
-                    _feasible_ti(params, x_i, x_f, t_i + dt),
-                    iters=cfg.golden_iters, xtol=1e-7 * params.T,
-                )
-                dx *= 0.2
-                dt *= 0.2
-            refined = make_hfh(params, x_i, x_f, _feasible_ti(params, x_i, x_f, t_i))
-            ev = TrajectoryEvaluator.exact(params, refined, cfg.n_slots)
-            res = _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter)
-            tie = cfg.tie_tol_rel * max(best_r, 1e-12)
-            if res.r > best_r + tie or (
-                res.r > best_r - tie and refined.span < best_traj.span - 1e-12
-            ):
-                best_r, best_traj = res.r, refined
+        # Slots only lose rate against the continuous value, so a polished
+        # value within the tie of the hover cannot replace it.  Otherwise
+        # align the switch times with the slots: the flight's start through
+        # t_I, then its end through x_I, each over one slot.
+        if polished > r_h + tie:
+            value_of(x_I, t_I)
+            slot = 0.5 * params.T / cfg.n_slots
+            slack = params.T - (x_F - x_I) / params.V
+            golden_max(lambda t: value_of(x_I, t), max(t_I - slot, 0.0),
+                       min(t_I + slot, slack), cfg.golden_iters, 1e-6 * params.T)
+            t_I, reach = best[1].t_I, params.V * slot
+            x_lo = max(x_I - reach, -half, x_F - params.V * params.T)
+            golden_max(lambda x: value_of(x, t_I), x_lo, min(x_I + reach, x_F),
+                       cfg.golden_iters, 1e-6 * params.D)
+        if best[0] > r_h + tie:
+            best_r, best_traj = best
 
     # Slot-count convergence check on the winner, then the reported solve.
     n = cfg.n_slots
     sol = _exact_solution(params, profile, best_traj, n, cfg, diagnostics)
+    p5_calls += 1
     for _ in range(cfg.max_slot_doublings):
         finer = _exact_solution(params, profile, best_traj, 2 * n, cfg, diagnostics)
+        p5_calls += 1
         if abs(finer.r - sol.r) < cfg.slot_doubling_tol * max(sol.r, 1e-12):
             break
         n *= 2
         sol = finer
-    sol.diagnostics["search_best_r"] = best_r
+    sol.diagnostics.update(search_best_r=best_r, p5_calls=p5_calls)
     return sol
 
 
@@ -745,16 +800,18 @@ def trace_region(
 ) -> RegionBoundary:
     """Boundary of the capacity region at uniformly spaced profiles.
 
-    Profiles with alpha1 > alpha2 are obtained by mirroring the symmetric
-    solve (index-exact), halving the work.
+    The pair tables are built once (for V > 0) and passed to every
+    `solve_profile` call.  Profiles with alpha1 > alpha2 are obtained by
+    mirroring the symmetric solve (index-exact), halving the work.
     """
     if n_profiles < 2:
         raise ValueError("need at least 2 profiles")
     denom = n_profiles - 1
+    tables = pair_tables(params) if params.V > 0.0 else None
     solved: dict[int, BoundarySolution] = {}
     for i in range(n_profiles):
         if i <= denom - i:
-            solved[i] = solve_profile(params, RateProfile.of(i / denom), cfg)
+            solved[i] = solve_profile(params, RateProfile.of(i / denom), cfg, tables=tables)
     points = []
     seen = set()
     for i in range(n_profiles):

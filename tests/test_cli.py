@@ -57,6 +57,17 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError):
             build_scenario(parse_scenario_file(str(path)))
 
+    @pytest.mark.parametrize("key", ["grid_xi", "grid_xf", "grid_ti"])
+    def test_old_grid_keys_rejected(self, tmp_path, key):
+        """The endpoint-pair search has no grid, so its old knobs are unknown."""
+        path = tmp_path / "grid.cfg"
+        path.write_text(BASE_SCENARIO + f"{key} = 9\n")
+        with pytest.raises(ConfigError, match="unknown scenario key"):
+            build_scenario(parse_scenario_file(str(path)))
+        out = tmp_path / "sc.csv"
+        code = main(["region", "--scenario", str(path), "--profiles", "2", "--out", str(out)])
+        assert code == 2
+
     def test_overrides(self, scenario):
         params, _ = build_scenario(parse_scenario_file(scenario))
         out = apply_overrides(params, "V=0,T=20,P=30dBm")

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from uavbc import (
     DiscretizationInvalid,
@@ -12,6 +13,7 @@ from uavbc import (
     hfh_tdma_achievable,
     make_hfh,
     per_slot_weighted_split,
+    sc_rate_pair,
     solve_p5,
     solve_profile,
     solve_v0,
@@ -21,7 +23,6 @@ from uavbc import (
 )
 from uavbc import hfh_solver
 from uavbc.hfh_solver import (
-    DEFAULT_CONFIG,
     DiscretizedTrajectory,
     SearchConfig,
     TrajectoryEvaluator,
@@ -34,7 +35,7 @@ from uavbc.oracle import check_feasibility, grid_power_oracle
 PEAK = 6.6582114827517955
 
 # trimmed search for tests that only need a sane solution, not a tight one
-FAST = SearchConfig(grid_xi=9, grid_xf=9, grid_ti=5, hover_grid=65, refine_rounds=1)
+FAST = SearchConfig(hover_grid=65)
 
 
 class TestPerSlotSplit:
@@ -206,24 +207,24 @@ class TestSearchExactness:
 
     def test_profile_0_3(self, base):
         sol = solve_profile(base, RateProfile.of(0.3))
-        assert sol.r == 5.271265107216534
-        assert sol.rate_pair.r1 == 1.5813796494924122
-        assert sol.rate_pair.r2 == 3.6898855750515733
-        assert sol.mu == 0.5008792877197266
+        assert sol.r == 5.271265684894746
+        assert sol.rate_pair.r1 == 1.5813797054684238
+        assert sol.rate_pair.r2 == 3.6898859973637816
+        assert sol.mu == 0.499434232711792
         t = sol.trajectory
         assert (t.x_I, t.x_F, t.t_I, t.t_F) == (
-            -499.85493855861597,
-            499.9999758875362,
-            3.8326112877467753,
-            22.838891564048154,
+            -500.0,
+            500.0,
+            3.8294620210062216,
+            22.837204645660442,
         )
 
     def test_profile_0_5(self, base):
         sol = solve_profile(base, RateProfile.of(0.5))
-        assert sol.r == 5.271265379621093
-        assert sol.mu == 0.4992532730102539
-        assert sol.trajectory.x_I == -499.90783172163907
-        assert sol.trajectory.t_I == 13.338000699093875
+        assert sol.r == 5.27126606457166
+        assert sol.mu == 0.5
+        assert sol.trajectory.x_I == -500.0
+        assert sol.trajectory.t_I == 13.33333333333332
 
     @pytest.mark.parametrize(
         "alpha1, mu_max_iter, mu",
@@ -270,25 +271,27 @@ def _plain_strong_power(h1, h2, mu, Pbar):
     return strong2, hs, hw, ps
 
 
-def _plain_batched_values(params, pos_matrix, profile, iters):
-    """Grid ranking with a split for every element of every row."""
-    h1, h2 = _plain_gains(params, pos_matrix)
-    Pbar = params.Pbar
+def _plain_pair_value(params, tables, i, j, profile):
+    """One pair's (value, t_I) from its primal point at every weight: the last
+    weight with imbalance <= 0 and the next one, time-shared onto the ray."""
     a1, a2 = profile.alpha1, profile.alpha2
-    lo = np.zeros(len(pos_matrix))
-    hi = np.ones(len(pos_matrix))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        strong2, hs, hw, ps = _plain_strong_power(h1, h2, mid[:, None], Pbar)
-        pw = Pbar - ps
-        r_strong = np.log1p(ps * hs)
-        r_weak = np.log1p(pw * hw / (ps * hw + 1.0))
-        r1 = np.where(strong2, r_weak, r_strong).mean(axis=1) / math.log(2.0)
-        r2 = np.where(strong2, r_strong, r_weak).mean(axis=1) / math.log(2.0)
-        take = a2 * r1 - a1 * r2 <= 0.0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return np.minimum(r1 / a1, r2 / a2)
+    slack = params.T - (tables.x[j] - tables.x[i]) / params.V
+    points = []
+    for m, w in enumerate(tables.mu):
+        at_i = w * tables.h1[m, i] + (1.0 - w) * tables.h2[m, i] >= (
+            w * tables.h1[m, j] + (1.0 - w) * tables.h2[m, j]
+        )
+        e = i if at_i else j
+        r1 = ((tables.c1[m, j] - tables.c1[m, i]) / params.V + slack * tables.h1[m, e]) / params.T
+        r2 = ((tables.c2[m, j] - tables.c2[m, i]) / params.V + slack * tables.h2[m, e]) / params.T
+        points.append((r1, r2, at_i))
+    gaps = [a2 * r1 - a1 * r2 for r1, r2, _ in points]
+    lo = max(m for m, g in enumerate(gaps) if g <= 0.0)
+    (r1L, r2L, iL), (r1H, r2H, iH) = points[lo], points[lo + 1]
+    lam = gaps[lo + 1] / (gaps[lo + 1] - gaps[lo])
+    r1 = lam * r1L + (1.0 - lam) * r1H
+    r2 = lam * r2L + (1.0 - lam) * r2H
+    return min(r1 / a1, r2 / a2), slack * (lam * iL + (1.0 - lam) * iH)
 
 
 class TestKernelEquivalence:
@@ -296,25 +299,59 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("alpha1", [0.3, 0.5])
     def test_batched_profile_values(self, base, alpha1):
-        rng = np.random.default_rng(7)
-        n = 128
-        mids = (np.arange(n) + 0.5) * (base.T / n)
-        special = [
-            rng.uniform(-500.0, 500.0, n),  # unsorted
-            np.tile([-120.0, 310.0, -120.0, 45.0], n // 4),  # repeats, not adjacent
-            np.full(n, 137.5),  # all hover
-            np.zeros(n),  # tied gains: zero denominator at mu = 1/2
-        ]
-        hfh = []
-        while len(special) + len(hfh) < 2 * hfh_solver._GRID_BLOCK + 3:
-            x_i, x_f = np.sort(rng.uniform(-500.0, 500.0, 2))
-            x_f = min(x_f, x_i + base.V * base.T)
-            t_i = rng.uniform(0.0, base.T - (x_f - x_i) / base.V)
-            hfh.append(positions_at(base, make_hfh(base, x_i, x_f, t_i), mids))
-        rows = np.array(special + hfh)
+        """The weight bisection over all pairs equals a per-pair weight scan."""
+        params = replace(base, T=20.0)  # part of the wedge is out of reach
+        tables = hfh_solver.pair_tables(params)
+        rng = np.random.default_rng(11)
+        n = len(tables.x)
+        pairs = [(0, 0), (n // 2, n // 2), (n // 2 - 3, n // 2 + 7), (0, 60), (n - 61, n - 1)]
+        while len(pairs) < 120:
+            i, j = np.sort(rng.integers(0, n, 2))
+            if tables.x[j] - tables.x[i] <= params.V * params.T:
+                pairs.append((i, j))
         prof = RateProfile.of(alpha1)
-        got = hfh_solver._batched_profile_values(base, rows, prof, 24)
-        assert np.array_equal(got, _plain_batched_values(base, rows, prof, 24))
+        value, t_I, lo, hi = hfh_solver._batched_profile_values(
+            params, np.array(pairs), prof, tables
+        )
+        assert np.all(hi == lo + 1)
+        for k, (i, j) in enumerate(pairs):
+            assert (value[k], t_I[k]) == _plain_pair_value(params, tables, i, j, prof)
+
+    @pytest.mark.parametrize("m, a, b", [(32, 0, 60), (90, 70, 170), (80, 110, 200)])
+    def test_tables_match_quad(self, base, m, a, b):
+        """Hover rates and flight integrals against scipy's quad of the
+        per-position split rates; the middle case crosses x = 0, the last two
+        hold kinks where the split leaves or enters its interior regime."""
+        tables = hfh_solver.pair_tables(base)
+        mu = tables.mu[m]
+
+        def rate(x, user):
+            pair = sc_rate_pair(base, x, *per_slot_weighted_split(base, x, mu))
+            return pair.r1 if user == 1 else pair.r2
+
+        x_a, x_b = tables.x[a], tables.x[b]
+        cuts = [x_a, 0.0, x_b] if x_a < 0.0 < x_b else [x_a, x_b]
+        for user, h, c in ((1, tables.h1, tables.c1), (2, tables.h2, tables.c2)):
+            ref = sum(
+                quad(rate, lo, hi, args=(user,), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for lo, hi in zip(cuts[:-1], cuts[1:])
+            )
+            assert c[m, b] - c[m, a] == pytest.approx(ref, rel=1e-9)
+            assert h[m, a] == pytest.approx(rate(x_a, user), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha1", [0.2, 0.375])
+    def test_polished_value_matches_fine_slots(self, base, alpha1):
+        """The polished continuous value against the slotted P5 on the same
+        trajectory; P5 balances the rates to 1e-10 here, because its default
+        mu_tol = 1e-6 alone can leave r up to ~3e-6 below its optimum."""
+        prof = RateProfile.of(alpha1)
+        x_I, x_F, t_I, pair, bound, polished = hfh_solver._best_pair(
+            base, prof, hfh_solver.pair_tables(base)
+        )
+        assert pair <= polished and pair <= bound
+        disc = discretize(base, make_hfh(base, x_I, x_F, t_I), 4096)
+        res = solve_p5(base, disc, prof, SearchConfig(mu_tol=1e-10, mu_max_iter=100))
+        assert res.r == pytest.approx(polished, abs=1e-6)
 
     @pytest.mark.parametrize("mu", [0.0, 0.37, 0.5, 1.0])
     def test_solve_weight(self, base, mu):
@@ -358,23 +395,3 @@ class TestKernelEquivalence:
         for i in range(len(x)):
             one = split_weighted(h1[i : i + 1], h2[i : i + 1], mu[i], base.Pbar)
             assert (one[0][0], one[1][0]) == (p1[i], p2[i])
-
-    @pytest.mark.parametrize("T", [60.0, 20.0, 1000.0 / 30.0])
-    def test_grid_candidates(self, base, T):
-        """The broadcast grid equals make_hfh + positions_at, candidate by candidate."""
-        params = replace(base, T=T)
-        cfg = DEFAULT_CONFIG
-        half = 0.5 * params.D
-        mids = (np.arange(cfg.coarse_slots) + 0.5) * (T / cfg.coarse_slots)
-        trajs = []
-        for x_i in np.linspace(-half, half, cfg.grid_xi):
-            reach = min(half, x_i + params.V * T)
-            if reach <= x_i:
-                continue
-            for x_f in np.linspace(x_i, reach, cfg.grid_xf)[1:]:
-                slack = T - (x_f - x_i) / params.V
-                for t_i in np.linspace(0.0, slack, cfg.grid_ti) if slack > 0 else [0.0]:
-                    trajs.append(make_hfh(params, x_i, x_f, float(t_i)))
-        x_i, x_f, t_i, rows = hfh_solver._grid_candidates(params, cfg)
-        assert [(t.x_I, t.x_F, t.t_I) for t in trajs] == list(zip(x_i, x_f, t_i))
-        assert np.array_equal(rows, [positions_at(params, t, mids) for t in trajs])

@@ -25,7 +25,7 @@ from uavbc.oracle import (
     validate_dp_config,
 )
 
-FAST = SearchConfig(grid_xi=9, grid_xf=9, grid_ti=5, hover_grid=65, refine_rounds=1)
+FAST = SearchConfig(hover_grid=65)
 
 
 class TestGridPowerOracle:
