@@ -224,14 +224,16 @@ def per_slot_weighted_split(params: SystemParams, x: float, mu: float):
 # ---------------------------------------------------------------------------
 
 
-def _flight_windows(params, traj):
-    """Time windows of the flight, cut where it crosses x = 0: the strong
-    user flips there, so the rates jump."""
+def _time_windows(params, traj):
+    """(start, end, position) of both hovers, then (start, end, None) of the
+    flight, cut where it crosses x = 0: the strong user flips there, so the
+    rates jump."""
     start, end = traj.t_I, params.T - traj.t_F
+    hovers = [(0.0, start, traj.x_I), (end, params.T, traj.x_F)]
     if params.V == 0.0 or end - start <= 1e-15 * params.T:
-        return []
+        return hovers
     cuts = [start - traj.x_I / params.V] if traj.x_I < 0.0 < traj.x_F else []
-    return list(zip([start, *cuts], [*cuts, end]))
+    return hovers + [(a, b, None) for a, b in zip([start, *cuts], [*cuts, end])]
 
 
 class TrajectoryEvaluator:
@@ -285,26 +287,16 @@ class TrajectoryEvaluator:
         mids = positions_at(params, traj, t0 + 0.5 * delta)
 
         pos_parts, w_parts, slot_parts = [], [], []
-
-        def add_hover(x_h, lo_edge, hi_edge):
-            dur = np.maximum(np.minimum(t1, hi_edge) - np.maximum(t0, lo_edge), 0.0)
-            idx = np.nonzero(dur > 1e-15 * T)[0]
-            if idx.size:
-                pos_parts.append(np.full(idx.size, x_h))
-                w_parts.append(dur[idx])
-                slot_parts.append(idx)
-
-        fly_start = traj.t_I
-        fly_end = T - traj.t_F
-        add_hover(traj.x_I, 0.0, fly_start)
-        add_hover(traj.x_F, fly_end, T)
-
-        for lo_edge, hi_edge in _flight_windows(params, traj):
+        for lo_edge, hi_edge, x_h in _time_windows(params, traj):
             lo = np.maximum(t0, lo_edge)
             hi = np.minimum(t1, hi_edge)
             dur = hi - lo
             idx = np.nonzero(dur > 1e-15 * T)[0]
-            if idx.size:
+            if x_h is not None:
+                pos_parts.append(np.full(idx.size, x_h))
+                w_parts.append(dur[idx])
+                slot_parts.append(idx)
+            elif idx.size:
                 mid = 0.5 * (lo[idx] + hi[idx])
                 off = 0.5 * dur[idx] / _SQRT3
                 t_nodes = np.concatenate([mid - off, mid + off])
@@ -668,7 +660,9 @@ def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics):
     validate_discretization(params, disc)
     diag = dict(diagnostics)
     diag.update(n_slots=n_slots, mu_iterations=res.iterations, tie_break=res.tie_break)
-    return BoundarySolution(profile, res.rate_pair, res.r, traj, res.schedule, res.mu, diag)
+    return BoundarySolution(
+        profile, res.rate_pair, res.r, traj, res.schedule, res.mu, diag
+    )
 
 
 def _corner_solution(params, profile, cfg) -> BoundarySolution:
@@ -681,9 +675,14 @@ def _corner_solution(params, profile, cfg) -> BoundarySolution:
     p1 = params.Pbar - p2
     peak = params.peak_rate
     pair = RatePair(0.0, peak) if user == 2 else RatePair(peak, 0.0)
-    mu = 0.0 if user == 2 else 1.0
     return BoundarySolution(
-        profile, pair, peak, traj, PowerSchedule(p1, p2), mu, {"corner": True, "n_slots": n}
+        profile,
+        pair,
+        peak,
+        traj,
+        PowerSchedule(p1, p2),
+        0.0 if user == 2 else 1.0,
+        {"corner": True, "n_slots": n},
     )
 
 
@@ -700,7 +699,13 @@ def mirror_solution(params: SystemParams, sol: BoundarySolution) -> BoundarySolu
     diag = dict(sol.diagnostics)
     diag["mirrored"] = True
     return BoundarySolution(
-        sol.profile.mirrored(), sol.rate_pair.swapped(), sol.r, traj, sched, 1.0 - sol.mu, diag
+        sol.profile.mirrored(),
+        sol.rate_pair.swapped(),
+        sol.r,
+        traj,
+        sched,
+        1.0 - sol.mu,
+        diag,
     )
 
 
@@ -735,8 +740,13 @@ def solve_profile(
     xs = np.linspace(-half, half, cfg.hover_grid)
     hover_vals = [_hover_value(params, x, profile) for x in xs]
     ih = int(np.argmax(hover_vals))
-    x_h, r_h = golden_max(lambda x: _hover_value(params, x, profile), xs[max(ih - 1, 0)],
-                          xs[min(ih + 1, len(xs) - 1)], iters=60, xtol=1e-10 * params.D)
+    x_h, r_h = golden_max(
+        lambda x: _hover_value(params, x, profile),
+        xs[max(ih - 1, 0)],
+        xs[min(ih + 1, len(xs) - 1)],
+        iters=60,
+        xtol=1e-10 * params.D,
+    )
     if hover_vals[ih] > r_h:
         x_h, r_h = float(xs[ih]), hover_vals[ih]
     best_traj = make_hfh(params, x_h, x_h, params.T)

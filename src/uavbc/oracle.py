@@ -29,7 +29,7 @@ from .fixed_region import fixed_region_sample
 from .hfh_solver import (
     BoundarySolution,
     PowerSchedule,
-    _flight_windows,
+    _time_windows,
     positions_at,
     split_weighted,
 )
@@ -459,33 +459,23 @@ def _inequality_integrals(params, traj, p1_slots, p2_slots):
     delta = T / n
     t0 = np.arange(n) * delta
     t1 = t0 + delta
-    fly_start, fly_end = traj.t_I, T - traj.t_F
-
     ts_list, w_list, slot_list = [], [], []
-    # hover windows (positions constant, one node suffices)
-    for lo_edge, hi_edge, x_h in (
-        (0.0, fly_start, traj.x_I),
-        (fly_end, T, traj.x_F),
-    ):
-        dur = np.clip(np.minimum(t1, hi_edge) - np.maximum(t0, lo_edge), 0.0, None)
-        idx = np.nonzero(dur > 0.0)[0]
-        if idx.size:
-            ts_list.append(np.full(idx.size, 0.5 * (lo_edge + hi_edge)))
-            w_list.append(dur[idx])
-            slot_list.append(idx)
-            # position is constant on the window; encode via time at center
-            ts_list[-1] = np.clip(ts_list[-1], lo_edge, hi_edge)
-    for lo_edge, hi_edge in _flight_windows(params, traj):
+    for lo_edge, hi_edge, x_h in _time_windows(params, traj):
         lo = np.maximum(t0, lo_edge)
         hi = np.minimum(t1, hi_edge)
         dur = hi - lo
+        if x_h is not None:
+            # the position is constant on a hover: one node at its center
+            idx = np.nonzero(dur > 0.0)[0]
+            ts_list.append(np.full(idx.size, 0.5 * (lo_edge + hi_edge)))
+            w_list.append(dur[idx])
+            slot_list.append(idx)
+            continue
         idx = np.nonzero(dur > 1e-15 * T)[0]
-        if idx.size:
-            nodes = lo[idx, None] + dur[idx, None] * _OFFS9[None, :]
-            weights = dur[idx, None] * _SIMPSON9[None, :]
-            ts_list.append(nodes.ravel())
-            w_list.append(weights.ravel())
-            slot_list.append(np.repeat(idx, len(_OFFS9)))
+        nodes = lo[idx, None] + dur[idx, None] * _OFFS9[None, :]
+        ts_list.append(nodes.ravel())
+        w_list.append((dur[idx, None] * _SIMPSON9[None, :]).ravel())
+        slot_list.append(np.repeat(idx, len(_OFFS9)))
 
     ts = np.concatenate(ts_list)
     w = np.concatenate(w_list) / T
