@@ -50,8 +50,9 @@ class SearchConfig:
     """Knobs of the trajectory search and the inner weight bisection.
 
     The search reads n_slots, hover_grid, golden_iters, mu_tol, mu_max_iter,
-    tie_tol_rel, slot_doubling_tol and max_slot_doublings.  The other fields
-    are accepted, so configs that set them keep working, but not read.
+    tie_tol_rel, slot_doubling_tol and max_slot_doublings.  grid_xi, grid_xf,
+    grid_ti, refine_rounds and rerank_top are accepted but not read: the
+    benchmark's small test config still sets them.
     """
 
     n_slots: int = 512            # schedule slots of reported solutions
@@ -63,8 +64,6 @@ class SearchConfig:
     golden_iters: int = 30        # cap of each slot-alignment golden search
     mu_tol: float = 1e-6          # |r1/a1 - r2/a2| <= mu_tol * r at exit
     mu_max_iter: int = 60
-    coarse_slots: int = 128
-    coarse_mu_iter: int = 24
     rerank_top: int = 16
     tie_tol_rel: float = 1e-6     # prefer least flying among near-ties
     slot_doubling_tol: float = 1e-4
