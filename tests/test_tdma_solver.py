@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from uavbc import (
+    HfhTrajectory,
     RateProfile,
     TimeOutOfRange,
     make_hfh,
@@ -127,3 +130,43 @@ def test_tdma_trace_corners_and_nesting(base):
     assert reg.points[-1].rate_pair.r1 == pytest.approx(PEAK, abs=1e-9)
     for p in reg.points:
         assert p.rate_pair.total <= PEAK + 1e-9  # inside the T->inf triangle
+
+
+class TestTdmaExactness:
+    """Default-config outputs pinned with ==, one point per winning family."""
+
+    @pytest.mark.parametrize(
+        "V, T, alpha1, r, t1, traj",
+        [
+            pytest.param(  # hover at both users
+                30.0, 200.0, 0.1, 6.2421278551285075, 24.99875957146287,
+                HfhTrajectory(-500.0, 500.0, 8.332981210190454, 158.33368545647622),
+                id="hover-both",
+            ),
+            pytest.param(  # fly, then hover above user 2
+                30.0, 63.712, 0.189061, 5.35235575466596, 15.993471187070018,
+                HfhTrajectory(-476.88267620003654, 500.0, 0.0, 31.14924412666545),
+                id="fly-then-hover",
+            ),
+            pytest.param(  # fly the whole time
+                30.0, 20.0, 0.5, 3.1740369683432412, 9.999999227002263,
+                HfhTrajectory(-300.00002496085693, 299.99997503914307, 0.0, 0.0),
+                id="pure-flight",
+            ),
+            pytest.param(  # V = 0: one fixed hover
+                0.0, 88.144, 0.256504, 2.824524478456336, 55.03676878661662,
+                HfhTrajectory(394.2407741793294, 394.2407741793294, 88.144, 0.0),
+                id="static",
+            ),
+        ],
+    )
+    def test_pinned(self, base, V, T, alpha1, r, t1, traj):
+        sol = tdma_solve_profile(replace(base, V=V, T=T), RateProfile.of(alpha1))
+        assert sol.r == r
+        assert sol.t1 == t1
+        assert sol.trajectory == traj
+
+    def test_trace_mirrors_exactly(self, base):
+        points = tdma_trace_region(base, 5).points
+        for i in (0, 1):  # the middle point, alpha1 = 1/2, is its own mirror
+            assert points[i].rate_pair == points[-1 - i].rate_pair.swapped()
