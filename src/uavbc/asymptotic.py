@@ -21,6 +21,8 @@ from .core import (
     RegionBoundary,
     RegionPoint,
     SystemParams,
+    channel_gain,
+    uniform_profiles,
 )
 from .errors import InfeasibleFlight, ValidityError
 from .fixed_region import fixed_boundary
@@ -51,18 +53,7 @@ class HoverSolution:
     @property
     def r(self) -> float:
         """Common rate scale min_k r_k / alpha_k."""
-        scales = []
-        if self.profile.alpha1 > 0.0:
-            scales.append(self.rate_pair.r1 / self.profile.alpha1)
-        if self.profile.alpha2 > 0.0:
-            scales.append(self.rate_pair.r2 / self.profile.alpha2)
-        return min(scales)
-
-
-def _uniform_profiles(n_profiles: int):
-    if n_profiles < 2:
-        raise ValueError("need at least 2 profiles")
-    return [RateProfile.of(i / (n_profiles - 1)) for i in range(n_profiles)]
+        return self.profile.rate_scale(self.rate_pair.r1, self.rate_pair.r2)
 
 
 def region_tinf(params: SystemParams, n_profiles: int = 33) -> RegionBoundary:
@@ -74,7 +65,7 @@ def region_tinf(params: SystemParams, n_profiles: int = 33) -> RegionBoundary:
     peak = params.peak_rate
     points = [
         RegionPoint(prof, RatePair(prof.alpha1 * peak, prof.alpha2 * peak))
-        for prof in _uniform_profiles(n_profiles)
+        for prof in uniform_profiles(n_profiles)
     ]
     return RegionBoundary("tinf", points, {"sum_rate": peak})
 
@@ -152,7 +143,8 @@ def region_high_snr(params: SystemParams, n_profiles: int = 33) -> RegionBoundar
     (H = 100 m, D = 1000 m, beta0 = 1e8) its sum is 10.1%, 5.3%, 2.7% and
     0.7% below the closed form at 30, 35, 40 and 50 dBm.
     """
-    worst_snr = params.Pbar * params.beta0 / (params.D ** 2 + params.H ** 2)
+    # user 1's SNR with the UAV above user 2
+    worst_snr = params.Pbar * channel_gain(params, params.user_position(2), 1)
     if worst_snr < HIGH_SNR_HARD_FLOOR:
         raise ValidityError(
             f"worst-case SNR {worst_snr:.3g} below validity floor "
@@ -167,7 +159,7 @@ def region_high_snr(params: SystemParams, n_profiles: int = 33) -> RegionBoundar
     total = math.log(params.Pbar * params.peak_gain) / math.log(2.0)
     half = 0.5 * params.D
     points = []
-    for prof in _uniform_profiles(n_profiles):
+    for prof in uniform_profiles(n_profiles):
         hover_x = half if prof.alpha2 >= prof.alpha1 else -half
         traj = HfhTrajectory(hover_x, hover_x, params.T, 0.0)
         points.append(

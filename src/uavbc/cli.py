@@ -16,10 +16,10 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import asymptotic, hfh_solver, oracle, tdma_solver
-from .core import RateProfile, SystemParams, validate_params
+from .core import SystemParams, trace, uniform_profiles, validate_params
 from .errors import GridTooCoarse, InvalidParams, UavbcError, ValidityError
 from .hfh_solver import BoundarySolution, SearchConfig
 from .tdma_solver import TdmaSearchConfig, TdmaSolution
@@ -83,13 +83,23 @@ def parse_scenario_file(path):
     return values
 
 
-def _pop_float(values, key):
+def _pop_float(values, key, default=None):
     if key in values:
         try:
             return float(values.pop(key))
         except ValueError as exc:
             raise ConfigError(f"scenario key {key!r}: not a number") from exc
-    return None
+    return default
+
+
+def _pop_linear(values, key, log_key, to_linear):
+    """`key` in linear units: from `log_key` (dB or dBm) when given, else
+    from `key`, else from the default scenario's `log_key`."""
+    log_value = _pop_float(values, log_key)
+    value = _pop_float(values, key)
+    if log_value is not None:
+        return to_linear(log_value)
+    return value if value is not None else to_linear(DEFAULT_SCENARIO[log_key])
 
 
 def build_scenario(values):
@@ -99,46 +109,20 @@ def build_scenario(values):
     gamma0_db|gamma0, sigma2_dbm|sigma2, p_dbm|p, h, d, v, t.
     """
     values = dict(values)
-    merged = dict(DEFAULT_SCENARIO)
     for key in list(values.keys()):
-        if key in merged or key in ("gamma0", "sigma2", "p"):
+        if key in DEFAULT_SCENARIO or key in ("gamma0", "sigma2", "p"):
             continue
         if key not in _SOLVER_KEYS:
             raise ConfigError(f"unknown scenario key {key!r}")
 
-    gamma0_db = _pop_float(values, "gamma0_db")
-    gamma0 = _pop_float(values, "gamma0")
-    if gamma0_db is not None:
-        gamma0 = db_to_linear(gamma0_db)
-    if gamma0 is None:
-        gamma0 = db_to_linear(merged["gamma0_db"])
-
-    sigma2_dbm = _pop_float(values, "sigma2_dbm")
-    sigma2 = _pop_float(values, "sigma2")
-    if sigma2_dbm is not None:
-        sigma2 = dbm_to_watts(sigma2_dbm)
-    if sigma2 is None:
-        sigma2 = dbm_to_watts(merged["sigma2_dbm"])
-
-    p_dbm = _pop_float(values, "p_dbm")
-    pbar = _pop_float(values, "p")
-    if p_dbm is not None:
-        pbar = dbm_to_watts(p_dbm)
-    if pbar is None:
-        pbar = dbm_to_watts(merged["p_dbm"])
-
-    h = _pop_float(values, "h")
-    d = _pop_float(values, "d")
-    v = _pop_float(values, "v")
-    t = _pop_float(values, "t")
     params = SystemParams(
-        gamma0=gamma0,
-        sigma2=sigma2,
-        H=h if h is not None else merged["h"],
-        D=d if d is not None else merged["d"],
-        Pbar=pbar,
-        V=v if v is not None else merged["v"],
-        T=t if t is not None else merged["t"],
+        gamma0=_pop_linear(values, "gamma0", "gamma0_db", db_to_linear),
+        sigma2=_pop_linear(values, "sigma2", "sigma2_dbm", dbm_to_watts),
+        Pbar=_pop_linear(values, "p", "p_dbm", dbm_to_watts),
+        H=_pop_float(values, "h", DEFAULT_SCENARIO["h"]),
+        D=_pop_float(values, "d", DEFAULT_SCENARIO["d"]),
+        V=_pop_float(values, "v", DEFAULT_SCENARIO["v"]),
+        T=_pop_float(values, "t", DEFAULT_SCENARIO["t"]),
     )
     try:
         validate_params(params)
@@ -195,18 +179,21 @@ def apply_overrides(params, override_text):
     return new_params
 
 
+def _n_profiles(args, settings, default=33):
+    """--profiles when given, else the scenario's `profiles`, else default."""
+    if args.profiles is not None:
+        return args.profiles
+    return settings.get("profiles", default)
+
+
 def _search_config(settings) -> SearchConfig:
     keys = ("n_slots", "hover_grid")
     return SearchConfig(**{k: settings[k] for k in keys if k in settings})
 
 
 def _tdma_config(settings) -> TdmaSearchConfig:
-    kwargs = {}
-    if "tdma_x_grid" in settings:
-        kwargs["x_grid"] = settings["tdma_x_grid"]
-    if "tdma_ti_grid" in settings:
-        kwargs["ti_grid"] = settings["tdma_ti_grid"]
-    return TdmaSearchConfig(**kwargs)
+    keys = {"tdma_x_grid": "x_grid", "tdma_ti_grid": "ti_grid"}
+    return TdmaSearchConfig(**{f: settings[k] for k, f in keys.items() if k in settings})
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +254,9 @@ def _point_json(point, mode):
     if isinstance(point, BoundarySolution):
         data["r"] = point.r
         data["mu"] = point.mu
-        data["diagnostics"] = {
-            k: v for k, v in point.diagnostics.items() if _json_ok(v)
-        }
     if isinstance(point, TdmaSolution):
         data["t1"] = point.t1
+    if isinstance(point, (BoundarySolution, TdmaSolution)):
         data["diagnostics"] = {
             k: v for k, v in point.diagnostics.items() if _json_ok(v)
         }
@@ -292,15 +277,7 @@ def _json_ok(v):
 def write_sidecar(csv_path, params, boundaries):
     path = os.path.splitext(csv_path)[0] + ".json"
     payload = {
-        "params": {
-            "gamma0": params.gamma0,
-            "sigma2": params.sigma2,
-            "H": params.H,
-            "D": params.D,
-            "Pbar": params.Pbar,
-            "V": params.V,
-            "T": params.T,
-        },
+        "params": asdict(params),
         "regions": [
             {
                 "mode": b.mode,
@@ -331,22 +308,14 @@ def _trace(params, mode, n_profiles, settings):
     if mode == "high-snr":
         return asymptotic.region_high_snr(params, n_profiles)
     if mode == "v0":
-        from .core import RegionBoundary
-
-        denom = n_profiles - 1
-        points = []
-        for i in range(n_profiles):
-            sol = asymptotic.solve_v0(params, RateProfile.of(i / denom))
-            points.append(sol)
-        return RegionBoundary("v0", points, {"n_profiles": n_profiles})
+        return trace("v0", n_profiles, lambda prof: asymptotic.solve_v0(params, prof))
     raise ConfigError(f"unknown mode {mode!r}")
 
 
 def cmd_region(args):
     params, settings = build_scenario(parse_scenario_file(args.scenario))
     params = apply_overrides(params, args.override)
-    n_profiles = args.profiles or settings.get("profiles", 33)
-    boundary = _trace(params, args.mode, n_profiles, settings)
+    boundary = _trace(params, args.mode, _n_profiles(args, settings), settings)
     write_region_csv(args.out, boundary)
     write_sidecar(args.out, params, [boundary])
     return EXIT_OK
@@ -354,7 +323,7 @@ def cmd_region(args):
 
 def cmd_compare(args):
     params, settings = build_scenario(parse_scenario_file(args.scenario))
-    n_profiles = args.profiles or settings.get("profiles", 33)
+    n_profiles = _n_profiles(args, settings)
     variants = [params]
     for text in args.override or []:
         variants.append(apply_overrides(params, text))
@@ -377,7 +346,7 @@ def cmd_fixed(args):
 
     params, settings = build_scenario(parse_scenario_file(args.scenario))
     params = apply_overrides(params, args.override)
-    n_profiles = args.profiles or settings.get("profiles", 33)
+    profiles = uniform_profiles(_n_profiles(args, settings))
     half = 0.5 * params.D
     xs = [float(v) for v in args.x]
     for x in xs:
@@ -386,10 +355,8 @@ def cmd_fixed(args):
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "alpha1", "alpha2", "r1", "r2", "p1", "p2"])
-        denom = n_profiles - 1
         for x in xs:
-            for i in range(n_profiles):
-                prof = RateProfile.of(i / denom)
+            for prof in profiles:
                 bp = fixed_boundary(params, x, prof)
                 writer.writerow(
                     [
@@ -408,7 +375,7 @@ def cmd_fixed(args):
 def cmd_oracle_check(args):
     params, settings = build_scenario(parse_scenario_file(args.scenario))
     params = apply_overrides(params, args.override)
-    n_profiles = args.profiles or settings.get("profiles", 8)
+    profiles = uniform_profiles(_n_profiles(args, settings, 8))
     dp_cfg = oracle.DpConfig(
         n_slots=settings.get("dp_slots", args.dp_slots),
         n_positions=settings.get("dp_positions", args.dp_positions),
@@ -417,18 +384,16 @@ def cmd_oracle_check(args):
     oracle.validate_dp_config(params, dp_cfg)
     tol = settings.get("oracle_tol", args.tol)
     cfg = _search_config(settings)
-    denom = n_profiles - 1
     spacing = params.D / (dp_cfg.n_positions - 1)
 
-    def run(i):
-        prof = RateProfile.of(i / denom)
+    def run(prof):
         sol = hfh_solver.solve_profile(params, prof, cfg)
         r_dp, path = oracle.dp_trajectory_oracle(params, prof, dp_cfg)
         gap = abs(sol.r - r_dp) / max(sol.r, r_dp, 1e-12)
         unidir, clusters = oracle.path_shape_stats(path, spacing * 1.5)
         return prof, sol, r_dp, gap, unidir, clusters
 
-    results = [run(i) for i in range(n_profiles)]
+    results = [run(prof) for prof in profiles]
     worst = 0.0
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -95,17 +95,18 @@ def validate_params(params: SystemParams) -> SystemParams:
     return params
 
 
-def channel_gain(params: SystemParams, x: float, user: int) -> float:
+def channel_gain(params: SystemParams, x, user: int):
     """Noise-normalized channel power gain of ``user`` with the UAV at x.
 
-    beta0 / ((x - x_k)^2 + H^2) with x_1 = -D/2, x_2 = +D/2.
+    beta0 / ((x - x_k)^2 + H^2) with x_1 = -D/2, x_2 = +D/2; x may be a
+    float or a numpy array.  The library's only copy of the gain formula.
     """
     dx = x - params.user_position(user)
     return params.beta0 / (dx * dx + params.H * params.H)
 
 
-def gain_pair(params: SystemParams, x: float):
-    """(h1, h2) at position x."""
+def gain_pair(params: SystemParams, x):
+    """(h1, h2) at position(s) x."""
     return channel_gain(params, x, 1), channel_gain(params, x, 2)
 
 
@@ -152,6 +153,24 @@ class RateProfile:
     def is_corner(self) -> bool:
         return self.alpha1 == 0.0 or self.alpha2 == 0.0
 
+    def rate_scale(self, r1: float, r2: float) -> float:
+        """Common rate scale min_k r_k / alpha_k over the weighted users."""
+        if self.alpha1 == 0.0:
+            return r2 / self.alpha2
+        if self.alpha2 == 0.0:
+            return r1 / self.alpha1
+        return min(r1 / self.alpha1, r2 / self.alpha2)
+
+
+def uniform_profiles(n: int) -> list:
+    """The n profiles alpha1 = i / (n - 1), i = 0 .. n - 1, corners included.
+
+    Raises InvalidParams (a ValueError) for n < 2.
+    """
+    if n < 2:
+        raise InvalidParams("n_profiles", f"need at least 2 profiles, got {n}")
+    return [RateProfile.of(i / (n - 1)) for i in range(n)]
+
 
 def sc_rate_pair(params: SystemParams, x: float, p1: float, p2: float) -> RatePair:
     """Instantaneous superposition-coding rate pair at a fixed position.
@@ -189,8 +208,9 @@ class HfhTrajectory:
     def span(self) -> float:
         return self.x_F - self.x_I
 
-    def is_hover(self) -> bool:
-        return self.x_I == self.x_F
+    def mirrored(self) -> "HfhTrajectory":
+        """Reflection x -> -x with time reversed, so it still flies left to right."""
+        return HfhTrajectory(-self.x_F, -self.x_I, self.t_F, self.t_I)
 
 
 def make_hfh(params: SystemParams, x_I: float, x_F: float, t_I: float) -> HfhTrajectory:
@@ -287,3 +307,19 @@ class RegionBoundary:
 
     def __len__(self):
         return len(self.points)
+
+
+def trace(mode: str, n: int, solve, mirror=None) -> RegionBoundary:
+    """Region boundary at the n uniform profiles, ordered by alpha1.
+
+    ``solve(profile)`` gives each point.  With ``mirror``, a profile with
+    alpha1 > alpha2 is not solved: its point is ``mirror`` of the point of
+    the reflected profile, index for index.
+    """
+    points = []
+    for i, profile in enumerate(uniform_profiles(n)):
+        if mirror is not None and 2 * i > n - 1:
+            points.append(mirror(points[n - 1 - i]))
+        else:
+            points.append(solve(profile))
+    return RegionBoundary(mode, points, {"n_profiles": n})

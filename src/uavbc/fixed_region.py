@@ -21,6 +21,7 @@ from .core import (
     gain_pair,
     log2_1p,
     sc_rate_pair,
+    uniform_profiles,
 )
 from .errors import DegenerateLocations
 from .numerics import bisect_increasing
@@ -106,11 +107,7 @@ def fixed_boundary(params: SystemParams, x: float, profile: RateProfile) -> Fixe
 
 def fixed_region_sample(params: SystemParams, x: float, n: int) -> list:
     """n boundary points of C_f(x) for profiles alpha1 = 0, 1/(n-1), ..., 1."""
-    if n < 2:
-        raise ValueError("need at least the two corner profiles")
-    return [
-        fixed_boundary(params, x, RateProfile.of(i / (n - 1))) for i in range(n)
-    ]
+    return [fixed_boundary(params, x, prof) for prof in uniform_profiles(n)]
 
 
 def boundary_r2_at(params: SystemParams, x: float, r1: float) -> float:

@@ -36,7 +36,9 @@ from .core import (
     RateProfile,
     RegionBoundary,
     SystemParams,
+    gain_pair,
     make_hfh,
+    trace,
 )
 from .errors import DiscretizationInvalid
 from .fixed_region import fixed_boundary
@@ -44,15 +46,22 @@ from .numerics import golden_max
 
 _SQRT3 = math.sqrt(3.0)
 
+# A flight replaces the best hover only when better by more than this
+# (relative); the reported solve doubles the slots up to _MAX_SLOT_DOUBLINGS
+# times until r moves by less than _SLOT_DOUBLING_TOL (relative).
+_TIE_TOL_REL = 1e-6
+_SLOT_DOUBLING_TOL = 1e-4
+_MAX_SLOT_DOUBLINGS = 3
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the trajectory search and the inner weight bisection.
 
-    The search reads n_slots, hover_grid, golden_iters, mu_tol, mu_max_iter,
-    tie_tol_rel, slot_doubling_tol and max_slot_doublings.  grid_xi, grid_xf,
-    grid_ti, refine_rounds and rerank_top are accepted but not read: the
-    benchmark's small test config still sets them.
+    The search reads n_slots, hover_grid, golden_iters, mu_tol and
+    mu_max_iter.  grid_xi, grid_xf, grid_ti, refine_rounds and rerank_top
+    are accepted but not read: the benchmark's small test config still sets
+    them.
     """
 
     n_slots: int = 512            # schedule slots of reported solutions
@@ -65,9 +74,6 @@ class SearchConfig:
     mu_tol: float = 1e-6          # |r1/a1 - r2/a2| <= mu_tol * r at exit
     mu_max_iter: int = 60
     rerank_top: int = 16
-    tie_tol_rel: float = 1e-6     # prefer least flying among near-ties
-    slot_doubling_tol: float = 1e-4
-    max_slot_doublings: int = 3
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -148,12 +154,6 @@ def validate_discretization(params: SystemParams, disc: DiscretizedTrajectory) -
 # ---------------------------------------------------------------------------
 
 
-def _gains(params, x):
-    """Noise-normalized gains (h1, h2) at positions x."""
-    half, H2 = 0.5 * params.D, params.H * params.H
-    return params.beta0 / ((x + half) ** 2 + H2), params.beta0 / ((x - half) ** 2 + H2)
-
-
 def _split_frame(h1, h2, Pbar):
     """(strong2, hs, hw, 1 + Pbar*hw, 1 + Pbar*hs, +-hs*hw): the mu-independent
     split terms; hs*hw is negated where user 1 is strong, so that times
@@ -174,7 +174,11 @@ def _strong_power(frame, mu, Pbar):
     endpoint signs decide the clamping: nonpositive at 0 means all power to
     the weak user, nonnegative at Pbar means all power to the strong one,
     otherwise the interior stationary point
-        p* = (muw*hw - mus*hs) / (hw*hs*(mus - muw)).
+        p* = (muw*hw - mus*hs) / (hw*hs*(mus - muw)),
+    clamped to [0, Pbar].  At mu = 1/2 the denominator is zero: p* is
+    +-inf, which the clamp sends to a corner (reached only when rounding
+    makes d0 > 0 > dP on near-tied gains, where both corners are within
+    rounding of each other), or NaN, which needs d0 = 0 and is discarded.
     """
     strong2, hs, hw, cw, cs, hshw = frame
     nu = 1.0 - mu
@@ -183,8 +187,7 @@ def _strong_power(frame, mu, Pbar):
     d0 = a - b
     dP = a * cw - b * cs
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_star = d0 / (hshw * (mu - nu))
-    p_star = np.where(np.isfinite(p_star), np.minimum(np.maximum(p_star, 0.0), Pbar), 0.0)
+        p_star = np.minimum(np.maximum(d0 / (hshw * (mu - nu)), 0.0), Pbar)
     return np.where(d0 <= 0.0, 0.0, np.where(dP >= 0.0, Pbar, p_star))
 
 
@@ -214,7 +217,7 @@ def split_weighted(h1, h2, mu, Pbar):
 
 def per_slot_weighted_split(params: SystemParams, x: float, mu: float):
     """Scalar convenience wrapper of split_weighted at a single position."""
-    p1, p2 = split_weighted(*_gains(params, np.array([x])), mu, params.Pbar)
+    p1, p2 = split_weighted(*gain_pair(params, np.array([x])), mu, params.Pbar)
     return float(p1[0]), float(p2[0])
 
 
@@ -252,12 +255,10 @@ class TrajectoryEvaluator:
 
     def __init__(self, params, mid_positions, atom_pos, atom_w, atom_slot):
         self.params = params
-        self.h1m, self.h2m = _gains(params, mid_positions)
+        self.h1m, self.h2m = gain_pair(params, mid_positions)
         self.frame = _split_frame(self.h1m, self.h2m, params.Pbar)
-        ah1, ah2 = _gains(params, atom_pos)
-        self.astrong2 = ah2 >= ah1
-        self.ahs = np.where(self.astrong2, ah2, ah1)
-        self.ahw = np.where(self.astrong2, ah1, ah2)
+        atom_frame = _split_frame(*gain_pair(params, atom_pos), params.Pbar)
+        self.astrong2, self.ahs, self.ahw = atom_frame[:3]
         self.aw = atom_w / params.T
         self.aslot = atom_slot
         self.n_slots = len(mid_positions)
@@ -351,15 +352,6 @@ class P5Result:
     tie_break: bool = False
 
 
-def _min_scale(profile: RateProfile, r1: float, r2: float) -> float:
-    scales = []
-    if profile.alpha1 > 0.0:
-        scales.append(r1 / profile.alpha1)
-    if profile.alpha2 > 0.0:
-        scales.append(r2 / profile.alpha2)
-    return min(scales)
-
-
 def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> P5Result:
     """Bisection on mu, one `ev.solve_weight` per iterate, then the tie-break
     blend if needed; the mu = 0 and mu = 1 states are solved only when the
@@ -371,7 +363,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> 
         p2 = Pbar - p1
         r1, r2 = ev.rates_for_powers(p1, p2)
         return P5Result(
-            _min_scale(profile, r1, r2),
+            profile.rate_scale(r1, r2),
             PowerSchedule(p1, p2),
             RatePair(r1, r2),
             1.0 if profile.alpha2 == 0.0 else 0.0,
@@ -392,7 +384,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> 
         mid = 0.5 * (lo + hi)
         state = ev.solve_weight(mid)
         _, _, r1, r2 = state
-        r = _min_scale(profile, r1, r2)
+        r = profile.rate_scale(r1, r2)
         if best is None or r > best[0]:
             best = (r, mid, state)
         if abs(r1 / a1 - r2 / a2) <= mu_tol * max(r, 1e-12):
@@ -432,7 +424,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> 
             p1_mix[differ] = Pbar - p2_mix[differ]
             r1m, r2m = ev.rates_for_powers(p1_mix, p2_mix)
             mixed = (
-                _min_scale(profile, r1m, r2m),
+                profile.rate_scale(r1m, r2m),
                 lam * 1.0,
                 (p1_mix, p2_mix, r1m, r2m),
             )
@@ -510,7 +502,7 @@ def _gauss_rates(params, a, b, mu):
     the split's regime at both nodes (0 weak, 1 interior, 2 strong power)."""
     half = 0.5 * (b - a)
     x = (a + half)[..., None] + (half / _SQRT3)[..., None] * np.array([-1.0, 1.0])
-    frame = _split_frame(*_gains(params, x), params.Pbar)
+    frame = _split_frame(*gain_pair(params, x), params.Pbar)
     ps = _strong_power(frame, mu[..., None], params.Pbar)
     r1, r2 = _sc_rates(*frame[:3], ps, params.Pbar - ps)
     regime = (ps > 0.0).astype(np.int8) + (ps >= params.Pbar)
@@ -532,7 +524,7 @@ def _rate_tables(params, x, mu) -> PairTables:
     ends = np.concatenate([[0], np.cumsum(n_sub)])
     k = np.arange(ends[-1]) - np.repeat(ends[:-1], n_sub)
     edges = np.append(np.repeat(cuts[:-1], n_sub) + np.repeat(gaps / n_sub, n_sub) * k, cuts[-1])
-    node_frame = _split_frame(*_gains(params, x), params.Pbar)
+    node_frame = _split_frame(*gain_pair(params, x), params.Pbar)
     at_x = ends[np.searchsorted(cuts, x)]
     out = np.empty((4, len(mu), len(x)))
     for s in range(0, len(mu), _TABLE_CHUNK):
@@ -646,8 +638,8 @@ def _best_pair(params, profile, tables):
 
 
 def _hover_value(params, x, profile):
-    point = fixed_boundary(params, x, profile)
-    return _min_scale(profile, point.rate_pair.r1, point.rate_pair.r2)
+    pair = fixed_boundary(params, x, profile).rate_pair
+    return profile.rate_scale(pair.r1, pair.r2)
 
 
 def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics):
@@ -691,9 +683,6 @@ def mirror_solution(params: SystemParams, sol: BoundarySolution) -> BoundarySolu
     Time is also reversed so the mirrored trajectory stays unidirectional
     left-to-right.
     """
-    traj = HfhTrajectory(
-        -sol.trajectory.x_F, -sol.trajectory.x_I, sol.trajectory.t_F, sol.trajectory.t_I
-    )
     sched = PowerSchedule(sol.schedule.p2[::-1].copy(), sol.schedule.p1[::-1].copy())
     diag = dict(sol.diagnostics)
     diag["mirrored"] = True
@@ -701,7 +690,7 @@ def mirror_solution(params: SystemParams, sol: BoundarySolution) -> BoundarySolu
         sol.profile.mirrored(),
         sol.rate_pair.swapped(),
         sol.r,
-        traj,
+        sol.trajectory.mirrored(),
         sched,
         1.0 - sol.mu,
         diag,
@@ -722,7 +711,7 @@ def solve_profile(
     are passed; they must come from the same beta0, H, D and Pbar), zoomed
     on local tables, with its switch times aligned to the slots by golden
     searches on the slotted exact P5.  The flight replaces the hover only
-    when it is better by more than `cfg.tie_tol_rel`.  Ends with a slot
+    when it is better by more than `_TIE_TOL_REL`.  Ends with a slot
     doubling check.  Diagnostics report the hover value, the pair's table
     value and upper bound, the polished value and the P5 solve count.
     """
@@ -758,7 +747,7 @@ def solve_profile(
             params, profile, pair_tables(params) if tables is None else tables
         )
         diagnostics.update(pair_value=pair_value, pair_upper_bound=bound, polish_value=polished)
-        tie = cfg.tie_tol_rel * max(r_h, 1e-12)
+        tie = _TIE_TOL_REL * max(r_h, 1e-12)
         best = [-math.inf, None]
 
         def value_of(x_i, t):
@@ -791,10 +780,10 @@ def solve_profile(
     n = cfg.n_slots
     sol = _exact_solution(params, profile, best_traj, n, cfg, diagnostics)
     p5_calls += 1
-    for _ in range(cfg.max_slot_doublings):
+    for _ in range(_MAX_SLOT_DOUBLINGS):
         finer = _exact_solution(params, profile, best_traj, 2 * n, cfg, diagnostics)
         p5_calls += 1
-        if abs(finer.r - sol.r) < cfg.slot_doubling_tol * max(sol.r, 1e-12):
+        if abs(finer.r - sol.r) < _SLOT_DOUBLING_TOL * max(sol.r, 1e-12):
             break
         n *= 2
         sol = finer
@@ -813,21 +802,12 @@ def trace_region(
     `solve_profile` call.  Profiles with alpha1 > alpha2 are obtained by
     mirroring the symmetric solve (index-exact), halving the work.
     """
-    if n_profiles < 2:
-        raise ValueError("need at least 2 profiles")
-    denom = n_profiles - 1
     tables = pair_tables(params) if params.V > 0.0 else None
-    solved: dict[int, BoundarySolution] = {}
-    for i in range(n_profiles):
-        if i <= denom - i:
-            solved[i] = solve_profile(params, RateProfile.of(i / denom), cfg, tables=tables)
-    points = []
-    seen = set()
-    for i in range(n_profiles):
-        sol = solved[i] if i in solved else mirror_solution(params, solved[denom - i])
-        key = round(sol.profile.alpha1, 12)
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(sol)
-    return RegionBoundary("sc", points, {"n_profiles": n_profiles})
+    # `solve_profile` is looked up at call time, so a wrapper installed on
+    # the module sees every solve.
+    return trace(
+        "sc",
+        n_profiles,
+        lambda profile: solve_profile(params, profile, cfg, tables=tables),
+        lambda sol: mirror_solution(params, sol),
+    )

@@ -21,6 +21,7 @@ from .core import (
     RatePair,
     RateProfile,
     SystemParams,
+    channel_gain,
     gain_pair,
     log2_1p,
 )
@@ -29,9 +30,11 @@ from .fixed_region import fixed_region_sample
 from .hfh_solver import (
     BoundarySolution,
     PowerSchedule,
+    _sc_rates,
+    _split_frame,
+    _strong_power,
     _time_windows,
     positions_at,
-    split_weighted,
 )
 from .numerics import bisect_increasing
 from .tdma_solver import TdmaSolution
@@ -108,36 +111,21 @@ def _split_menu(params, xs, n_entries):
     Sweeps the strong user's power over a uniform grid; returns per-slot
     averaged contributions (r1, r2) of shape (P, S).
     """
-    h1 = params.beta0 / ((xs + 0.5 * params.D) ** 2 + params.H ** 2)
-    h2 = params.beta0 / ((xs - 0.5 * params.D) ** 2 + params.H ** 2)
+    frame = _split_frame(*gain_pair(params, xs), params.Pbar)
     ps = np.linspace(0.0, params.Pbar, n_entries)[None, :]
-    strong2 = (h2 >= h1)[:, None]
-    hs = np.where(strong2, h2[:, None], h1[:, None])
-    hw = np.where(strong2, h1[:, None], h2[:, None])
-    pw = params.Pbar - ps
-    r_s = np.log1p(ps * hs) / LOG2
-    r_w = np.log1p(pw * hw / (ps * hw + 1.0)) / LOG2
-    r1 = np.where(strong2, r_w, r_s)
-    r2 = np.where(strong2, r_s, r_w)
-    return r1, r2
+    r1, r2 = _sc_rates(*(f[:, None] for f in frame[:3]), ps, params.Pbar - ps)
+    return r1 / LOG2, r2 / LOG2
 
 
 def _path_profile_value(params, positions, profile, iters=60):
     """Profile-constrained rate scale achievable on a fixed position path."""
-    h1 = params.beta0 / ((positions + 0.5 * params.D) ** 2 + params.H ** 2)
-    h2 = params.beta0 / ((positions - 0.5 * params.D) ** 2 + params.H ** 2)
+    frame = _split_frame(*gain_pair(params, positions), params.Pbar)
     a1, a2 = profile.alpha1, profile.alpha2
 
     def agg(mu):
-        p1, p2 = split_weighted(h1, h2, mu, params.Pbar)
-        strong2 = h2 >= h1
-        r1 = np.where(
-            strong2, np.log1p(p1 * h1 / (p2 * h1 + 1.0)), np.log1p(p1 * h1)
-        ).mean() / LOG2
-        r2 = np.where(
-            strong2, np.log1p(p2 * h2), np.log1p(p2 * h2 / (p1 * h2 + 1.0))
-        ).mean() / LOG2
-        return float(r1), float(r2)
+        ps = _strong_power(frame, mu, params.Pbar)
+        r1, r2 = _sc_rates(*frame[:3], ps, params.Pbar - ps)
+        return float(r1.mean() / LOG2), float(r2.mean() / LOG2)
 
     if a1 == 0.0:
         return agg(0.0)[1]
@@ -149,7 +137,7 @@ def _path_profile_value(params, positions, profile, iters=60):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         r1, r2 = agg(mid)
-        best = max(best, min(r1 / a1, r2 / a2))
+        best = max(best, profile.rate_scale(r1, r2))
         if a2 * r1 - a1 * r2 <= 0.0:
             lo, pair_lo = mid, (r1, r2)
         else:
@@ -161,10 +149,8 @@ def _path_profile_value(params, positions, profile, iters=60):
         lam = gH / (gH - gL)
         r1 = lam * pair_lo[0] + (1.0 - lam) * pair_hi[0]
         r2 = lam * pair_lo[1] + (1.0 - lam) * pair_hi[1]
-        best = max(best, min(r1 / a1 if a1 else math.inf, r2 / a2 if a2 else math.inf))
+        best = max(best, profile.rate_scale(r1, r2))
     return best
-
-
 
 
 def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConfig):
@@ -481,8 +467,7 @@ def _inequality_integrals(params, traj, p1_slots, p2_slots):
     w = np.concatenate(w_list) / T
     slots = np.concatenate(slot_list)
     xs = positions_at(params, traj, ts)
-    h1 = params.beta0 / ((xs + 0.5 * params.D) ** 2 + params.H ** 2)
-    h2 = params.beta0 / ((xs - 0.5 * params.D) ** 2 + params.H ** 2)
+    h1, h2 = gain_pair(params, xs)
     p1 = np.asarray(p1_slots)[slots]
     p2 = np.asarray(p2_slots)[slots]
     q1, q2 = _dual_uplink_powers(p1, p2, h1, h2)
@@ -567,25 +552,20 @@ def _tdma_integrals(params, traj, t1):
         total = 0.0
         hov = max(min(b, fly_start) - a, 0.0)
         if hov > 0.0:
-            total += hov * log2_1p(params.Pbar * channel(traj.x_I, user))
+            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_I, user))
         lo, hi = max(a, fly_start), min(b, fly_end)
         if hi > lo:
             ts = lo + (hi - lo) * np.linspace(0.0, 1.0, 257)
             xs = positions_at(params, traj, ts)
-            vals = np.log1p(params.Pbar * params.beta0 /
-                            ((xs - params.user_position(user)) ** 2 + params.H ** 2))
+            vals = np.log1p(params.Pbar * channel_gain(params, xs, user))
             wts = np.ones(257)
             wts[1:-1:2] = 4.0
             wts[2:-1:2] = 2.0
             total += (hi - lo) / (256 * 3.0) * float(wts @ vals) / LOG2
         hov = b - max(a, fly_end)
         if hov > 0.0:
-            total += hov * log2_1p(params.Pbar * channel(traj.x_F, user))
+            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_F, user))
         return total
-
-    def channel(x, user):
-        dx = x - params.user_position(user)
-        return params.beta0 / (dx * dx + params.H * params.H)
 
     I1 = window(1, 0.0, t1) / params.T
     I2 = window(2, t1, params.T) / params.T

@@ -4,15 +4,18 @@ One user is served at a time with full power: user 1 on [0, t1], user 2 on
 (t1, T].  Along a unidirectional left-to-right trajectory the optimal switch
 time t1 is the unique root of a monotone rate-ratio balance, found by
 bisection.  The trajectory family itself is small: the UAV either flies the
-whole time, or hovers only above a user (never at interior points), giving
-four one-parameter candidate families searched by grid plus golden-section
-refinement.
+whole time, or hovers only above a user (never at interior points).  That
+leaves the one-parameter families of `_families` (pure flight, hover above
+user 1 then fly, fly then hover above user 2, hover above both; with V = 0
+the fixed hovers), each searched on a grid; the winner's parameter is then
+refined by one golden-section search over a grid step on either side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,22 +25,32 @@ from .core import (
     RateProfile,
     RegionBoundary,
     SystemParams,
+    channel_gain,
+    gain_pair,
     leg_rate_integral,
     log2_1p,
     make_hfh,
+    trace,
 )
 from .errors import TimeOutOfRange
 from .hfh_solver import positions_at
 from .numerics import bisect_increasing, golden_max
 
+# Trapezoid nodes of the cumulative flight rates, the t1 bisection tolerance
+# (relative to T) and the golden-section iterations of the refinement.
+_CUM_SAMPLES = 8193
+_T1_REL_TOL = 1e-9
+_GOLDEN_ITERS = 50
+
 
 @dataclass(frozen=True)
 class TdmaSearchConfig:
-    x_grid: int = 129           # grid along the free location parameter
-    ti_grid: int = 17           # hover-time grid (only the hover-both case)
-    cum_samples: int = 8193     # dense grid behind the cumulative rate curves
-    t1_rel_tol: float = 1e-9    # bisection tolerance on t1, relative to T
-    golden_iters: int = 50
+    """Grid sizes of the trajectory search: x_grid values of the free
+    location of each location family, ti_grid hover times of the
+    hover-both family."""
+
+    x_grid: int = 129
+    ti_grid: int = 17
 
 
 DEFAULT_TDMA_CONFIG = TdmaSearchConfig()
@@ -55,12 +68,7 @@ class TdmaSolution:
 
     @property
     def r(self) -> float:
-        scales = []
-        if self.profile.alpha1 > 0.0:
-            scales.append(self.rate_pair.r1 / self.profile.alpha1)
-        if self.profile.alpha2 > 0.0:
-            scales.append(self.rate_pair.r2 / self.profile.alpha2)
-        return min(scales)
+        return self.profile.rate_scale(self.rate_pair.r1, self.rate_pair.r2)
 
 
 class CumulativeRates:
@@ -72,27 +80,18 @@ class CumulativeRates:
     reported rates go through the adaptive quadrature in tdma_rates.
     """
 
-    def __init__(self, params: SystemParams, traj: HfhTrajectory, n: int = 8193):
+    def __init__(self, params: SystemParams, traj: HfhTrajectory):
         self.params = params
-        self.traj = traj
         self.fly_start = traj.t_I
         self.fly_end = params.T - traj.t_F
-        self.rate_I = (
-            log2_1p(params.Pbar * _gain(params, traj.x_I, 1)),
-            log2_1p(params.Pbar * _gain(params, traj.x_I, 2)),
-        )
-        self.rate_F = (
-            log2_1p(params.Pbar * _gain(params, traj.x_F, 1)),
-            log2_1p(params.Pbar * _gain(params, traj.x_F, 2)),
-        )
+        self.rate_I = tuple(log2_1p(params.Pbar * h) for h in gain_pair(params, traj.x_I))
+        self.rate_F = tuple(log2_1p(params.Pbar * h) for h in gain_pair(params, traj.x_F))
         dur = self.fly_end - self.fly_start
         if dur > 1e-12 * params.T and params.V > 0.0:
-            ts = np.linspace(self.fly_start, self.fly_end, n)
-            xs = positions_at(params, traj, ts)
-            half = 0.5 * params.D
-            H2 = params.H * params.H
-            f1 = np.log1p(params.Pbar * params.beta0 / ((xs + half) ** 2 + H2))
-            f2 = np.log1p(params.Pbar * params.beta0 / ((xs - half) ** 2 + H2))
+            ts = np.linspace(self.fly_start, self.fly_end, _CUM_SAMPLES)
+            h1, h2 = gain_pair(params, positions_at(params, traj, ts))
+            f1 = np.log1p(params.Pbar * h1)
+            f2 = np.log1p(params.Pbar * h2)
             dt = ts[1] - ts[0]
             scale = dt / (2.0 * math.log(2.0))
             self._fly_t = ts
@@ -124,11 +123,6 @@ class CumulativeRates:
         return RatePair(r1, r2)
 
 
-def _gain(params, x, user):
-    dx = x - params.user_position(user)
-    return params.beta0 / (dx * dx + params.H * params.H)
-
-
 def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair:
     """Average TDMA rates: r1 integrates over [0, t1], r2 over [t1, T].
 
@@ -148,7 +142,7 @@ def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair
         total = 0.0
         hov = max(min(b, fly_start) - a, 0.0)
         if hov > 0.0:
-            total += hov * log2_1p(params.Pbar * _gain(params, traj.x_I, user))
+            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_I, user))
         lo, hi = max(a, fly_start), min(b, fly_end)
         if hi > lo and params.V > 0.0:
             xa = traj.x_I + (lo - traj.t_I) * params.V
@@ -156,7 +150,7 @@ def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair
             total += leg_rate_integral(params, user, xa, min(xb, traj.x_F), params.Pbar)
         hov = b - max(a, fly_end)
         if hov > 0.0:
-            total += hov * log2_1p(params.Pbar * _gain(params, traj.x_F, user))
+            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_F, user))
         return total
 
     return RatePair(window(1, 0.0, t1) / T, window(2, t1, T) / T)
@@ -167,7 +161,6 @@ def solve_t1(
     traj: HfhTrajectory,
     profile: RateProfile,
     cum: CumulativeRates | None = None,
-    rel_tol: float = 1e-9,
 ) -> float:
     """Unique switch time where r1(t1)/alpha1 = r2(t1)/alpha2.
 
@@ -179,75 +172,94 @@ def solve_t1(
     if profile.alpha2 == 0.0:
         return params.T
     if cum is None:
-        cum = CumulativeRates(params, traj, DEFAULT_TDMA_CONFIG.cum_samples)
+        cum = CumulativeRates(params, traj)
     a1, a2 = profile.alpha1, profile.alpha2
 
     def gap(t1):
         pair = cum.pair_at(t1)
         return a2 * pair.r1 - a1 * pair.r2
 
-    return bisect_increasing(gap, 0.0, params.T, iters=80, xtol=rel_tol * params.T)
+    return bisect_increasing(gap, 0.0, params.T, iters=80, xtol=_T1_REL_TOL * params.T)
 
 
-def _candidate_trajectories(params: SystemParams, cfg: TdmaSearchConfig):
-    """The hover-only-above-users HFH family, one (case, trajectory) per entry.
+class _Family(NamedTuple):
+    """The trajectories build(s) for s in [lo, hi]: searched on n grid
+    values, then refined by golden section over s +- step to xtol.  `case`
+    names the family in the diagnostics: 1 pure flight (or, with V = 0, a
+    fixed hover), 2 hover above user 1 then fly, 3 fly then hover above
+    user 2, 4 hover above both."""
 
-    Case 1: pure flight between interior points (t_I = t_F = 0);
-    case 2: hover at -D/2 then fly;  case 3: fly then hover at +D/2;
-    case 4: hover at both users (needs VT >= D).  V = 0 degenerates to the
-    fixed-hover family swept across [-D/2, D/2].
+    case: int
+    lo: float
+    hi: float
+    n: int
+    step: float
+    xtol: float
+    build: Callable[[float], HfhTrajectory]
+
+
+def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
+    """The hover-only-above-users HFH families admissible at (V, T).
+
+    Pure flight needs VT <= D and hovering above both users VT >= D; the
+    free parameter is the one location or hover time not fixed by the
+    family and the time budget.  Each family refines over its own grid
+    step, except pure flight, which keeps the fixed hover's wider D / (n - 1)
+    (over its own step its results move by up to 1e-9 relative, both ways).
     """
     half = 0.5 * params.D
     V, T, D = params.V, params.T, params.D
-    out = []
+    n, xtol = cfg.x_grid, 1e-9 * D
     if V == 0.0:
-        for x in np.linspace(-half, half, cfg.x_grid):
-            out.append((1, make_hfh(params, float(x), float(x), T)))
-        return out
+        return [_Family(1, -half, half, n, D / (n - 1), xtol, lambda x: make_hfh(params, x, x, T))]
     reach = V * T
+    out = []
     if reach <= D:
-        for x_i in np.linspace(-half, half - reach, cfg.x_grid):
-            out.append((1, make_hfh(params, float(x_i), float(x_i) + reach, 0.0)))
-    for x_f in np.linspace(-half, min(half, -half + reach), cfg.x_grid):
-        t_i = T - (float(x_f) + half) / V
-        out.append((2, make_hfh(params, -half, float(x_f), t_i)))
-    for x_i in np.linspace(max(-half, half - reach), half, cfg.x_grid):
-        out.append((3, make_hfh(params, float(x_i), half, 0.0)))
+        out.append(_Family(1, -half, half - reach, n, D / (n - 1), xtol,
+                           lambda x: make_hfh(params, x, x + reach, 0.0)))
+    hi = min(half, -half + reach)
+    out.append(_Family(2, -half, hi, n, (hi + half) / (n - 1), xtol,
+                       lambda x: make_hfh(params, -half, x, T - (x + half) / V)))
+    lo = max(-half, half - reach)
+    out.append(_Family(3, lo, half, n, (half - lo) / (n - 1), xtol,
+                       lambda x: make_hfh(params, x, half, 0.0)))
     if reach >= D:
         slack = T - D / V
-        for t_i in np.linspace(0.0, slack, cfg.ti_grid):
-            out.append((4, make_hfh(params, -half, half, float(t_i))))
+        out.append(_Family(4, 0.0, slack, cfg.ti_grid, slack / max(cfg.ti_grid - 1, 1),
+                           1e-9 * T, lambda t: make_hfh(params, -half, half, t)))
     return out
 
 
-def _evaluate(params, traj, profile, cfg):
-    cum = CumulativeRates(params, traj, cfg.cum_samples)
-    t1 = solve_t1(params, traj, profile, cum=cum, rel_tol=cfg.t1_rel_tol)
+def _candidate_trajectories(params: SystemParams, cfg: TdmaSearchConfig):
+    """Every grid candidate of `_families`, as (family, parameter, trajectory)."""
+    return [
+        (fam, s, fam.build(s))
+        for fam in _families(params, cfg)
+        for s in np.linspace(fam.lo, fam.hi, fam.n).tolist()
+    ]
+
+
+def _evaluate(params, traj, profile):
+    """(search value, t1) of a trajectory on its cumulative-rate curves."""
+    cum = CumulativeRates(params, traj)
+    t1 = solve_t1(params, traj, profile, cum=cum)
     pair = cum.pair_at(t1)
-    scales = []
-    if profile.alpha1 > 0.0:
-        scales.append(pair.r1 / profile.alpha1)
-    if profile.alpha2 > 0.0:
-        scales.append(pair.r2 / profile.alpha2)
-    return min(scales), t1, pair
+    return profile.rate_scale(pair.r1, pair.r2), t1
 
 
 def _mirror_tdma(params, sol: TdmaSolution) -> TdmaSolution:
-    traj = HfhTrajectory(
-        -sol.trajectory.x_F, -sol.trajectory.x_I, sol.trajectory.t_F, sol.trajectory.t_I
-    )
     diag = dict(sol.diagnostics)
     diag["mirrored"] = True
     return TdmaSolution(
         sol.profile.mirrored(),
         sol.rate_pair.swapped(),
-        traj,
+        sol.trajectory.mirrored(),
         params.T - sol.t1,
         diag,
     )
 
 
-def _corner_tdma(params, profile, cfg) -> TdmaSolution:
+def _corner_tdma(params, profile) -> TdmaSolution:
     user = 2 if profile.alpha1 == 0.0 else 1
     x = params.user_position(user)
     traj = make_hfh(params, x, x, params.T)
@@ -264,97 +276,39 @@ def tdma_solve_profile(
 ) -> TdmaSolution:
     """Best TDMA rate pair for one profile over the admissible HFH family."""
     if profile.is_corner:
-        return _corner_tdma(params, profile, cfg)
+        return _corner_tdma(params, profile)
     if profile.alpha1 > profile.alpha2:
         return _mirror_tdma(
             params, tdma_solve_profile(params, profile.mirrored(), cfg)
         )
 
     best = None
-    for case, traj in _candidate_trajectories(params, cfg):
-        r, t1, pair = _evaluate(params, traj, profile, cfg)
+    for fam, s, traj in _candidate_trajectories(params, cfg):
+        r, t1 = _evaluate(params, traj, profile)
         if best is None or r > best[0]:
-            best = (r, case, traj, t1, pair)
+            best = (r, fam, s, traj, t1)
+    r_best, fam, s, traj, t1 = best
 
-    r_best, case, traj, t1, pair = best
-    half = 0.5 * params.D
-
-    # Refine the single continuous parameter of the winning case.
-    if params.V == 0.0 or case == 1:
-        span = traj.span
-
-        def value(x_i):
-            cand = make_hfh(params, x_i, min(x_i + span, half), 0.0 if span else params.T)
-            return _evaluate(params, cand, profile, cfg)[0]
-
-        width = params.D / (cfg.x_grid - 1)
-        x0, _ = golden_max(
-            value,
-            max(-half, traj.x_I - width),
-            min(half - span, traj.x_I + width),
-            iters=cfg.golden_iters,
-            xtol=1e-9 * params.D,
-        )
-        cand = make_hfh(params, x0, min(x0 + span, half), 0.0 if span else params.T)
-    elif case == 2:
-
-        def value(x_f):
-            t_i = params.T - (x_f + half) / params.V
-            return _evaluate(params, make_hfh(params, -half, x_f, t_i), profile, cfg)[0]
-
-        width = (min(half, -half + params.V * params.T) + half) / (cfg.x_grid - 1)
-        xf0, _ = golden_max(
-            value,
-            max(-half, traj.x_F - width),
-            min(min(half, -half + params.V * params.T), traj.x_F + width),
-            iters=cfg.golden_iters,
-            xtol=1e-9 * params.D,
-        )
-        cand = make_hfh(params, -half, xf0, params.T - (xf0 + half) / params.V)
-    elif case == 3:
-
-        def value(x_i):
-            return _evaluate(params, make_hfh(params, x_i, half, 0.0), profile, cfg)[0]
-
-        width = (half - max(-half, half - params.V * params.T)) / (cfg.x_grid - 1)
-        xi0, _ = golden_max(
-            value,
-            max(max(-half, half - params.V * params.T), traj.x_I - width),
-            min(half, traj.x_I + width),
-            iters=cfg.golden_iters,
-            xtol=1e-9 * params.D,
-        )
-        cand = make_hfh(params, xi0, half, 0.0)
-    else:  # case 4
-        slack = params.T - params.D / params.V
-
-        def value(t_i):
-            return _evaluate(
-                params, make_hfh(params, -half, half, t_i), profile, cfg
-            )[0]
-
-        width = slack / max(cfg.ti_grid - 1, 1)
-        ti0, _ = golden_max(
-            value,
-            max(0.0, traj.t_I - width),
-            min(slack, traj.t_I + width),
-            iters=cfg.golden_iters,
-            xtol=1e-9 * params.T,
-        )
-        cand = make_hfh(params, -half, half, ti0)
-
-    r_cand, t1_cand, pair_cand = _evaluate(params, cand, profile, cfg)
+    # Refine the winning family's parameter over one grid step either side.
+    s, _ = golden_max(
+        lambda v: _evaluate(params, fam.build(v), profile)[0],
+        max(fam.lo, s - fam.step),
+        min(fam.hi, s + fam.step),
+        iters=_GOLDEN_ITERS,
+        xtol=fam.xtol,
+    )
+    cand = fam.build(s)
+    r_cand, t1_cand = _evaluate(params, cand, profile)
     if r_cand > r_best:
-        r_best, traj, t1, pair = r_cand, cand, t1_cand, pair_cand
+        r_best, traj, t1 = r_cand, cand, t1_cand
 
     # Report rates through the adaptive quadrature for the final answer.
-    final_pair = tdma_rates(params, traj, t1)
     return TdmaSolution(
         profile,
-        final_pair,
+        tdma_rates(params, traj, t1),
         traj,
         t1,
-        {"case": case, "search_r": r_best},
+        {"case": fam.case, "search_r": r_best},
     )
 
 
@@ -364,15 +318,9 @@ def tdma_trace_region(
     cfg: TdmaSearchConfig = DEFAULT_TDMA_CONFIG,
 ) -> RegionBoundary:
     """TDMA region boundary at uniformly spaced profiles (mirror-folded)."""
-    if n_profiles < 2:
-        raise ValueError("need at least 2 profiles")
-    denom = n_profiles - 1
-    solved: dict[int, TdmaSolution] = {}
-    for i in range(n_profiles):
-        if i <= denom - i:
-            solved[i] = tdma_solve_profile(params, RateProfile.of(i / denom), cfg)
-    points = []
-    for i in range(n_profiles):
-        sol = solved[i] if i in solved else _mirror_tdma(params, solved[denom - i])
-        points.append(sol)
-    return RegionBoundary("tdma", points, {"n_profiles": n_profiles})
+    return trace(
+        "tdma",
+        n_profiles,
+        lambda profile: tdma_solve_profile(params, profile, cfg),
+        lambda sol: _mirror_tdma(params, sol),
+    )

@@ -139,6 +139,31 @@ class TestRegionCommand:
         assert code == 2
 
 
+PROFILE_COMMANDS = {
+    "region-sc": ["region", "--mode", "sc"],
+    "region-tdma": ["region", "--mode", "tdma"],
+    "region-tinf": ["region", "--mode", "tinf"],
+    "region-v0": ["region", "--mode", "v0"],
+    "region-high-snr": ["region", "--mode", "high-snr", "--override", "P=40dBm"],
+    "compare": ["compare", "--override", "V=0"],
+    "fixed": ["fixed", "--x", "0"],
+    "oracle-check": ["oracle-check"],
+}
+
+
+@pytest.mark.parametrize("count", ["1", "0", "-3"])
+@pytest.mark.parametrize("command", PROFILE_COMMANDS.values(), ids=PROFILE_COMMANDS.keys())
+def test_bad_profile_count_is_config_error(scenario, tmp_path, capsys, command, count):
+    """Fewer than two profiles exits 2 with one message line and no output file."""
+    out = tmp_path / "out.csv"
+    code = main([*command, "--scenario", scenario, "--profiles", count, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:") and "profiles" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestFixedCommand:
     def test_fixed_at_center_is_line(self, scenario, tmp_path):
         out = tmp_path / "fixed.csv"

@@ -57,6 +57,29 @@ class TestPerSlotSplit:
             scan = grid_power_oracle(base, x, mu)
             assert abs(ours[0] - scan[0]) <= step + 1e-12
 
+    def test_near_tie_at_half_weight(self):
+        """At mu = 1/2 the interior split divides by zero; on gains tied to
+        within 1e-12 rounding can make the weighted derivative positive at
+        0 yet negative at Pbar, so the split takes that value's clamp.  It
+        must still be a power in [0, Pbar] and lose no more than rounding
+        against the better single-user corner."""
+        rng = np.random.default_rng(7)
+        reached = 0
+        for Pbar in (1e-4, 3.3e-3, 1e-2, 1.0, 100.0):
+            hw = rng.uniform(80.0, 1e4, 100_000)
+            hs = hw * (1.0 + rng.uniform(0.0, 1e-12, hw.size))
+            a, b = 0.5 * hs, 0.5 * hw
+            reached += np.sum((a - b > 0.0) & (a * (1.0 + Pbar * hw) - b * (1.0 + Pbar * hs) < 0.0))
+            for h1, h2 in ((hw, hs), (hs, hw)):
+                p1, p2 = split_weighted(h1, h2, 0.5, Pbar)
+                assert np.all(np.isfinite(p1)) and np.all((p1 >= 0.0) & (p1 <= Pbar))
+                strong2 = h2 >= h1
+                r1 = np.where(strong2, np.log1p(p1 * h1 / (p2 * h1 + 1.0)), np.log1p(p1 * h1))
+                r2 = np.where(strong2, np.log1p(p2 * h2), np.log1p(p2 * h2 / (p1 * h2 + 1.0)))
+                corner = np.log1p(Pbar * hs)
+                assert np.all(r1 + r2 >= corner * (1.0 - 1e-12))
+        assert reached > 0
+
 
 class TestSolveP5:
     def test_equal_gain_hover_tie(self, base):
