@@ -71,7 +71,7 @@ class SystemParams:
     @property
     def peak_gain(self) -> float:
         """Largest achievable normalized gain beta0 / H^2 (UAV above a user)."""
-        return self.beta0 / (self.H * self.H)
+        return channel_gain(self, self.user_position(1), 1)
 
     @property
     def peak_rate(self) -> float:
