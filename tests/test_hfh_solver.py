@@ -250,6 +250,35 @@ class TestSearchExactness:
         assert sol.trajectory.t_I == 13.33333333333332
 
     @pytest.mark.parametrize(
+        "V, T, alpha1, r, pair, mu, hover_r, x",
+        [
+            pytest.param(
+                0.0, 60.0, 0.3, 3.3734823000585186,
+                (1.0120446900175555, 2.361437845802207), 0.8887765407562256,
+                3.373482376177497, 391.4151909817422, id="static",
+            ),
+            pytest.param(  # +-x tie in value: the first (left) grid winner
+                0.0, 60.0, 0.5, 2.476260572160886,
+                (1.238130286080443, 1.238130367264696), 0.2674638032913208,
+                2.476260691101693, -202.28580606261164, id="static-mirror-tie",
+            ),
+            pytest.param(  # too short a flight: the hover beats every pair
+                30.0, 20.0, 0.2, 4.384226812933968,
+                (0.8768453625867937, 3.5073814709734537), 0.8869171142578125,
+                4.384226821642132, 457.9352323251564, id="hover-beats-flight",
+            ),
+        ],
+    )
+    def test_hover_winner(self, base, V, T, alpha1, r, pair, mu, hover_r, x):
+        sol = solve_profile(replace(base, V=V, T=T), RateProfile.of(alpha1))
+        assert sol.r == r
+        assert (sol.rate_pair.r1, sol.rate_pair.r2) == pair
+        assert sol.mu == mu
+        assert sol.diagnostics["hover_r"] == hover_r
+        t = sol.trajectory
+        assert (t.x_I, t.x_F, t.t_I, t.t_F) == (x, x, T, 0.0)
+
+    @pytest.mark.parametrize(
         "alpha1, mu_max_iter, mu",
         [(0.5, 60, 0.5), (0.3, 60, 0.49999999999999994), (0.3, 1, 0.15000000000000002)],
     )
