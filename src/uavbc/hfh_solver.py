@@ -12,7 +12,8 @@ cumulative flight integrals (`pair_tables`, independent of T, V and the
 profile) give every pair's value in a few vectorized passes; the best pair
 is zoomed on local tables, and its switch times are aligned with the slots
 by golden searches on the slotted P5.  A dense hover scan covers the
-x_I == x_F family exactly.
+x_I == x_F family exactly: a vectorized screen of the grid, the near-best
+positions scored by `fixed_boundary`, and a golden refinement.
 
 Every reported solution is evaluated with exact per-slot integration
 (closed-form hover segments, Gauss nodes on flight segments cut at the
@@ -52,6 +53,10 @@ _SQRT3 = math.sqrt(3.0)
 _TIE_TOL_REL = 1e-6
 _SLOT_DOUBLING_TOL = 1e-4
 _MAX_SLOT_DOUBLINGS = 3
+
+# Hover grid positions whose `_hover_screen` value is within this (relative)
+# of the best screen value are scored exactly by `_hover_value`.
+_HOVER_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -642,6 +647,39 @@ def _hover_value(params, x, profile):
     return profile.rate_scale(pair.r1, pair.r2)
 
 
+def _hover_screen(params, xs, profile):
+    """`_hover_value` at all positions xs at once (non-corner profile).
+
+    Bisects `fixed_boundary`'s power balance at every position together,
+    to the last bit as it does, so the two agree to rounding.
+    """
+    Pbar = params.Pbar
+    strong2, hs, hw = _split_frame(*gain_pair(params, xs), Pbar)[:3]
+    a_s = np.where(strong2, profile.alpha2, profile.alpha1)
+    a_w = np.where(strong2, profile.alpha1, profile.alpha2)
+    lo, hi = np.zeros(len(xs)), np.full(len(xs), Pbar)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = a_w * np.log1p(mid * hs) <= a_s * np.log1p((Pbar - mid) * hw / (mid * hw + 1.0))
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    ps = 0.5 * (lo + hi)
+    r1, r2 = _sc_rates(strong2, hs, hw, ps, Pbar - ps)
+    return np.minimum(r1 / profile.alpha1, r2 / profile.alpha2) / LOG2
+
+
+def _hover_argmax(params, xs, profile):
+    """(i, `_hover_value` at xs[i]) for the first exact maximum over xs.
+
+    Only the positions within `_HOVER_WINDOW` of the screen's best are
+    scored exactly, in grid order.
+    """
+    screen = _hover_screen(params, xs, profile)
+    near = np.flatnonzero(screen >= screen.max() * (1.0 - _HOVER_WINDOW))
+    vals = [_hover_value(params, x, profile) for x in xs[near]]
+    k = int(np.argmax(vals))
+    return int(near[k]), vals[k]
+
+
 def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics):
     disc = discretize(params, traj, n_slots)
     res = _solve_p5_on(
@@ -706,13 +744,15 @@ def solve_profile(
 ) -> BoundarySolution:
     """Boundary point of the capacity region for one rate profile.
 
-    Searches the HFH family: a dense hover scan, then (for V > 0) the best
-    endpoint pair of `tables` (`pair_tables(params)`, built here when none
-    are passed; they must come from the same beta0, H, D and Pbar), zoomed
-    on local tables, with its switch times aligned to the slots by golden
-    searches on the slotted exact P5.  The flight replaces the hover only
-    when it is better by more than `_TIE_TOL_REL`.  Ends with a slot
-    doubling check.  Diagnostics report the hover value, the pair's table
+    Searches the HFH family: a dense hover scan (`_hover_screen` on the
+    whole grid, `_hover_value` on the positions within `_HOVER_WINDOW` of
+    its best, the first exact maximum golden-refined), then (for V > 0)
+    the best endpoint pair of `tables` (`pair_tables(params)`, built here
+    when none are passed; they must come from the same beta0, H, D and
+    Pbar), zoomed on local tables, with its switch times aligned to the
+    slots by golden searches on the slotted exact P5.  The flight replaces
+    the hover only when it is better by more than `_TIE_TOL_REL`.  Ends
+    with a slot doubling check.  Diagnostics report the hover value, the pair's table
     value and upper bound, the polished value and the P5 solve count.
     """
     if profile.is_corner:
@@ -724,10 +764,10 @@ def solve_profile(
     half = 0.5 * params.D
     diagnostics: dict = {}
 
-    # Hover family: cheap closed-form objective on a dense grid + refinement.
+    # Hover family: a dense grid, screened and then scored near its best,
+    # and a golden refinement around the grid winner.
     xs = np.linspace(-half, half, cfg.hover_grid)
-    hover_vals = [_hover_value(params, x, profile) for x in xs]
-    ih = int(np.argmax(hover_vals))
+    ih, r_grid = _hover_argmax(params, xs, profile)
     x_h, r_h = golden_max(
         lambda x: _hover_value(params, x, profile),
         xs[max(ih - 1, 0)],
@@ -735,8 +775,8 @@ def solve_profile(
         iters=60,
         xtol=1e-10 * params.D,
     )
-    if hover_vals[ih] > r_h:
-        x_h, r_h = float(xs[ih]), hover_vals[ih]
+    if r_grid > r_h:
+        x_h, r_h = float(xs[ih]), r_grid
     best_traj = make_hfh(params, x_h, x_h, params.T)
     best_r = r_h
     diagnostics["hover_r"] = r_h

@@ -7,8 +7,12 @@ bisection.  The trajectory family itself is small: the UAV either flies the
 whole time, or hovers only above a user (never at interior points).  That
 leaves the one-parameter families of `_families` (pure flight, hover above
 user 1 then fly, fly then hover above user 2, hover above both; with V = 0
-the fixed hovers), each searched on a grid; the winner's parameter is then
-refined by one golden-section search over a grid step on either side.
+the fixed hovers), each searched on a grid.  `_screen` values the whole
+grid at once from one cumulative-rate table over position; only the
+candidates near its best are scored by the per-trajectory `_evaluate`, in
+grid order, so the first exact maximum wins as if all were scored.  The
+winner's parameter is then refined by one golden-section search over a grid
+step on either side.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (
+    LOG2,
     HfhTrajectory,
     RatePair,
     RateProfile,
@@ -41,6 +46,12 @@ from .numerics import bisect_increasing, golden_max
 _CUM_SAMPLES = 8193
 _T1_REL_TOL = 1e-9
 _GOLDEN_ITERS = 50
+
+# Grid candidates whose `_screen` value is within this (relative) of the
+# best screen value are scored exactly by `_evaluate`.  The exact winner is
+# among them while no screen value is further from its exact value than
+# about half of this times the best exact value.
+_SCREEN_WINDOW = 1e-5
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,7 @@ class CumulativeRates:
         else:
             self._fly_t = None
             self._fly_cum1 = self._fly_cum2 = None
+        self._total2 = self.cum(params.T, 2)
 
     def _flight_cum(self, t: float, user: int) -> float:
         if self._fly_t is None:
@@ -119,7 +131,7 @@ class CumulativeRates:
         """(r1, r2) with user 1 served before t1 and user 2 after."""
         T = self.params.T
         r1 = self.cum(t1, 1) / T
-        r2 = (self.cum(T, 2) - self.cum(t1, 2)) / T
+        r2 = (self._total2 - self.cum(t1, 2)) / T
         return RatePair(r1, r2)
 
 
@@ -247,6 +259,46 @@ def _evaluate(params, traj, profile):
     return profile.rate_scale(pair.r1, pair.r2), t1
 
 
+def _screen(params, trajs, profile):
+    """`_evaluate`'s search values of all `trajs` at once (non-corner profile).
+
+    A flight leg's rate-time is its position integral over V, so one
+    trapezoid table of cumulative full-power rates over [-D/2, D/2] serves
+    every trajectory; t1 is then bisected for all of them together.
+    """
+    T, V, Pbar, half = params.T, params.V, params.Pbar, 0.5 * params.D
+    x_I = np.array([t.x_I for t in trajs])
+    x_F = np.array([t.x_F for t in trajs])
+    t_I = np.array([t.t_I for t in trajs])
+    fly_end = T - np.array([t.t_F for t in trajs])
+    rate_I = [np.log1p(Pbar * h) / LOG2 for h in gain_pair(params, x_I)]
+    rate_F = [np.log1p(Pbar * h) / LOG2 for h in gain_pair(params, x_F)]
+    if V > 0.0:
+        xs = np.linspace(-half, half, _CUM_SAMPLES)
+        f = [np.log1p(Pbar * h) for h in gain_pair(params, xs)]
+        scale = (xs[1] - xs[0]) / (2.0 * LOG2 * V)
+        table = [np.concatenate([[0.0], np.cumsum(fk[1:] + fk[:-1])]) * scale for fk in f]
+        start = [np.interp(x_I, xs, tk) for tk in table]
+
+    def cum(t, k):
+        """R_k(t) in rate-seconds for every trajectory (k = 0, 1)."""
+        total = rate_I[k] * np.minimum(t, t_I) + rate_F[k] * np.maximum(t - fly_end, 0.0)
+        if V > 0.0:
+            x = np.minimum(np.maximum(x_I + (t - t_I) * V, x_I), x_F)
+            total += np.interp(x, xs, table[k]) - start[k]
+        return total
+
+    a1, a2 = profile.alpha1, profile.alpha2
+    total2 = cum(T, 1)
+    lo, hi = np.zeros(len(trajs)), np.full(len(trajs), T)
+    while np.max(hi - lo) > _T1_REL_TOL * T:
+        mid = 0.5 * (lo + hi)
+        below = a2 * cum(mid, 0) <= a1 * (total2 - cum(mid, 1))
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    t1 = 0.5 * (lo + hi)
+    return np.minimum(cum(t1, 0) / a1, (total2 - cum(t1, 1)) / a2) / T
+
+
 def _mirror_tdma(params, sol: TdmaSolution) -> TdmaSolution:
     diag = dict(sol.diagnostics)
     diag["mirrored"] = True
@@ -274,7 +326,13 @@ def tdma_solve_profile(
     profile: RateProfile,
     cfg: TdmaSearchConfig = DEFAULT_TDMA_CONFIG,
 ) -> TdmaSolution:
-    """Best TDMA rate pair for one profile over the admissible HFH family."""
+    """Best TDMA rate pair for one profile over the admissible HFH family.
+
+    Screens the families' grid with `_screen`, scores the candidates within
+    `_SCREEN_WINDOW` of its best with `_evaluate` (the first exact maximum
+    wins), golden-refines the winner's parameter on `_evaluate` and reports
+    the rates of `tdma_rates` at the resulting trajectory and switch time.
+    """
     if profile.is_corner:
         return _corner_tdma(params, profile)
     if profile.alpha1 > profile.alpha2:
@@ -282,8 +340,11 @@ def tdma_solve_profile(
             params, tdma_solve_profile(params, profile.mirrored(), cfg)
         )
 
+    cands = _candidate_trajectories(params, cfg)
+    screen = _screen(params, [traj for _, _, traj in cands], profile)
     best = None
-    for fam, s, traj in _candidate_trajectories(params, cfg):
+    for k in np.flatnonzero(screen >= screen.max() * (1.0 - _SCREEN_WINDOW)):
+        fam, s, traj = cands[k]
         r, t1 = _evaluate(params, traj, profile)
         if best is None or r > best[0]:
             best = (r, fam, s, traj, t1)

@@ -447,3 +447,31 @@ class TestKernelEquivalence:
         for i in range(len(x)):
             one = split_weighted(h1[i : i + 1], h2[i : i + 1], mu[i], base.Pbar)
             assert (one[0][0], one[1][0]) == (p1[i], p2[i])
+
+
+# ---------------------------------------------------------------------------
+# the hover screen: its error bound and the grid winner it lets through
+# ---------------------------------------------------------------------------
+
+HOVER_SCREEN_POINTS = [(Pbar, a1) for Pbar in (1e-5, 1e-2, 10.0) for a1 in (0.01, 0.1, 0.3, 0.5)]
+
+
+class TestHoverScreen:
+    @pytest.mark.parametrize("Pbar, alpha1", HOVER_SCREEN_POINTS)
+    def test_error_within_half_window(self, base, Pbar, alpha1):
+        """Within half the window of the exact value at every grid position
+        (x = 0, where the gains tie, included), so the first exact maximum
+        is among the positions scored exactly."""
+        params, prof = replace(base, Pbar=Pbar), RateProfile.of(alpha1)
+        xs = np.linspace(-0.5 * base.D, 0.5 * base.D, SearchConfig().hover_grid)
+        assert 0.0 in xs
+        exact = np.array([hfh_solver._hover_value(params, x, prof) for x in xs])
+        screen = hfh_solver._hover_screen(params, xs, prof)
+        assert np.max(np.abs(screen - exact) / exact) <= 0.5 * hfh_solver._HOVER_WINDOW
+
+    @pytest.mark.parametrize("Pbar, alpha1", HOVER_SCREEN_POINTS)
+    def test_argmax_is_first_exact_maximum(self, base, Pbar, alpha1):
+        params, prof = replace(base, Pbar=Pbar), RateProfile.of(alpha1)
+        xs = np.linspace(-0.5 * base.D, 0.5 * base.D, SearchConfig().hover_grid)
+        exact = [hfh_solver._hover_value(params, x, prof) for x in xs]
+        assert hfh_solver._hover_argmax(params, xs, prof) == (int(np.argmax(exact)), max(exact))

@@ -14,6 +14,8 @@ from uavbc import (
     tdma_solve_profile,
     tdma_trace_region,
 )
+from uavbc import tdma_solver
+from uavbc.numerics import golden_max
 from uavbc.oracle import check_feasibility
 from uavbc.tdma_solver import CumulativeRates, TdmaSearchConfig
 
@@ -170,3 +172,80 @@ class TestTdmaExactness:
         points = tdma_trace_region(base, 5).points
         for i in (0, 1):  # the middle point, alpha1 = 1/2, is its own mirror
             assert points[i].rate_pair == points[-1 - i].rate_pair.swapped()
+
+
+# ---------------------------------------------------------------------------
+# the grid screen: its error bound and the winner it lets through
+# ---------------------------------------------------------------------------
+
+
+def _exhaustive_tdma(params, profile, cfg=tdma_solver.DEFAULT_TDMA_CONFIG):
+    """`tdma_solve_profile` (non-mirrored, non-corner) with every grid
+    candidate scored by `_evaluate`: the search without the screen."""
+
+    def evaluate(traj):
+        return tdma_solver._evaluate(params, traj, profile)
+
+    best = None
+    for fam, s, traj in tdma_solver._candidate_trajectories(params, cfg):
+        r, t1 = evaluate(traj)
+        if best is None or r > best[0]:
+            best = (r, fam, s, traj, t1)
+    r_best, fam, s, traj, t1 = best
+    s, _ = golden_max(
+        lambda v: evaluate(fam.build(v))[0],
+        max(fam.lo, s - fam.step),
+        min(fam.hi, s + fam.step),
+        iters=tdma_solver._GOLDEN_ITERS,
+        xtol=fam.xtol,
+    )
+    cand = fam.build(s)
+    r_cand, t1_cand = evaluate(cand)
+    if r_cand > r_best:
+        r_best, traj, t1 = r_cand, cand, t1_cand
+    return tdma_rates(params, traj, t1), traj, t1, {"case": fam.case, "search_r": r_best}
+
+
+class TestScreen:
+    @pytest.mark.parametrize("Pbar", [1e-5, 1e-2, 10.0])
+    @pytest.mark.parametrize("H, D", [(100.0, 1000.0), (100.0, 3000.0),
+                                      (200.0, 1000.0), (200.0, 3000.0)])
+    def test_error_within_half_window(self, base, Pbar, H, D):
+        """The exact winner survives the screen while no candidate's screen
+        value is further than w / (2 + w) of the best exact value from its
+        own exact value (w the window): the winner's screen value is then
+        above the screen's best less w times it.
+
+        The error is measured against the best value, not the candidate's
+        own: both objectives bisect t1 to 1e-9 T, so a candidate served to
+        user 1 for ~1e-5 T (Pbar = 1e-5, D = 3000, V = 5, alpha1 = 0.01)
+        reads 4e-5 of its own value apart when the two land in adjacent
+        bisection leaves, at a value a hundredth of the best.
+        """
+        cfg = TdmaSearchConfig(x_grid=17, ti_grid=5)
+        w = tdma_solver._SCREEN_WINDOW
+        for V in (0.0, 5.0, 30.0):
+            params = replace(base, Pbar=Pbar, H=H, D=D, V=V)
+            trajs = [t for _, _, t in tdma_solver._candidate_trajectories(params, cfg)]
+            for alpha1 in (0.01, 0.1, 0.3, 0.5):
+                prof = RateProfile.of(alpha1)
+                exact = np.array([tdma_solver._evaluate(params, t, prof)[0] for t in trajs])
+                screen = tdma_solver._screen(params, trajs, prof)
+                assert np.max(np.abs(screen - exact)) <= w / (2.0 + w) * exact.max()
+
+    @pytest.mark.parametrize(
+        "V, T, alpha1",
+        [
+            pytest.param(30.0, 60.0, 0.5, id="mirror-families-tie"),
+            pytest.param(0.0, 60.0, 0.3, id="static"),
+            pytest.param(30.0, 1000.0 / 30.0, 0.3, id="reach-is-D"),
+        ],
+    )
+    def test_matches_exhaustive_search(self, base, V, T, alpha1):
+        params = replace(base, V=V, T=T)
+        sol = tdma_solve_profile(params, RateProfile.of(alpha1))
+        pair, traj, t1, diagnostics = _exhaustive_tdma(params, RateProfile.of(alpha1))
+        assert sol.rate_pair == pair
+        assert sol.trajectory == traj
+        assert sol.t1 == t1
+        assert sol.diagnostics == diagnostics
