@@ -234,15 +234,19 @@ class TestScreen:
                 assert np.max(np.abs(screen - exact)) <= w / (2.0 + w) * exact.max()
 
     @pytest.mark.parametrize(
-        "V, T, alpha1",
+        "V, T, Pbar, alpha1",
         [
-            pytest.param(30.0, 60.0, 0.5, id="mirror-families-tie"),
-            pytest.param(0.0, 60.0, 0.3, id="static"),
-            pytest.param(30.0, 1000.0 / 30.0, 0.3, id="reach-is-D"),
+            pytest.param(30.0, 60.0, 1e-2, 0.5, id="mirror-families-tie"),
+            pytest.param(0.0, 60.0, 1e-2, 0.3, id="static"),
+            pytest.param(30.0, 1000.0 / 30.0, 1e-2, 0.3, id="reach-is-D"),
+            # At high SNR the objective is flat enough that the screen's own
+            # maximum is another candidate than the exact one.
+            pytest.param(30.0, 20.0, 10.0, 0.5, id="screen-misranks"),
+            pytest.param(5.0, 33.3, 10.0, 0.5, id="screen-misranks-tie"),
         ],
     )
-    def test_matches_exhaustive_search(self, base, V, T, alpha1):
-        params = replace(base, V=V, T=T)
+    def test_matches_exhaustive_search(self, base, V, T, Pbar, alpha1):
+        params = replace(base, V=V, T=T, Pbar=Pbar)
         sol = tdma_solve_profile(params, RateProfile.of(alpha1))
         pair, traj, t1, diagnostics = _exhaustive_tdma(params, RateProfile.of(alpha1))
         assert sol.rate_pair == pair
