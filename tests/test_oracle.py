@@ -78,8 +78,11 @@ class TestDpOracle:
             # no motion
             ("static", DpConfig(32, 51, 7, 4096), 0.5, 2.4731433231106226,
              np.full(32, 180.0)),
+            # few bins: many menu entries share a bin advance
+            ("base", DpConfig(24, 21, 6, 300), 0.3, 5.262593034487025,
+             np.r_[[500.0] * 9, 450.0 - 75.0 * np.arange(13), [-500.0] * 2]),
         ],
-        ids=["interpolated", "multi-step", "static"],
+        ids=["interpolated", "multi-step", "static", "coarse-bins"],
     )
     def test_exact_output(self, base, static, case, cfg, alpha1, r_want, path_want):
         params = {"base": base, "fast": replace(base, V=60.0), "static": static}[case]
