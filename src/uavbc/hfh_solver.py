@@ -7,13 +7,15 @@ weight decouples into independent per-slot full-power splits with a closed
 form.  The trajectory is searched over endpoint pairs (x_I, x_F): for fixed
 endpoints, sharing the slack time between the two hovers is a time-share,
 so the pair's rate set is convex and its profile value is one mu-root with
-a blend across the bracket.  Per-weight tables of hover rates and
-cumulative flight integrals (`pair_tables`, independent of T, V and the
-profile) give every pair's value in a few vectorized passes; the best pair
-is zoomed on local tables, and its switch times are aligned with the slots
-by golden searches on the slotted P5.  A dense hover scan covers the
-x_I == x_F family exactly: a vectorized screen of the grid, the near-best
-positions scored by `fixed_boundary`, and a golden refinement.
+a blend across the bracket.  Per-weight tables of hover rates, weighted
+hover rates and cumulative flight integrals (`pair_tables`; they depend on
+the channel only, not on T, V or the profile, so they are cached per
+channel and read-only) give every pair's value in a few vectorized passes
+of flat gathers; the best pair is zoomed on local tables, and its switch
+times are aligned with the slots by golden searches on the slotted P5.  A
+dense hover scan covers the x_I == x_F family exactly: a vectorized screen
+of the grid, the near-best positions scored by `fixed_boundary`, and a
+golden refinement.
 
 Every reported solution is evaluated with exact per-slot integration
 (closed-form hover segments, Gauss nodes on flight segments cut at the
@@ -24,6 +26,7 @@ re-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -489,9 +492,10 @@ _POLISH_STAGES = 5
 @dataclass(frozen=True)
 class PairTables:
     """At weight mu[m] (row m) and sorted positions x: hover rates (h1, h2)
-    in bps/Hz and cumulative flight integrals (c1, c2) of the per-position
-    rates from x[0], in bps/Hz times meters.  They depend on (beta0, H, D,
-    Pbar) only."""
+    in bps/Hz, cumulative flight integrals (c1, c2) of the per-position
+    rates from x[0], in bps/Hz times meters, and the weighted hover rate
+    g = mu*h1 + (1 - mu)*h2.  They depend on (beta0, H, D, Pbar) only;
+    `pair_tables` caches one read-only set per channel."""
 
     x: np.ndarray
     mu: np.ndarray
@@ -499,6 +503,7 @@ class PairTables:
     h2: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
+    g: np.ndarray
 
 
 def _gauss_rates(params, a, b, mu):
@@ -549,28 +554,40 @@ def _rate_tables(params, x, mu) -> PairTables:
         f1[r, c], f2[r, c] = k1.sum(-1), k2.sum(-1)
         out[2, rows] = np.pad(np.cumsum(f1, axis=1), ((0, 0), (1, 0)))[:, at_x]
         out[3, rows] = np.pad(np.cumsum(f2, axis=1), ((0, 0), (1, 0)))[:, at_x]
-    return PairTables(x, mu, *(out / LOG2))
+    h1, h2, c1, c2 = out / LOG2
+    w = mu[:, None]
+    return PairTables(x, mu, h1, h2, c1, c2, w * h1 + (1.0 - w) * h2)
 
 
 def pair_tables(params: SystemParams) -> PairTables:
     """The search's tables: _PAIR_NODES positions over [-D/2, D/2] and
-    _PAIR_WEIGHTS weights over [0, 1]."""
-    half = 0.5 * params.D
+    _PAIR_WEIGHTS weights over [0, 1].  Built once per channel (beta0, H, D,
+    Pbar) and shared: the arrays are read-only."""
+    return _channel_tables(params.beta0, params.H, params.D, params.Pbar)
+
+
+@functools.lru_cache(maxsize=8)  # ~1 MB per channel
+def _channel_tables(beta0, H, D, Pbar) -> PairTables:
+    # The build reads no V or T, so any placeholder values serve.
+    params = SystemParams(beta0, 1.0, H, D, Pbar, V=0.0, T=1.0)
+    half = 0.5 * D
     x = np.linspace(-half, half, _PAIR_NODES)
-    return _rate_tables(params, x, np.linspace(0.0, 1.0, _PAIR_WEIGHTS))
+    tables = _rate_tables(params, x, np.linspace(0.0, 1.0, _PAIR_WEIGHTS))
+    for a in vars(tables).values():
+        a.flags.writeable = False
+    return tables
 
 
-def _pair_primal(params, tables, m, i, j):
-    """(r1, r2, at_i) of the pairs (x[i], x[j]) at weight index m: fly at the
-    per-position split and hover all slack at the endpoint with the larger
-    weighted hover rate (x[i] when at_i)."""
-    t = tables
-    slack = params.T - (t.x[j] - t.x[i]) / params.V
-    w = t.mu[m]
-    at_i = w * t.h1[m, i] + (1.0 - w) * t.h2[m, i] >= w * t.h1[m, j] + (1.0 - w) * t.h2[m, j]
-    e = np.where(at_i, i, j)
-    r1 = ((t.c1[m, j] - t.c1[m, i]) / params.V + slack * t.h1[m, e]) / params.T
-    r2 = ((t.c2[m, j] - t.c2[m, i]) / params.V + slack * t.h2[m, e]) / params.T
+def _pair_primal(params, tables, slack, m, i, j):
+    """(r1, r2, at_i) of the pairs (x[i], x[j]) with hover time `slack` at
+    weight index m: fly at the per-position split and hover all slack at the
+    endpoint with the larger weighted hover rate (x[i] when at_i)."""
+    t, n = tables, len(tables.x)
+    mi, mj = m * n + i, m * n + j  # flat indices of (m, i) and (m, j)
+    at_i = t.g.take(mi) >= t.g.take(mj)
+    e = np.where(at_i, mi, mj)
+    r1 = ((t.c1.take(mj) - t.c1.take(mi)) / params.V + slack * t.h1.take(e)) / params.T
+    r2 = ((t.c2.take(mj) - t.c2.take(mi)) / params.V + slack * t.h2.take(e)) / params.T
     return r1, r2, at_i
 
 
@@ -585,21 +602,21 @@ def _batched_profile_values(params, pairs, profile, tables):
     """
     a1, a2 = profile.alpha1, profile.alpha2
     i, j = pairs[:, 0], pairs[:, 1]
+    slack = params.T - (tables.x[j] - tables.x[i]) / params.V
     lo = np.zeros(len(pairs), dtype=int)
     hi = np.full(len(pairs), len(tables.mu) - 1)
     for _ in range(math.ceil(math.log2(len(tables.mu) - 1))):
         mid = (lo + hi) // 2
-        r1, r2, _ = _pair_primal(params, tables, mid, i, j)
+        r1, r2, _ = _pair_primal(params, tables, slack, mid, i, j)
         take = a2 * r1 - a1 * r2 <= 0.0
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
-    r1L, r2L, iL = _pair_primal(params, tables, lo, i, j)
-    r1H, r2H, iH = _pair_primal(params, tables, hi, i, j)
+    r1L, r2L, iL = _pair_primal(params, tables, slack, lo, i, j)
+    r1H, r2H, iH = _pair_primal(params, tables, slack, hi, i, j)
     gL, gH = a2 * r1L - a1 * r2L, a2 * r1H - a1 * r2H
     lam = gH / (gH - gL)  # mu = 1 gives r2 = 0, so gH > 0 >= gL
     r1 = lam * r1L + (1.0 - lam) * r1H
     r2 = lam * r2L + (1.0 - lam) * r2H
-    slack = params.T - (tables.x[j] - tables.x[i]) / params.V
     t_I = slack * (lam * iL + (1.0 - lam) * iH)
     return np.minimum(r1 / a1, r2 / a2), t_I, lo, hi
 
@@ -630,7 +647,8 @@ def _best_pair(params, profile, tables):
         i, j = pairs[k]
         x_I, x_F, mu_lo, mu_hi = x[i], x[j], mu[lo[k]], mu[hi[k]]
         if not stage:
-            r1, r2, _ = _pair_primal(params, tables, np.arange(len(mu)), i, j)
+            slack = params.T - (x[j] - x[i]) / params.V
+            r1, r2, _ = _pair_primal(params, tables, slack, np.arange(len(mu)), i, j)
             a1, a2 = profile.alpha1, profile.alpha2
             bound = np.min((mu * r1 + (1.0 - mu) * r2) / (mu * a1 + (1.0 - mu) * a2))
             pair_value = value[k]
@@ -739,26 +757,23 @@ def solve_profile(
     params: SystemParams,
     profile: RateProfile,
     cfg: SearchConfig = DEFAULT_CONFIG,
-    *,
-    tables: Optional[PairTables] = None,
 ) -> BoundarySolution:
     """Boundary point of the capacity region for one rate profile.
 
     Searches the HFH family: a dense hover scan (`_hover_screen` on the
     whole grid, `_hover_value` on the positions within `_HOVER_WINDOW` of
     its best, the first exact maximum golden-refined), then (for V > 0)
-    the best endpoint pair of `tables` (`pair_tables(params)`, built here
-    when none are passed; they must come from the same beta0, H, D and
-    Pbar), zoomed on local tables, with its switch times aligned to the
-    slots by golden searches on the slotted exact P5.  The flight replaces
-    the hover only when it is better by more than `_TIE_TOL_REL`.  Ends
-    with a slot doubling check.  Diagnostics report the hover value, the pair's table
-    value and upper bound, the polished value and the P5 solve count.
+    the best endpoint pair of `pair_tables(params)`, zoomed on local
+    tables, with its switch times aligned to the slots by golden searches
+    on the slotted exact P5.  The flight replaces the hover only when it is
+    better by more than `_TIE_TOL_REL`.  Ends with a slot doubling check.
+    Diagnostics report the hover value, the pair's table value and upper
+    bound, the polished value and the P5 solve count.
     """
     if profile.is_corner:
         return _corner_solution(params, profile, cfg)
     if profile.alpha1 > profile.alpha2:
-        mirrored = solve_profile(params, profile.mirrored(), cfg, tables=tables)
+        mirrored = solve_profile(params, profile.mirrored(), cfg)
         return mirror_solution(params, mirrored)
 
     half = 0.5 * params.D
@@ -784,7 +799,7 @@ def solve_profile(
 
     if params.V > 0.0:
         x_I, x_F, t_I, pair_value, bound, polished = _best_pair(
-            params, profile, pair_tables(params) if tables is None else tables
+            params, profile, pair_tables(params)
         )
         diagnostics.update(pair_value=pair_value, pair_upper_bound=bound, polish_value=polished)
         tie = _TIE_TOL_REL * max(r_h, 1e-12)
@@ -838,16 +853,15 @@ def trace_region(
 ) -> RegionBoundary:
     """Boundary of the capacity region at uniformly spaced profiles.
 
-    The pair tables are built once (for V > 0) and passed to every
-    `solve_profile` call.  Profiles with alpha1 > alpha2 are obtained by
-    mirroring the symmetric solve (index-exact), halving the work.
+    Every `solve_profile` call shares the channel's cached pair tables.
+    Profiles with alpha1 > alpha2 are obtained by mirroring the symmetric
+    solve (index-exact), halving the work.
     """
-    tables = pair_tables(params) if params.V > 0.0 else None
     # `solve_profile` is looked up at call time, so a wrapper installed on
     # the module sees every solve.
     return trace(
         "sc",
         n_profiles,
-        lambda profile: solve_profile(params, profile, cfg, tables=tables),
+        lambda profile: solve_profile(params, profile, cfg),
         lambda sol: mirror_solution(params, sol),
     )

@@ -201,6 +201,18 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     dk = np.minimum((menu_r1 / N / q).astype(np.int64), B - 1)  # floored bins
     dr2 = (menu_r2 / N).astype(np.float32)
     step = int(dk.max())
+    # a run of consecutive menu entries with equal dk[j, s] advances the
+    # same bins, so only its largest dr2 (first on ties) can win there, and
+    # the backtrack reads a split only through dk[j, s]
+    menu = []
+    for j in range(P):
+        row = []
+        for s, d in enumerate(dk[j].tolist()):
+            if not row or row[-1][1] != d:
+                row.append((s, d))
+            elif dr2[j, s] > dr2[j, row[-1][0]]:
+                row[-1] = (s, d)
+        menu.append(row)
 
     reach = params.V * delta
     m = int(math.floor(reach / spacing + 1e-12))
@@ -252,8 +264,8 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
         # reward stage: choose a power split, advancing the user-1 bin by the
         # row's constant dk[j, s]
         new[:, :hi_new] = neg
-        for j in range(P):
-            for s, d in enumerate(dk[j].tolist()):
+        for j, row in enumerate(menu):
+            for s, d in row:
                 L = min(hi, hi_new - d)
                 c = np.add(w[j, :L], dr2[j, s], out=cand[j, :L])
                 hit = np.greater(c, new[j, d:d + L], out=mask[j, :L])

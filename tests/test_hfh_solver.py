@@ -323,10 +323,8 @@ def _plain_strong_power(h1, h2, mu, Pbar):
     return strong2, hs, hw, ps
 
 
-def _plain_pair_value(params, tables, i, j, profile):
-    """One pair's (value, t_I) from its primal point at every weight: the last
-    weight with imbalance <= 0 and the next one, time-shared onto the ray."""
-    a1, a2 = profile.alpha1, profile.alpha2
+def _plain_pair_points(params, tables, i, j):
+    """One pair's primal point (r1, r2, at_i) at every weight, two-axis indexing."""
     slack = params.T - (tables.x[j] - tables.x[i]) / params.V
     points = []
     for m, w in enumerate(tables.mu):
@@ -337,6 +335,15 @@ def _plain_pair_value(params, tables, i, j, profile):
         r1 = ((tables.c1[m, j] - tables.c1[m, i]) / params.V + slack * tables.h1[m, e]) / params.T
         r2 = ((tables.c2[m, j] - tables.c2[m, i]) / params.V + slack * tables.h2[m, e]) / params.T
         points.append((r1, r2, at_i))
+    return points
+
+
+def _plain_pair_value(params, tables, i, j, profile):
+    """One pair's (value, t_I) from its primal point at every weight: the last
+    weight with imbalance <= 0 and the next one, time-shared onto the ray."""
+    a1, a2 = profile.alpha1, profile.alpha2
+    slack = params.T - (tables.x[j] - tables.x[i]) / params.V
+    points = _plain_pair_points(params, tables, i, j)
     gaps = [a2 * r1 - a1 * r2 for r1, r2, _ in points]
     lo = max(m for m, g in enumerate(gaps) if g <= 0.0)
     (r1L, r2L, iL), (r1H, r2H, iH) = points[lo], points[lo + 1]
@@ -368,6 +375,25 @@ class TestKernelEquivalence:
         assert np.all(hi == lo + 1)
         for k, (i, j) in enumerate(pairs):
             assert (value[k], t_I[k]) == _plain_pair_value(params, tables, i, j, prof)
+
+    def test_weighted_hover_rate(self, base):
+        t = hfh_solver.pair_tables(base)
+        w = t.mu[:, None]
+        assert np.array_equal(t.g, w * t.h1 + (1.0 - w) * t.h2)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 60), (97, 107), (140, 200)])
+    def test_pair_primal_over_all_weights(self, base, i, j):
+        """Flat gathers at m = 0 .. len(mu) - 1 for one pair, as `_best_pair`
+        calls them, equal the two-axis per-weight formula."""
+        params = replace(base, T=20.0)
+        t = hfh_solver.pair_tables(params)
+        slack = params.T - (t.x[j] - t.x[i]) / params.V
+        r1, r2, at_i = hfh_solver._pair_primal(params, t, slack, np.arange(len(t.mu)), i, j)
+        points = _plain_pair_points(params, t, i, j)
+        assert np.array_equal(r1, [p[0] for p in points])
+        assert np.array_equal(r2, [p[1] for p in points])
+        assert np.array_equal(at_i, [p[2] for p in points])
+        assert 0 < at_i.sum() < len(t.mu) or i == j  # both hover ends occur
 
     @pytest.mark.parametrize("m, a, b", [(32, 0, 60), (90, 70, 170), (80, 110, 200)])
     def test_tables_match_quad(self, base, m, a, b):
@@ -447,6 +473,35 @@ class TestKernelEquivalence:
         for i in range(len(x)):
             one = split_weighted(h1[i : i + 1], h2[i : i + 1], mu[i], base.Pbar)
             assert (one[0][0], one[1][0]) == (p1[i], p2[i])
+
+
+class TestPairTablesCache:
+    """One read-only table set per channel (beta0, H, D, Pbar)."""
+
+    def test_shared_across_speed_and_duration(self, base):
+        tables = hfh_solver.pair_tables(base)
+        assert hfh_solver.pair_tables(replace(base, V=5.0, T=400.0)) is tables
+
+    @pytest.mark.parametrize("change", [{"H": 200.0}, {"D": 2000.0}, {"Pbar": 1.0}])
+    def test_new_channel_new_tables(self, base, change):
+        assert hfh_solver.pair_tables(replace(base, **change)) is not hfh_solver.pair_tables(base)
+
+    def test_equal_to_a_fresh_build(self, base):
+        params = replace(base, V=5.0, T=400.0)
+        cached = hfh_solver.pair_tables(base)
+        half = 0.5 * base.D
+        fresh = hfh_solver._rate_tables(
+            params,
+            np.linspace(-half, half, hfh_solver._PAIR_NODES),
+            np.linspace(0.0, 1.0, hfh_solver._PAIR_WEIGHTS),
+        )
+        for name in ("x", "mu", "h1", "h2", "c1", "c2", "g"):
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+
+    @pytest.mark.parametrize("name", ["x", "mu", "h1", "h2", "c1", "c2", "g"])
+    def test_read_only(self, base, name):
+        with pytest.raises(ValueError):
+            getattr(hfh_solver.pair_tables(base), name)[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
