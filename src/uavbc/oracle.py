@@ -170,9 +170,10 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     min(B, 1 + n * max(dk)) can be finite, so both stages run on that
     frontier; bins past it stay -inf, which never wins.  Every comparison is
     a strict ``>`` taken in a fixed order (stay, shifts +-1 ... +-m, then the
-    two interpolated moves; menu entries in index order), so the first
-    candidate wins a tie.  Moves are int8 codes, so a slot moves at most 127
-    grid steps (``validate_dp_config`` enforces it).
+    two interpolated moves; menu entries in index order, one per run of
+    equal bin advance), so the first candidate wins a tie.  Moves are int8
+    codes, so a slot moves at most 127 grid steps (``validate_dp_config``
+    enforces it).
 
     Returns (r, positions): the certified rate scale and the winning path
     positions (length cfg.n_slots).
