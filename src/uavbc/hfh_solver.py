@@ -506,54 +506,107 @@ class PairTables:
     g: np.ndarray
 
 
-def _gauss_rates(params, a, b, mu):
-    """2-point Gauss integrals over [a, b] of the per-position rates (r1, r2)
-    in nats times meters at weights mu (broadcast against a[..., None]), and
-    the split's regime at both nodes (0 weak, 1 interior, 2 strong power)."""
+def _gauss_nodes(params, a, b):
+    """Half-widths of the sub-cells [a, b] and the split frame at their two
+    Gauss nodes (last axis)."""
     half = 0.5 * (b - a)
     x = (a + half)[..., None] + (half / _SQRT3)[..., None] * np.array([-1.0, 1.0])
-    frame = _split_frame(*gain_pair(params, x), params.Pbar)
-    ps = _strong_power(frame, mu[..., None], params.Pbar)
-    r1, r2 = _sc_rates(*frame[:3], ps, params.Pbar - ps)
-    regime = (ps > 0.0).astype(np.int8) + (ps >= params.Pbar)
-    return half * (r1[..., 0] + r1[..., 1]), half * (r2[..., 0] + r2[..., 1]), regime
+    return half, _split_frame(*gain_pair(params, x), params.Pbar)
+
+
+def _gauss_integrals(half, frame, ps, Pbar):
+    """2-point Gauss integrals of the per-position rates (r1, r2), in nats
+    times meters, over the sub-cells of `_gauss_nodes` at strong-user
+    powers ps (one per node)."""
+    r1, r2 = _sc_rates(*frame[:3], ps, Pbar - ps)
+    return half * (r1[..., 0] + r1[..., 1]), half * (r2[..., 0] + r2[..., 1])
+
+
+def _regime(ps, Pbar):
+    """The split's regime at strong-user power ps: 0 all power to the weak
+    user, 1 interior, 2 all to the strong one."""
+    return (ps > 0.0).astype(np.int8) + (ps >= Pbar)
+
+
+def _kinks(regime, adjacent=True):
+    """Sub-cells (rows by sub-cells) whose two nodes, or whose node and its
+    neighbour's, disagree on the regime; `adjacent` says which consecutive
+    columns are neighbours."""
+    step = (regime[:, :-1, 1] != regime[:, 1:, 0]) & adjacent
+    kink = regime[..., 0] != regime[..., 1]
+    kink[:, :-1] |= step
+    kink[:, 1:] |= step
+    return kink
 
 
 def _rate_tables(params, x, mu) -> PairTables:
-    """PairTables at sorted positions x and weights mu.
+    """PairTables at sorted positions x and sorted weights mu.
 
     Flight integrals use 2-point Gauss on sub-cells at most
     D / ((_PAIR_NODES - 1) * _SUBCELLS) wide, cut at every x and at x = 0
     (the rates jump there).  A sub-cell whose Gauss nodes, or whose node and
     its neighbour's, disagree on the split's regime holds a kink and is
     integrated on _SUBCELLS pieces instead.
+
+    The weights run in three blocks: the first row, the rows between and
+    the last row.  Every operation in `_strong_power`'s two tests is
+    monotone in mu, also after rounding, so at each node the regime is
+    monotone in mu.  A sub-cell with one corner regime (all power to one
+    user) at both nodes, and no kink, at a block's first and last weight
+    therefore keeps that regime and no kink at every weight between: its
+    integrals do not depend on mu there, so they are computed once, from the
+    block's first row.  Only the other sub-cells are computed per row, so
+    every entry equals its per-row value to the last bit.  Chunks of rows
+    bound the temporaries: at most _TABLE_CHUNK rows' worth of per-row
+    sub-cells, and 4 * _TABLE_CHUNK rows.
     """
+    Pbar = params.Pbar
     cuts = np.union1d(x, [0.0]) if x[0] < 0.0 < x[-1] else np.unique(x)
     gaps = np.diff(cuts)
     n_sub = np.ceil(gaps / params.D * (_PAIR_NODES - 1) * _SUBCELLS - 1e-9).clip(1).astype(int)
     ends = np.concatenate([[0], np.cumsum(n_sub)])
     k = np.arange(ends[-1]) - np.repeat(ends[:-1], n_sub)
     edges = np.append(np.repeat(cuts[:-1], n_sub) + np.repeat(gaps / n_sub, n_sub) * k, cuts[-1])
-    node_frame = _split_frame(*gain_pair(params, x), params.Pbar)
+    half, frame = _gauss_nodes(params, edges[:-1], edges[1:])
+    cells = len(half)
+    node_frame = _split_frame(*gain_pair(params, x), Pbar)
     at_x = ends[np.searchsorted(cuts, x)]
     out = np.empty((4, len(mu), len(x)))
-    for s in range(0, len(mu), _TABLE_CHUNK):
-        rows = slice(s, s + _TABLE_CHUNK)
-        m = mu[rows, None]
-        ps = _strong_power(node_frame, m, params.Pbar)
-        out[0, rows], out[1, rows] = _sc_rates(*node_frame[:3], ps, params.Pbar - ps)
-        f1, f2, regime = _gauss_rates(params, edges[:-1], edges[1:], m)
-        step = regime[:, :-1, 1] != regime[:, 1:, 0]
-        kink = regime[..., 0] != regime[..., 1]
-        kink[:, :-1] |= step
-        kink[:, 1:] |= step
-        r, c = np.nonzero(kink)
-        piece = (edges[c + 1] - edges[c])[:, None] / _SUBCELLS
-        a = edges[c, None] + piece * np.arange(_SUBCELLS)
-        k1, k2, _ = _gauss_rates(params, a, a + piece, m[r])
-        f1[r, c], f2[r, c] = k1.sum(-1), k2.sum(-1)
-        out[2, rows] = np.pad(np.cumsum(f1, axis=1), ((0, 0), (1, 0)))[:, at_x]
-        out[3, rows] = np.pad(np.cumsum(f2, axis=1), ((0, 0), (1, 0)))[:, at_x]
+    n = len(mu)
+    bounds = sorted({0, min(1, n), max(n - 1, 0), n})
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        ps = _strong_power(frame, mu[sorted({first, stop - 1}), None, None], Pbar)
+        regime = _regime(ps, Pbar)
+        flat = np.all((regime != 1) & (regime == regime[:1, :, :1]), axis=(0, 2))
+        flat &= ~np.any(_kinks(regime), axis=0)
+        # Per-row sub-cells, and with their neighbours the only kink candidates.
+        live = np.flatnonzero(~flat)
+        near = np.union1d(live, np.clip(np.concatenate([live - 1, live + 1]), 0, cells - 1))
+        adjacent = near[1:] == near[:-1] + 1
+        at_live = np.searchsorted(near, live)
+        live_half, live_frame = half[live], tuple(a[live] for a in frame)
+        # Rows of integrals with a leading zero, so their cumsum is the table.
+        f_first = np.zeros((2, cells + 1))
+        f_first[:, 1:] = _gauss_integrals(half, frame, ps[0], Pbar)
+        step = min(4 * _TABLE_CHUNK, _TABLE_CHUNK * max(1, cells // max(len(live), 1)))
+        for s in range(first, stop, step):
+            rows = slice(s, min(s + step, stop))
+            m = mu[rows, None]
+            nps = _strong_power(node_frame, m, Pbar)
+            out[0, rows], out[1, rows] = _sc_rates(*node_frame[:3], nps, Pbar - nps)
+            f = np.repeat(f_first[:, None], len(m), axis=1)
+            ps = _strong_power(live_frame, m[..., None], Pbar)
+            f[0][:, 1 + live], f[1][:, 1 + live] = _gauss_integrals(live_half, live_frame, ps, Pbar)
+            reg = np.repeat(regime[:1, near], len(m), axis=0)
+            reg[:, at_live] = _regime(ps, Pbar)
+            r, c = np.nonzero(_kinks(reg, adjacent))
+            c = near[c]
+            piece = (edges[c + 1] - edges[c])[:, None] / _SUBCELLS
+            a = edges[c, None] + piece * np.arange(_SUBCELLS)
+            k_half, k_frame = _gauss_nodes(params, a, a + piece)
+            k1, k2 = _gauss_integrals(k_half, k_frame, _strong_power(k_frame, m[r, :, None], Pbar), Pbar)
+            f[0][r, 1 + c], f[1][r, 1 + c] = k1.sum(-1), k2.sum(-1)
+            out[2:, rows] = np.cumsum(f, axis=2)[..., at_x]
     h1, h2, c1, c2 = out / LOG2
     w = mu[:, None]
     return PairTables(x, mu, h1, h2, c1, c2, w * h1 + (1.0 - w) * h2)

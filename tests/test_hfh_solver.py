@@ -475,6 +475,93 @@ class TestKernelEquivalence:
             assert (one[0][0], one[1][0]) == (p1[i], p2[i])
 
 
+def _plain_gauss_rates(params, a, b, mu):
+    """2-point Gauss integrals over [a, b] of the per-position rates at
+    weights mu, and the split's regime at both nodes."""
+    half = 0.5 * (b - a)
+    x = (a + half)[..., None] + (half / math.sqrt(3.0))[..., None] * np.array([-1.0, 1.0])
+    frame = hfh_solver._split_frame(*hfh_solver.gain_pair(params, x), params.Pbar)
+    ps = hfh_solver._strong_power(frame, mu[..., None], params.Pbar)
+    r1, r2 = hfh_solver._sc_rates(*frame[:3], ps, params.Pbar - ps)
+    regime = (ps > 0.0).astype(np.int8) + (ps >= params.Pbar)
+    return half * (r1[..., 0] + r1[..., 1]), half * (r2[..., 0] + r2[..., 1]), regime
+
+
+def _plain_rate_tables(params, x, mu):
+    """The table build with every sub-cell integrated at every weight row."""
+    cuts = np.union1d(x, [0.0]) if x[0] < 0.0 < x[-1] else np.unique(x)
+    gaps = np.diff(cuts)
+    per_cell = (hfh_solver._PAIR_NODES - 1) * hfh_solver._SUBCELLS
+    n_sub = np.ceil(gaps / params.D * per_cell - 1e-9).clip(1).astype(int)
+    ends = np.concatenate([[0], np.cumsum(n_sub)])
+    k = np.arange(ends[-1]) - np.repeat(ends[:-1], n_sub)
+    edges = np.append(np.repeat(cuts[:-1], n_sub) + np.repeat(gaps / n_sub, n_sub) * k, cuts[-1])
+    node_frame = hfh_solver._split_frame(*hfh_solver.gain_pair(params, x), params.Pbar)
+    at_x = ends[np.searchsorted(cuts, x)]
+    out = np.empty((4, len(mu), len(x)))
+    for row, w in enumerate(mu):
+        m = np.array([[w]])
+        ps = hfh_solver._strong_power(node_frame, m, params.Pbar)
+        out[0, row], out[1, row] = hfh_solver._sc_rates(*node_frame[:3], ps, params.Pbar - ps)
+        f1, f2, regime = _plain_gauss_rates(params, edges[:-1], edges[1:], m)
+        step = regime[:, :-1, 1] != regime[:, 1:, 0]
+        kink = regime[..., 0] != regime[..., 1]
+        kink[:, :-1] |= step
+        kink[:, 1:] |= step
+        for c in np.flatnonzero(kink[0]):
+            piece = (edges[c + 1] - edges[c]) / hfh_solver._SUBCELLS
+            a = edges[c] + piece * np.arange(hfh_solver._SUBCELLS)
+            k1, k2, _ = _plain_gauss_rates(params, a[None], a[None] + piece, m)
+            f1[0, c], f2[0, c] = k1.sum(), k2.sum()
+        out[2, row] = np.pad(np.cumsum(f1[0]), (1, 0))[at_x]
+        out[3, row] = np.pad(np.cumsum(f2[0]), (1, 0))[at_x]
+    h1, h2, c1, c2 = out / math.log(2.0)
+    return h1, h2, c1, c2, mu[:, None] * h1 + (1.0 - mu[:, None]) * h2
+
+
+TABLE_CHANNELS = [{}, {"Pbar": 1.0}, {"D": 3000.0, "Pbar": 1e-5}, {"H": 200.0}]
+
+
+def _polish_shaped_inputs(params, rng, k):
+    """Two position clusters at a polish stage's spacing, and 17 weights
+    across a bracket (down to 1e-6 wide) plus the mu = 0 and 1 sentinels."""
+    half = 0.5 * params.D
+    x_I, x_F = np.sort(rng.uniform(-half, half, 2))
+    x_I = -half if k % 5 == 0 else (rng.uniform(-1e-3, 1e-3) if k % 11 == 0 else x_I)
+    x_F = half if k % 7 == 0 else x_F
+    offsets = params.D / (hfh_solver._PAIR_NODES - 1) * (np.arange(9) - 4) * 0.25 ** rng.integers(1, 6)
+    x = np.union1d(np.clip(x_I + offsets, -half, half), np.clip(x_F + offsets, -half, half))
+    centre = rng.uniform(0.0, 1.0) if k % 3 else 0.5 + rng.uniform(-1e-6, 1e-6)
+    width = 10.0 ** rng.uniform(-6.0, -1.0)
+    mu = np.linspace(max(centre - width, 0.0), min(centre + width, 1.0), 17)
+    return x, np.union1d([0.0, 1.0], mu)
+
+
+class TestRateTables:
+    """The block build (corner sub-cells once per block of weights) equals
+    the per-row build on every array, to the last bit."""
+
+    @pytest.mark.parametrize("change", TABLE_CHANNELS)
+    def test_global_tables(self, base, change):
+        params = replace(base, **change)
+        half = 0.5 * params.D
+        x = np.linspace(-half, half, hfh_solver._PAIR_NODES)
+        mu = np.linspace(0.0, 1.0, hfh_solver._PAIR_WEIGHTS)
+        t = hfh_solver._rate_tables(params, x, mu)
+        for name, ref in zip(("h1", "h2", "c1", "c2", "g"), _plain_rate_tables(params, x, mu)):
+            assert np.array_equal(getattr(t, name), ref), name
+
+    @pytest.mark.parametrize("change", TABLE_CHANNELS)
+    def test_polish_shaped_tables(self, base, change):
+        params = replace(base, **change)
+        rng = np.random.default_rng(17)
+        for k in range(12):
+            x, mu = _polish_shaped_inputs(params, rng, k)
+            t = hfh_solver._rate_tables(params, x, mu)
+            for name, ref in zip(("h1", "h2", "c1", "c2", "g"), _plain_rate_tables(params, x, mu)):
+                assert np.array_equal(getattr(t, name), ref), (k, name)
+
+
 class TestPairTablesCache:
     """One read-only table set per channel (beta0, H, D, Pbar)."""
 
