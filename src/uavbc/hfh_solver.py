@@ -1,21 +1,26 @@
 """General finite-speed finite-duration capacity solver.
 
 For a fixed hover-fly-hover (HFH) trajectory the power/rate allocation (P5)
-is convex; its profile-constrained optimum is found by bisection on a scalar
-weight mu in [0, 1] (the normalized dual weight of user 1), where each
-weight decouples into independent per-slot full-power splits with a closed
-form.  The trajectory is searched over endpoint pairs (x_I, x_F): for fixed
+is convex; its profile-constrained optimum is the root of the rate imbalance
+in a scalar weight mu in [0, 1] (the normalized dual weight of user 1),
+where each weight decouples into independent per-slot full-power splits
+with a closed form.  The root is found by safeguarded regula falsi
+(Illinois), to a balance of `SearchConfig.mu_tol` = 1e-9, from a narrow
+bracket around a known weight where the search has one.
+
+The trajectory is searched over endpoint pairs (x_I, x_F): for fixed
 endpoints, sharing the slack time between the two hovers is a time-share,
 so the pair's rate set is convex and its profile value is one mu-root with
 a blend across the bracket.  Per-weight tables of hover rates, weighted
 hover rates and cumulative flight integrals (`pair_tables`; they depend on
 the channel only, not on T, V or the profile, so they are cached per
 channel and read-only) give every pair's value in a few vectorized passes
-of flat gathers; the best pair is zoomed on local tables, and its switch
-times are aligned with the slots by golden searches on the slotted P5.  A
-dense hover scan covers the x_I == x_F family exactly: a vectorized screen
-of the grid, the near-best positions scored by `fixed_boundary`, and a
-golden refinement.
+of flat gathers; the best pair is zoomed on local tables (their corner
+sub-cells built once per block of weights), and its switch times are
+aligned with the slots by golden searches on the slotted P5, every step
+started from the first P5's weight.  A dense hover scan covers the
+x_I == x_F family exactly: a vectorized screen of the grid, the near-best
+positions scored by `fixed_boundary`, and a golden refinement.
 
 Every reported solution is evaluated with exact per-slot integration
 (closed-form hover segments, Gauss nodes on flight segments cut at the
@@ -64,12 +69,14 @@ _HOVER_WINDOW = 1e-9
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the trajectory search and the inner weight bisection.
+    """Knobs of the trajectory search and of P5's weight root search.
 
     The search reads n_slots, hover_grid, golden_iters, mu_tol and
-    mu_max_iter.  grid_xi, grid_xf, grid_ti, refine_rounds and rerank_top
-    are accepted but not read: the benchmark's small test config still sets
-    them.
+    mu_max_iter.  P5 runs regula falsi on the weight mu until the rates are
+    balanced to mu_tol (relative to r), within mu_max_iter weight solves;
+    inside `solve_profile` it starts from a guessed weight.  grid_xi,
+    grid_xf, grid_ti, refine_rounds and rerank_top are accepted but not
+    read: the benchmark's small test config still sets them.
     """
 
     n_slots: int = 512            # schedule slots of reported solutions
@@ -79,8 +86,8 @@ class SearchConfig:
     hover_grid: int = 257         # dense scan of the x_I == x_F family
     refine_rounds: int = 3
     golden_iters: int = 30        # cap of each slot-alignment golden search
-    mu_tol: float = 1e-6          # |r1/a1 - r2/a2| <= mu_tol * r at exit
-    mu_max_iter: int = 60
+    mu_tol: float = 1e-9          # |r1/a1 - r2/a2| <= mu_tol * r at exit
+    mu_max_iter: int = 60         # weight solves per P5, bracket ends counted
     rerank_top: int = 16
 
 
@@ -360,10 +367,28 @@ class P5Result:
     tie_break: bool = False
 
 
-def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> P5Result:
-    """Bisection on mu, one `ev.solve_weight` per iterate, then the tie-break
-    blend if needed; the mu = 0 and mu = 1 states are solved only when the
-    blend needs a bracket end that never moved."""
+# Half-width of a warm-started P5 bracket around its guess, widened by
+# _P5_WIDEN toward the root until it brackets; regula falsi points are kept
+# off the bracket ends by _P5_MARGIN of its width.
+_P5_WARM = 1e-4
+_P5_WIDEN = 16.0
+_P5_MARGIN = 0.01
+
+
+def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, guess=None) -> P5Result:
+    """Safeguarded regula falsi (Illinois) on the imbalance
+    g(mu) = a2*r1 - a1*r2 of the weight-mu split, which is nondecreasing in
+    mu, one `ev.solve_weight` per iterate; then the tie-break blend if
+    needed.
+
+    The bracket ends are solved first: [0, 1] cold, or [guess - _P5_WARM,
+    guess + _P5_WARM] within [0, 1], widened toward the root until g <= 0
+    at its lower end and g > 0 at its upper end.  Each false-position point
+    is clamped to the inner 98% of the bracket, and the retained g of an end
+    that survives two steps running is halved.  Stops once
+    |r1/a1 - r2/a2| <= mu_tol * r, after max_iter solves (the ends counted),
+    or when the bracket stops shrinking; returns the best iterate.
+    """
     Pbar = params.Pbar
     n = ev.n_slots
     if profile.alpha1 == 0.0 or profile.alpha2 == 0.0:
@@ -383,24 +408,55 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> 
     def imbalance(r1, r2):
         return a2 * r1 - a1 * r2
 
-    lo, hi = 0.0, 1.0
-    state_lo = state_hi = None
+    def balanced(r, r1, r2):
+        return abs(r1 / a1 - r2 / a2) <= mu_tol * max(r, 1e-12)
+
+    # lo and hi are (mu, g, state) with g <= 0 at lo and g > 0 at hi; fL and
+    # fH are the g values regula falsi uses, halved by the Illinois rule.
+    lo = hi = None
+    fL = fH = 0.0
+    side = 0
+    width = _P5_WARM
+    mu = 0.0 if guess is None else max(guess - width, 0.0)
     iterations = 0
     best = None
-    for _ in range(max_iter):
+    while iterations < max_iter:
         iterations += 1
-        mid = 0.5 * (lo + hi)
-        state = ev.solve_weight(mid)
+        state = ev.solve_weight(mu)
         _, _, r1, r2 = state
         r = profile.rate_scale(r1, r2)
         if best is None or r > best[0]:
-            best = (r, mid, state)
-        if abs(r1 / a1 - r2 / a2) <= mu_tol * max(r, 1e-12):
+            best = (r, mu, state)
+        if balanced(r, r1, r2):
             break
-        if imbalance(r1, r2) <= 0.0:
-            lo, state_lo = mid, state
+        g = imbalance(r1, r2)
+        bracketed = lo is not None and hi is not None
+        if g <= 0.0:
+            lo, fL = (mu, g, state), g
+            fH *= 0.5 if side < 0 else 1.0
+            side = -1 if bracketed else 0
         else:
-            hi, state_hi = mid, state
+            hi, fH = (mu, g, state), g
+            fL *= 0.5 if side > 0 else 1.0
+            side = 1 if bracketed else 0
+        if hi is None:  # the root lies above every weight solved so far
+            if lo[0] == 1.0:
+                break
+            if guess is not None and lo[0] >= guess + width:
+                width *= _P5_WIDEN
+            mu = 1.0 if guess is None else min(guess + width, 1.0)
+        elif lo is None:
+            if hi[0] == 0.0:
+                break
+            if hi[0] <= guess - width:
+                width *= _P5_WIDEN
+            mu = max(guess - width, 0.0)
+        else:
+            d = hi[0] - lo[0]
+            mu = lo[0] + d * (fL / (fL - fH))
+            mu = min(max(mu, lo[0] + _P5_MARGIN * d), hi[0] - _P5_MARGIN * d)
+            if not lo[0] < mu < hi[0]:
+                break
 
     r_best, mu_best, (p1, p2, r1, r2) = best
     if abs(r1 / a1 - r2 / a2) <= mu_tol * max(r_best, 1e-12):
@@ -413,11 +469,9 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> 
     # such slots the slot region degenerates to the line r1 + r2 = const, so
     # any blend of the bracket schedules is realized exactly by an
     # intermediate power; blend with the ratio-matching coefficient.
-    p1L, p2L, r1L, r2L = state_lo or ev.solve_weight(lo)
-    p1H, p2H, r1H, r2H = state_hi or ev.solve_weight(hi)
-    gL, gH = imbalance(r1L, r2L), imbalance(r1H, r2H)
     mixed = None
-    if gL <= 0.0 <= gH and gH - gL > 0.0:
+    if lo is not None and hi is not None:
+        (mu_lo, gL, (p1L, p2L, _, _)), (mu_hi, gH, (p1H, p2H, _, _)) = lo, hi
         lam = gH / (gH - gL)
         p1_mix = p1L.copy()
         p2_mix = p2L.copy()
@@ -431,14 +485,10 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter) -> 
             p2_mix[differ] = np.expm1(target) / h
             p1_mix[differ] = Pbar - p2_mix[differ]
             r1m, r2m = ev.rates_for_powers(p1_mix, p2_mix)
-            mixed = (
-                profile.rate_scale(r1m, r2m),
-                lam * 1.0,
-                (p1_mix, p2_mix, r1m, r2m),
-            )
+            mixed = (profile.rate_scale(r1m, r2m), lam, (p1_mix, p2_mix, r1m, r2m))
     if mixed is not None and mixed[0] >= r_best:
         r_best, lam, (p1, p2, r1, r2) = mixed
-        mu_best = lam * lo + (1.0 - lam) * hi
+        mu_best = lam * mu_lo + (1.0 - lam) * mu_hi
         return P5Result(
             r_best,
             PowerSchedule(p1, p2),
@@ -461,9 +511,11 @@ def solve_p5(
 ) -> P5Result:
     """Profile-constrained power allocation over a discretized trajectory.
 
-    Bisection on the user-1 weight mu: the aggregated r1 is nondecreasing in
-    mu (and r2 nonincreasing), so the rate ratio crosses alpha1:alpha2
-    exactly once.  Zero-weight profiles short-circuit to the corners.
+    Regula falsi (Illinois) on the user-1 weight mu from a cold [0, 1]
+    bracket: the aggregated r1 is nondecreasing in mu (and r2
+    nonincreasing), so the rate ratio crosses alpha1:alpha2 exactly once.
+    It stops once the rates are balanced to cfg.mu_tol.  Zero-weight
+    profiles short-circuit to the corners.
     """
     validate_discretization(params, disc)
     ev = TrajectoryEvaluator.of(params, disc)
@@ -751,11 +803,11 @@ def _hover_argmax(params, xs, profile):
     return int(near[k]), vals[k]
 
 
-def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics):
+def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None):
     disc = discretize(params, traj, n_slots)
     res = _solve_p5_on(
         params, TrajectoryEvaluator.exact(params, traj, n_slots), profile,
-        cfg.mu_tol, cfg.mu_max_iter,
+        cfg.mu_tol, cfg.mu_max_iter, guess=guess,
     )
     validate_discretization(params, disc)
     diag = dict(diagnostics)
@@ -820,8 +872,12 @@ def solve_profile(
     tables, with its switch times aligned to the slots by golden searches
     on the slotted exact P5.  The flight replaces the hover only when it is
     better by more than `_TIE_TOL_REL`.  Ends with a slot doubling check.
-    Diagnostics report the hover value, the pair's table value and upper
-    bound, the polished value and the P5 solve count.
+    P5 starts warm where a weight is known: every golden step from the
+    first P5's weight, the reported solve from the winner's, the doubled
+    solve from the reported one's; hover winners start cold.  Diagnostics
+    report the hover value, the pair's table value and upper bound, the
+    polished value, the P5 solve count (`p5_calls`) and the weight solves
+    of all of them (`weight_solves`).
     """
     if profile.is_corner:
         return _corner_solution(params, profile, cfg)
@@ -848,7 +904,8 @@ def solve_profile(
     best_traj = make_hfh(params, x_h, x_h, params.T)
     best_r = r_h
     diagnostics["hover_r"] = r_h
-    p5_calls = 0
+    p5_calls = weight_solves = 0
+    mu_guess = None  # hover winners start P5 cold
 
     if params.V > 0.0:
         x_I, x_F, t_I, pair_value, bound, polished = _best_pair(
@@ -856,16 +913,18 @@ def solve_profile(
         )
         diagnostics.update(pair_value=pair_value, pair_upper_bound=bound, polish_value=polished)
         tie = _TIE_TOL_REL * max(r_h, 1e-12)
-        best = [-math.inf, None]
+        best = [-math.inf, None, None]
+        guess = None
 
         def value_of(x_i, t):
-            nonlocal p5_calls
-            p5_calls += 1
+            nonlocal p5_calls, weight_solves
             traj = make_hfh(params, x_i, x_F, min(t, params.T - (x_F - x_i) / params.V))
             ev = TrajectoryEvaluator.exact(params, traj, cfg.n_slots)
-            r = _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter).r
-            best[:] = max(best, [r, traj], key=lambda b: b[0])
-            return r
+            res = _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter, guess=guess)
+            p5_calls += 1
+            weight_solves += res.iterations
+            best[:] = max(best, [res.r, traj, res.mu], key=lambda b: b[0])
+            return res.r
 
         # Slots only lose rate against the continuous value, so a polished
         # value within the tie of the hover cannot replace it.  Otherwise
@@ -873,6 +932,7 @@ def solve_profile(
         # t_I, then its end through x_I, each over one slot.
         if polished > r_h + tie:
             value_of(x_I, t_I)
+            guess = best[2]  # every golden step starts from the first P5's weight
             slot = 0.5 * params.T / cfg.n_slots
             slack = params.T - (x_F - x_I) / params.V
             golden_max(lambda t: value_of(x_I, t), max(t_I - slot, 0.0),
@@ -882,20 +942,23 @@ def solve_profile(
             golden_max(lambda x: value_of(x, t_I), x_lo, min(x_I + reach, x_F),
                        cfg.golden_iters, 1e-6 * params.D)
         if best[0] > r_h + tie:
-            best_r, best_traj = best
+            best_r, best_traj, mu_guess = best
 
-    # Slot-count convergence check on the winner, then the reported solve.
+    # The reported solve, warm from the winner's weight, then the slot-count
+    # convergence check, warm from the reported solve's.
     n = cfg.n_slots
-    sol = _exact_solution(params, profile, best_traj, n, cfg, diagnostics)
+    sol = _exact_solution(params, profile, best_traj, n, cfg, diagnostics, mu_guess)
     p5_calls += 1
+    weight_solves += sol.diagnostics["mu_iterations"]
     for _ in range(_MAX_SLOT_DOUBLINGS):
-        finer = _exact_solution(params, profile, best_traj, 2 * n, cfg, diagnostics)
+        finer = _exact_solution(params, profile, best_traj, 2 * n, cfg, diagnostics, sol.mu)
         p5_calls += 1
+        weight_solves += finer.diagnostics["mu_iterations"]
         if abs(finer.r - sol.r) < _SLOT_DOUBLING_TOL * max(sol.r, 1e-12):
             break
         n *= 2
         sol = finer
-    sol.diagnostics.update(search_best_r=best_r, p5_calls=p5_calls)
+    sol.diagnostics.update(search_best_r=best_r, p5_calls=p5_calls, weight_solves=weight_solves)
     return sol
 
 

@@ -81,6 +81,38 @@ class TestPerSlotSplit:
         assert reached > 0
 
 
+def _random_p5_cases(base, rng, n):
+    """(params, HFH trajectory, profile) with random T, endpoints, hover
+    split and non-corner profile; some flights cross x = 0."""
+    cases = []
+    for _ in range(n):
+        params = replace(base, T=float(rng.choice([20.0, 60.0, 200.0])))
+        span = min(params.V * params.T, params.D) * rng.uniform(0.05, 1.0)
+        x_I = rng.uniform(-0.5 * params.D, 0.5 * params.D - span)
+        t_I = rng.uniform(0.0, params.T - span / params.V)
+        traj = make_hfh(params, x_I, x_I + span, t_I)
+        cases.append((params, traj, RateProfile.of(float(rng.uniform(0.05, 0.95)))))
+    return cases
+
+
+def _plain_bisection_r(ev, profile, mu_tol, max_iter):
+    """Best r over the iterates of a plain bisection of mu on [0, 1]."""
+    a1, a2 = profile.alpha1, profile.alpha2
+    lo, hi, best = 0.0, 1.0, -math.inf
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        _, _, r1, r2 = ev.solve_weight(mid)
+        r = profile.rate_scale(r1, r2)
+        best = max(best, r)
+        if abs(r1 / a1 - r2 / a2) <= mu_tol * max(r, 1e-12):
+            break
+        if a2 * r1 - a1 * r2 <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return best
+
+
 class TestSolveP5:
     def test_equal_gain_hover_tie(self, base):
         disc = discretize(base, make_hfh(base, 0.0, 0.0, base.T), 64)
@@ -116,6 +148,52 @@ class TestSolveP5:
         assert abs(res.rate_pair.r1 / prof.alpha1 - res.rate_pair.r2 / prof.alpha2) <= (
             1e-6 * res.r
         )
+
+    @pytest.mark.parametrize(
+        "V, T, alpha1, x",
+        [
+            (0.0, 60.0, 0.3, 391.4151909817422),
+            (0.0, 60.0, 0.5, -202.28580606261164),
+            (30.0, 20.0, 0.2, 457.9352323251564),
+        ],
+    )
+    def test_hover_matches_hover_value(self, base, V, T, alpha1, x):
+        """On a pure hover every slot is the hover, so P5's optimum is
+        `_hover_value`'s.  The balance stop at mu_tol bounds the shortfall
+        by mu_tol (the old 1e-6 stop left ~2e-8 here); P5 is achievable, so
+        it is not above the hover value beyond rounding."""
+        params, prof = replace(base, V=V, T=T), RateProfile.of(alpha1)
+        hover = hfh_solver._hover_value(params, x, prof)
+        res = solve_p5(params, discretize(params, make_hfh(params, x, x, T), 512), prof)
+        assert hover * (1.0 - SearchConfig().mu_tol) <= res.r <= hover * (1.0 + 1e-14)
+
+    def test_warm_matches_cold(self, base):
+        """Warm starts, from the root or up to 0.05 away from it, reach the
+        cold start's value within 1e-9 of r, and both end balanced to
+        mu_tol unless the tie-break fired."""
+        cfg = SearchConfig()
+        rng = np.random.default_rng(23)
+        for params, traj, prof in _random_p5_cases(base, rng, 12):
+            ev = TrajectoryEvaluator.exact(params, traj, 256)
+            cold = hfh_solver._solve_p5_on(params, ev, prof, cfg.mu_tol, cfg.mu_max_iter)
+            for offset in (0.0, 3e-5, -2e-3, 0.05):
+                guess = min(max(cold.mu + offset, 0.0), 1.0)
+                warm = hfh_solver._solve_p5_on(
+                    params, ev, prof, cfg.mu_tol, cfg.mu_max_iter, guess=guess
+                )
+                assert abs(warm.r - cold.r) <= 1e-9 * cold.r
+                for res in (cold, warm):
+                    skew = abs(res.rate_pair.r1 / prof.alpha1 - res.rate_pair.r2 / prof.alpha2)
+                    assert res.tie_break or skew <= cfg.mu_tol * res.r
+
+    def test_at_least_plain_bisection(self, base):
+        """Never below the best iterate of a plain bisection stopped at a
+        1e-6 balance, the solver's earlier form."""
+        rng = np.random.default_rng(29)
+        for params, traj, prof in _random_p5_cases(base, rng, 24):
+            ev = TrajectoryEvaluator.exact(params, traj, 256)
+            res = hfh_solver._solve_p5_on(params, ev, prof, 1e-9, 60)
+            assert res.r >= _plain_bisection_r(ev, prof, 1e-6, 60)
 
     def test_rejects_bad_discretization(self, base):
         jumpy = DiscretizedTrajectory(
@@ -193,9 +271,19 @@ class TestInvariants:
 
     @pytest.mark.parametrize("T, alpha1", INVARIANT_POINTS)
     def test_sc_at_least_tdma(self, base, T, alpha1):
+        """At T = 400 s a slot is 23 m of flight, and the 512-slot SC value
+        sits 1.6e-6 to 2.6e-6 below TDMA's slot-free quadrature: slot loss,
+        not P5's balance, so this tolerance stays 1e-5."""
         params = replace(base, T=T)
         tdma = tdma_solve_profile(params, RateProfile.of(alpha1))
         assert _sc(params, alpha1).r >= tdma.r * (1.0 - 1e-5)
+
+    @pytest.mark.parametrize("alpha1", [0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_sc_at_least_tdma_at_T200(self, base, alpha1):
+        """With P5 balanced to 1e-9, SC is not below TDMA at T = 200 s."""
+        params = replace(base, T=200.0)
+        tdma = tdma_solve_profile(params, RateProfile.of(alpha1))
+        assert _sc(params, alpha1).r >= tdma.r * (1.0 - 1e-8)
 
     @pytest.mark.parametrize("alpha1", [0.2, 0.4])
     def test_nondecreasing_in_T(self, base, alpha1):
@@ -230,22 +318,22 @@ class TestSearchExactness:
 
     def test_profile_0_3(self, base):
         sol = solve_profile(base, RateProfile.of(0.3))
-        assert sol.r == 5.271265684894746
-        assert sol.rate_pair.r1 == 1.5813797054684238
-        assert sol.rate_pair.r2 == 3.6898859973637816
-        assert sol.mu == 0.499434232711792
+        assert sol.r == 5.271265726605965
+        assert sol.rate_pair.r1 == 1.5813797186394694
+        assert sol.rate_pair.r2 == 3.689886008624175
+        assert sol.mu == 0.500844844997921
         t = sol.trajectory
         assert (t.x_I, t.x_F, t.t_I, t.t_F) == (
             -500.0,
             500.0,
-            3.8294620210062216,
-            22.837204645660442,
+            3.8287747046601055,
+            22.83789196200656,
         )
 
     def test_profile_0_5(self, base):
         sol = solve_profile(base, RateProfile.of(0.5))
         assert sol.r == 5.27126606457166
-        assert sol.mu == 0.5
+        assert sol.mu == 0.49990000000000023
         assert sol.trajectory.x_I == -500.0
         assert sol.trajectory.t_I == 13.33333333333332
 
@@ -253,18 +341,18 @@ class TestSearchExactness:
         "V, T, alpha1, r, pair, mu, hover_r, x",
         [
             pytest.param(
-                0.0, 60.0, 0.3, 3.3734823000585186,
-                (1.0120446900175555, 2.361437845802207), 0.8887765407562256,
+                0.0, 60.0, 0.3, 3.3734823761774955,
+                (1.0120447128532486, 2.361437663324248), 0.8887765516948398,
                 3.373482376177497, 391.4151909817422, id="static",
             ),
             pytest.param(  # +-x tie in value: the first (left) grid winner
-                0.0, 60.0, 0.5, 2.476260572160886,
-                (1.238130286080443, 1.238130367264696), 0.2674638032913208,
+                0.0, 60.0, 0.5, 2.4762606897896515,
+                (1.2381303448948258, 1.238130345790373), 0.2674638083623321,
                 2.476260691101693, -202.28580606261164, id="static-mirror-tie",
             ),
             pytest.param(  # too short a flight: the hover beats every pair
-                30.0, 20.0, 0.2, 4.384226812933968,
-                (0.8768453625867937, 3.5073814709734537), 0.8869171142578125,
+                30.0, 20.0, 0.2, 4.384226821642129,
+                (0.8768453643284262, 3.507381457313704), 0.8869171150863516,
                 4.384226821642132, 457.9352323251564, id="hover-beats-flight",
             ),
         ],
@@ -280,13 +368,17 @@ class TestSearchExactness:
 
     @pytest.mark.parametrize(
         "alpha1, mu_max_iter, mu",
-        [(0.5, 60, 0.5), (0.3, 60, 0.49999999999999994), (0.3, 1, 0.15000000000000002)],
+        [
+            pytest.param(0.5, 60, 0.4999999999999999, id="equal-rate"),
+            pytest.param(0.3, 60, 0.5000000000000004, id="unequal-rate"),
+            pytest.param(0.3, 2, 0.30000000000000004, id="bracket-ends-only"),
+        ],
     )
     def test_tie_break_fallback(self, base, alpha1, mu_max_iter, mu):
-        """Tied gains at x = 0 flip all power at mu = 1/2: the blend fires.
-
-        After one iterate the bracket's lower end is still mu = 0, whose
-        state the blend solves on demand.
+        """Tied gains at x = 0 flip all power at mu = 1/2, so the imbalance
+        jumps there and no weight balances it: the blend fires on the final
+        bracket.  With two solves only the bracket ends mu = 0 and 1 are
+        solved, and the blend runs on them.
         """
         disc = discretize(base, make_hfh(base, 0.0, 0.0, base.T), 64)
         cfg = SearchConfig(mu_max_iter=mu_max_iter)
