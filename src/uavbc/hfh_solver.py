@@ -529,13 +529,15 @@ def solve_p5(
 
 # Position nodes (odd, so x = 0 is a node) and weights mu of the pair tables,
 # Gauss sub-cells per node cell, and weight rows per build chunk (bounds the
-# build's temporaries).  The polish zooms in _POLISH_STAGES stages, each on
+# build's temporaries: per-row sub-cells up to _TABLE_CHUNK rows of a table
+# spanning D).  The polish zooms in _POLISH_STAGES stages, each on
 # _POLISH_SIDE positions around either endpoint at a quarter of the previous
 # spacing and _POLISH_WEIGHTS weights across the widened bracket.
 _PAIR_NODES = 201
 _PAIR_WEIGHTS = 129
 _SUBCELLS = 16
 _TABLE_CHUNK = 8
+_CHUNK_CELLS = _TABLE_CHUNK * (_PAIR_NODES - 1) * _SUBCELLS
 _POLISH_SIDE = 9
 _POLISH_WEIGHTS = 17
 _POLISH_STAGES = 5
@@ -609,8 +611,8 @@ def _rate_tables(params, x, mu) -> PairTables:
     integrals do not depend on mu there, so they are computed once, from the
     block's first row.  Only the other sub-cells are computed per row, so
     every entry equals its per-row value to the last bit.  Chunks of rows
-    bound the temporaries: at most _TABLE_CHUNK rows' worth of per-row
-    sub-cells, and 4 * _TABLE_CHUNK rows.
+    bound the temporaries: at most _CHUNK_CELLS per-row sub-cells, and
+    4 * _TABLE_CHUNK rows.
     """
     Pbar = params.Pbar
     cuts = np.union1d(x, [0.0]) if x[0] < 0.0 < x[-1] else np.unique(x)
@@ -629,18 +631,22 @@ def _rate_tables(params, x, mu) -> PairTables:
     for first, stop in zip(bounds[:-1], bounds[1:]):
         ps = _strong_power(frame, mu[sorted({first, stop - 1}), None, None], Pbar)
         regime = _regime(ps, Pbar)
-        flat = np.all((regime != 1) & (regime == regime[:1, :, :1]), axis=(0, 2))
+        corner = regime[0, :, 0]
+        flat = (corner != 1) & (regime[0, :, 1] == corner) & np.all(regime[-1] == corner[:, None], axis=1)
         flat &= ~np.any(_kinks(regime), axis=0)
         # Per-row sub-cells, and with their neighbours the only kink candidates.
         live = np.flatnonzero(~flat)
-        near = np.union1d(live, np.clip(np.concatenate([live - 1, live + 1]), 0, cells - 1))
+        near = ~flat
+        near[:-1] |= ~flat[1:]
+        near[1:] |= ~flat[:-1]
+        near = np.flatnonzero(near)
         adjacent = near[1:] == near[:-1] + 1
         at_live = np.searchsorted(near, live)
         live_half, live_frame = half[live], tuple(a[live] for a in frame)
         # Rows of integrals with a leading zero, so their cumsum is the table.
         f_first = np.zeros((2, cells + 1))
         f_first[:, 1:] = _gauss_integrals(half, frame, ps[0], Pbar)
-        step = min(4 * _TABLE_CHUNK, _TABLE_CHUNK * max(1, cells // max(len(live), 1)))
+        step = min(4 * _TABLE_CHUNK, max(1, _CHUNK_CELLS // max(len(live), 1)))
         for s in range(first, stop, step):
             rows = slice(s, min(s + step, stop))
             m = mu[rows, None]
