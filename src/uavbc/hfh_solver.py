@@ -405,9 +405,6 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
 
     a1, a2 = profile.alpha1, profile.alpha2
 
-    def imbalance(r1, r2):
-        return a2 * r1 - a1 * r2
-
     def balanced(r, r1, r2):
         return abs(r1 / a1 - r2 / a2) <= mu_tol * max(r, 1e-12)
 
@@ -429,7 +426,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
             best = (r, mu, state)
         if balanced(r, r1, r2):
             break
-        g = imbalance(r1, r2)
+        g = a2 * r1 - a1 * r2
         bracketed = lo is not None and hi is not None
         if g <= 0.0:
             lo, fL = (mu, g, state), g
@@ -445,7 +442,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
             if guess is not None and lo[0] >= guess + width:
                 width *= _P5_WIDEN
             mu = 1.0 if guess is None else min(guess + width, 1.0)
-        elif lo is None:
+        elif lo is None:  # only after a warm start: g(0) <= 0, as r1 = 0 there
             if hi[0] == 0.0:
                 break
             if hi[0] <= guess - width:
@@ -459,7 +456,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
                 break
 
     r_best, mu_best, (p1, p2, r1, r2) = best
-    if abs(r1 / a1 - r2 / a2) <= mu_tol * max(r_best, 1e-12):
+    if balanced(r_best, r1, r2):
         return P5Result(
             r_best, PowerSchedule(p1, p2), RatePair(r1, r2), mu_best, iterations
         )
@@ -653,10 +650,10 @@ def _rate_tables(params, x, mu) -> PairTables:
             nps = _strong_power(node_frame, m, Pbar)
             out[0, rows], out[1, rows] = _sc_rates(*node_frame[:3], nps, Pbar - nps)
             f = np.repeat(f_first[:, None], len(m), axis=1)
-            ps = _strong_power(live_frame, m[..., None], Pbar)
-            f[0][:, 1 + live], f[1][:, 1 + live] = _gauss_integrals(live_half, live_frame, ps, Pbar)
+            live_ps = _strong_power(live_frame, m[..., None], Pbar)
+            f[0][:, 1 + live], f[1][:, 1 + live] = _gauss_integrals(live_half, live_frame, live_ps, Pbar)
             reg = np.repeat(regime[:1, near], len(m), axis=0)
-            reg[:, at_live] = _regime(ps, Pbar)
+            reg[:, at_live] = _regime(live_ps, Pbar)
             r, c = np.nonzero(_kinks(reg, adjacent))
             c = near[c]
             piece = (edges[c + 1] - edges[c])[:, None] / _SUBCELLS
