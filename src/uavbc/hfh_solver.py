@@ -413,8 +413,8 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
     lo = hi = None
     fL = fH = 0.0
     side = 0
-    width = _P5_WARM
-    mu = 0.0 if guess is None else max(guess - width, 0.0)
+    centre, width = (0.0, 1.0) if guess is None else (guess, _P5_WARM)
+    mu = max(centre - width, 0.0)
     iterations = 0
     best = None
     while iterations < max_iter:
@@ -439,15 +439,15 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
         if hi is None:  # the root lies above every weight solved so far
             if lo[0] == 1.0:
                 break
-            if guess is not None and lo[0] >= guess + width:
+            if lo[0] >= centre + width:
                 width *= _P5_WIDEN
-            mu = 1.0 if guess is None else min(guess + width, 1.0)
-        elif lo is None:  # only after a warm start: g(0) <= 0, as r1 = 0 there
+            mu = min(centre + width, 1.0)
+        elif lo is None:  # and below
             if hi[0] == 0.0:
                 break
-            if hi[0] <= guess - width:
+            if hi[0] <= centre - width:
                 width *= _P5_WIDEN
-            mu = max(guess - width, 0.0)
+            mu = max(centre - width, 0.0)
         else:
             d = hi[0] - lo[0]
             mu = lo[0] + d * (fL / (fL - fH))
