@@ -187,13 +187,21 @@ class TestSolveP5:
                     assert res.tie_break or skew <= cfg.mu_tol * res.r
 
     def test_at_least_plain_bisection(self, base):
-        """Never below the best iterate of a plain bisection stopped at a
-        1e-6 balance, the solver's earlier form."""
+        """Against the best iterate of a plain bisection stopped at a 1e-6
+        balance, the solver's earlier form: never lower by more than the
+        1e-9 stop allows (a bisection iterate can land nearer the root, as
+        1 of 1,600 random cases did, by 3.5e-11), and not lower at all on
+        at least 20 of 24 cases."""
+        cfg = SearchConfig()
         rng = np.random.default_rng(29)
+        at_least = 0
         for params, traj, prof in _random_p5_cases(base, rng, 24):
             ev = TrajectoryEvaluator.exact(params, traj, 256)
-            res = hfh_solver._solve_p5_on(params, ev, prof, 1e-9, 60)
-            assert res.r >= _plain_bisection_r(ev, prof, 1e-6, 60)
+            res = hfh_solver._solve_p5_on(params, ev, prof, cfg.mu_tol, cfg.mu_max_iter)
+            ref = _plain_bisection_r(ev, prof, 1e-6, 60)
+            assert res.r >= ref * (1.0 - cfg.mu_tol)
+            at_least += res.r >= ref
+        assert at_least >= 20
 
     def test_rejects_bad_discretization(self, base):
         jumpy = DiscretizedTrajectory(
