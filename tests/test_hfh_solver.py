@@ -520,8 +520,8 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("alpha1", [0.2, 0.375])
     def test_polished_value_matches_fine_slots(self, base, alpha1):
         """The polished continuous value against the slotted P5 on the same
-        trajectory; P5 balances the rates to 1e-10 here, because its default
-        mu_tol = 1e-6 alone can leave r up to ~3e-6 below its optimum."""
+        trajectory; P5 balances the rates to 1e-10 here, below its default
+        mu_tol, so the gap measures slotting and quadrature alone."""
         prof = RateProfile.of(alpha1)
         x_I, x_F, t_I, pair, bound, polished = hfh_solver._best_pair(
             base, prof, hfh_solver.pair_tables(base)
