@@ -622,8 +622,8 @@ def _rate_tables(params, x, mu) -> PairTables:
     cells = len(half)
     node_frame = _split_frame(*gain_pair(params, x), Pbar)
     at_x = ends[np.searchsorted(cuts, x)]
-    out = np.empty((4, len(mu), len(x)))
     n = len(mu)
+    out = np.empty((4, n, len(x)))
     bounds = sorted({0, min(1, n), max(n - 1, 0), n})
     for first, stop in zip(bounds[:-1], bounds[1:]):
         ps = _strong_power(frame, mu[sorted({first, stop - 1}), None, None], Pbar)
