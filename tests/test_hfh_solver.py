@@ -159,9 +159,9 @@ class TestSolveP5:
     )
     def test_hover_matches_hover_value(self, base, V, T, alpha1, x):
         """On a pure hover every slot is the hover, so P5's optimum is
-        `_hover_value`'s.  The balance stop at mu_tol bounds the shortfall
-        by mu_tol (the old 1e-6 stop left ~2e-8 here); P5 is achievable, so
-        it is not above the hover value beyond rounding."""
+        `_hover_value`'s.  The balance stop bounds the shortfall by mu_tol;
+        P5 is achievable, so it is not above the hover value beyond
+        rounding."""
         params, prof = replace(base, V=V, T=T), RateProfile.of(alpha1)
         hover = hfh_solver._hover_value(params, x, prof)
         res = solve_p5(params, discretize(params, make_hfh(params, x, x, T), 512), prof)
