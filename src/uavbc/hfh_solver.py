@@ -6,7 +6,9 @@ in a scalar weight mu in [0, 1] (the normalized dual weight of user 1),
 where each weight decouples into independent per-slot full-power splits
 with a closed form.  The root is found by safeguarded regula falsi
 (Illinois), to a balance of `SearchConfig.mu_tol` = 1e-9, from a narrow
-bracket around a known weight where the search has one.
+bracket around a known weight where the search has one; bracket ends on the
+flat of the imbalance, where every slot gives all power to its stronger
+user, move to the flat's edge.
 
 The trajectory is searched over endpoint pairs (x_I, x_F): for fixed
 endpoints, sharing the slack time between the two hovers is a time-share,
@@ -354,6 +356,21 @@ class TrajectoryEvaluator:
         r1, r2 = self.rates_for_powers(p1, p2)
         return p1, p2, r1, r2
 
+    def plateau(self):
+        """Weights (lo, hi) between which every slot gives all power to its
+        stronger user, so `solve_weight` returns one state on (lo, hi).
+
+        `_strong_power` gives the strong user all power while dP >= 0: for
+        mu <= hs*cw / (hs*cw + hw*cs) where user 2 is strong, and for
+        mu >= hw*cs / (hs*cw + hw*cs) where user 1 is.  Both bounds meet at
+        1/2 on tied gains, so lo <= 1/2 <= hi up to rounding.
+        """
+        strong2, hs, hw, cw, cs, _ = self.frame
+        top, bottom = hs * cw, hw * cs
+        total = top + bottom
+        return (float(np.max(bottom[~strong2] / total[~strong2], initial=0.0)),
+                float(np.min(top[strong2] / total[strong2], initial=1.0)))
+
 
 @dataclass
 class P5Result:
@@ -388,6 +405,12 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
     that survives two steps running is halved.  Stops once
     |r1/a1 - r2/a2| <= mu_tol * r, after max_iter solves (the ends counted),
     or when the bracket stops shrinking; returns the best iterate.
+
+    g is flat on the open `ev.plateau()` interval.  A trajectory the search
+    has tuned to balance there puts the root just outside it, where a
+    bracket end on the flat would keep its tiny g and regula falsi would
+    crawl toward the root; so a point inside moves to the plateau's edge on
+    the root's side, keeping its state, and a warm bracket widens past it.
     """
     Pbar = params.Pbar
     n = ev.n_slots
@@ -413,6 +436,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
     lo = hi = None
     fL = fH = 0.0
     side = 0
+    flat_lo, flat_hi = ev.plateau()
     centre, width = (0.0, 1.0) if guess is None else (guess, _P5_WARM)
     mu = max(centre - width, 0.0)
     iterations = 0
@@ -427,6 +451,8 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
         if balanced(r, r1, r2):
             break
         g = a2 * r1 - a1 * r2
+        if flat_lo < mu < flat_hi:
+            mu = flat_lo if g > 0.0 else flat_hi
         bracketed = lo is not None and hi is not None
         if g <= 0.0:
             lo, fL = (mu, g, state), g
@@ -439,13 +465,13 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
         if hi is None:  # the root lies above every weight solved so far
             if lo[0] == 1.0:
                 break
-            if lo[0] >= centre + width:
+            while lo[0] >= centre + width:
                 width *= _P5_WIDEN
             mu = min(centre + width, 1.0)
         elif lo is None:  # and below
             if hi[0] == 0.0:
                 break
-            if hi[0] <= centre - width:
+            while hi[0] <= centre - width:
                 width *= _P5_WIDEN
             mu = max(centre - width, 0.0)
         else:

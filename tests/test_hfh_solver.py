@@ -203,6 +203,29 @@ class TestSolveP5:
             at_least += res.r >= ref
         assert at_least >= 20
 
+    def test_plateau_is_where_every_strong_user_gets_all_power(self, base):
+        """Inside `plateau()` every slot gives all power to its stronger
+        user; a weight 1e-9 outside an edge that is not 0 or 1 moves some
+        slot off that corner."""
+        rng = np.random.default_rng(31)
+        for params, traj, _ in _random_p5_cases(base, rng, 12):
+            ev = TrajectoryEvaluator.exact(params, traj, 256)
+            lo, hi = ev.plateau()
+            assert lo <= 0.5 <= hi
+            for mu in (lo + 1e-12, 0.5 * (lo + hi), hi - 1e-12):
+                assert np.all(hfh_solver._strong_power(ev.frame, mu, params.Pbar) == params.Pbar)
+            for mu in [w for w, edge in ((lo - 1e-9, lo), (hi + 1e-9, hi)) if 0.0 < edge < 1.0]:
+                assert np.any(hfh_solver._strong_power(ev.frame, mu, params.Pbar) < params.Pbar)
+
+    def test_root_beside_the_plateau_takes_few_solves(self, base):
+        """The golden steps tune this flight to balance on the plateau, so
+        their P5 roots lie just outside it.  Without the move to its edge,
+        bracket ends on the flat made regula falsi crawl: 948 weight solves
+        over 42 P5 solves, up to the cap of 60 in one."""
+        sol = solve_profile(replace(base, T=200.0), RateProfile.of(0.1))
+        assert sol.diagnostics["p5_calls"] == 42
+        assert sol.diagnostics["weight_solves"] <= 10 * 42
+
     def test_rejects_bad_discretization(self, base):
         jumpy = DiscretizedTrajectory(
             np.array([-500.0, 500.0, -500.0]), base.T / 3, None
@@ -326,16 +349,16 @@ class TestSearchExactness:
 
     def test_profile_0_3(self, base):
         sol = solve_profile(base, RateProfile.of(0.3))
-        assert sol.r == 5.271265726605965
-        assert sol.rate_pair.r1 == 1.5813797186394694
-        assert sol.rate_pair.r2 == 3.689886008624175
-        assert sol.mu == 0.500844844997921
+        assert sol.r == 5.2712657268587995
+        assert sol.rate_pair.r1 == 1.5813797180576397
+        assert sol.rate_pair.r2 == 3.689886009564118
+        assert sol.mu == 0.49944969164750097
         t = sol.trajectory
         assert (t.x_I, t.x_F, t.t_I, t.t_F) == (
-            -500.0,
+            -499.999695774913,
             500.0,
-            3.8287747046601055,
-            22.83789196200656,
+            3.8287872394230384,
+            22.837889568079866,
         )
 
     def test_profile_0_5(self, base):
@@ -359,8 +382,8 @@ class TestSearchExactness:
                 2.476260691101693, -202.28580606261164, id="static-mirror-tie",
             ),
             pytest.param(  # too short a flight: the hover beats every pair
-                30.0, 20.0, 0.2, 4.384226821642129,
-                (0.8768453643284262, 3.507381457313704), 0.8869171150863516,
+                30.0, 20.0, 0.2, 4.384226820560042,
+                (0.8768453641120084, 3.5073814590110852), 0.8869171149833962,
                 4.384226821642132, 457.9352323251564, id="hover-beats-flight",
             ),
         ],
@@ -377,16 +400,17 @@ class TestSearchExactness:
     @pytest.mark.parametrize(
         "alpha1, mu_max_iter, mu",
         [
-            pytest.param(0.5, 60, 0.4999999999999999, id="equal-rate"),
-            pytest.param(0.3, 60, 0.5000000000000004, id="unequal-rate"),
+            pytest.param(0.5, 60, 0.5, id="equal-rate"),
+            pytest.param(0.3, 60, 0.5, id="unequal-rate"),
             pytest.param(0.3, 2, 0.30000000000000004, id="bracket-ends-only"),
         ],
     )
     def test_tie_break_fallback(self, base, alpha1, mu_max_iter, mu):
         """Tied gains at x = 0 flip all power at mu = 1/2, so the imbalance
         jumps there and no weight balances it: the blend fires on the final
-        bracket.  With two solves only the bracket ends mu = 0 and 1 are
-        solved, and the blend runs on them.
+        bracket.  1/2 is the plateau's upper edge, where the bracket's lower
+        end moves, so the blend's weight is 1/2.  With two solves only the
+        bracket ends mu = 0 and 1 are solved, and the blend runs on them.
         """
         disc = discretize(base, make_hfh(base, 0.0, 0.0, base.T), 64)
         cfg = SearchConfig(mu_max_iter=mu_max_iter)
