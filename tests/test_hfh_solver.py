@@ -219,9 +219,9 @@ class TestSolveP5:
 
     def test_root_beside_the_plateau_takes_few_solves(self, base):
         """The golden steps tune this flight to balance on the plateau, so
-        their P5 roots lie just outside it.  Without the move to its edge,
-        bracket ends on the flat made regula falsi crawl: 948 weight solves
-        over 42 P5 solves, up to the cap of 60 in one."""
+        their P5 roots lie just outside it; bracket ends left on the flat
+        would make regula falsi crawl (948 weight solves, up to the cap of
+        60 in one P5)."""
         sol = solve_profile(replace(base, T=200.0), RateProfile.of(0.1))
         assert sol.diagnostics["p5_calls"] == 42
         assert sol.diagnostics["weight_solves"] <= 10 * 42
