@@ -381,7 +381,8 @@ class P5Result:
     rate_pair: RatePair
     mu: float
     iterations: int
-    tie_break: bool = False
+    tie_break: bool = False  # the tied-gain blend of the final bracket fired
+    unbalanced: bool = False  # the best iterate, off the balance, is reported
 
 
 # Half-width of a warm-started P5 bracket around its guess, widened by
@@ -520,9 +521,12 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
             iterations,
             tie_break=True,
         )
-    # Conservative fallback: report the best achievable iterate.
+    # Conservative fallback: report the best achievable iterate.  Also
+    # reached when the loop stopped on a balanced iterate but an unbalanced
+    # one just outside the stop had the higher r.
     return P5Result(
-        r_best, PowerSchedule(p1, p2), RatePair(r1, r2), mu_best, iterations, True
+        r_best, PowerSchedule(p1, p2), RatePair(r1, r2), mu_best, iterations,
+        unbalanced=True,
     )
 
 
@@ -757,10 +761,12 @@ def _batched_profile_values(params, pairs, profile, tables):
 
 def _best_pair(params, profile, tables):
     """The best feasible pair of `tables`, zoomed in _POLISH_STAGES stages of
-    local tables around it.  Returns (x_I, x_F, t_I, value, upper bound,
-    polished value): the table pick's value and its upper bound, the min
-    over the weights of D(mu) / (mu a1 + (1 - mu) a2), above which no
-    schedule on that pair reaches."""
+    local tables around it.  Returns (x_I, x_F, t_I, value, dual, polished
+    value): the table pick's value and its dual, the min over the table's
+    weights of D(mu) / (mu a1 + (1 - mu) a2).  The dual bounds, to
+    quadrature accuracy, only the schedules of the unpolished table pick:
+    the polish and the slot alignment move to other pairs, so it is no
+    bound on the reported r."""
     half = 0.5 * params.D
     offsets = (tables.x[1] - tables.x[0]) * (np.arange(_POLISH_SIDE) - _POLISH_SIDE // 2)
     for stage in range(_POLISH_STAGES + 1):
@@ -784,9 +790,9 @@ def _best_pair(params, profile, tables):
             slack = params.T - (x[j] - x[i]) / params.V
             r1, r2, _ = _pair_primal(params, tables, slack, np.arange(len(mu)), i, j)
             a1, a2 = profile.alpha1, profile.alpha2
-            bound = np.min((mu * r1 + (1.0 - mu) * r2) / (mu * a1 + (1.0 - mu) * a2))
+            dual = np.min((mu * r1 + (1.0 - mu) * r2) / (mu * a1 + (1.0 - mu) * a2))
             pair_value = value[k]
-    return float(x_I), float(x_F), float(t_I[k]), float(pair_value), float(bound), float(value[k])
+    return float(x_I), float(x_F), float(t_I[k]), float(pair_value), float(dual), float(value[k])
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +846,8 @@ def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None
     )
     validate_discretization(params, disc)
     diag = dict(diagnostics)
-    diag.update(n_slots=n_slots, mu_iterations=res.iterations, tie_break=res.tie_break)
+    diag.update(n_slots=n_slots, mu_iterations=res.iterations, tie_break=res.tie_break,
+                unbalanced=res.unbalanced)
     return BoundarySolution(
         profile, res.rate_pair, res.r, traj, res.schedule, res.mu, diag
     )
@@ -904,7 +911,8 @@ def solve_profile(
     P5 starts warm where a weight is known: every golden step from the
     first P5's weight, the reported solve from the winner's, the doubled
     solve from the reported one's; hover winners start cold.  Diagnostics
-    report the hover value, the pair's table value and upper bound, the
+    report the hover value, the table pick's value and its dual
+    (`table_pick_dual`, a bound on that unpolished pair only, not on r), the
     polished value, the P5 solve count (`p5_calls`) and the weight solves
     of all of them (`weight_solves`).
     """
@@ -937,10 +945,10 @@ def solve_profile(
     mu_guess = None  # hover winners start P5 cold
 
     if params.V > 0.0:
-        x_I, x_F, t_I, pair_value, bound, polished = _best_pair(
+        x_I, x_F, t_I, pair_value, dual, polished = _best_pair(
             params, profile, pair_tables(params)
         )
-        diagnostics.update(pair_value=pair_value, pair_upper_bound=bound, polish_value=polished)
+        diagnostics.update(pair_value=pair_value, table_pick_dual=dual, polish_value=polished)
         tie = _TIE_TOL_REL * max(r_h, 1e-12)
         best = [-math.inf, None, None]
         guess = None

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import ConvexHull
 
 from .core import (
@@ -75,7 +76,11 @@ class FeasibilityReport:
 # dynamic-program trajectory oracle
 # ---------------------------------------------------------------------------
 
-_MAX_MOVE_STEPS = 127  # largest grid-step move an int8 move code holds
+# Largest per-slot move, in grid steps.  The motion stage makes one pass per
+# offer (2m + 2 for m steps) and the backtrack moves in 1/move_scale of a
+# step, the unit the int8 move codes of the earlier table-based loop fixed;
+# a slot that spans more steps wants more slots, not a longer motion loop.
+_MAX_MOVE_STEPS = 127
 
 
 def validate_dp_config(params: SystemParams, cfg: DpConfig) -> DpConfig:
@@ -99,7 +104,7 @@ def validate_dp_config(params: SystemParams, cfg: DpConfig) -> DpConfig:
     if steps > _MAX_MOVE_STEPS:
         raise GridTooCoarse(
             f"per-slot motion spans {steps} grid steps, more than the "
-            f"{_MAX_MOVE_STEPS} an int8 move code holds; use more slots "
+            f"{_MAX_MOVE_STEPS} the DP's motion stage takes; use more slots "
             "or fewer positions"
         )
     return cfg
@@ -153,6 +158,106 @@ def _path_profile_value(params, positions, profile, iters=60):
     return best
 
 
+def _window(value, r0, r1, b0, b1):
+    """value[r0:r1, b0:b1] as a float32 copy, -inf wherever it leaves value."""
+    out = np.full((r1 - r0, b1 - b0), -np.inf, dtype=np.float32)
+    rows, bins = value.shape
+    ra, rb, ba, bb = max(r0, 0), min(r1, rows), max(b0, 0), min(b1, bins)
+    if ra < rb and ba < bb:
+        out[ra - r0:rb - r0, ba - b0:bb - b0] = value[ra:rb, ba:bb]
+    return out
+
+
+def _motion(value, w, offers, w_near, w_far, cand, tmp):
+    """w = the best of staying and of every motion offer out of ``value``.
+
+    Offer (code, t, t_far) takes row j from row j - t, or, when t != t_far,
+    from w_near of row j - t plus w_far of row j - t_far in float32; a row
+    takes it only when row j - t_far exists.  cand and tmp are scratch of
+    value's shape.
+    """
+    np.copyto(w, value)
+    P = value.shape[0]
+    for _, t, t_far in offers:
+        lo, up = max(t_far, 0), P + min(t_far, 0)  # rows with predecessors
+        src = value[lo - t:up - t]
+        if t != t_far:
+            src = np.multiply(src, w_near, out=cand[lo:up])
+            src += np.multiply(value[lo - t_far:up - t_far], w_far, out=tmp[lo:up])
+        np.maximum(w[lo:up], src, out=w[lo:up])
+
+
+def _reward(w, value, shifts, gains, step):
+    """value[j, k] = max over row j's menu entries of w[j, k - d] + dr2.
+
+    shifts[j] holds step - d and gains[j] the dr2 column of row j's
+    entries; bins outside w count as -inf, and value is at most ``step``
+    bins wider than w.  One gather, add and max per row.
+    """
+    hi = w.shape[1]
+    pad = np.full(hi + 2 * step, -np.inf, dtype=np.float32)
+    # view[t, k] = pad[t + k], so view[step - d, k] = w[j, k - d]
+    view = sliding_window_view(pad[:value.shape[1] + step], step + 1).T
+    for j in range(w.shape[0]):
+        pad[step:step + hi] = w[j]
+        c = view[shifts[j]]
+        c += gains[j]
+        np.max(c, axis=0, out=value[j])
+
+
+@dataclass(frozen=True)
+class _DpStages:
+    """The slot-independent pieces of the DP's motion and reward stages."""
+
+    offers: list  # (move code, near row shift, far row shift) in tie-break order
+    w_near: np.float32
+    w_far: np.float32
+    reach: int  # rows a motion stage reads on either side
+    step: int  # largest bin advance of a slot
+    entries: list  # per row: the menu entries' split indices, in index order
+    shifts: list  # per row: step - bin advance of each entry
+    gains: list  # per row: the entries' dr2 as a float32 column
+
+    def motion(self, value, w):
+        _motion(value, w, self.offers, self.w_near, self.w_far,
+                np.empty_like(value), np.empty_like(value))
+
+    def values(self, hist, i, r0, r1, b0, b1):
+        """Window [r0, r1) x [b0, b1) of the values hist[i] (-inf outside
+        the grid), recomputed from hist[i - 1] when hist[i] is not kept."""
+        if hist[i] is not None:
+            return _window(hist[i], r0, r1, b0, b1)
+        R, step = self.reach, self.step
+        ra, rb = max(r0, 0), min(r1, len(self.shifts))
+        prev = _window(hist[i - 1], ra - R, rb + R, b0 - step, b1)
+        w = np.empty_like(prev)
+        self.motion(prev, w)
+        out = np.full((r1 - r0, b1 - b0 + step), -np.inf, dtype=np.float32)
+        _reward(w[R:R + rb - ra], out[ra - r0:rb - r0],
+                self.shifts[ra:rb], self.gains[ra:rb], step)
+        return out[:, step:]
+
+    def split(self, w_row, j):
+        """Row j's split at the bin whose w[j, k - step ... k] is w_row: the
+        first entry reaching the best candidate, 0 when none is finite."""
+        cands = w_row[self.shifts[j]] + self.gains[j][:, 0]
+        e = int(np.argmax(cands))
+        return int(self.entries[j][e]) if cands[e] > -np.inf else 0
+
+    def move(self, prev, b):
+        """Code of the first of (stay, offers) that reaches w at the centre
+        row and bin b of the window ``prev``."""
+        R = self.reach
+        best, code = prev[R, b], 0
+        for c, t, t_far in self.offers:
+            src = prev[R - t, b]
+            if t != t_far:
+                src = src * self.w_near + prev[R - t_far, b] * self.w_far
+            if src > best:
+                best, code = src, c
+        return code
+
+
 def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConfig):
     """Brute-force profile-constrained optimum over free gridded trajectories.
 
@@ -166,14 +271,20 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     returned value is achieved by a concrete speed-feasible path.  No HFH
     structure is imposed.
 
-    The slot loop relies on three invariants.  After n slots only bins below
-    min(B, 1 + n * max(dk)) can be finite, so both stages run on that
-    frontier; bins past it stay -inf, which never wins.  Every comparison is
-    a strict ``>`` taken in a fixed order (stay, shifts +-1 ... +-m, then the
-    two interpolated moves; menu entries in index order, one per run of
-    equal bin advance), so the first candidate wins a tie.  Moves are int8
-    codes, so a slot moves at most 127 grid steps (``validate_dp_config``
-    enforces it).
+    The forward pass carries values only; the backtrack recomputes the one
+    choice it needs at each of its cells.  It relies on these invariants:
+    - After n slots only bins below min(B, 1 + n * max(dk)) can be finite,
+      so both stages run on that frontier, and bins past it are -inf, which
+      never wins.
+    - Both stages take the maximum of their candidates in float32, each
+      candidate computed by the same operations in the forward pass and in
+      the backtrack; a choice is the first candidate in a fixed order
+      (stay, shifts +-1 ... +-m, then the two interpolated moves; menu
+      entries in index order, one per run of equal bin advance) that
+      reaches the maximum, and split 0 at a -inf cell.
+    - The values of every even slot and of the last are kept; an odd
+      slot's values at the few cells the backtrack reads are recomputed
+      from the even slot before it.
 
     Returns (r, positions): the certified rate scale and the winning path
     positions (length cfg.n_slots).
@@ -205,23 +316,22 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     # a run of consecutive menu entries with equal dk[j, s] advances the
     # same bins, so only its largest dr2 (first on ties) can win there, and
     # the backtrack reads a split only through dk[j, s]
-    menu = []
+    entries = []
     for j in range(P):
         row = []
         for s, d in enumerate(dk[j].tolist()):
-            if not row or row[-1][1] != d:
-                row.append((s, d))
-            elif dr2[j, s] > dr2[j, row[-1][0]]:
-                row[-1] = (s, d)
-        menu.append(row)
+            if not row or dk[j, row[-1]] != d:
+                row.append(s)
+            elif dr2[j, s] > dr2[j, row[-1]]:
+                row[-1] = s
+        entries.append(np.array(row))
 
     reach = params.V * delta
     m = int(math.floor(reach / spacing + 1e-12))
     frac = reach / spacing - m
-    # predecessor offsets live in an int8; pick the finest representable unit
+    # the backtrack moves in units of 1/move_scale of a grid step
     move_scale = max(1, 120 // (m + 1))
-    neg = np.float32(-np.inf)
-    # motion offers (int8 code, near row shift, far row shift) in tie-break
+    # motion offers (move code, near row shift, far row shift) in tie-break
     # order; shift t takes predecessor j - t, and an interpolated offer
     # weighs (1 - frac) of its near shift against frac of its far one, which
     # stays -inf where either is
@@ -230,65 +340,57 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     if frac > 1e-12 and m + 1 < P:
         off = int((m + frac) * move_scale)
         offers += [(-sign * off, sign * m, sign * (m + 1)) for sign in (1, -1)]
-    w_near, w_far = np.float32(1.0 - frac), np.float32(frac)
+    stages = _DpStages(
+        offers, np.float32(1.0 - frac), np.float32(frac),
+        max((abs(o[2]) for o in offers), default=0), step, entries,
+        [step - dk[j, e] for j, e in enumerate(entries)],
+        [dr2[j, e][:, None] for j, e in enumerate(entries)],
+    )
 
-    value = np.full((P, B), neg, dtype=np.float32)
-    value[:, 0] = 0.0  # before the first slot: free position, nothing accrued
-    new = np.full_like(value, neg)
-    win, cand, tmp = (np.empty_like(value) for _ in range(3))
-    mask = np.empty((P, B), dtype=bool)
-    # cells no candidate reaches read 0 (stay, menu entry 0) for the backtrack
-    moves = np.zeros((N, P, B), dtype=np.int8)
-    splits = np.zeros((N, P, B), dtype=np.int8)
-    bins = np.arange(B)[None, :]
-
+    # hist[n + 1] holds the values after slot n when n is even or last, else
+    # None; hist[0] is before the first slot: any position, nothing accrued
+    widths = [min(B, 1 + (n + 1) * step) for n in range(N)]
+    kept = [n % 2 == 0 or n == N - 1 for n in range(N)]
+    block = np.empty(P * sum(wd for wd, keep in zip(widths, kept) if keep), np.float32)
+    hist = [np.zeros((P, 1), dtype=np.float32)]
+    odd, win, cand, tmp = (np.empty((P, B), dtype=np.float32) for _ in range(4))
+    value, at = hist[0], 0
     for n in range(N):
-        hi = min(B, 1 + n * step)  # bins reachable after n slots
-        hi_new = min(B, hi + step)
+        hi, hi_new = value.shape[1], widths[n]
+        # motion stage: best predecessor within |dx| <= V*delta
         w = win[:, :hi]
-        if n == 0:
-            w[:] = value[:, :hi].max(axis=0)  # initial position is free
-        else:
-            # motion stage: best predecessor within |dx| <= V*delta
-            np.copyto(w, value[:, :hi])
-            for code, t, t_far in offers:
-                lo, up = max(t_far, 0), P + min(t_far, 0)  # rows with predecessors
-                src = value[lo - t:up - t, :hi]
-                if t != t_far:
-                    src = np.multiply(src, w_near, out=cand[lo:up, :hi])
-                    src += np.multiply(value[lo - t_far:up - t_far, :hi], w_far,
-                                       out=tmp[lo:up, :hi])
-                hit = np.greater(src, win[lo:up, :hi], out=mask[lo:up, :hi])
-                np.copyto(win[lo:up, :hi], src, where=hit)
-                np.copyto(moves[n, lo:up, :hi], np.int8(code), where=hit)
-
+        _motion(value, w, offers, stages.w_near, stages.w_far, cand[:, :hi], tmp[:, :hi])
         # reward stage: choose a power split, advancing the user-1 bin by the
         # row's constant dk[j, s]
-        new[:, :hi_new] = neg
-        for j, row in enumerate(menu):
-            for s, d in row:
-                L = min(hi, hi_new - d)
-                c = np.add(w[j, :L], dr2[j, s], out=cand[j, :L])
-                hit = np.greater(c, new[j, d:d + L], out=mask[j, :L])
-                np.copyto(new[j, d:d + L], c, where=hit)
-                np.copyto(splits[n, j, d:d + L], np.int8(s), where=hit)
-        value, new = new, value
+        if kept[n]:
+            value = block[at:at + P * hi_new].reshape(P, hi_new)
+            at += P * hi_new
+        else:
+            value = odd[:, :hi_new]
+        _reward(w, value, stages.shifts, stages.gains, step)
+        hist.append(value if kept[n] else None)
 
+    bins = np.arange(value.shape[1])[None, :]
     with np.errstate(invalid="ignore"):
         objective = np.minimum((bins * q) / a1, value / a2)
     j_best, k_best = np.unravel_index(int(np.nanargmax(objective)), objective.shape)
 
-    # backtrack: continuous positions, choices looked up at the nearest grid row
+    # backtrack: continuous positions, choices recomputed at the nearest grid
+    # row from a window of the previous slot's values around it
+    R = stages.reach
     positions = np.empty(N)
     x = float(xs[j_best])
     k = int(k_best)
     for n in range(N - 1, -1, -1):
         positions[n] = x
         j = int(round((x + half) / spacing))
-        s = int(splits[n, j, k])
-        k = k - int(dk[j, s])
+        prev = stages.values(hist, n, j - R, j + R + 1, k - step, k + 1)
+        w = np.empty_like(prev)
+        stages.motion(prev, w)
+        d = int(dk[j, stages.split(w[R], j)])
+        k = k - d
         if n > 0:
-            x = x + float(moves[n, j, k]) * spacing / move_scale
+            x = x + float(stages.move(prev, step - d)) * spacing / move_scale
             x = min(max(x, -half), half)
 
     r = _path_profile_value(params, positions, profile)

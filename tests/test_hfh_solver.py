@@ -170,7 +170,8 @@ class TestSolveP5:
     def test_warm_matches_cold(self, base):
         """Warm starts, from the root or up to 0.05 away from it, reach the
         cold start's value within 1e-9 of r, and both end balanced to
-        mu_tol unless the tie-break fired."""
+        mu_tol unless the tie-break blend fired or an unbalanced iterate with
+        higher r is reported."""
         cfg = SearchConfig()
         rng = np.random.default_rng(23)
         for params, traj, prof in _random_p5_cases(base, rng, 12):
@@ -184,7 +185,22 @@ class TestSolveP5:
                 assert abs(warm.r - cold.r) <= 1e-9 * cold.r
                 for res in (cold, warm):
                     skew = abs(res.rate_pair.r1 / prof.alpha1 - res.rate_pair.r2 / prof.alpha2)
-                    assert res.tie_break or skew <= cfg.mu_tol * res.r
+                    assert res.tie_break or res.unbalanced or skew <= cfg.mu_tol * res.r
+
+    def test_unbalanced_iterate_is_no_tie_break(self, base):
+        """A golden step of the T = 200 s, alpha1 = 0.1 solve reports an
+        iterate just off the balance stop because it has the higher r:
+        that is flagged `unbalanced`; `tie_break` is only the blend's."""
+        params, prof = replace(base, T=200.0), RateProfile.of(0.1)
+        traj = make_hfh(params, -500.0, 500.0, 8.33328396123981)
+        ev = TrajectoryEvaluator.exact(params, traj, 512)
+        cfg = SearchConfig()
+        res = hfh_solver._solve_p5_on(
+            params, ev, prof, cfg.mu_tol, cfg.mu_max_iter, guess=0.49767663485116576
+        )
+        assert res.unbalanced and not res.tie_break
+        skew = abs(res.rate_pair.r1 / prof.alpha1 - res.rate_pair.r2 / prof.alpha2)
+        assert skew > cfg.mu_tol * res.r
 
     def test_at_least_plain_bisection(self, base):
         """Against the best iterate of a plain bisection stopped at a 1e-6

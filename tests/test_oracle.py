@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -81,14 +83,43 @@ class TestDpOracle:
             # few bins: many menu entries share a bin advance
             ("base", DpConfig(24, 21, 6, 300), 0.3, 5.262593034487025,
              np.r_[[500.0] * 9, 450.0 - 75.0 * np.arange(13), [-500.0] * 2]),
+            # (r, path) as the int8 move/split table implementation returned
+            # them: the benchmark's own config
+            ("base", DpConfig(64, 51, 11), 3 / 7, 5.261568200207685,
+             np.r_[[492.0] * 18, 472.0 - 28.0 * np.arange(35), [-500.0] * 11]),
+            # an odd slot count: the last slot's values follow an odd slot's
+            ("base", DpConfig(33, 26, 7, 2048), 0.4, 5.255863308078172,
+             np.r_[[498.0] * 10, 458.0 - 54.0 * np.arange(18), [-500.0] * 5]),
         ],
-        ids=["interpolated", "multi-step", "static", "coarse-bins"],
+        ids=["interpolated", "multi-step", "static", "coarse-bins", "workload",
+             "odd-slots"],
     )
     def test_exact_output(self, base, static, case, cfg, alpha1, r_want, path_want):
         params = {"base": base, "fast": replace(base, V=60.0), "static": static}[case]
         r, path = dp_trajectory_oracle(params, RateProfile.of(alpha1), cfg)
         assert r == r_want
         assert np.array_equal(path, path_want)
+
+    def test_no_history_left_alive(self, base):
+        """A DP call frees its value history when it returns, without the
+        cyclic collector: two calls end within 1 MB of the traced memory
+        before them, less than one call's history (~1.8 MB here)."""
+        cfg, prof = DpConfig(32, 26, 7, 2048), RateProfile.of(0.4)
+        dp_trajectory_oracle(base, prof, cfg)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                dp_trajectory_oracle(base, prof, cfg)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert after - before <= 1 << 20
 
     def test_corner_path(self, base):
         cfg = DpConfig(32, 26, 7, r1_bins=2048)
