@@ -76,10 +76,10 @@ class FeasibilityReport:
 # dynamic-program trajectory oracle
 # ---------------------------------------------------------------------------
 
-# Largest per-slot move, in grid steps.  The motion stage makes one pass per
-# offer (2m + 2 for m steps) and the backtrack moves in 1/move_scale of a
-# step, the unit the int8 move codes of the earlier table-based loop fixed;
-# a slot that spans more steps wants more slots, not a longer motion loop.
+# Largest per-slot move, in grid steps.  The motion stage makes one full pass
+# per offer, 2m + 2 of them for m steps, so a slot that spans more steps
+# calls for more slots, not a longer motion loop; the CLI reports such a grid
+# as a configuration error.
 _MAX_MOVE_STEPS = 127
 
 
@@ -168,46 +168,11 @@ def _window(value, r0, r1, b0, b1):
     return out
 
 
-def _motion(value, w, offers, w_near, w_far, cand, tmp):
-    """w = the best of staying and of every motion offer out of ``value``.
-
-    Offer (code, t, t_far) takes row j from row j - t, or, when t != t_far,
-    from w_near of row j - t plus w_far of row j - t_far in float32; a row
-    takes it only when row j - t_far exists.  cand and tmp are scratch of
-    value's shape.
-    """
-    np.copyto(w, value)
-    P = value.shape[0]
-    for _, t, t_far in offers:
-        lo, up = max(t_far, 0), P + min(t_far, 0)  # rows with predecessors
-        src = value[lo - t:up - t]
-        if t != t_far:
-            src = np.multiply(src, w_near, out=cand[lo:up])
-            src += np.multiply(value[lo - t_far:up - t_far], w_far, out=tmp[lo:up])
-        np.maximum(w[lo:up], src, out=w[lo:up])
-
-
-def _reward(w, value, shifts, gains, step):
-    """value[j, k] = max over row j's menu entries of w[j, k - d] + dr2.
-
-    shifts[j] holds step - d and gains[j] the dr2 column of row j's
-    entries; bins outside w count as -inf, and value is at most ``step``
-    bins wider than w.  One gather, add and max per row.
-    """
-    hi = w.shape[1]
-    pad = np.full(hi + 2 * step, -np.inf, dtype=np.float32)
-    # view[t, k] = pad[t + k], so view[step - d, k] = w[j, k - d]
-    view = sliding_window_view(pad[:value.shape[1] + step], step + 1).T
-    for j in range(w.shape[0]):
-        pad[step:step + hi] = w[j]
-        c = view[shifts[j]]
-        c += gains[j]
-        np.max(c, axis=0, out=value[j])
-
-
 @dataclass(frozen=True)
 class _DpStages:
-    """The slot-independent pieces of the DP's motion and reward stages."""
+    """The DP's motion and reward stages, shared by its forward pass and its
+    backtrack so that both compute every candidate by the same float32
+    operations."""
 
     offers: list  # (move code, near row shift, far row shift) in tie-break order
     w_near: np.float32
@@ -218,35 +183,69 @@ class _DpStages:
     shifts: list  # per row: step - bin advance of each entry
     gains: list  # per row: the entries' dr2 as a float32 column
 
-    def motion(self, value, w):
-        _motion(value, w, self.offers, self.w_near, self.w_far,
-                np.empty_like(value), np.empty_like(value))
+    def motion(self, value, w, cand, tmp):
+        """w = the best of staying and of every motion offer out of value.
+
+        Offer (code, t, t_far) takes row j from row j - t, or, when
+        t != t_far, from w_near of row j - t plus w_far of row j - t_far; a
+        row takes it only when row j - t_far exists.  cand and tmp are
+        scratch of value's shape.
+        """
+        np.copyto(w, value)
+        P = value.shape[0]
+        for _, t, t_far in self.offers:
+            lo, up = max(t_far, 0), P + min(t_far, 0)  # rows with predecessors
+            src = value[lo - t:up - t]
+            if t != t_far:
+                src = np.multiply(src, self.w_near, out=cand[lo:up])
+                src += np.multiply(value[lo - t_far:up - t_far], self.w_far, out=tmp[lo:up])
+            np.maximum(w[lo:up], src, out=w[lo:up])
+
+    def reward(self, w, value, row0=0):
+        """value[i, k] = max over the menu entries of grid row row0 + i of
+        w[i, k - d] + dr2: one gather, add and max per row.
+
+        Bins outside w count as -inf; value is at most `step` bins wider.
+        """
+        step, hi = self.step, w.shape[1]
+        pad = np.full(hi + 2 * step, -np.inf, dtype=np.float32)
+        # view[t, k] = pad[t + k], so view[step - d, k] = w[i, k - d]
+        view = sliding_window_view(pad[:value.shape[1] + step], step + 1).T
+        for w_row, out, shifts, gains in zip(w, value, self.shifts[row0:], self.gains[row0:]):
+            pad[step:step + hi] = w_row
+            c = view[shifts]
+            c += gains
+            np.max(c, axis=0, out=out)
 
     def values(self, hist, i, r0, r1, b0, b1):
-        """Window [r0, r1) x [b0, b1) of the values hist[i] (-inf outside
-        the grid), recomputed from hist[i - 1] when hist[i] is not kept."""
+        """Rows [r0, r1) x bins [b0, b1) of the values hist[i], -inf off the
+        grid; recomputed from hist[i - 1] when hist[i] is not kept."""
         if hist[i] is not None:
             return _window(hist[i], r0, r1, b0, b1)
         R, step = self.reach, self.step
         ra, rb = max(r0, 0), min(r1, len(self.shifts))
-        prev = _window(hist[i - 1], ra - R, rb + R, b0 - step, b1)
-        w = np.empty_like(prev)
-        self.motion(prev, w)
+        w = self.moved(_window(hist[i - 1], ra - R, rb + R, b0 - step, b1))[R:R + rb - ra]
         out = np.full((r1 - r0, b1 - b0 + step), -np.inf, dtype=np.float32)
-        _reward(w[R:R + rb - ra], out[ra - r0:rb - r0],
-                self.shifts[ra:rb], self.gains[ra:rb], step)
+        self.reward(w, out[ra - r0:rb - r0], ra)
         return out[:, step:]
 
+    def moved(self, prev):
+        """The motion stage out of the value window prev; rows within
+        `reach` of its edges lack predecessors."""
+        w = np.empty_like(prev)
+        self.motion(prev, w, np.empty_like(prev), np.empty_like(prev))
+        return w
+
     def split(self, w_row, j):
-        """Row j's split at the bin whose w[j, k - step ... k] is w_row: the
-        first entry reaching the best candidate, 0 when none is finite."""
+        """Row j's split at bin k from w_row = w[j, k - step ... k]: the
+        first menu entry reaching the best candidate, 0 when none is finite."""
         cands = w_row[self.shifts[j]] + self.gains[j][:, 0]
         e = int(np.argmax(cands))
         return int(self.entries[j][e]) if cands[e] > -np.inf else 0
 
     def move(self, prev, b):
-        """Code of the first of (stay, offers) that reaches w at the centre
-        row and bin b of the window ``prev``."""
+        """Code of the first of (stay, offers) reaching the motion stage's
+        value at bin b of the centre row of the window prev."""
         R = self.reach
         best, code = prev[R, b], 0
         for c, t, t_far in self.offers:
@@ -359,7 +358,7 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
         hi, hi_new = value.shape[1], widths[n]
         # motion stage: best predecessor within |dx| <= V*delta
         w = win[:, :hi]
-        _motion(value, w, offers, stages.w_near, stages.w_far, cand[:, :hi], tmp[:, :hi])
+        stages.motion(value, w, cand[:, :hi], tmp[:, :hi])
         # reward stage: choose a power split, advancing the user-1 bin by the
         # row's constant dk[j, s]
         if kept[n]:
@@ -367,7 +366,7 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
             at += P * hi_new
         else:
             value = odd[:, :hi_new]
-        _reward(w, value, stages.shifts, stages.gains, step)
+        stages.reward(w, value)
         hist.append(value if kept[n] else None)
 
     bins = np.arange(value.shape[1])[None, :]
@@ -385,8 +384,7 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
         positions[n] = x
         j = int(round((x + half) / spacing))
         prev = stages.values(hist, n, j - R, j + R + 1, k - step, k + 1)
-        w = np.empty_like(prev)
-        stages.motion(prev, w)
+        w = stages.moved(prev)
         d = int(dk[j, stages.split(w[R], j)])
         k = k - d
         if n > 0:
