@@ -103,7 +103,7 @@ class TestDpOracle:
     def test_no_history_left_alive(self, base):
         """A DP call frees its value history when it returns, without the
         cyclic collector: two calls end within 1 MB of the traced memory
-        before them, less than one call's history (~1.8 MB here)."""
+        before them, less than one call's history (~1.9 MB here)."""
         cfg, prof = DpConfig(32, 26, 7, 2048), RateProfile.of(0.4)
         dp_trajectory_oracle(base, prof, cfg)
         gc.collect()
