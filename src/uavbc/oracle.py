@@ -31,10 +31,12 @@ from .fixed_region import fixed_region_sample
 from .hfh_solver import (
     BoundarySolution,
     PowerSchedule,
+    _batched_profile_values,
     _sc_rates,
     _split_frame,
     _strong_power,
     _time_windows,
+    pair_tables,
     positions_at,
 )
 from .numerics import bisect_increasing
@@ -82,6 +84,13 @@ class FeasibilityReport:
 # as a configuration error.
 _MAX_MOVE_STEPS = 127
 
+# The forward pass keeps per slot only the bins that can still end at an
+# objective of at least _WINDOW_SHARE (criterion 6's tolerance) of the best
+# HFH value in the pair tables; _WINDOW_WEIGHTS are the weights mu of the
+# weighted-rate bound on the last bin.
+_WINDOW_SHARE = 0.97
+_WINDOW_WEIGHTS = np.linspace(0.0, 1.0, 27)[1:-1]
+
 
 def validate_dp_config(params: SystemParams, cfg: DpConfig) -> DpConfig:
     if cfg.n_slots < 2:
@@ -92,6 +101,14 @@ def validate_dp_config(params: SystemParams, cfg: DpConfig) -> DpConfig:
         raise GridTooCoarse(
             f"DP needs at least 3 positions, got {cfg.n_positions}; "
             "use more positions"
+        )
+    if cfg.r1_bins < 2:
+        raise GridTooCoarse(
+            f"DP needs at least 2 user-1 rate bins, got {cfg.r1_bins}; use more bins"
+        )
+    if cfg.mu_steps < 0:
+        raise GridTooCoarse(
+            f"DP split menu needs mu_steps >= 0, got {cfg.mu_steps}"
         )
     spacing = params.D / (cfg.n_positions - 1)
     delta = params.T / cfg.n_slots
@@ -158,10 +175,12 @@ def _path_profile_value(params, positions, profile, iters=60):
     return best
 
 
-def _window(value, r0, r1, b0, b1):
-    """value[r0:r1, b0:b1] as a float32 copy, -inf wherever it leaves value."""
+def _window(value, start, r0, r1, b0, b1):
+    """Rows [r0, r1) x bins [b0, b1) as a float32 copy of value, whose first
+    column is bin `start`; -inf wherever it leaves value."""
     out = np.full((r1 - r0, b1 - b0), -np.inf, dtype=np.float32)
     rows, bins = value.shape
+    b0, b1 = b0 - start, b1 - start
     ra, rb, ba, bb = max(r0, 0), min(r1, rows), max(b0, 0), min(b1, bins)
     if ra < rb and ba < bb:
         out[ra - r0:rb - r0, ba - b0:bb - b0] = value[ra:rb, ba:bb]
@@ -201,16 +220,17 @@ class _DpStages:
                 src += np.multiply(value[lo - t_far:up - t_far], self.w_far, out=tmp[lo:up])
             np.maximum(w[lo:up], src, out=w[lo:up])
 
-    def reward(self, w, value, row0=0):
+    def reward(self, w, value, row0=0, off=0):
         """value[i, k] = max over the menu entries of grid row row0 + i of
-        w[i, k - d] + dr2: one gather, add and max per row.
+        w[i, off + k - d] + dr2: one gather, add and max per row.
 
-        Bins outside w count as -inf; value is at most `step` bins wider.
+        value's bins start `off` bins after w's (0 <= off <= step); bins
+        outside w count as -inf, and value ends at most `step` bins past w.
         """
         step, hi = self.step, w.shape[1]
         pad = np.full(hi + 2 * step, -np.inf, dtype=np.float32)
-        # view[t, k] = pad[t + k], so view[step - d, k] = w[i, k - d]
-        view = sliding_window_view(pad[:value.shape[1] + step], step + 1).T
+        # view[t, k] = pad[off + t + k], so view[step - d, k] = w[i, off + k - d]
+        view = sliding_window_view(pad[off:off + value.shape[1] + step], step + 1).T
         for w_row, out, shifts, gains in zip(w, value, self.shifts[row0:], self.gains[row0:]):
             pad[step:step + hi] = w_row
             c = view[shifts]
@@ -218,13 +238,15 @@ class _DpStages:
             np.max(c, axis=0, out=out)
 
     def values(self, hist, i, r0, r1, b0, b1):
-        """Rows [r0, r1) x bins [b0, b1) of the values hist[i], -inf off the
-        grid; recomputed from hist[i - 1] when hist[i] is not kept."""
+        """Rows [r0, r1) x bins [b0, b1) of the values hist[i] = (first bin,
+        values), -inf off the grid and the window; recomputed from
+        hist[i - 1] when hist[i] is not kept."""
         if hist[i] is not None:
-            return _window(hist[i], r0, r1, b0, b1)
+            return _window(hist[i][1], hist[i][0], r0, r1, b0, b1)
         R, step = self.reach, self.step
         ra, rb = max(r0, 0), min(r1, len(self.shifts))
-        w = self.moved(_window(hist[i - 1], ra - R, rb + R, b0 - step, b1))[R:R + rb - ra]
+        prev = _window(hist[i - 1][1], hist[i - 1][0], ra - R, rb + R, b0 - step, b1)
+        w = self.moved(prev)[R:R + rb - ra]
         out = np.full((r1 - r0, b1 - b0 + step), -np.inf, dtype=np.float32)
         self.reward(w, out[ra - r0:rb - r0], ra)
         return out[:, step:]
@@ -256,6 +278,89 @@ class _DpStages:
                 best, code = src, c
         return code
 
+    def forward(self, lo, hi):
+        """The forward pass on the bin windows [lo[n], hi[n]) of every slot n.
+
+        Returns hist: hist[n + 1] = (lo[n], slot n's values on its window)
+        when n is even or last, else None; hist[0] is before the first slot:
+        any position, nothing accrued.
+        """
+        N, P = len(lo), len(self.shifts)
+        kept = [n % 2 == 0 or n == N - 1 for n in range(N)]
+        sizes = [int(b - a) for a, b in zip(lo, hi)]
+        block = np.empty(P * sum(s for s, keep in zip(sizes, kept) if keep), np.float32)
+        hist = [(0, np.zeros((P, 1), dtype=np.float32))]
+        odd, win, cand, tmp = (np.empty((P, max(sizes)), dtype=np.float32) for _ in range(4))
+        start, value, at = 0, hist[0][1], 0
+        for n in range(N):
+            width = value.shape[1]
+            # motion stage: best predecessor within |dx| <= V*delta
+            w = win[:, :width]
+            self.motion(value, w, cand[:, :width], tmp[:, :width])
+            # reward stage: choose a power split, advancing the user-1 bin by
+            # the row's constant dk[j, s]
+            if kept[n]:
+                value = block[at:at + P * sizes[n]].reshape(P, sizes[n])
+                at += P * sizes[n]
+            else:
+                value = odd[:, :sizes[n]]
+            self.reward(w, value, off=int(lo[n]) - start)
+            start = int(lo[n])
+            hist.append((start, value) if kept[n] else None)
+        return hist
+
+
+def _window_threshold(params, profile):
+    """_WINDOW_SHARE of the best HFH value of the cached pair tables over
+    every 4th node (at P = 51 the DP's own grid); -inf at V = 0, where the
+    tables' flight terms divide by V, so that DP runs on the whole frontier."""
+    if params.V == 0.0:
+        return -math.inf
+    tables = pair_tables(params)
+    nodes = np.arange(0, len(tables.x), 4)
+    i, j = (nodes[a] for a in np.triu_indices(len(nodes)))
+    keep = tables.x[j] - tables.x[i] <= params.V * params.T
+    value = _batched_profile_values(params, np.stack([i[keep], j[keep]], axis=1), profile, tables)[0]
+    thr = _WINDOW_SHARE * float(value.max())
+    return thr if math.isfinite(thr) else -math.inf
+
+
+def _bin_windows(thr, profile, q, dk, dr2, widths):
+    """Per slot n, the bins [lo[n], hi[n]) of its frontier [0, widths[n])
+    outside which no path ends at an objective of at least thr.
+
+    - lo: a last bin below K_lo, the least k with (k * q) / a1 >= thr (the
+      final objective's own expression), falls short, and a slot advances
+      at most `step` bins; so lo[n] = max(0, K_lo - (N - 1 - n) * step).
+    - hi: for any weight mu, a path's last bin k and value v obey
+      mu * k * q + (1 - mu) * v <= N * G_mu, where G_mu is the best
+      mu-weighted menu reward of one slot, since a motion blend is a convex
+      combination within one bin.  (1 + eps) covers the float32 rounding of
+      v, at most about 4 units of 2**-24 a slot.  An objective of at least
+      thr needs v >= thr * a2, so k <= K_hi, the least bound over
+      _WINDOW_WEIGHTS, and bins only grow: hi[n] = min(widths[n], K_hi + 1).
+
+    The windows are closed: slot n's bins [lo[n], hi[n]) read bins
+    lo[n] - step ... hi[n] - 1 of slot n - 1, all inside its window, below
+    bin 0 or past its frontier.  At thr = -inf they are the whole frontier.
+    """
+    N, step = len(widths), int(dk.max())
+    if thr == -math.inf:
+        return np.zeros(N, dtype=int), np.array(widths)
+    a1, a2 = profile.alpha1, profile.alpha2
+    k_lo = max(math.ceil(thr * a1 / q), 0)
+    while k_lo > 0 and ((k_lo - 1) * q) / a1 >= thr:
+        k_lo -= 1
+    while (k_lo * q) / a1 < thr:
+        k_lo += 1
+    mu = _WINDOW_WEIGHTS
+    g = (mu[:, None, None] * (dk * q) + (1.0 - mu[:, None, None]) * dr2).max(axis=(1, 2))
+    eps = 8 * N * 2.0 ** -24
+    k_hi = np.floor((N * g * (1.0 + eps) - (1.0 - mu) * thr * a2) / (mu * q)).min()
+    lo = np.maximum(k_lo - (N - 1 - np.arange(N)) * step, 0)
+    hi = np.minimum(widths, k_hi + 1).astype(int)
+    return lo, hi
+
 
 def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConfig):
     """Brute-force profile-constrained optimum over free gridded trajectories.
@@ -275,15 +380,24 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     - After n slots only bins below min(B, 1 + n * max(dk)) can be finite,
       so both stages run on that frontier, and bins past it are -inf, which
       never wins.
+    - Both stages run only on the closed bin window of each slot that
+      `_bin_windows` derives from a threshold thr (0.97 of the best pair-table
+      value): a kept cell reads only kept bins, so every kept value is the
+      one the whole frontier gives, and every cell outside the last window
+      has an objective below thr.  When the best kept objective is below
+      thr, the pass runs again on the whole frontier (thr = -inf).  So
+      (r, positions) depends neither on thr nor on the pair tables.
     - Both stages take the maximum of their candidates in float32, each
       candidate computed by the same operations in the forward pass and in
       the backtrack; a choice is the first candidate in a fixed order
       (stay, shifts +-1 ... +-m, then the two interpolated moves; menu
       entries in index order, one per run of equal bin advance) that
       reaches the maximum, and split 0 at a -inf cell.
-    - The values of every even slot and of the last are kept; an odd
-      slot's values at the few cells the backtrack reads are recomputed
-      from the even slot before it.
+    - The values of every even slot and of the last are kept, each on its
+      window; an odd slot's values at the few cells the backtrack reads are
+      recomputed from the even slot before it.  The backtrack reads bins
+      k - step ... k of the slot before a chain cell at bin k, which stay
+      inside the windows.
 
     Returns (r, positions): the certified rate scale and the winning path
     positions (length cfg.n_slots).
@@ -346,40 +460,28 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
         [dr2[j, e][:, None] for j, e in enumerate(entries)],
     )
 
-    # hist[n + 1] holds the values after slot n when n is even or last, else
-    # None; hist[0] is before the first slot: any position, nothing accrued
     widths = [min(B, 1 + (n + 1) * step) for n in range(N)]
-    kept = [n % 2 == 0 or n == N - 1 for n in range(N)]
-    block = np.empty(P * sum(wd for wd, keep in zip(widths, kept) if keep), np.float32)
-    hist = [np.zeros((P, 1), dtype=np.float32)]
-    odd, win, cand, tmp = (np.empty((P, B), dtype=np.float32) for _ in range(4))
-    value, at = hist[0], 0
-    for n in range(N):
-        hi, hi_new = value.shape[1], widths[n]
-        # motion stage: best predecessor within |dx| <= V*delta
-        w = win[:, :hi]
-        stages.motion(value, w, cand[:, :hi], tmp[:, :hi])
-        # reward stage: choose a power split, advancing the user-1 bin by the
-        # row's constant dk[j, s]
-        if kept[n]:
-            value = block[at:at + P * hi_new].reshape(P, hi_new)
-            at += P * hi_new
-        else:
-            value = odd[:, :hi_new]
-        stages.reward(w, value)
-        hist.append(value if kept[n] else None)
-
-    bins = np.arange(value.shape[1])[None, :]
-    with np.errstate(invalid="ignore"):
-        objective = np.minimum((bins * q) / a1, value / a2)
-    j_best, k_best = np.unravel_index(int(np.nanargmax(objective)), objective.shape)
+    # the windowed pass, then, if its best falls short, the whole frontier
+    for thr in (_window_threshold(params, profile), -math.inf):
+        lo, hi = _bin_windows(thr, profile, q, dk, dr2, widths)
+        if not np.all(lo < hi):
+            continue
+        hist = stages.forward(lo, hi)
+        start, value = hist[-1]
+        bins = np.arange(start, start + value.shape[1])[None, :]
+        with np.errstate(invalid="ignore"):
+            objective = np.minimum((bins * q) / a1, value / a2)
+        best = int(np.nanargmax(objective))
+        if objective.flat[best] >= thr:
+            break
+    j_best, k_best = np.unravel_index(best, objective.shape)
 
     # backtrack: continuous positions, choices recomputed at the nearest grid
     # row from a window of the previous slot's values around it
     R = stages.reach
     positions = np.empty(N)
     x = float(xs[j_best])
-    k = int(k_best)
+    k = start + int(k_best)
     for n in range(N - 1, -1, -1):
         positions[n] = x
         j = int(round((x + half) / spacing))

@@ -201,6 +201,14 @@ class TestOracleCheckCommand:
         code = main(["oracle-check", "--scenario", scenario, *grid, "--out", str(out)])
         assert code == 2
 
+    def test_negative_mu_steps_is_config_error(self, tmp_path):
+        path = tmp_path / "menu.cfg"
+        path.write_text(BASE_SCENARIO + "mu_steps = -1\n")
+        out = tmp_path / "oracle.csv"
+        code = main(["oracle-check", "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_corner_profiles_agree(self, scenario, tmp_path):
         out = tmp_path / "oracle.csv"
         code = main(

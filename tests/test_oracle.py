@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from uavbc import (
     tdma_solve_profile,
     triangle_contains,
 )
+from uavbc import oracle
 from uavbc.hfh_solver import BoundarySolution, PowerSchedule, SearchConfig
 from uavbc.oracle import (
     DpConfig,
@@ -61,8 +63,13 @@ class TestDpOracle:
     def test_grid_too_coarse(self, base):
         for cfg in (
             DpConfig(n_slots=64, n_positions=8),  # spacing wider than V*delta
-            DpConfig(n_slots=8, n_positions=1001),  # 225 steps a slot, int8 holds 127
+            # 225 steps a slot, more than _MAX_MOVE_STEPS
+            DpConfig(n_slots=8, n_positions=1001),
             DpConfig(n_slots=1),
+            DpConfig(r1_bins=1),  # no bin width: peak_rate / (B - 1)
+            DpConfig(r1_bins=0),
+            DpConfig(r1_bins=-4),
+            DpConfig(mu_steps=-1),  # would fall back to a 9-entry menu
         ):
             with pytest.raises(GridTooCoarse):
                 validate_dp_config(base, cfg)
@@ -90,15 +97,58 @@ class TestDpOracle:
             # an odd slot count: the last slot's values follow an odd slot's
             ("base", DpConfig(33, 26, 7, 2048), 0.4, 5.255863308078172,
              np.r_[[498.0] * 10, 458.0 - 54.0 * np.arange(18), [-500.0] * 5]),
+            # (r, path) as the unwindowed implementation returned them: the
+            # windowed best falls below its threshold, so the whole frontier
+            # runs again
+            ("base", DpConfig(16, 21, 5, 128), 0.4, 5.1946460795789955,
+             np.r_[[475.0] * 5, 375.0, 262.5 - 112.5 * np.arange(6), -400.0,
+                   [-500.0] * 3]),
         ],
         ids=["interpolated", "multi-step", "static", "coarse-bins", "workload",
-             "odd-slots"],
+             "odd-slots", "fallback"],
     )
     def test_exact_output(self, base, static, case, cfg, alpha1, r_want, path_want):
         params = {"base": base, "fast": replace(base, V=60.0), "static": static}[case]
         r, path = dp_trajectory_oracle(params, RateProfile.of(alpha1), cfg)
         assert r == r_want
         assert np.array_equal(path, path_want)
+
+    @pytest.fixture()
+    def windows(self, monkeypatch):
+        """Records (thr, args, (lo, hi)) of every `_bin_windows` call."""
+        calls = []
+
+        def spy(thr, *args):
+            out = real(thr, *args)
+            calls.append((thr, args, out))
+            return out
+
+        real = oracle._bin_windows
+        monkeypatch.setattr(oracle, "_bin_windows", spy)
+        return calls
+
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_windows_at_the_workload(self, base, windows, i):
+        """Criterion 6's profiles keep their first windows (no rerun); the
+        windows are closed, prune the frontier, and are the whole frontier at
+        thr = -inf."""
+        dp_trajectory_oracle(base, RateProfile.of(i / 7), DpConfig(64, 51, 11))
+        [(thr, args, (lo, hi))] = windows
+        assert math.isfinite(thr)
+        _, _, dk, _, widths = args
+        step, widths = int(dk.max()), np.array(widths)
+        # closed: slot n reads bins lo[n] - step ... of slot n - 1
+        assert np.all(np.diff(lo)[lo[:-1] > 0] == step)
+        assert np.all(lo[:-1] == np.maximum(lo[1:] - step, 0))
+        assert np.all(hi[:-1] >= np.minimum(hi[1:], widths[:-1]))
+        assert np.sum(hi - lo) < 0.75 * np.sum(widths)
+        lo, hi = oracle._bin_windows(-math.inf, *args)
+        assert np.all(lo == 0) and np.array_equal(hi, widths)
+
+    def test_fallback_runs_the_whole_frontier(self, base, windows):
+        dp_trajectory_oracle(base, RateProfile.of(0.4), DpConfig(16, 21, 5, 128))
+        assert [math.isfinite(thr) for thr, _, _ in windows] == [True, False]
+        assert windows[1][0] == -math.inf
 
     def test_no_history_left_alive(self, base):
         """A DP call frees its value history when it returns, without the
