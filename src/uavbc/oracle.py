@@ -175,9 +175,10 @@ def _path_profile_value(params, positions, profile, iters=60):
     return best
 
 
-def _window(value, start, r0, r1, b0, b1):
-    """Rows [r0, r1) x bins [b0, b1) as a float32 copy of value, whose first
-    column is bin `start`; -inf wherever it leaves value."""
+def _window(kept, r0, r1, b0, b1):
+    """Rows [r0, r1) x bins [b0, b1) of kept = (first bin, values) as a
+    float32 copy, -inf wherever it leaves the values."""
+    start, value = kept
     out = np.full((r1 - r0, b1 - b0), -np.inf, dtype=np.float32)
     rows, bins = value.shape
     b0, b1 = b0 - start, b1 - start
@@ -242,11 +243,10 @@ class _DpStages:
         values), -inf off the grid and the window; recomputed from
         hist[i - 1] when hist[i] is not kept."""
         if hist[i] is not None:
-            return _window(hist[i][1], hist[i][0], r0, r1, b0, b1)
+            return _window(hist[i], r0, r1, b0, b1)
         R, step = self.reach, self.step
         ra, rb = max(r0, 0), min(r1, len(self.shifts))
-        prev = _window(hist[i - 1][1], hist[i - 1][0], ra - R, rb + R, b0 - step, b1)
-        w = self.moved(prev)[R:R + rb - ra]
+        w = self.moved(_window(hist[i - 1], ra - R, rb + R, b0 - step, b1))[R:R + rb - ra]
         out = np.full((r1 - r0, b1 - b0 + step), -np.inf, dtype=np.float32)
         self.reward(w, out[ra - r0:rb - r0], ra)
         return out[:, step:]
