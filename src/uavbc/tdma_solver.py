@@ -2,22 +2,26 @@
 
 One user is served at a time with full power: user 1 on [0, t1], user 2 on
 (t1, T].  Along a unidirectional left-to-right trajectory the optimal switch
-time t1 is the unique root of a monotone rate-ratio balance, found by
-bisection.  The trajectory family itself is small: the UAV either flies the
-whole time, or hovers only above a user (never at interior points).  That
-leaves the one-parameter families of `_families` (pure flight, hover above
-user 1 then fly, fly then hover above user 2, hover above both; with V = 0
-the fixed hovers), each searched on a grid.  `_screen` values the whole
-grid at once from one cumulative-rate table over position; only the
-candidates near its best are scored by the per-trajectory `_evaluate`, in
-grid order, so the first exact maximum wins as if all were scored.  The
-winner's parameter is then refined by one golden-section search over a grid
-step on either side.
+time t1 is the unique root of a monotone rate-ratio balance.
+`CumulativeRates` serves a trajectory's cumulative full-power rates from the
+cached pair tables of `hfh_solver`, whose mu = 1 and mu = 0 rows are exactly
+the single-user rates and their position integrals, and `solve_t1` returns
+the exact root: closed form while hovering, Newton's method within one table
+cell while flying.  The trajectory family itself is small: the UAV either
+flies the whole time, or hovers only above a user (never at interior
+points).  That leaves the one-parameter families of `_families` (pure
+flight, hover above user 1 then fly, fly then hover above user 2, hover
+above both; with V = 0 the fixed hovers), each searched on a grid.
+`_screen` values the whole grid at once from its own cumulative-rate table
+over position; only the candidates near its best are scored by the
+per-trajectory `_evaluate`, in grid order, so the first exact maximum wins
+as if all were scored.  The winner's parameter is then refined by one
+golden-section search over a grid step on either side, and the reported
+rates come from the adaptive quadrature of `tdma_rates`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -38,14 +42,27 @@ from .core import (
     trace,
 )
 from .errors import TimeOutOfRange
-from .hfh_solver import positions_at
-from .numerics import bisect_increasing, golden_max
+from .hfh_solver import _SQRT3, _SUBCELLS, pair_tables
+from .numerics import golden_max
 
-# Trapezoid nodes of the cumulative flight rates, the t1 bisection tolerance
-# (relative to T) and the golden-section iterations of the refinement.
+# `_screen`'s trapezoid nodes over [-D/2, D/2] and its t1 bisection tolerance
+# (relative to T); the golden-section iterations of the refinement.
 _CUM_SAMPLES = 8193
 _T1_REL_TOL = 1e-9
 _GOLDEN_ITERS = 50
+
+# Newton steps of `solve_t1` in a flight cell, and the step (relative to the
+# cell) after which the next would change nothing: convergence is quadratic.
+_NEWTON_ITERS = 60
+_NEWTON_XTOL = 1e-8
+
+# `_flight_integrals`' nodes along an interval, as unit offsets: the 2-point
+# Gauss nodes of _SUBCELLS equal sub-cells, then the right end; and their
+# weights per unit width, nats to bits included (the right end's is 0).
+_GAUSS_AT = np.append(
+    ((np.arange(_SUBCELLS)[:, None] + 0.5 + np.array([-0.5, 0.5]) / _SQRT3) / _SUBCELLS).ravel(), 1.0
+)
+_GAUSS_WEIGHTS = np.append(np.full(2 * _SUBCELLS, 0.5 / (_SUBCELLS * LOG2)), 0.0)
 
 # Grid candidates whose `_screen` value is within this (relative) of the
 # best screen value are scored exactly by `_evaluate`.  The exact winner is
@@ -85,54 +102,96 @@ class TdmaSolution:
 class CumulativeRates:
     """Cumulative full-power single-user rate integrals along a trajectory.
 
-    R_k(t) = integral over [0, t] of log2(1 + Pbar h_k(x(s))) ds, evaluated
-    through a dense trapezoid prefix over the flight leg (hover segments are
-    linear in t and handled exactly).  Supports the fast t1 bisection; final
-    reported rates go through the adaptive quadrature in tdma_rates.
+    R_k(t) = integral over [0, t] of log2(1 + Pbar h_k(x(s))) ds.  Hover
+    segments are linear in t.  A flight leg's rate-time is the position
+    integral of the rate over V, read from the cached pair tables: their
+    mu = 1 row (user 1) and mu = 0 row (user 2) hold exactly these full-power
+    rates and their cumulative integrals at the table nodes.  The flight's
+    breakpoints are x_I, the nodes strictly inside (x_I, x_F) and x_F, at
+    most one table cell apart; the integral from x_I to a breakpoint is a
+    difference of table entries plus the partial cell at x_I, and to any
+    other position adds the partial cell from the breakpoint before it.
+    Partial cells go through `_flight_integrals`, the tables' own rule.
+    `total` is (R_1(T), R_2(T)).
     """
 
     def __init__(self, params: SystemParams, traj: HfhTrajectory):
         self.params = params
+        self.x_I, self.x_F = traj.x_I, traj.x_F
         self.fly_start = traj.t_I
         self.fly_end = params.T - traj.t_F
         self.rate_I = tuple(log2_1p(params.Pbar * h) for h in gain_pair(params, traj.x_I))
         self.rate_F = tuple(log2_1p(params.Pbar * h) for h in gain_pair(params, traj.x_F))
-        dur = self.fly_end - self.fly_start
-        if dur > 1e-12 * params.T and params.V > 0.0:
-            ts = np.linspace(self.fly_start, self.fly_end, _CUM_SAMPLES)
-            h1, h2 = gain_pair(params, positions_at(params, traj, ts))
-            f1 = np.log1p(params.Pbar * h1)
-            f2 = np.log1p(params.Pbar * h2)
-            dt = ts[1] - ts[0]
-            scale = dt / (2.0 * math.log(2.0))
-            self._fly_t = ts
-            self._fly_cum1 = np.concatenate([[0.0], np.cumsum((f1[1:] + f1[:-1]))]) * scale
-            self._fly_cum2 = np.concatenate([[0.0], np.cumsum((f2[1:] + f2[:-1]))]) * scale
-        else:
-            self._fly_t = None
-            self._fly_cum1 = self._fly_cum2 = None
-        self._total2 = self.cum(params.T, 2)
+        self.flight = self.fly_end - self.fly_start > 1e-12 * params.T and params.V > 0.0
+        if self.flight:
+            tables = pair_tables(params)
+            x = tables.x
+            a = int(np.searchsorted(x, traj.x_I, side="right"))
+            b = int(np.searchsorted(x, traj.x_F))  # x[a:b] lie strictly inside (x_I, x_F)
+            c = (tables.c1[-1], tables.c2[0])
+            if b > a:
+                # Both end cells in one call: [x_I, x[a]] and [x[b - 1], x_F].
+                lo, hi = np.array([traj.x_I, x[b - 1]]), np.array([x[a], traj.x_F])
+                ends = _flight_integrals(params, lo, hi)[0]
+                first = tuple(ends[:, 0].tolist())
+                last = [f + float(ck[b - 1] - ck[a]) + e for f, ck, e in zip(first, c, ends[:, 1].tolist())]
+            else:
+                first = tuple(_flight_integrals(params, traj.x_I, traj.x_F)[0].tolist())
+                last = first
+            self._x, self._c, self._a, self._b = x, c, a, b
+            self._first, self._last = first, tuple(last)
+        self.total = self._cum_pair(params.T)
 
-    def _flight_cum(self, t: float, user: int) -> float:
-        if self._fly_t is None:
-            return 0.0
-        cum = self._fly_cum1 if user == 1 else self._fly_cum2
-        t = min(max(t, self.fly_start), self.fly_end)
-        return float(np.interp(t, self._fly_t, cum))
+    def _breakpoint(self, j: int):
+        """Position of flight breakpoint j (0 is x_I, b - a + 1 is x_F) and the
+        flight integrals (user 1, user 2) from x_I to it."""
+        if j == 0:
+            return self.x_I, (0.0, 0.0)
+        if j > self._b - self._a:
+            return self.x_F, self._last
+        k, a = self._a + j - 1, self._a
+        return float(self._x[k]), tuple(f + float(ck[k] - ck[a]) for f, ck in zip(self._first, self._c))
+
+    def _cum_pair(self, t: float):
+        """(R_1(t), R_2(t)) in rate-seconds."""
+        hover_I = min(t, self.fly_start)
+        hover_F = max(t - self.fly_end, 0.0)
+        r = [i * hover_I + f * hover_F for i, f in zip(self.rate_I, self.rate_F)]
+        if self.flight and t > self.fly_start:
+            if t >= self.fly_end:
+                flown = self._last
+            else:
+                x = self.x_I + (t - self.fly_start) * self.params.V
+                j = int(np.searchsorted(self._x, x, side="right")) - self._a
+                xa, at_xa = self._breakpoint(max(j, 0))
+                flown = [f + p for f, p in zip(at_xa, _flight_integrals(self.params, xa, x)[0].tolist())]
+            r = [rk + f / self.params.V for rk, f in zip(r, flown)]
+        return tuple(r)
 
     def cum(self, t: float, user: int) -> float:
         """R_user(t) in rate-seconds."""
-        hover_I = self.rate_I[user - 1] * min(t, self.fly_start)
-        flight = self._flight_cum(t, user)
-        hover_F = self.rate_F[user - 1] * max(t - self.fly_end, 0.0)
-        return hover_I + flight + hover_F
+        return self._cum_pair(t)[user - 1]
 
     def pair_at(self, t1: float) -> RatePair:
         """(r1, r2) with user 1 served before t1 and user 2 after."""
         T = self.params.T
-        r1 = self.cum(t1, 1) / T
-        r2 = (self._total2 - self.cum(t1, 2)) / T
-        return RatePair(r1, r2)
+        r1, r2 = self._cum_pair(t1)
+        return RatePair(r1 / T, (self.total[1] - r2) / T)
+
+
+def _flight_integrals(params, a, b):
+    """Full-power rate integrals of users 1 and 2 over [a, b] (scalars or
+    arrays, each interval within one pair-table cell), in bps/Hz times
+    meters, and the rates at b: two arrays with a leading axis of 2.  The
+    pair tables' rule: 2-point Gauss on _SUBCELLS equal sub-cells, so a sub-
+    cell is at most D / ((_PAIR_NODES - 1) * _SUBCELLS) wide."""
+    width = b - a
+    x = np.multiply.outer(width, _GAUSS_AT)
+    x += np.asarray(a)[..., None]
+    f = np.array(gain_pair(params, x))
+    f *= params.Pbar
+    np.log1p(f, out=f)
+    return width * (f @ _GAUSS_WEIGHTS), f[..., -1] / LOG2
 
 
 def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair:
@@ -176,8 +235,13 @@ def solve_t1(
 ) -> float:
     """Unique switch time where r1(t1)/alpha1 = r2(t1)/alpha2.
 
-    r1 grows and r2 falls with t1, so the weighted difference is monotone
-    and the root is found by bisection on [0, T].
+    The gap a2*R1(t) - a1*(R2(T) - R2(t)) is nondecreasing in t: gap(0) >= 0
+    gives 0 and gap(T) <= 0 gives T.  Inside a hover segment the gap is
+    linear and the root closed form.  Otherwise the root lies in the flight
+    cell (between `CumulativeRates` breakpoints) where the weighted flight
+    integral a2*F1 + a1*F2 reaches its target, found from the table nodes at
+    once; inside it Newton's method runs on the exact partial integral,
+    safeguarded by bisection to stay within the cell.
     """
     if profile.alpha1 == 0.0:
         return 0.0
@@ -186,12 +250,52 @@ def solve_t1(
     if cum is None:
         cum = CumulativeRates(params, traj)
     a1, a2 = profile.alpha1, profile.alpha2
+    R1, R2 = cum.total
+    if a1 * R2 <= 0.0:  # gap(0) = -a1*R2(T)
+        return 0.0
+    if a2 * R1 <= 0.0:  # gap(T) = a2*R1(T)
+        return params.T
+    hover_I = a2 * cum.rate_I[0] + a1 * cum.rate_I[1]  # the gap's slope at x_I
+    if hover_I * cum.fly_start >= a1 * R2:
+        return a1 * R2 / hover_I
+    hover_F = a2 * cum.rate_F[0] + a1 * cum.rate_F[1]
+    if hover_F * (params.T - cum.fly_end) >= a2 * R1:
+        return params.T - a2 * R1 / hover_F
+    if not cum.flight:
+        return cum.fly_start
 
-    def gap(t1):
-        pair = cum.pair_at(t1)
-        return a2 * pair.r1 - a1 * pair.r2
-
-    return bisect_increasing(gap, 0.0, params.T, iters=80, xtol=_T1_REL_TOL * params.T)
+    # The gap is zero where the weighted flight integral from x_I reaches
+    # `target`; it does so between breakpoints j and j + 1.
+    target = (a1 * R2 - hover_I * cum.fly_start) * params.V
+    (c1, c2), a, b = cum._c, cum._a, cum._b
+    j = 0
+    if b > a:  # at node k the integral is the table's from x[a] plus the first cell's
+        at_nodes = a2 * c1[a:b] + a1 * c2[a:b]
+        first = a2 * cum._first[0] + a1 * cum._first[1]
+        j = int(np.searchsorted(at_nodes, target - first + at_nodes[0], side="right"))
+    xa, (f1, f2) = cum._breakpoint(j)
+    xb, (g1, g2) = cum._breakpoint(j + 1)
+    rest = target - (a2 * f1 + a1 * f2)  # a2*P1(xa, x) + a1*P2(xa, x) at the root
+    cell = a2 * (g1 - f1) + a1 * (g2 - f2)
+    lo, hi = xa, xb
+    x = xa + (xb - xa) * (min(max(rest / cell, 0.0), 1.0) if cell > 0.0 else 0.0)
+    for _ in range(_NEWTON_ITERS):
+        (p1, p2), (r1, r2) = (v.tolist() for v in _flight_integrals(params, xa, x))
+        excess = a2 * p1 + a1 * p2 - rest
+        if excess == 0.0:
+            break
+        if excess < 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - excess / (a2 * r1 + a1 * r2)
+        if not lo <= x_new <= hi:  # keep within the cell
+            x_new = 0.5 * (lo + hi)
+        done = abs(x_new - x) <= _NEWTON_XTOL * (xb - xa)
+        x = x_new
+        if done:
+            break
+    return cum.fly_start + (x - cum.x_I) / params.V
 
 
 class _Family(NamedTuple):
@@ -216,8 +320,7 @@ def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
     Pure flight needs VT <= D and hovering above both users VT >= D; the
     free parameter is the one location or hover time not fixed by the
     family and the time budget.  Each family refines over its own grid
-    step, except pure flight, which keeps the fixed hover's wider D / (n - 1)
-    (over its own step its results move by up to 1e-9 relative, both ways).
+    step.
     """
     half = 0.5 * params.D
     V, T, D = params.V, params.T, params.D
@@ -227,7 +330,7 @@ def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
     reach = V * T
     out = []
     if reach <= D:
-        out.append(_Family(1, -half, half - reach, n, D / (n - 1), xtol,
+        out.append(_Family(1, -half, half - reach, n, (D - reach) / (n - 1), xtol,
                            lambda x: make_hfh(params, x, x + reach, 0.0)))
     hi = min(half, -half + reach)
     out.append(_Family(2, -half, hi, n, (hi + half) / (n - 1), xtol,

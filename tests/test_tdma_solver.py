@@ -53,8 +53,22 @@ class TestTdmaRates:
         for t1 in (0.0, 11.0, 29.5, 47.0, base.T):
             fast = cum.pair_at(t1)
             exact = tdma_rates(base, traj, t1)
-            assert fast.r1 == pytest.approx(exact.r1, abs=1e-6)
-            assert fast.r2 == pytest.approx(exact.r2, abs=1e-6)
+            assert fast.r1 == pytest.approx(exact.r1, rel=1e-10)
+            assert fast.r2 == pytest.approx(exact.r2, rel=1e-10)
+
+    def test_cumulative_matches_adaptive_at_low_snr(self, base):
+        """A pure flight at Pbar = 1e-5, D = 3000; alpha1 = 0.1 switches at
+        t1 ~ 0.0327 s, a metre into the flight, where a linear interpolation
+        of a cumulative table under-reports r1 by 5.7e-5."""
+        params = replace(base, Pbar=1e-5, D=3000.0)
+        traj = make_hfh(params, -1425.0, 375.0, 0.0)
+        cum = CumulativeRates(params, traj)
+        assert solve_t1(params, traj, RateProfile.of(0.1), cum=cum) == pytest.approx(0.0327, abs=1e-4)
+        for t1 in (0.0327, 0.5, 17.0, 41.3, params.T):
+            fast = cum.pair_at(t1)
+            exact = tdma_rates(params, traj, t1)
+            assert fast.r1 == pytest.approx(exact.r1, rel=1e-10)
+            assert fast.r2 == pytest.approx(exact.r2, rel=1e-10)
 
 
 class TestSolveT1:
@@ -118,6 +132,22 @@ class TestTdmaSolveProfile:
             if traj.t_F > 1e-6:
                 assert abs(traj.x_F) == pytest.approx(500.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "Pbar, D, Ts, alphas",
+        [
+            pytest.param(1e-2, 1000.0, (20.0, 60.0, 200.0, 400.0),
+                         (0.05, 0.1, 0.2, 0.3, 0.4, 0.5), id="reference-scan"),
+            pytest.param(1e-5, 3000.0, (60.0, 200.0), (0.02, 0.1, 0.3, 0.5), id="low-snr"),
+        ],
+    )
+    def test_search_value_is_reported_value(self, base, Pbar, D, Ts, alphas):
+        """The value the search maximizes is the reported one: `_evaluate`
+        and `tdma_rates` agree to quadrature precision at the winner."""
+        for T in Ts:
+            for alpha1 in alphas:
+                sol = tdma_solve_profile(replace(base, Pbar=Pbar, D=D, T=T), RateProfile.of(alpha1))
+                assert sol.diagnostics["search_r"] == pytest.approx(sol.r, rel=1e-10, abs=0.0)
+
     def test_mirror(self, base):
         a = tdma_solve_profile(base, RateProfile.of(0.25), FAST_TDMA)
         b = tdma_solve_profile(base, RateProfile.of(0.75), FAST_TDMA)
@@ -141,23 +171,23 @@ class TestTdmaExactness:
         "V, T, alpha1, r, t1, traj",
         [
             pytest.param(  # hover at both users
-                30.0, 200.0, 0.1, 6.2421278551285075, 24.99875957146287,
-                HfhTrajectory(-500.0, 500.0, 8.332981210190454, 158.33368545647622),
+                30.0, 200.0, 0.1, 6.242127857271282, 24.99934390450003,
+                HfhTrajectory(-500.0, 500.0, 8.332677476416427, 158.33398919025024),
                 id="hover-both",
             ),
             pytest.param(  # fly, then hover above user 2
-                30.0, 63.712, 0.189061, 5.35235575466596, 15.993471187070018,
-                HfhTrajectory(-476.88267620003654, 500.0, 0.0, 31.14924412666545),
+                30.0, 63.712, 0.189061, 5.3523557569336635, 15.993024689141366,
+                HfhTrajectory(-476.8896962236873, 500.0, 0.0, 31.149010125877098),
                 id="fly-then-hover",
             ),
             pytest.param(  # fly the whole time
-                30.0, 20.0, 0.5, 3.1740369683432412, 9.999999227002263,
-                HfhTrajectory(-300.00002496085693, 299.99997503914307, 0.0, 0.0),
+                30.0, 20.0, 0.5, 3.174036968357761, 9.999999999999998,
+                HfhTrajectory(-300.0, 300.0, 0.0, 0.0),
                 id="pure-flight",
             ),
             pytest.param(  # V = 0: one fixed hover
-                0.0, 88.144, 0.256504, 2.824524478456336, 55.03676878661662,
-                HfhTrajectory(394.2407741793294, 394.2407741793294, 88.144, 0.0),
+                0.0, 88.144, 0.256504, 2.824524478762563, 55.03643170262159,
+                HfhTrajectory(394.2367385513062, 394.2367385513062, 88.144, 0.0),
                 id="static",
             ),
         ],
@@ -217,10 +247,11 @@ class TestScreen:
         above the screen's best less w times it.
 
         The error is measured against the best value, not the candidate's
-        own: both objectives bisect t1 to 1e-9 T, so a candidate served to
-        user 1 for ~1e-5 T (Pbar = 1e-5, D = 3000, V = 5, alpha1 = 0.01)
-        reads 4e-5 of its own value apart when the two land in adjacent
-        bisection leaves, at a value a hundredth of the best.
+        own: the screen interpolates a trapezoid table linearly and bisects
+        t1 to 1e-9 T, while `_evaluate` finds the exact root, so a candidate
+        served to user 1 for ~1e-5 T (Pbar = 1e-5, D = 3000, V = 5,
+        alpha1 = 0.01) reads 3e-5 of its own value off, at a value a
+        hundredth of the best.
         """
         cfg = TdmaSearchConfig(x_grid=17, ti_grid=5)
         w = tdma_solver._SCREEN_WINDOW
