@@ -163,7 +163,7 @@ class CumulativeRates:
             else:
                 x = self.x_I + (t - self.fly_start) * self.params.V
                 j = int(np.searchsorted(self._x, x, side="right")) - self._a
-                xa, at_xa = self._breakpoint(max(j, 0))
+                xa, at_xa = self._breakpoint(j)
                 flown = [f + p for f, p in zip(at_xa, _flight_integrals(self.params, xa, x)[0].tolist())]
             r = [rk + f / self.params.V for rk, f in zip(r, flown)]
         return tuple(r)
@@ -261,7 +261,7 @@ def solve_t1(
     hover_F = a2 * cum.rate_F[0] + a1 * cum.rate_F[1]
     if hover_F * (params.T - cum.fly_end) >= a2 * R1:
         return params.T - a2 * R1 / hover_F
-    if not cum.flight:
+    if not cum.flight:  # both hover tests failed only by rounding
         return cum.fly_start
 
     # The gap is zero where the weighted flight integral from x_I reaches
