@@ -5,8 +5,8 @@ is convex; its profile-constrained optimum is the root of the rate imbalance
 in a scalar weight mu in [0, 1] (the normalized dual weight of user 1),
 where each weight decouples into independent per-slot full-power splits
 with a closed form.  The root is found by safeguarded regula falsi
-(Illinois), to a balance of `SearchConfig.mu_tol` = 1e-9, from a narrow
-bracket around a known weight where the search has one; bracket ends on the
+(Illinois), to a balance of `SearchConfig.mu_tol` = 1e-9, from the bracket
+[0, 1] (or from a narrow one around a given weight); bracket ends on the
 flat of the imbalance, where every slot gives all power to its stronger
 user, move to the flat's edge.
 
@@ -18,11 +18,11 @@ hover rates and cumulative flight integrals (`pair_tables`; they depend on
 the channel only, not on T, V or the profile, so they are cached per
 channel and read-only) give every pair's value in a few vectorized passes
 of flat gathers; the best pair is zoomed on local tables (their corner
-sub-cells built once per block of weights), and its switch times are
-aligned with the slots by golden searches on the slotted P5, every step
-started from the first P5's weight.  A dense hover scan covers the
+sub-cells built once per block of weights).  A dense hover scan covers the
 x_I == x_F family exactly: a vectorized screen of the grid, the near-best
-positions scored by `fixed_boundary`, and a golden refinement.
+positions scored by `fixed_boundary`, and a golden refinement.  The winner
+is reported with one P5 solve on `SearchConfig.n_slots` slots; nothing is
+tuned to the slots and the slot count is not doubled.
 
 Every reported solution is evaluated with exact per-slot integration
 (closed-form hover segments, Gauss nodes on flight segments cut at the
@@ -58,11 +58,8 @@ from .numerics import golden_max
 _SQRT3 = math.sqrt(3.0)
 
 # A flight replaces the best hover only when better by more than this
-# (relative); the reported solve doubles the slots up to _MAX_SLOT_DOUBLINGS
-# times until r moves by less than _SLOT_DOUBLING_TOL (relative).
+# (relative).
 _TIE_TOL_REL = 1e-6
-_SLOT_DOUBLING_TOL = 1e-4
-_MAX_SLOT_DOUBLINGS = 3
 
 # Hover grid positions whose `_hover_screen` value is within this (relative)
 # of the best screen value are scored exactly by `_hover_value`.
@@ -73,21 +70,21 @@ _HOVER_WINDOW = 1e-9
 class SearchConfig:
     """Knobs of the trajectory search and of P5's weight root search.
 
-    The search reads n_slots, hover_grid, golden_iters, mu_tol and
-    mu_max_iter.  P5 runs regula falsi on the weight mu until the rates are
-    balanced to mu_tol (relative to r), within mu_max_iter weight solves;
-    inside `solve_profile` it starts from a guessed weight.  grid_xi,
-    grid_xf, grid_ti, refine_rounds and rerank_top are accepted but not
-    read: the benchmark's small test config still sets them.
+    The search reads n_slots (2,048: the reported P5 is its only slotted
+    solve), hover_grid, mu_tol and mu_max_iter.  P5 runs regula falsi on
+    the weight mu until the rates are balanced to mu_tol (relative to r),
+    within mu_max_iter weight solves.  grid_xi, grid_xf, grid_ti,
+    golden_iters, refine_rounds and rerank_top are accepted but not read:
+    the benchmark's small test config still sets them.
     """
 
-    n_slots: int = 512            # schedule slots of reported solutions
+    n_slots: int = 2048           # schedule slots of reported solutions
     grid_xi: int = 17
     grid_xf: int = 17
     grid_ti: int = 9
     hover_grid: int = 257         # dense scan of the x_I == x_F family
     refine_rounds: int = 3
-    golden_iters: int = 30        # cap of each slot-alignment golden search
+    golden_iters: int = 30
     mu_tol: float = 1e-9          # |r1/a1 - r2/a2| <= mu_tol * r at exit
     mu_max_iter: int = 60         # weight solves per P5, bracket ends counted
     rerank_top: int = 16
@@ -407,11 +404,11 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
     |r1/a1 - r2/a2| <= mu_tol * r, after max_iter solves (the ends counted),
     or when the bracket stops shrinking; returns the best iterate.
 
-    g is flat on the open `ev.plateau()` interval.  A trajectory the search
-    has tuned to balance there puts the root just outside it, where a
-    bracket end on the flat would keep its tiny g and regula falsi would
-    crawl toward the root; so a point inside moves to the plateau's edge on
-    the root's side, keeping its state, and a warm bracket widens past it.
+    g is flat on the open `ev.plateau()` interval.  An optimized flight often
+    balances there, so its root lies just outside it, where a bracket end on
+    the flat would keep its tiny g and regula falsi would crawl toward the
+    root; so a point inside moves to the plateau's edge on the root's side,
+    keeping its state, and a warm bracket widens past it.
     """
     Pbar = params.Pbar
     n = ev.n_slots
@@ -568,6 +565,9 @@ _CHUNK_CELLS = _TABLE_CHUNK * (_PAIR_NODES - 1) * _SUBCELLS
 _POLISH_SIDE = 9
 _POLISH_WEIGHTS = 17
 _POLISH_STAGES = 5
+# A stage whose pick lands on its window's edge is repeated around the pick,
+# at most this many times per search.
+_POLISH_RECENTRES = 8
 
 
 @dataclass(frozen=True)
@@ -761,16 +761,21 @@ def _batched_profile_values(params, pairs, profile, tables):
 
 def _best_pair(params, profile, tables):
     """The best feasible pair of `tables`, zoomed in _POLISH_STAGES stages of
-    local tables around it.  Returns (x_I, x_F, t_I, value, dual, polished
-    value): the table pick's value and its dual, the min over the table's
-    weights of D(mu) / (mu a1 + (1 - mu) a2).  The dual bounds, to
-    quadrature accuracy, only the schedules of the unpolished table pick:
-    the polish and the slot alignment move to other pairs, so it is no
-    bound on the reported r."""
+    local tables around it.  A stage whose pick lands on the edge of its
+    endpoint's window (not at -+D/2) is repeated around that pick at the
+    same spacing, up to _POLISH_RECENTRES times in all: the optimum lies
+    outside the window, and a finer window would shrink away from it.
+    Returns (x_I, x_F, t_I, value, dual, polished value): the table pick's
+    value and its dual, the min over the table's weights of
+    D(mu) / (mu a1 + (1 - mu) a2).  The dual bounds, to quadrature accuracy,
+    only the schedules of the unpolished table pick: the polish moves to
+    other pairs, so it is no bound on the reported r."""
     half = 0.5 * params.D
     offsets = (tables.x[1] - tables.x[0]) * (np.arange(_POLISH_SIDE) - _POLISH_SIDE // 2)
-    for stage in range(_POLISH_STAGES + 1):
+    stage = recentres = 0
+    while stage <= _POLISH_STAGES:
         if stage:
+            centres = (x_I, x_F)
             pos = np.union1d(
                 np.clip(x_I + offsets * 0.25 ** stage, -half, half),
                 np.clip(x_F + offsets * 0.25 ** stage, -half, half),
@@ -792,6 +797,14 @@ def _best_pair(params, profile, tables):
             a1, a2 = profile.alpha1, profile.alpha2
             dual = np.min((mu * r1 + (1.0 - mu) * r2) / (mu * a1 + (1.0 - mu) * a2))
             pair_value = value[k]
+        else:
+            reach = offsets[-1] * 0.25 ** stage * (1.0 - 1e-9)
+            if recentres < _POLISH_RECENTRES and any(
+                abs(p - c) >= reach and abs(p) < half for p, c in zip((x_I, x_F), centres)
+            ):
+                recentres += 1
+                continue
+        stage += 1
     return float(x_I), float(x_F), float(t_I[k]), float(pair_value), float(dual), float(value[k])
 
 
@@ -838,11 +851,11 @@ def _hover_argmax(params, xs, profile):
     return int(near[k]), vals[k]
 
 
-def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None):
+def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics):
     disc = discretize(params, traj, n_slots)
     res = _solve_p5_on(
         params, TrajectoryEvaluator.exact(params, traj, n_slots), profile,
-        cfg.mu_tol, cfg.mu_max_iter, guess=guess,
+        cfg.mu_tol, cfg.mu_max_iter,
     )
     validate_discretization(params, disc)
     diag = dict(diagnostics)
@@ -905,16 +918,16 @@ def solve_profile(
     whole grid, `_hover_value` on the positions within `_HOVER_WINDOW` of
     its best, the first exact maximum golden-refined), then (for V > 0)
     the best endpoint pair of `pair_tables(params)`, zoomed on local
-    tables, with its switch times aligned to the slots by golden searches
-    on the slotted exact P5.  The flight replaces the hover only when it is
-    better by more than `_TIE_TOL_REL`.  Ends with a slot doubling check.
-    P5 starts warm where a weight is known: every golden step from the
-    first P5's weight, the reported solve from the winner's, the doubled
-    solve from the reported one's; hover winners start cold.  Diagnostics
-    report the hover value, the table pick's value and its dual
-    (`table_pick_dual`, a bound on that unpolished pair only, not on r), the
-    polished value, the P5 solve count (`p5_calls`) and the weight solves
-    of all of them (`weight_solves`).
+    tables.  A polished pair better than the hover by more than
+    `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots` slots,
+    cold, and replaces the hover when that r, too, is better by more than
+    the tie; otherwise the hover is solved the same way.  So a solve makes
+    at most two P5 solves.  Diagnostics report the hover value, the table
+    pick's value and its dual (`table_pick_dual`, a bound on that
+    unpolished pair only, not on r), the polished value, the winner's
+    search value (`search_best_r`: the hover value, or the flight's r), the
+    P5 solve count (`p5_calls`) and the weight solves of all of them
+    (`weight_solves`).
     """
     if profile.is_corner:
         return _corner_solution(params, profile, cfg)
@@ -938,63 +951,33 @@ def solve_profile(
     )
     if r_grid > r_h:
         x_h, r_h = float(xs[ih]), r_grid
-    best_traj = make_hfh(params, x_h, x_h, params.T)
     best_r = r_h
     diagnostics["hover_r"] = r_h
     p5_calls = weight_solves = 0
-    mu_guess = None  # hover winners start P5 cold
 
+    sol = None
     if params.V > 0.0:
         x_I, x_F, t_I, pair_value, dual, polished = _best_pair(
             params, profile, pair_tables(params)
         )
         diagnostics.update(pair_value=pair_value, table_pick_dual=dual, polish_value=polished)
         tie = _TIE_TOL_REL * max(r_h, 1e-12)
-        best = [-math.inf, None, None]
-        guess = None
-
-        def value_of(x_i, t):
-            nonlocal p5_calls, weight_solves
-            traj = make_hfh(params, x_i, x_F, min(t, params.T - (x_F - x_i) / params.V))
-            ev = TrajectoryEvaluator.exact(params, traj, cfg.n_slots)
-            res = _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter, guess=guess)
-            p5_calls += 1
-            weight_solves += res.iterations
-            best[:] = max(best, [res.r, traj, res.mu], key=lambda b: b[0])
-            return res.r
-
         # Slots only lose rate against the continuous value, so a polished
-        # value within the tie of the hover cannot replace it.  Otherwise
-        # align the switch times with the slots: the flight's start through
-        # t_I, then its end through x_I, each over one slot.
+        # value within the tie of the hover cannot replace it.
         if polished > r_h + tie:
-            value_of(x_I, t_I)
-            guess = best[2]  # every golden step starts from the first P5's weight
-            slot = 0.5 * params.T / cfg.n_slots
             slack = params.T - (x_F - x_I) / params.V
-            golden_max(lambda t: value_of(x_I, t), max(t_I - slot, 0.0),
-                       min(t_I + slot, slack), cfg.golden_iters, 1e-6 * params.T)
-            t_I, reach = best[1].t_I, params.V * slot
-            x_lo = max(x_I - reach, -half, x_F - params.V * params.T)
-            golden_max(lambda x: value_of(x, t_I), x_lo, min(x_I + reach, x_F),
-                       cfg.golden_iters, 1e-6 * params.D)
-        if best[0] > r_h + tie:
-            best_r, best_traj, mu_guess = best
+            flight = _exact_solution(params, profile, make_hfh(params, x_I, x_F, min(t_I, slack)),
+                                     cfg.n_slots, cfg, diagnostics)
+            p5_calls += 1
+            weight_solves += flight.diagnostics["mu_iterations"]
+            if flight.r > r_h + tie:
+                sol, best_r = flight, flight.r
 
-    # The reported solve, warm from the winner's weight, then the slot-count
-    # convergence check, warm from the reported solve's.
-    n = cfg.n_slots
-    sol = _exact_solution(params, profile, best_traj, n, cfg, diagnostics, mu_guess)
-    p5_calls += 1
-    weight_solves += sol.diagnostics["mu_iterations"]
-    for _ in range(_MAX_SLOT_DOUBLINGS):
-        finer = _exact_solution(params, profile, best_traj, 2 * n, cfg, diagnostics, sol.mu)
+    if sol is None:
+        sol = _exact_solution(params, profile, make_hfh(params, x_h, x_h, params.T),
+                              cfg.n_slots, cfg, diagnostics)
         p5_calls += 1
-        weight_solves += finer.diagnostics["mu_iterations"]
-        if abs(finer.r - sol.r) < _SLOT_DOUBLING_TOL * max(sol.r, 1e-12):
-            break
-        n *= 2
-        sol = finer
+        weight_solves += sol.diagnostics["mu_iterations"]
     sol.diagnostics.update(search_best_r=best_r, p5_calls=p5_calls, weight_solves=weight_solves)
     return sol
 

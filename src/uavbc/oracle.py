@@ -629,6 +629,8 @@ def hull_region_containment(
 
 _SIMPSON9 = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
 _OFFS9 = np.linspace(0.0, 1.0, 9)
+# Slots re-integrated per block by `_inequality_integrals`.
+_FEASIBILITY_BLOCK = 2048
 
 
 def _dual_uplink_powers(p1, p2, h1, h2):
@@ -653,44 +655,47 @@ def _inequality_integrals(params, traj, p1_slots, p2_slots):
 
     Integrates piecewise: hover portions exactly, flight portions with a
     9-point composite Simpson rule per slot piece (the integrand is smooth
-    inside a piece once the flight is cut at the x = 0 crossing).
+    inside a piece once the flight is cut at the x = 0 crossing).  The slots
+    run in blocks of _FEASIBILITY_BLOCK, which bounds the temporaries; the
+    nodes and weights do not depend on the blocks.
     """
+    p1_slots = np.asarray(p1_slots, dtype=float)
+    p2_slots = np.asarray(p2_slots, dtype=float)
     n = len(p1_slots)
     T = params.T
     delta = T / n
-    t0 = np.arange(n) * delta
-    t1 = t0 + delta
-    ts_list, w_list, slot_list = [], [], []
-    for lo_edge, hi_edge, x_h in _time_windows(params, traj):
-        lo = np.maximum(t0, lo_edge)
-        hi = np.minimum(t1, hi_edge)
-        dur = hi - lo
-        if x_h is not None:
-            # the position is constant on a hover: one node at its center
-            idx = np.nonzero(dur > 0.0)[0]
-            ts_list.append(np.full(idx.size, 0.5 * (lo_edge + hi_edge)))
-            w_list.append(dur[idx])
-            slot_list.append(idx)
-            continue
-        idx = np.nonzero(dur > 1e-15 * T)[0]
-        nodes = lo[idx, None] + dur[idx, None] * _OFFS9[None, :]
-        ts_list.append(nodes.ravel())
-        w_list.append((dur[idx, None] * _SIMPSON9[None, :]).ravel())
-        slot_list.append(np.repeat(idx, len(_OFFS9)))
+    windows = _time_windows(params, traj)
+    total = np.zeros(3)
+    for first in range(0, n, _FEASIBILITY_BLOCK):
+        t0 = np.arange(first, min(first + _FEASIBILITY_BLOCK, n)) * delta
+        t1 = t0 + delta
+        ts_list, w_list, slot_list = [], [], []
+        for lo_edge, hi_edge, x_h in windows:
+            lo = np.maximum(t0, lo_edge)
+            hi = np.minimum(t1, hi_edge)
+            dur = hi - lo
+            if x_h is not None:
+                # the position is constant on a hover: one node at its center
+                idx = np.nonzero(dur > 0.0)[0]
+                ts_list.append(np.full(idx.size, 0.5 * (lo_edge + hi_edge)))
+                w_list.append(dur[idx])
+                slot_list.append(idx)
+                continue
+            idx = np.nonzero(dur > 1e-15 * T)[0]
+            nodes = lo[idx, None] + dur[idx, None] * _OFFS9[None, :]
+            ts_list.append(nodes.ravel())
+            w_list.append((dur[idx, None] * _SIMPSON9[None, :]).ravel())
+            slot_list.append(np.repeat(idx, len(_OFFS9)))
 
-    ts = np.concatenate(ts_list)
-    w = np.concatenate(w_list) / T
-    slots = np.concatenate(slot_list)
-    xs = positions_at(params, traj, ts)
-    h1, h2 = gain_pair(params, xs)
-    p1 = np.asarray(p1_slots)[slots]
-    p2 = np.asarray(p2_slots)[slots]
-    q1, q2 = _dual_uplink_powers(p1, p2, h1, h2)
-    s1 = q1 * h1
-    s2 = q2 * h2
-    I1 = float(w @ np.log1p(s1)) / LOG2
-    I2 = float(w @ np.log1p(s2)) / LOG2
-    I3 = float(w @ np.log1p(s1 + s2)) / LOG2
+        ts = np.concatenate(ts_list)
+        w = np.concatenate(w_list) / T
+        slots = np.concatenate(slot_list) + first
+        h1, h2 = gain_pair(params, positions_at(params, traj, ts))
+        q1, q2 = _dual_uplink_powers(p1_slots[slots], p2_slots[slots], h1, h2)
+        s1 = q1 * h1
+        s2 = q2 * h2
+        total += [w @ np.log1p(s1), w @ np.log1p(s2), w @ np.log1p(s1 + s2)]
+    I1, I2, I3 = (float(v) / LOG2 for v in total)
     return I1, I2, I3
 
 

@@ -256,6 +256,19 @@ class TestCheckFeasibility:
         sol = tdma_solve_profile(base, RateProfile.of(0.35))
         assert check_feasibility(base, sol).passed
 
+    def test_blocks_match_one_pass(self, base, monkeypatch):
+        """A schedule longer than a block, with its flight cut at x = 0
+        inside one, re-integrates as one pass does up to summation order."""
+        params = replace(base, T=400.0)
+        traj = make_hfh(params, -300.0, 450.0, 123.4)
+        n = 4 * 2048 + 37
+        assert n > oracle._FEASIBILITY_BLOCK
+        p1 = np.random.default_rng(7).uniform(0.0, params.Pbar, n)
+        blocked = oracle._inequality_integrals(params, traj, p1, params.Pbar - p1)
+        monkeypatch.setattr(oracle, "_FEASIBILITY_BLOCK", n)
+        whole = oracle._inequality_integrals(params, traj, p1, params.Pbar - p1)
+        assert blocked == pytest.approx(whole, rel=1e-13, abs=0.0)
+
 
 def test_hull_oracle_agrees_with_triangle(base):
     rng = np.random.default_rng(31)
