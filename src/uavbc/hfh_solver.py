@@ -17,12 +17,14 @@ a blend across the bracket.  Per-weight tables of hover rates, weighted
 hover rates and cumulative flight integrals (`pair_tables`; they depend on
 the channel only, not on T, V or the profile, so they are cached per
 channel and read-only) give every pair's value in a few vectorized passes
-of flat gathers; the best pair is zoomed on local tables (their corner
-sub-cells built once per block of weights).  A dense hover scan covers the
+of flat gathers; the best pair is zoomed on local tables (one full-power
+pass each, per-weight integrals only where the weight changes the split),
+and the best pick of the zoom is reported.  A dense hover scan covers the
 x_I == x_F family exactly: a vectorized screen of the grid, the near-best
 positions scored by `fixed_boundary`, and a golden refinement.  The winner
-is reported with one P5 solve on `SearchConfig.n_slots` slots; nothing is
-tuned to the slots and the slot count is not doubled.
+is reported with one P5 solve on `SearchConfig.n_slots` slots, a flight's
+warm-started from the zoom's weight bracket; nothing is tuned to the slots
+and the slot count is not doubled.
 
 Every reported solution is evaluated with exact per-slot integration
 (closed-form hover segments, Gauss nodes on flight segments cut at the
@@ -194,15 +196,20 @@ def _strong_power(frame, mu, Pbar):
     makes d0 > 0 > dP on near-tied gains, where both corners are within
     rounding of each other), or NaN, which needs d0 = 0 and is discarded.
     """
-    strong2, hs, hw, cw, cs, hshw = frame
+    d0, dP = _split_tests(frame, mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_star = np.minimum(np.maximum(d0 / (frame[5] * (mu - (1.0 - mu))), 0.0), Pbar)
+    return np.where(d0 <= 0.0, 0.0, np.where(dP >= 0.0, Pbar, p_star))
+
+
+def _split_tests(frame, mu):
+    """`_strong_power`'s tests: d0 and dP, whose signs are the weighted
+    derivative's at p_s = 0 and at Pbar."""
+    strong2, hs, hw, cw, cs, _ = frame
     nu = 1.0 - mu
     a = np.where(strong2, nu, mu) * hs
     b = np.where(strong2, mu, nu) * hw
-    d0 = a - b
-    dP = a * cw - b * cs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_star = np.minimum(np.maximum(d0 / (hshw * (mu - nu)), 0.0), Pbar)
-    return np.where(d0 <= 0.0, 0.0, np.where(dP >= 0.0, Pbar, p_star))
+    return a - b, a * cw - b * cs
 
 
 def _sc_rates(strong2, hs, hw, ps, pw):
@@ -575,8 +582,13 @@ class PairTables:
     """At weight mu[m] (row m) and sorted positions x: hover rates (h1, h2)
     in bps/Hz, cumulative flight integrals (c1, c2) of the per-position
     rates from x[0], in bps/Hz times meters, and the weighted hover rate
-    g = mu*h1 + (1 - mu)*h2.  They depend on (beta0, H, D, Pbar) only;
-    `pair_tables` caches one read-only set per channel."""
+    g = mu*h1 + (1 - mu)*h2.  mu runs from 0 to 1: the first row gives all
+    power to user 2 and the last all to user 1, so they hold the full-power
+    rates (and c1 = 0 on the first row, c2 = 0 on the last).  `_rate_tables`
+    builds them: one full-power pass, per-row integrals only where the
+    weight matters, and sub-cells summed in groups of _SUBCELLS before they
+    are cumulated.  They depend on (beta0, H, D, Pbar) only; `pair_tables`
+    caches one read-only set per channel."""
 
     x: np.ndarray
     mu: np.ndarray
@@ -609,6 +621,14 @@ def _regime(ps, Pbar):
     return (ps > 0.0).astype(np.int8) + (ps >= Pbar)
 
 
+def _tested_regime(frame, mu):
+    """`_regime` where `_strong_power`'s tests decide a corner, and 1
+    elsewhere: the interior, or a corner that only the clamp of p* reaches."""
+    d0, dP = _split_tests(frame, mu)
+    up = d0 > 0.0
+    return up.astype(np.int8) + (up & (dP >= 0.0))
+
+
 def _kinks(regime, adjacent=True):
     """Sub-cells (rows by sub-cells) whose two nodes, or whose node and its
     neighbour's, disagree on the regime; `adjacent` says which consecutive
@@ -620,25 +640,64 @@ def _kinks(regime, adjacent=True):
     return kink
 
 
+def _group_sums(f):
+    """Sums over the last axis, of length _SUBCELLS, added pairwise: element
+    2i to 2i + 1, then the same on the halved axis, until one is left.  The
+    order does not depend on the array's layout."""
+    while f.shape[-1] > 1:
+        f = f[..., ::2] + f[..., 1::2]
+    return f[..., 0]
+
+
+def _full_power_integrals(half, frame, Pbar):
+    """2-point Gauss integrals of log1p(Pbar*h1) and log1p(Pbar*h2) over the
+    sub-cells of `_gauss_nodes`: `_sc_rates`' r1 where user 1 has all power,
+    and r2 where user 2 has, to the last bit."""
+    strong2, hs, hw = frame[:3]
+    l_strong, l_weak = np.log1p(Pbar * hs), np.log1p(Pbar * hw)
+    l1, l2 = np.where(strong2, l_weak, l_strong), np.where(strong2, l_strong, l_weak)
+    return half * (l1[..., 0] + l1[..., 1]), half * (l2[..., 0] + l2[..., 1])
+
+
+def _pieces(params, edges, c):
+    """`_gauss_nodes` of the sub-cells c between edges, each cut into
+    _SUBCELLS equal pieces (the second axis)."""
+    piece = (edges[c + 1] - edges[c])[:, None] / _SUBCELLS
+    a = edges[c, None] + piece * np.arange(_SUBCELLS)
+    return _gauss_nodes(params, a, a + piece)
+
+
 def _rate_tables(params, x, mu) -> PairTables:
-    """PairTables at sorted positions x and sorted weights mu.
+    """PairTables at sorted positions x and sorted weights mu, mu[0] = 0 and
+    mu[-1] = 1.
 
     Flight integrals use 2-point Gauss on sub-cells at most
     D / ((_PAIR_NODES - 1) * _SUBCELLS) wide, cut at every x and at x = 0
     (the rates jump there).  A sub-cell whose Gauss nodes, or whose node and
     its neighbour's, disagree on the split's regime holds a kink and is
-    integrated on _SUBCELLS pieces instead.
+    integrated on _SUBCELLS pieces instead.  Each segment between cuts sums
+    its sub-cells in zero-padded groups of _SUBCELLS by `_group_sums`, and
+    the tables cumulate the group sums.
 
-    The weights run in three blocks: the first row, the rows between and
-    the last row.  Every operation in `_strong_power`'s two tests is
-    monotone in mu, also after rounding, so at each node the regime is
-    monotone in mu.  A sub-cell with one corner regime (all power to one
-    user) at both nodes, and no kink, at a block's first and last weight
-    therefore keeps that regime and no kink at every weight between: its
-    integrals do not depend on mu there, so they are computed once, from the
-    block's first row.  Only the other sub-cells are computed per row, so
-    every entry equals its per-row value to the last bit.  Chunks of rows
-    bound the temporaries: at most _CHUNK_CELLS per-row sub-cells, and
+    One full-power pass integrates log1p(Pbar*h1) and log1p(Pbar*h2) over
+    every sub-cell.  Where the split gives all power to user k at both
+    nodes, these are its `_sc_rates` integrals to the last bit: the
+    full-power one for user k, zero for the other.  At mu = 0 every node
+    gives all power to user 2 and at mu = 1 to user 1, so those two rows
+    are this pass, but for the kinks where the strong user changes.
+
+    The rows between form one block, classified at its first and last
+    weight by `_strong_power`'s two tests (`_tested_regime`).  Every
+    operation in those tests is monotone in mu, also after rounding, so at
+    each node the regime they decide is monotone in mu.  A sub-cell they
+    put on one corner regime (all power to one user) at both nodes, with
+    one strong user and no kink, at both weights therefore keeps them at
+    every weight between: its integrals are full-power ones throughout.
+    Only the other (live)
+    sub-cells are integrated per row, kinks are sought only among them and
+    their neighbours, and a group with neither is summed once.  So every
+    entry equals the per-row build's to the last bit.  Chunks of rows bound
+    the temporaries: at most _CHUNK_CELLS per-row sub-cell slots, and
     4 * _TABLE_CHUNK rows.
     """
     Pbar = params.Pbar
@@ -649,49 +708,71 @@ def _rate_tables(params, x, mu) -> PairTables:
     k = np.arange(ends[-1]) - np.repeat(ends[:-1], n_sub)
     edges = np.append(np.repeat(cuts[:-1], n_sub) + np.repeat(gaps / n_sub, n_sub) * k, cuts[-1])
     half, frame = _gauss_nodes(params, edges[:-1], edges[1:])
-    cells = len(half)
-    node_frame = _split_frame(*gain_pair(params, x), Pbar)
-    at_x = ends[np.searchsorted(cuts, x)]
+    strong2 = frame[0]
+    # Each sub-cell's slot in its segment's zero-padded groups.
+    groups = np.concatenate([[0], np.cumsum(-(-n_sub // _SUBCELLS))])
+    slot = np.repeat(groups[:-1] * _SUBCELLS, n_sub) + k
+    n_groups = groups[-1]
+    at_x = groups[np.searchsorted(cuts, x)]
+
+    def cumulate(g):
+        """Rows of group sums, cumulated and read at x."""
+        return np.cumsum(np.concatenate([np.zeros(g.shape[:-1] + (1,)), g], axis=-1), axis=-1)[..., at_x]
+
+    full = np.zeros((2, n_groups * _SUBCELLS))
+    full[:, slot] = _full_power_integrals(half, frame, Pbar)
     n = len(mu)
+    node_frame = _split_frame(*gain_pair(params, x), Pbar)
+    nps = _strong_power(node_frame, mu[:, None], Pbar)
     out = np.empty((4, n, len(x)))
-    bounds = sorted({0, min(1, n), max(n - 1, 0), n})
-    for first, stop in zip(bounds[:-1], bounds[1:]):
-        ps = _strong_power(frame, mu[sorted({first, stop - 1}), None, None], Pbar)
-        regime = _regime(ps, Pbar)
-        corner = regime[0, :, 0]
-        flat = (corner != 1) & (regime[0, :, 1] == corner) & np.all(regime[-1] == corner[:, None], axis=1)
-        flat &= ~np.any(_kinks(regime), axis=0)
-        # Per-row sub-cells, and with their neighbours the only kink candidates.
-        live = np.flatnonzero(~flat)
-        near = ~flat
-        near[:-1] |= ~flat[1:]
-        near[1:] |= ~flat[:-1]
-        near = np.flatnonzero(near)
-        adjacent = near[1:] == near[:-1] + 1
-        at_live = np.searchsorted(near, live)
-        live_half, live_frame = half[live], tuple(a[live] for a in frame)
-        # Rows of integrals with a leading zero, so their cumsum is the table.
-        f_first = np.zeros((2, cells + 1))
-        f_first[:, 1:] = _gauss_integrals(half, frame, ps[0], Pbar)
-        step = min(4 * _TABLE_CHUNK, max(1, _CHUNK_CELLS // max(len(live), 1)))
-        for s in range(first, stop, step):
-            rows = slice(s, min(s + step, stop))
-            m = mu[rows, None]
-            nps = _strong_power(node_frame, m, Pbar)
-            out[0, rows], out[1, rows] = _sc_rates(*node_frame[:3], nps, Pbar - nps)
-            f = np.repeat(f_first[:, None], len(m), axis=1)
-            live_ps = _strong_power(live_frame, m[..., None], Pbar)
-            f[0][:, 1 + live], f[1][:, 1 + live] = _gauss_integrals(live_half, live_frame, live_ps, Pbar)
-            reg = np.repeat(regime[:1, near], len(m), axis=0)
-            reg[:, at_live] = _regime(live_ps, Pbar)
-            r, c = np.nonzero(_kinks(reg, adjacent))
-            c = near[c]
-            piece = (edges[c + 1] - edges[c])[:, None] / _SUBCELLS
-            a = edges[c, None] + piece * np.arange(_SUBCELLS)
-            k_half, k_frame = _gauss_nodes(params, a, a + piece)
-            k1, k2 = _gauss_integrals(k_half, k_frame, _strong_power(k_frame, m[r, :, None], Pbar), Pbar)
-            f[0][r, 1 + c], f[1][r, 1 + c] = k1.sum(-1), k2.sum(-1)
-            out[2:, rows] = np.cumsum(f, axis=2)[..., at_x]
+    out[0], out[1] = _sc_rates(*node_frame[:3], nps, Pbar - nps)
+
+    # At mu = 0 and 1 the regime is 2 or 0 by strong user, so the kinks lie
+    # where the strong user changes.
+    c = np.flatnonzero(_kinks(strong2[None])[0])
+    f = full.copy()
+    f[:, slot[c]] = [v.sum(-1) for v in _full_power_integrals(*_pieces(params, edges, c), Pbar)]
+    out[2:, [0, -1]] = 0.0
+    out[2, -1], out[3, 0] = cumulate(_group_sums(f.reshape(2, n_groups, _SUBCELLS)))
+
+    regime = _tested_regime(frame, mu[[1, -2], None, None])
+    corner = regime[0, :, 0]
+    flat = (corner != 1) & np.all(regime == corner[:, None], axis=(0, 2))
+    flat &= (strong2[:, 0] == strong2[:, 1]) & ~np.any(_kinks(regime), axis=0)
+    # The full-power rows with the flat sub-cells' other user zeroed.
+    to_user1 = np.zeros(n_groups * _SUBCELLS, dtype=bool)
+    to_user1[slot] = (corner == 2) != strong2[:, 0]
+    f_flat = full * np.array([to_user1, ~to_user1])
+    # Per-row sub-cells, and with their neighbours the only kink candidates,
+    # with their slots in the groups that hold them.
+    live = np.flatnonzero(~flat)
+    near = ~flat
+    near[:-1] |= ~flat[1:]
+    near[1:] |= ~flat[:-1]
+    near = np.flatnonzero(near)
+    adjacent = near[1:] == near[:-1] + 1
+    at_live = np.searchsorted(near, live)
+    busy, near_at = np.unique(slot[near] // _SUBCELLS, return_inverse=True)
+    near_at = near_at * _SUBCELLS + slot[near] % _SUBCELLS
+    live_half, live_frame, live_at = half[live], tuple(a[live] for a in frame), near_at[at_live]
+    f_busy = f_flat.reshape(2, n_groups, _SUBCELLS)[:, busy].reshape(2, -1)
+    g_flat = _group_sums(f_flat.reshape(2, n_groups, _SUBCELLS))
+    step = min(4 * _TABLE_CHUNK, max(1, _CHUNK_CELLS // max(f_busy.shape[1], 1)))
+    for s in range(1, n - 1, step):
+        rows = slice(s, min(s + step, n - 1))
+        m = mu[rows, None]
+        f = np.repeat(f_busy[:, None], len(m), axis=1)
+        live_ps = _strong_power(live_frame, m[..., None], Pbar)
+        f[0][:, live_at], f[1][:, live_at] = _gauss_integrals(live_half, live_frame, live_ps, Pbar)
+        reg = np.repeat(regime[:1, near], len(m), axis=0)
+        reg[:, at_live] = _regime(live_ps, Pbar)
+        r, c = np.nonzero(_kinks(reg, adjacent))
+        k_half, k_frame = _pieces(params, edges, near[c])
+        k1, k2 = _gauss_integrals(k_half, k_frame, _strong_power(k_frame, m[r, :, None], Pbar), Pbar)
+        f[0][r, near_at[c]], f[1][r, near_at[c]] = k1.sum(-1), k2.sum(-1)
+        g = np.repeat(g_flat[:, None], len(m), axis=1)
+        g[..., busy] = _group_sums(f.reshape(2, len(m), len(busy), _SUBCELLS))
+        out[2:, rows] = cumulate(g)
     h1, h2, c1, c2 = out / LOG2
     w = mu[:, None]
     return PairTables(x, mu, h1, h2, c1, c2, w * h1 + (1.0 - w) * h2)
@@ -764,15 +845,20 @@ def _best_pair(params, profile, tables):
     local tables around it.  A stage whose pick lands on the edge of its
     endpoint's window (not at -+D/2) is repeated around that pick at the
     same spacing, up to _POLISH_RECENTRES times in all: the optimum lies
-    outside the window, and a finer window would shrink away from it.
-    Returns (x_I, x_F, t_I, value, dual, polished value): the table pick's
-    value and its dual, the min over the table's weights of
-    D(mu) / (mu a1 + (1 - mu) a2).  The dual bounds, to quadrature accuracy,
-    only the schedules of the unpolished table pick: the polish moves to
-    other pairs, so it is no bound on the reported r."""
+    outside the window, and a finer window would shrink away from it.  Each
+    stage centres on the previous stage's pick, but a stage's best can fall
+    below an earlier one, so the best pick of all stages is reported.
+    Returns (x_I, x_F, t_I, value, dual, polished value, bracket): the
+    reported pick's endpoints and hover time, the table pick's value and
+    its dual, the min over the table's weights of
+    D(mu) / (mu a1 + (1 - mu) a2), then the reported pick's value and the
+    weights (mu_lo, mu_hi) its value blends.  The dual bounds, to quadrature
+    accuracy, only the schedules of the unpolished table pick: the polish
+    moves to other pairs, so it is no bound on the reported r."""
     half = 0.5 * params.D
     offsets = (tables.x[1] - tables.x[0]) * (np.arange(_POLISH_SIDE) - _POLISH_SIDE // 2)
     stage = recentres = 0
+    best = None
     while stage <= _POLISH_STAGES:
         if stage:
             centres = (x_I, x_F)
@@ -791,6 +877,8 @@ def _best_pair(params, profile, tables):
         k = int(np.argmax(value))
         i, j = pairs[k]
         x_I, x_F, mu_lo, mu_hi = x[i], x[j], mu[lo[k]], mu[hi[k]]
+        if best is None or value[k] >= best[0]:
+            best = (value[k], x_I, x_F, t_I[k], mu_lo, mu_hi)
         if not stage:
             slack = params.T - (x[j] - x[i]) / params.V
             r1, r2, _ = _pair_primal(params, tables, slack, np.arange(len(mu)), i, j)
@@ -805,7 +893,8 @@ def _best_pair(params, profile, tables):
                 recentres += 1
                 continue
         stage += 1
-    return float(x_I), float(x_F), float(t_I[k]), float(pair_value), float(dual), float(value[k])
+    value, x_I, x_F, t_I, mu_lo, mu_hi = map(float, best)
+    return x_I, x_F, t_I, float(pair_value), float(dual), value, (mu_lo, mu_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -851,11 +940,11 @@ def _hover_argmax(params, xs, profile):
     return int(near[k]), vals[k]
 
 
-def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics):
+def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None):
     disc = discretize(params, traj, n_slots)
     res = _solve_p5_on(
         params, TrajectoryEvaluator.exact(params, traj, n_slots), profile,
-        cfg.mu_tol, cfg.mu_max_iter,
+        cfg.mu_tol, cfg.mu_max_iter, guess=guess,
     )
     validate_discretization(params, disc)
     diag = dict(diagnostics)
@@ -920,8 +1009,9 @@ def solve_profile(
     the best endpoint pair of `pair_tables(params)`, zoomed on local
     tables.  A polished pair better than the hover by more than
     `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots` slots,
-    cold, and replaces the hover when that r, too, is better by more than
-    the tie; otherwise the hover is solved the same way.  So a solve makes
+    warm-started at the midpoint of the pick's weight bracket, and replaces
+    the hover when that r, too, is better by more than the tie; otherwise
+    the hover is solved the same way, cold.  So a solve makes
     at most two P5 solves.  Diagnostics report the hover value, the table
     pick's value and its dual (`table_pick_dual`, a bound on that
     unpolished pair only, not on r), the polished value, the winner's
@@ -957,7 +1047,7 @@ def solve_profile(
 
     sol = None
     if params.V > 0.0:
-        x_I, x_F, t_I, pair_value, dual, polished = _best_pair(
+        x_I, x_F, t_I, pair_value, dual, polished, bracket = _best_pair(
             params, profile, pair_tables(params)
         )
         diagnostics.update(pair_value=pair_value, table_pick_dual=dual, polish_value=polished)
@@ -967,7 +1057,7 @@ def solve_profile(
         if polished > r_h + tie:
             slack = params.T - (x_F - x_I) / params.V
             flight = _exact_solution(params, profile, make_hfh(params, x_I, x_F, min(t_I, slack)),
-                                     cfg.n_slots, cfg, diagnostics)
+                                     cfg.n_slots, cfg, diagnostics, guess=0.5 * sum(bracket))
             p5_calls += 1
             weight_solves += flight.diagnostics["mu_iterations"]
             if flight.r > r_h + tie:

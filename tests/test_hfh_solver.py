@@ -31,6 +31,7 @@ from uavbc.hfh_solver import (
     validate_discretization,
 )
 from uavbc.oracle import check_feasibility, grid_power_oracle
+from uavbc.tdma_solver import CumulativeRates
 
 PEAK = 6.6582114827517955
 
@@ -234,16 +235,18 @@ class TestSolveP5:
                 assert np.any(hfh_solver._strong_power(ev.frame, mu, params.Pbar) < params.Pbar)
 
     def test_root_beside_the_plateau_takes_few_solves(self, base):
-        """The search reports this flight with one P5 solve.  The trajectory
-        the slot-aligned search used to report here balances on the
-        plateau, so its P5 root lies just outside it; bracket ends left on
-        the flat would make regula falsi crawl (27 weight solves cold and 27
-        warm from inside the plateau, against 12 and 6)."""
+        """The search reports this flight with one P5 solve, warm-started at
+        the midpoint of the polish pick's weight bracket (14 weight solves
+        cold).  The trajectory the slot-aligned search used to report here
+        balances on the plateau, so its P5 root lies just outside it;
+        bracket ends left on the flat would make regula falsi crawl (27
+        weight solves cold and 27 warm from inside the plateau, against 12
+        and 6)."""
         params = replace(base, T=200.0)
         prof = RateProfile.of(0.1)
         sol = solve_profile(params, prof)
         assert sol.diagnostics["p5_calls"] == 1
-        assert sol.diagnostics["weight_solves"] == 14
+        assert sol.diagnostics["weight_solves"] == 6
         cfg = SearchConfig()
         traj = make_hfh(params, -500.0, 500.0, 8.33231542768917)
         ev = TrajectoryEvaluator.exact(params, traj, cfg.n_slots)
@@ -387,33 +390,55 @@ class TestSearchExactness:
 
     def test_profile_0_3(self, base):
         sol = solve_profile(base, RateProfile.of(0.3))
-        assert sol.r == 5.271265932137267
-        assert sol.rate_pair.r1 == 1.58137977964118
-        assert sol.rate_pair.r2 == 3.6898861524964586
-        assert sol.mu == 0.4998957974372198
+        assert sol.r == 5.2712659321374895
+        assert sol.rate_pair.r1 == 1.5813797796412468
+        assert sol.rate_pair.r2 == 3.689886152496392
+        assert sol.mu == 0.49989579743722795
         t = sol.trajectory
         assert (t.x_I, t.x_F, t.t_I, t.t_F) == (
             -500.0,
             500.0,
-            3.8330053640819686,
-            22.833661302584694,
+            3.83300536408198,
+            22.833661302584687,
         )
 
     def test_profile_0_5(self, base):
         sol = solve_profile(base, RateProfile.of(0.5))
-        assert sol.r == 5.271266064564794
-        assert sol.mu == 0.5000000000000001
+        assert sol.r == 5.271266064564797
+        assert sol.mu == 0.4998977946281433
         assert sol.trajectory.x_I == -500.0
-        assert sol.trajectory.t_I == 13.33333333333332
+        assert sol.trajectory.t_I == 13.333333333333332
 
     def test_polish_follows_an_optimum_past_its_window(self, base):
         """Here polish stages 2 to 5 used to pick x_I on their window's edge
         and then shrink away from it, ending at 129.16 m with a polished
-        value of 2.0357674378868786 and r = 2.035769087606972."""
+        value of 2.0357674378868786 and r = 2.035769087606972.  The best
+        pick is stage 3's; the last stage's, 2.0357695624145338 at
+        129.639 m, used to be reported."""
         sol = solve_profile(replace(base, Pbar=1e-3, T=20.0), RateProfile.of(0.05))
-        assert sol.diagnostics["polish_value"] == 2.0357695624145338
-        assert sol.trajectory.x_I == 129.638671875
+        assert sol.diagnostics["polish_value"] == 2.0357696787428154
+        assert sol.trajectory.x_I == 129.6875
         assert sol.r >= 2.035769087606972
+
+    def test_polish_reports_its_best_stage(self, base, monkeypatch):
+        """Each stage centres on the previous stage's pick, so a stage's best
+        can fall below an earlier pick: here stage 4's first pick is worth
+        2.0357375576 against stage 3's 2.0357696787.  The polished value is
+        the best pick of every stage."""
+        params, prof = replace(base, Pbar=1e-3, T=20.0), RateProfile.of(0.05)
+        picks = []
+        batched = hfh_solver._batched_profile_values
+
+        def recording(*args):
+            out = batched(*args)
+            picks.append(float(np.max(out[0])))
+            return out
+
+        monkeypatch.setattr(hfh_solver, "_batched_profile_values", recording)
+        *_, polished, _ = hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
+        assert len(picks) > hfh_solver._POLISH_STAGES + 1  # the search recentred
+        assert picks[-1] < max(picks)
+        assert polished == max(picks)
 
     @pytest.mark.parametrize(
         "V, T, alpha1, r, pair, mu, hover_r, x",
@@ -594,7 +619,7 @@ class TestKernelEquivalence:
         trajectory; P5 balances the rates to 1e-10 here, below its default
         mu_tol, so the gap measures slotting and quadrature alone."""
         prof = RateProfile.of(alpha1)
-        x_I, x_F, t_I, pair, bound, polished = hfh_solver._best_pair(
+        x_I, x_F, t_I, pair, bound, polished, _ = hfh_solver._best_pair(
             base, prof, hfh_solver.pair_tables(base)
         )
         assert pair <= polished and pair <= bound
@@ -658,6 +683,22 @@ def _plain_gauss_rates(params, a, b, mu):
     return half * (r1[..., 0] + r1[..., 1]), half * (r2[..., 0] + r2[..., 1]), regime
 
 
+def _plain_cumulative(f, n_sub):
+    """Cumulative sums, at the cuts, of sub-cell integrals f (segments of
+    n_sub sub-cells in order): each segment is zero-padded to whole groups
+    of _SUBCELLS, each group is summed pairwise (neighbours first, then
+    neighbouring pairs, ...), and the group sums are cumulated from 0."""
+    size = hfh_solver._SUBCELLS
+    sums, at_cut = [0.0], [0]
+    for seg in np.split(f, np.cumsum(n_sub)[:-1]):
+        g = np.pad(seg, (0, -len(seg) % size)).reshape(-1, size)
+        while g.shape[1] > 1:
+            g = g[:, 0::2] + g[:, 1::2]
+        sums.extend(g[:, 0])
+        at_cut.append(len(sums) - 1)
+    return np.cumsum(sums)[at_cut]
+
+
 def _plain_rate_tables(params, x, mu):
     """The table build with every sub-cell integrated at every weight row."""
     cuts = np.union1d(x, [0.0]) if x[0] < 0.0 < x[-1] else np.unique(x)
@@ -668,7 +709,7 @@ def _plain_rate_tables(params, x, mu):
     k = np.arange(ends[-1]) - np.repeat(ends[:-1], n_sub)
     edges = np.append(np.repeat(cuts[:-1], n_sub) + np.repeat(gaps / n_sub, n_sub) * k, cuts[-1])
     node_frame = hfh_solver._split_frame(*hfh_solver.gain_pair(params, x), params.Pbar)
-    at_x = ends[np.searchsorted(cuts, x)]
+    at_x = np.searchsorted(cuts, x)
     out = np.empty((4, len(mu), len(x)))
     for row, w in enumerate(mu):
         m = np.array([[w]])
@@ -684,8 +725,8 @@ def _plain_rate_tables(params, x, mu):
             a = edges[c] + piece * np.arange(hfh_solver._SUBCELLS)
             k1, k2, _ = _plain_gauss_rates(params, a[None], a[None] + piece, m)
             f1[0, c], f2[0, c] = k1.sum(), k2.sum()
-        out[2, row] = np.pad(np.cumsum(f1[0]), (1, 0))[at_x]
-        out[3, row] = np.pad(np.cumsum(f2[0]), (1, 0))[at_x]
+        out[2, row] = _plain_cumulative(f1[0], n_sub)[at_x]
+        out[3, row] = _plain_cumulative(f2[0], n_sub)[at_x]
     h1, h2, c1, c2 = out / math.log(2.0)
     return h1, h2, c1, c2, mu[:, None] * h1 + (1.0 - mu[:, None]) * h2
 
@@ -693,24 +734,49 @@ def _plain_rate_tables(params, x, mu):
 TABLE_CHANNELS = [{}, {"Pbar": 1.0}, {"D": 3000.0, "Pbar": 1e-5}, {"H": 200.0}]
 
 
-def _polish_shaped_inputs(params, rng, k):
-    """Two position clusters at a polish stage's spacing, and 17 weights
-    across a bracket (down to 1e-6 wide) plus the mu = 0 and 1 sentinels."""
+def _polish_stage_inputs(params, x_I, x_F, stage, centre, width):
+    """The positions of polish stage `stage` around x_I and x_F, and 17
+    weights across [centre - width, centre + width] plus the mu = 0 and 1
+    sentinels."""
     half = 0.5 * params.D
-    x_I, x_F = np.sort(rng.uniform(-half, half, 2))
-    x_I = -half if k % 5 == 0 else (rng.uniform(-1e-3, 1e-3) if k % 11 == 0 else x_I)
-    x_F = half if k % 7 == 0 else x_F
-    offsets = params.D / (hfh_solver._PAIR_NODES - 1) * (np.arange(9) - 4) * 0.25 ** rng.integers(1, 6)
+    offsets = params.D / (hfh_solver._PAIR_NODES - 1) * (np.arange(9) - 4) * 0.25 ** stage
     x = np.union1d(np.clip(x_I + offsets, -half, half), np.clip(x_F + offsets, -half, half))
-    centre = rng.uniform(0.0, 1.0) if k % 3 else 0.5 + rng.uniform(-1e-6, 1e-6)
-    width = 10.0 ** rng.uniform(-6.0, -1.0)
     mu = np.linspace(max(centre - width, 0.0), min(centre + width, 1.0), 17)
     return x, np.union1d([0.0, 1.0], mu)
 
 
+def _polish_shaped_inputs(params, rng, k):
+    """Two position clusters at a random polish stage's spacing, and 17
+    weights across a bracket (down to 1e-6 wide) plus the sentinels."""
+    half = 0.5 * params.D
+    x_I, x_F = np.sort(rng.uniform(-half, half, 2))
+    x_I = -half if k % 5 == 0 else (rng.uniform(-1e-3, 1e-3) if k % 11 == 0 else x_I)
+    x_F = half if k % 7 == 0 else x_F
+    stage = rng.integers(1, 6)
+    centre = rng.uniform(0.0, 1.0) if k % 3 else 0.5 + rng.uniform(-1e-6, 1e-6)
+    width = 10.0 ** rng.uniform(-6.0, -1.0)
+    return _polish_stage_inputs(params, x_I, x_F, stage, centre, width)
+
+
+def _quad_flight(params, mu, x_a, x_b, user):
+    """scipy's quad of user's per-position split rate at weight mu over
+    [x_a, x_b], cut at x = 0, in bps/Hz times meters."""
+
+    def rate(x):
+        pair = sc_rate_pair(params, x, *per_slot_weighted_split(params, x, mu))
+        return pair.r1 if user == 1 else pair.r2
+
+    cuts = [x_a, 0.0, x_b] if x_a < 0.0 < x_b else [x_a, x_b]
+    return sum(
+        quad(rate, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    )
+
+
 class TestRateTables:
-    """The block build (corner sub-cells once per block of weights) equals
-    the per-row build on every array, to the last bit."""
+    """The build (one full-power pass, per-row integrals on live sub-cells
+    only, groups without them summed once) equals the per-row build on
+    every array, to the last bit, and matches quad on polish tables."""
 
     @pytest.mark.parametrize("change", TABLE_CHANNELS)
     def test_global_tables(self, base, change):
@@ -731,6 +797,52 @@ class TestRateTables:
             t = hfh_solver._rate_tables(params, x, mu)
             for name, ref in zip(("h1", "h2", "c1", "c2", "g"), _plain_rate_tables(params, x, mu)):
                 assert np.array_equal(getattr(t, name), ref), (k, name)
+
+    @pytest.mark.parametrize("stage", [1, 5])
+    def test_polish_tables_match_quad(self, base, stage):
+        """Flight integrals of a polish table whose bridge crosses x = 0 and
+        whose weight bracket straddles the weight at which x = 200 m leaves
+        the all-to-user-2 corner, against quad; its mu = 0 and 1 rows
+        against `CumulativeRates`' full-power integrals."""
+        strong2, hs, hw, cw, cs, _ = hfh_solver._split_frame(*hfh_solver.gain_pair(base, 200.0), base.Pbar)
+        assert strong2
+        clamp = hs * cw / (hs * cw + hw * cs)
+        x, mu = _polish_stage_inputs(base, -287.3, 341.9, stage, clamp, 1e-2 * 0.25 ** stage)
+        t = hfh_solver._rate_tables(base, x, mu)
+        for m, corner in ((1, True), (len(mu) - 2, False)):
+            assert (per_slot_weighted_split(base, 200.0, mu[m])[1] == base.Pbar) == corner
+        n = len(x)
+        for m in (1, 9, len(mu) - 2):
+            for a, b in ((0, n - 1), (n - 9, n - 1)):
+                for user, c in ((1, t.c1), (2, t.c2)):
+                    ref = _quad_flight(base, mu[m], x[a], x[b], user)
+                    assert c[m, b] - c[m, a] == pytest.approx(ref, rel=1e-9), (m, a, b)
+        assert np.all(t.c1[0] == 0.0) and np.all(t.c2[-1] == 0.0)
+        for a, b in ((0, n - 1), (0, 8)):  # from c[:, 0] = 0: no cancellation
+            cum = CumulativeRates(base, make_hfh(base, x[a], x[b], 0.0))
+            for user, c in ((1, t.c1[-1]), (2, t.c2[0])):
+                full = cum.cum(cum.fly_end, user) * base.V
+                assert c[b] - c[a] == pytest.approx(full, rel=1e-12), (a, b, user)
+
+    def test_per_row_work(self, base, monkeypatch):
+        """Only live and kink sub-cells are integrated per weight row: the
+        twelve polish-shaped builds on the reference channel (17,024
+        sub-cells) pass 60,769 sub-cell integrals to `_gauss_integrals`;
+        a Gauss pass per block and per sentinel row made it 112,317."""
+        count = 0
+        gauss = hfh_solver._gauss_integrals
+
+        def counting(half, frame, ps, Pbar):
+            nonlocal count
+            out = gauss(half, frame, ps, Pbar)
+            count += out[0].size
+            return out
+
+        monkeypatch.setattr(hfh_solver, "_gauss_integrals", counting)
+        rng = np.random.default_rng(17)
+        for k in range(12):
+            hfh_solver._rate_tables(base, *_polish_shaped_inputs(base, rng, k))
+        assert count <= 66_800
 
 
 class TestPairTablesCache:

@@ -171,18 +171,18 @@ class TestTdmaExactness:
         "V, T, alpha1, r, t1, traj",
         [
             pytest.param(  # hover at both users
-                30.0, 200.0, 0.1, 6.242127857271282, 24.99934390450003,
-                HfhTrajectory(-500.0, 500.0, 8.332677476416427, 158.33398919025024),
+                30.0, 200.0, 0.1, 6.242127857271284, 24.99934316234686,
+                HfhTrajectory(-500.0, 500.0, 8.33267786208662, 158.33398880458003),
                 id="hover-both",
             ),
             pytest.param(  # fly, then hover above user 2
-                30.0, 63.712, 0.189061, 5.3523557569336635, 15.993024689141366,
-                HfhTrajectory(-476.8896962236873, 500.0, 0.0, 31.149010125877098),
+                30.0, 63.712, 0.189061, 5.352355756933667, 15.993024035965787,
+                HfhTrajectory(-476.8897064940588, 500.0, 0.0, 31.149009783531376),
                 id="fly-then-hover",
             ),
             pytest.param(  # fly the whole time
-                30.0, 20.0, 0.5, 3.174036968357761, 9.999999999999998,
-                HfhTrajectory(-300.0, 300.0, 0.0, 0.0),
+                30.0, 20.0, 0.5, 3.1740369683577603, 9.999999997100995,
+                HfhTrajectory(-300.00000009360417, 299.99999990639583, 0.0, 0.0),
                 id="pure-flight",
             ),
             pytest.param(  # V = 0: one fixed hover
