@@ -4,8 +4,9 @@ Three regimes admit (near) closed forms:
   * unbounded flight time: the region collapses to the triangle
     r1 + r2 <= log2(1 + Pbar beta0 / H^2), reached by hovering above each
     user in turn (orthogonal scheduling suffices);
-  * vanishing speed: the UAV parks at one location chosen per rate profile,
-    with superposition coding and a one-dimensional placement search;
+  * vanishing speed: the UAV parks at one location per rate profile, on the
+    half nearer the user with the larger rate target, with superposition
+    coding;
   * high SNR: the region tends to r1 + r2 <= log2(Pbar beta0 / H^2) and the
     optimal trajectory degenerates to hovering above the favored user.
 """
@@ -26,7 +27,7 @@ from .core import (
 )
 from .errors import InfeasibleFlight, ValidityError
 from .fixed_region import fixed_boundary
-from .numerics import golden_max
+from .hfh_solver import DEFAULT_CONFIG, _best_hover
 import math
 
 # Validity gate for the high-SNR closed form, expressed on the worst-case
@@ -87,19 +88,14 @@ def hfh_tdma_achievable(params: SystemParams, profile: RateProfile) -> RatePair:
     return RatePair(profile.alpha1 * factor * peak, profile.alpha2 * factor * peak)
 
 
-def solve_v0(
-    params: SystemParams,
-    profile: RateProfile,
-    grid: int = 257,
-    refine_tol: float = 1e-9,
-) -> HoverSolution:
+def solve_v0(params: SystemParams, profile: RateProfile) -> HoverSolution:
     """Optimal static hover for the given rate profile (V -> 0 regime).
 
-    For alpha2 >= alpha1 the hover point lies in [0, D/2]; the placement is
-    found by a uniform grid scan followed by golden-section refinement, with
-    the power split at each candidate solved by the monotone bisection of
-    the profile-constrained fixed-location problem.  Opposite profiles are
-    handled by mirror symmetry.
+    For alpha2 >= alpha1 the hover point lies in [0, D/2]; it is placed by
+    the solver's own static-hover search (`hfh_solver._best_hover` on the
+    default hover grid), and the power split at that point is solved by the
+    monotone bisection of the profile-constrained fixed-location problem.
+    Opposite profiles are handled by mirror symmetry.
     """
     peak = params.peak_rate
     half = 0.5 * params.D
@@ -108,22 +104,11 @@ def solve_v0(
     if profile.alpha2 == 0.0:
         return HoverSolution(-half, params.Pbar, 0.0, RatePair(peak, 0.0), profile)
     if profile.alpha1 > profile.alpha2:
-        m = solve_v0(params, profile.mirrored(), grid=grid, refine_tol=refine_tol)
+        m = solve_v0(params, profile.mirrored())
         return HoverSolution(
             -m.x_star, m.p2, m.p1, m.rate_pair.swapped(), profile
         )
-
-    def scale(x):
-        return fixed_boundary(params, x, profile).rate_pair.r2 / profile.alpha2
-
-    xs = [half * i / (grid - 1) for i in range(grid)]
-    values = [scale(x) for x in xs]
-    best = max(range(grid), key=values.__getitem__)
-    lo = xs[max(best - 1, 0)]
-    hi = xs[min(best + 1, grid - 1)]
-    x_star, _ = golden_max(scale, lo, hi, iters=80, xtol=refine_tol * half)
-    if values[best] > scale(x_star):
-        x_star = xs[best]
+    x_star, _ = _best_hover(params, profile, DEFAULT_CONFIG.hover_grid)
     point = fixed_boundary(params, x_star, profile)
     return HoverSolution(x_star, point.p1, point.p2, point.rate_pair, profile)
 

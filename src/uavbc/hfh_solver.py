@@ -20,11 +20,14 @@ channel and read-only) give every pair's value in a few vectorized passes
 of flat gathers; the best pair is zoomed on local tables (one full-power
 pass each, per-weight integrals only where the weight changes the split),
 and the best pick of the zoom is reported.  A dense hover scan covers the
-x_I == x_F family exactly: a vectorized screen of the grid, the near-best
-positions scored by `fixed_boundary`, and a golden refinement.  The winner
-is reported with one P5 solve on `SearchConfig.n_slots` slots, a flight's
-warm-started from the zoom's weight bracket; nothing is tuned to the slots
-and the slot count is not doubled.
+x_I == x_F family exactly (`_best_hover`, also behind `asymptotic.solve_v0`).
+The mirror fold leaves alpha1 <= alpha2, and the paper's static hover then
+lies nearer user 2, the one with the larger rate target, so only the grid's
+x >= 0 half is scanned: a vectorized screen, the near-best positions scored
+by `fixed_boundary`, and a golden refinement.  The winner is reported with
+one P5 solve on `SearchConfig.n_slots` slots, a flight's warm-started from
+the zoom's weight bracket; nothing is tuned to the slots and the slot count
+is not doubled.
 
 Every reported solution is evaluated with exact per-slot integration
 (closed-form hover segments, Gauss nodes on flight segments cut at the
@@ -73,7 +76,9 @@ class SearchConfig:
     """Knobs of the trajectory search and of P5's weight root search.
 
     The search reads n_slots (2,048: the reported P5 is its only slotted
-    solve), hover_grid, mu_tol and mu_max_iter.  P5 runs regula falsi on
+    solve), hover_grid, mu_tol and mu_max_iter.  hover_grid points span
+    [-D/2, D/2]; the static-hover search scans those at x >= 0 (129 of the
+    default 257, which `asymptotic.solve_v0` uses).  P5 runs regula falsi on
     the weight mu until the rates are balanced to mu_tol (relative to r),
     within mu_max_iter weight solves.  grid_xi, grid_xf, grid_ti,
     golden_iters, refine_rounds and rerank_top are accepted but not read:
@@ -84,7 +89,7 @@ class SearchConfig:
     grid_xi: int = 17
     grid_xf: int = 17
     grid_ti: int = 9
-    hover_grid: int = 257         # dense scan of the x_I == x_F family
+    hover_grid: int = 257         # static-hover grid over [-D/2, D/2]
     refine_rounds: int = 3
     golden_iters: int = 30
     mu_tol: float = 1e-9          # |r1/a1 - r2/a2| <= mu_tol * r at exit
@@ -684,7 +689,8 @@ def _rate_tables(params, x, mu) -> PairTables:
     nodes, these are its `_sc_rates` integrals to the last bit: the
     full-power one for user k, zero for the other.  At mu = 0 every node
     gives all power to user 2 and at mu = 1 to user 1, so those two rows
-    are this pass, but for the kinks where the strong user changes.
+    are this pass: the strong user changes at x = 0, but the allocation
+    does not, so the rows hold no kink.
 
     The rows between form one block, classified at its first and last
     weight by `_strong_power`'s two tests (`_tested_regime`).  Every
@@ -727,13 +733,8 @@ def _rate_tables(params, x, mu) -> PairTables:
     out = np.empty((4, n, len(x)))
     out[0], out[1] = _sc_rates(*node_frame[:3], nps, Pbar - nps)
 
-    # At mu = 0 and 1 the regime is 2 or 0 by strong user, so the kinks lie
-    # where the strong user changes.
-    c = np.flatnonzero(_kinks(strong2[None])[0])
-    f = full.copy()
-    f[:, slot[c]] = [v.sum(-1) for v in _full_power_integrals(*_pieces(params, edges, c), Pbar)]
     out[2:, [0, -1]] = 0.0
-    out[2, -1], out[3, 0] = cumulate(_group_sums(f.reshape(2, n_groups, _SUBCELLS)))
+    out[2, -1], out[3, 0] = cumulate(_group_sums(full.reshape(2, n_groups, _SUBCELLS)))
 
     regime = _tested_regime(frame, mu[[1, -2], None, None])
     corner = regime[0, :, 0]
@@ -940,6 +941,25 @@ def _hover_argmax(params, xs, profile):
     return int(near[k]), vals[k]
 
 
+def _best_hover(params, profile, n):
+    """The best static hover (x, `_hover_value` at x) for a non-corner
+    profile with alpha1 <= alpha2: `_hover_argmax` over the points of an
+    n-point grid on [-D/2, D/2] from its middle on (x >= 0), golden-refined
+    over a grid step either side; the grid point stays if that ends lower."""
+    xs = np.linspace(-0.5 * params.D, 0.5 * params.D, n)[n // 2:]
+    i, r_grid = _hover_argmax(params, xs, profile)
+    x, r = golden_max(
+        lambda x: _hover_value(params, x, profile),
+        xs[max(i - 1, 0)],
+        xs[min(i + 1, len(xs) - 1)],
+        iters=60,
+        xtol=1e-10 * params.D,
+    )
+    if r_grid > r:
+        return float(xs[i]), r_grid
+    return float(x), r
+
+
 def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None):
     disc = discretize(params, traj, n_slots)
     res = _solve_p5_on(
@@ -1003,16 +1023,15 @@ def solve_profile(
 ) -> BoundarySolution:
     """Boundary point of the capacity region for one rate profile.
 
-    Searches the HFH family: a dense hover scan (`_hover_screen` on the
-    whole grid, `_hover_value` on the positions within `_HOVER_WINDOW` of
-    its best, the first exact maximum golden-refined), then (for V > 0)
-    the best endpoint pair of `pair_tables(params)`, zoomed on local
-    tables.  A polished pair better than the hover by more than
-    `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots` slots,
-    warm-started at the midpoint of the pick's weight bracket, and replaces
-    the hover when that r, too, is better by more than the tie; otherwise
-    the hover is solved the same way, cold.  So a solve makes
-    at most two P5 solves.  Diagnostics report the hover value, the table
+    Searches the HFH family: the best static hover (`_best_hover` on the
+    x >= 0 points of the cfg.hover_grid grid; alpha1 > alpha2 is solved
+    as its mirror), then (for V > 0) the best endpoint pair of
+    `pair_tables(params)`, zoomed on local tables.  A polished pair better
+    than the hover by more than `_TIE_TOL_REL` is solved once with the
+    exact P5 on `cfg.n_slots` slots, warm-started at the midpoint of the
+    pick's weight bracket, and replaces the hover when that r, too, is
+    better by more than the tie; otherwise the hover is solved the same
+    way, cold.  So a solve makes at most two P5 solves.  Diagnostics report the hover value, the table
     pick's value and its dual (`table_pick_dual`, a bound on that
     unpolished pair only, not on r), the polished value, the winner's
     search value (`search_best_r`: the hover value, or the flight's r), the
@@ -1025,22 +1044,8 @@ def solve_profile(
         mirrored = solve_profile(params, profile.mirrored(), cfg)
         return mirror_solution(params, mirrored)
 
-    half = 0.5 * params.D
     diagnostics: dict = {}
-
-    # Hover family: a dense grid, screened and then scored near its best,
-    # and a golden refinement around the grid winner.
-    xs = np.linspace(-half, half, cfg.hover_grid)
-    ih, r_grid = _hover_argmax(params, xs, profile)
-    x_h, r_h = golden_max(
-        lambda x: _hover_value(params, x, profile),
-        xs[max(ih - 1, 0)],
-        xs[min(ih + 1, len(xs) - 1)],
-        iters=60,
-        xtol=1e-10 * params.D,
-    )
-    if r_grid > r_h:
-        x_h, r_h = float(xs[ih]), r_grid
+    x_h, r_h = _best_hover(params, profile, cfg.hover_grid)
     best_r = r_h
     diagnostics["hover_r"] = r_h
     p5_calls = weight_solves = 0

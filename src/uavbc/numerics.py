@@ -10,7 +10,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
-def bisect_increasing(f, lo, hi, iters=80, xtol=0.0):
+def bisect_increasing(f, lo, hi, iters=80):
     """Root of a nondecreasing scalar function on [lo, hi] by bisection.
 
     Requires f(lo) <= 0 <= f(hi); returns the midpoint of the final bracket.
@@ -31,8 +31,6 @@ def bisect_increasing(f, lo, hi, iters=80, xtol=0.0):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= xtol:
-            break
     return 0.5 * (lo + hi)
 
 

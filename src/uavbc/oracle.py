@@ -139,7 +139,7 @@ def _split_menu(params, xs, n_entries):
     return r1 / LOG2, r2 / LOG2
 
 
-def _path_profile_value(params, positions, profile, iters=60):
+def _path_profile_value(params, positions, profile):
     """Profile-constrained rate scale achievable on a fixed position path."""
     frame = _split_frame(*gain_pair(params, positions), params.Pbar)
     a1, a2 = profile.alpha1, profile.alpha2
@@ -156,7 +156,7 @@ def _path_profile_value(params, positions, profile, iters=60):
     lo, hi = 0.0, 1.0
     best = 0.0
     pair_lo, pair_hi = agg(lo), agg(hi)
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         r1, r2 = agg(mid)
         best = max(best, profile.rate_scale(r1, r2))

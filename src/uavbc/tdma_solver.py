@@ -17,7 +17,9 @@ over position; only the candidates near its best are scored by the
 per-trajectory `_evaluate`, in grid order, so the first exact maximum wins
 as if all were scored.  The winner's parameter is then refined by one
 golden-section search over a grid step on either side, and the reported
-rates come from the adaptive quadrature of `tdma_rates`.
+rates are the search's own: `CumulativeRates.pair_at` at the winner's
+switch time.  `tdma_rates` integrates the same rates independently, by
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -434,7 +436,8 @@ def tdma_solve_profile(
     Screens the families' grid with `_screen`, scores the candidates within
     `_SCREEN_WINDOW` of its best with `_evaluate` (the first exact maximum
     wins), golden-refines the winner's parameter on `_evaluate` and reports
-    the rates of `tdma_rates` at the resulting trajectory and switch time.
+    the rates it searched on, `CumulativeRates.pair_at` at the resulting
+    trajectory and switch time.
     """
     if profile.is_corner:
         return _corner_tdma(params, profile)
@@ -466,10 +469,9 @@ def tdma_solve_profile(
     if r_cand > r_best:
         r_best, traj, t1 = r_cand, cand, t1_cand
 
-    # Report rates through the adaptive quadrature for the final answer.
     return TdmaSolution(
         profile,
-        tdma_rates(params, traj, t1),
+        CumulativeRates(params, traj).pair_at(t1),
         traj,
         t1,
         {"case": fam.case, "search_r": r_best},

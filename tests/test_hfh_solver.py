@@ -282,8 +282,8 @@ class TestSolveProfile:
         prof = RateProfile.of(0.5)
         sol = solve_profile(static, prof)
         hover = solve_v0(static, prof)
-        assert sol.r == pytest.approx(hover.r, abs=1e-4)
-        assert sol.trajectory.x_I == sol.trajectory.x_F
+        assert sol.trajectory.x_I == sol.trajectory.x_F == hover.x_star
+        assert sol.r == pytest.approx(hover.r, rel=SearchConfig().mu_tol, abs=0.0)
 
     def test_speed_feasible_and_checked(self, base):
         sol = solve_profile(base, RateProfile.of(0.3), FAST)
@@ -448,10 +448,10 @@ class TestSearchExactness:
                 (1.0120447128532495, 2.3614376633242515), 0.8887765516948398,
                 3.373482376177497, 391.4151909817422, id="static",
             ),
-            pytest.param(  # +-x tie in value: the first (left) grid winner
-                0.0, 60.0, 0.5, 2.476260689789647,
-                (1.2381303448948235, 1.2381303457903712), 0.26746380836233197,
-                2.476260691101693, -202.28580606261164, id="static-mirror-tie",
+            pytest.param(  # +-x tie in value: the winner on x >= 0, the half scanned
+                0.0, 60.0, 0.5, 2.4762606897896524,
+                (1.238130345790371, 1.2381303448948262), 0.7325362125392239,
+                2.476260691101694, 202.28582136574397, id="static-mirror-tie",
             ),
             pytest.param(  # too short a flight: the hover beats every pair
                 30.0, 20.0, 0.2, 4.384226820560039,
@@ -700,7 +700,9 @@ def _plain_cumulative(f, n_sub):
 
 
 def _plain_rate_tables(params, x, mu):
-    """The table build with every sub-cell integrated at every weight row."""
+    """The table build with every sub-cell integrated at every weight row.
+    At mu = 0 and 1 one user has all power at every position, so those rows
+    refine no kink."""
     cuts = np.union1d(x, [0.0]) if x[0] < 0.0 < x[-1] else np.unique(x)
     gaps = np.diff(cuts)
     per_cell = (hfh_solver._PAIR_NODES - 1) * hfh_solver._SUBCELLS
@@ -720,7 +722,7 @@ def _plain_rate_tables(params, x, mu):
         kink = regime[..., 0] != regime[..., 1]
         kink[:, :-1] |= step
         kink[:, 1:] |= step
-        for c in np.flatnonzero(kink[0]):
+        for c in np.flatnonzero(kink[0] & (0.0 < w < 1.0)):
             piece = (edges[c + 1] - edges[c]) / hfh_solver._SUBCELLS
             a = edges[c] + piece * np.arange(hfh_solver._SUBCELLS)
             k1, k2, _ = _plain_gauss_rates(params, a[None], a[None] + piece, m)
@@ -900,3 +902,15 @@ class TestHoverScreen:
         xs = np.linspace(-0.5 * base.D, 0.5 * base.D, SearchConfig().hover_grid)
         exact = [hfh_solver._hover_value(params, x, prof) for x in xs]
         assert hfh_solver._hover_argmax(params, xs, prof) == (int(np.argmax(exact)), max(exact))
+
+    @pytest.mark.parametrize("Pbar", [1e-6, 1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("H, D", [(100.0, 1000.0), (200.0, 3000.0), (50.0, 200.0),
+                                      (300.0, 400.0), (100.0, 100.0)])
+    def test_best_hover_is_nearer_the_larger_target(self, base, Pbar, H, D):
+        """For alpha1 <= alpha2 no hover on x < 0 beats the best on x >= 0,
+        so `_best_hover` scans that half only."""
+        params = replace(base, Pbar=Pbar, H=H, D=D)
+        xs = np.linspace(-0.5 * D, 0.5 * D, 2049)
+        for alpha1 in np.linspace(0.01, 0.5, 13):
+            screen = hfh_solver._hover_screen(params, xs, RateProfile.of(float(alpha1)))
+            assert screen[xs < 0.0].max() <= screen[xs >= 0.0].max(), alpha1

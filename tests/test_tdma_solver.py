@@ -141,12 +141,12 @@ class TestTdmaSolveProfile:
         ],
     )
     def test_search_value_is_reported_value(self, base, Pbar, D, Ts, alphas):
-        """The value the search maximizes is the reported one: `_evaluate`
-        and `tdma_rates` agree to quadrature precision at the winner."""
+        """The value the search maximizes is the reported one: both are
+        `CumulativeRates.pair_at` at the winner."""
         for T in Ts:
             for alpha1 in alphas:
                 sol = tdma_solve_profile(replace(base, Pbar=Pbar, D=D, T=T), RateProfile.of(alpha1))
-                assert sol.diagnostics["search_r"] == pytest.approx(sol.r, rel=1e-10, abs=0.0)
+                assert sol.diagnostics["search_r"] == sol.r
 
     def test_mirror(self, base):
         a = tdma_solve_profile(base, RateProfile.of(0.25), FAST_TDMA)
@@ -171,17 +171,17 @@ class TestTdmaExactness:
         "V, T, alpha1, r, t1, traj",
         [
             pytest.param(  # hover at both users
-                30.0, 200.0, 0.1, 6.242127857271284, 24.99934316234686,
+                30.0, 200.0, 0.1, 6.24212785729569, 24.99934316234686,
                 HfhTrajectory(-500.0, 500.0, 8.33267786208662, 158.33398880458003),
                 id="hover-both",
             ),
             pytest.param(  # fly, then hover above user 2
-                30.0, 63.712, 0.189061, 5.352355756933667, 15.993024035965787,
+                30.0, 63.712, 0.189061, 5.352355756953716, 15.993024035965787,
                 HfhTrajectory(-476.8897064940588, 500.0, 0.0, 31.149009783531376),
                 id="fly-then-hover",
             ),
             pytest.param(  # fly the whole time
-                30.0, 20.0, 0.5, 3.1740369683577603, 9.999999997100995,
+                30.0, 20.0, 0.5, 3.174036968361343, 9.999999997100995,
                 HfhTrajectory(-300.00000009360417, 299.99999990639583, 0.0, 0.0),
                 id="pure-flight",
             ),
@@ -233,7 +233,7 @@ def _exhaustive_tdma(params, profile, cfg=tdma_solver.DEFAULT_TDMA_CONFIG):
     r_cand, t1_cand = evaluate(cand)
     if r_cand > r_best:
         r_best, traj, t1 = r_cand, cand, t1_cand
-    return tdma_rates(params, traj, t1), traj, t1, {"case": fam.case, "search_r": r_best}
+    return CumulativeRates(params, traj).pair_at(t1), traj, t1, {"case": fam.case, "search_r": r_best}
 
 
 class TestScreen:
