@@ -825,19 +825,27 @@ def _batched_profile_values(params, pairs, profile, tables):
     slack = params.T - (tables.x[j] - tables.x[i]) / params.V
     lo = np.zeros(len(pairs), dtype=int)
     hi = np.full(len(pairs), len(tables.mu) - 1)
-    for _ in range(math.ceil(math.log2(len(tables.mu) - 1))):
+    steps = math.ceil(math.log2(len(tables.mu) - 1))
+    for _ in range(steps):
         mid = (lo + hi) // 2
-        r1, r2, _ = _pair_primal(params, tables, slack, mid, i, j)
+        r1, r2, at_i = _pair_primal(params, tables, slack, mid, i, j)
         take = a2 * r1 - a1 * r2 <= 0.0
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
-    r1L, r2L, iL = _pair_primal(params, tables, slack, lo, i, j)
-    r1H, r2H, iH = _pair_primal(params, tables, slack, hi, i, j)
-    gL, gH = a2 * r1L - a1 * r2L, a2 * r1H - a1 * r2H
-    lam = gH / (gH - gL)  # mu = 1 gives r2 = 0, so gH > 0 >= gL
-    r1 = lam * r1L + (1.0 - lam) * r1H
-    r2 = lam * r2L + (1.0 - lam) * r2H
-    t_I = slack * (lam * iL + (1.0 - lam) * iH)
+    if not steps:  # two weights: no step ran, so take lo's point as the kept end
+        mid, take = lo, np.ones(len(pairs), dtype=bool)
+        r1, r2, at_i = _pair_primal(params, tables, slack, lo, i, j)
+    # The last mid is one end of every bracket (lo where `take`, else hi):
+    # gather only the other end.
+    r1O, r2O, iO = _pair_primal(params, tables, slack, lo + hi - mid, i, j)
+    g, gO = a2 * r1 - a1 * r2, a2 * r1O - a1 * r2O
+    gL, gH = np.minimum(g, gO), np.maximum(g, gO)  # mu = 1 gives r2 = 0, so gH > 0 >= gL
+    lam = gH / (gH - gL)
+    # The kept end's and the other's shares: lam at lo, 1 - lam at hi.
+    w, wO = np.where(take, lam, 1.0 - lam), np.where(take, 1.0 - lam, lam)
+    r1 = w * r1 + wO * r1O
+    r2 = w * r2 + wO * r2O
+    t_I = slack * (w * at_i + wO * iO)
     return np.minimum(r1 / a1, r2 / a2), t_I, lo, hi
 
 

@@ -6,6 +6,10 @@ free grid, power splits by exhaustive scans, boundary intersections by
 sign-change bisection on power-bisected curves, and every emitted solution
 can be re-integrated against the defining rate inequalities at higher
 quadrature resolution.
+
+scipy is loaded on the first `hull_region_containment` call, not at import:
+qhull is the hull oracle's independent reference, and no solver needs it, so
+importing `uavbc` loads numpy only.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import ConvexHull
 
 from .core import (
     LOG2,
@@ -604,10 +607,14 @@ def hull_region_containment(
 
     Builds the hull from dense boundary samples of both end regions (plus
     the axes corners) and checks every sampled boundary point of C_f(x)
-    against the hull facets.
+    against the hull facets. The first call imports `scipy.spatial` (qhull);
+    it is kept off `uavbc`'s import path because only this oracle uses it.
     """
     if xF - xI <= 1e-12 * params.D:
         return True
+    # Deferred: importing qhull costs ~0.3 s and ~38 MB, and no solver needs it.
+    from scipy.spatial import ConvexHull
+
     pts = []
     for loc in (xI, xF):
         for bp in fixed_region_sample(params, loc, n_samples):

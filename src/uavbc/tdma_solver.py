@@ -357,11 +357,12 @@ def _candidate_trajectories(params: SystemParams, cfg: TdmaSearchConfig):
 
 
 def _evaluate(params, traj, profile):
-    """(search value, t1) of a trajectory on its cumulative-rate curves."""
+    """(search value, t1, rate pair) of a trajectory on its cumulative-rate
+    curves."""
     cum = CumulativeRates(params, traj)
     t1 = solve_t1(params, traj, profile, cum=cum)
     pair = cum.pair_at(t1)
-    return profile.rate_scale(pair.r1, pair.r2), t1
+    return profile.rate_scale(pair.r1, pair.r2), t1, pair
 
 
 def _screen(params, trajs, profile):
@@ -451,31 +452,32 @@ def tdma_solve_profile(
     best = None
     for k in np.flatnonzero(screen >= screen.max() * (1.0 - _SCREEN_WINDOW)):
         fam, s, traj = cands[k]
-        r, t1 = _evaluate(params, traj, profile)
+        r, t1, pair = _evaluate(params, traj, profile)
         if best is None or r > best[0]:
-            best = (r, fam, s, traj, t1)
-    r_best, fam, s, traj, t1 = best
+            best = (r, fam, s, traj, t1, pair)
+    r_best, fam, s, traj, t1, pair = best
 
-    # Refine the winning family's parameter over one grid step either side.
+    # Refine the winning family's parameter over one grid step either side,
+    # keeping every point's evaluation: the refined winner's is then reused.
+    evals = {}
+
+    def value(v):
+        traj_v = fam.build(v)
+        evals[v] = _evaluate(params, traj_v, profile) + (traj_v,)
+        return evals[v][0]
+
     s, _ = golden_max(
-        lambda v: _evaluate(params, fam.build(v), profile)[0],
+        value,
         max(fam.lo, s - fam.step),
         min(fam.hi, s + fam.step),
         iters=_GOLDEN_ITERS,
         xtol=fam.xtol,
     )
-    cand = fam.build(s)
-    r_cand, t1_cand = _evaluate(params, cand, profile)
+    r_cand, t1_cand, pair_cand, cand = evals[s]
     if r_cand > r_best:
-        r_best, traj, t1 = r_cand, cand, t1_cand
+        r_best, traj, t1, pair = r_cand, cand, t1_cand, pair_cand
 
-    return TdmaSolution(
-        profile,
-        CumulativeRates(params, traj).pair_at(t1),
-        traj,
-        t1,
-        {"case": fam.case, "search_r": r_best},
-    )
+    return TdmaSolution(profile, pair, traj, t1, {"case": fam.case, "search_r": r_best})
 
 
 def tdma_trace_region(

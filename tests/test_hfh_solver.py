@@ -552,18 +552,32 @@ def _plain_pair_value(params, tables, i, j, profile):
 class TestKernelEquivalence:
     """The kernels compute the plain per-element numbers exactly (no tolerance)."""
 
-    @pytest.mark.parametrize("alpha1", [0.3, 0.5])
-    def test_batched_profile_values(self, base, alpha1):
-        """The weight bisection over all pairs equals a per-pair weight scan."""
+    @pytest.mark.parametrize(
+        "alpha1, kind",
+        [
+            pytest.param(alpha1, kind, id=str(alpha1) if kind == "global" else f"{alpha1}-{kind}")
+            for alpha1 in (0.3, 0.5)
+            for kind in ("global", "polish", "two-weight")
+        ],
+    )
+    def test_batched_profile_values(self, base, alpha1, kind):
+        """The weight bisection over all pairs equals a per-pair weight scan,
+        on the global table, a polish stage's and one with only the mu = 0
+        and 1 sentinels (no bisection step)."""
         params = replace(base, T=20.0)  # part of the wedge is out of reach
-        tables = hfh_solver.pair_tables(params)
-        rng = np.random.default_rng(11)
-        n = len(tables.x)
-        pairs = [(0, 0), (n // 2, n // 2), (n // 2 - 3, n // 2 + 7), (0, 60), (n - 61, n - 1)]
-        while len(pairs) < 120:
-            i, j = np.sort(rng.integers(0, n, 2))
-            if tables.x[j] - tables.x[i] <= params.V * params.T:
-                pairs.append((i, j))
+        if kind == "global":
+            tables = hfh_solver.pair_tables(params)
+            rng = np.random.default_rng(11)
+            n = len(tables.x)
+            pairs = [(0, 0), (n // 2, n // 2), (n // 2 - 3, n // 2 + 7), (0, 60), (n - 61, n - 1)]
+            while len(pairs) < 120:
+                i, j = np.sort(rng.integers(0, n, 2))
+                if tables.x[j] - tables.x[i] <= params.V * params.T:
+                    pairs.append((i, j))
+        else:
+            x, mu = _polish_stage_inputs(params, -250.0, 150.0, 1, 0.45, 0.05)
+            tables = hfh_solver._rate_tables(params, x, mu if kind == "polish" else np.array([0.0, 1.0]))
+            pairs = [(i, j) for i in range(len(x)) for j in range(i, len(x))]
         prof = RateProfile.of(alpha1)
         value, t_I, lo, hi = hfh_solver._batched_profile_values(
             params, np.array(pairs), prof, tables

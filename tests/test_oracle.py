@@ -1,7 +1,11 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +287,25 @@ def test_hull_oracle_agrees_with_triangle(base):
         checked += 1
     # a known separating case
     assert hull_region_containment(base, 450.0, 500.0, 480.0) is False
+
+
+def test_scipy_loads_on_the_first_hull_call(base):
+    """Importing the package and its CLI loads no scipy; the hull oracle then
+    imports qhull itself.  Run in a fresh interpreter, since this one's
+    tests import scipy."""
+    probe = f"""
+import sys
+import uavbc, uavbc.cli
+from uavbc import SystemParams
+from uavbc.oracle import hull_region_containment
+
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+assert hull_region_containment({base!r}, 450.0, 500.0, 480.0) is False
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr

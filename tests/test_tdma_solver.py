@@ -218,7 +218,7 @@ def _exhaustive_tdma(params, profile, cfg=tdma_solver.DEFAULT_TDMA_CONFIG):
 
     best = None
     for fam, s, traj in tdma_solver._candidate_trajectories(params, cfg):
-        r, t1 = evaluate(traj)
+        r, t1, _ = evaluate(traj)
         if best is None or r > best[0]:
             best = (r, fam, s, traj, t1)
     r_best, fam, s, traj, t1 = best
@@ -230,7 +230,7 @@ def _exhaustive_tdma(params, profile, cfg=tdma_solver.DEFAULT_TDMA_CONFIG):
         xtol=fam.xtol,
     )
     cand = fam.build(s)
-    r_cand, t1_cand = evaluate(cand)
+    r_cand, t1_cand, _ = evaluate(cand)
     if r_cand > r_best:
         r_best, traj, t1 = r_cand, cand, t1_cand
     return CumulativeRates(params, traj).pair_at(t1), traj, t1, {"case": fam.case, "search_r": r_best}
