@@ -24,9 +24,9 @@ from .core import (
     SystemParams,
     channel_gain,
     uniform_profiles,
+    validate_params,
 )
 from .errors import InfeasibleFlight, ValidityError
-from .fixed_region import fixed_boundary
 from .hfh_solver import DEFAULT_CONFIG, _best_hover
 import math
 
@@ -93,10 +93,13 @@ def solve_v0(params: SystemParams, profile: RateProfile) -> HoverSolution:
 
     For alpha2 >= alpha1 the hover point lies in [0, D/2]; it is placed by
     the solver's own static-hover search (`hfh_solver._best_hover` on the
-    default hover grid), and the power split at that point is solved by the
-    monotone bisection of the profile-constrained fixed-location problem.
-    Opposite profiles are handled by mirror symmetry.
+    default hover grid), whose winning `fixed_boundary` point (the monotone
+    bisection of the profile-constrained fixed-location problem) gives the
+    power split.
+    Opposite profiles are handled by mirror symmetry.  Raises InvalidParams
+    for out-of-range params.
     """
+    validate_params(params)
     peak = params.peak_rate
     half = 0.5 * params.D
     if profile.alpha1 == 0.0:
@@ -108,8 +111,7 @@ def solve_v0(params: SystemParams, profile: RateProfile) -> HoverSolution:
         return HoverSolution(
             -m.x_star, m.p2, m.p1, m.rate_pair.swapped(), profile
         )
-    x_star, _ = _best_hover(params, profile, DEFAULT_CONFIG.hover_grid)
-    point = fixed_boundary(params, x_star, profile)
+    x_star, _, point = _best_hover(params, profile, DEFAULT_CONFIG.hover_grid)
     return HoverSolution(x_star, point.p1, point.p2, point.rate_pair, profile)
 
 

@@ -18,9 +18,11 @@ hover rates and cumulative flight integrals (`pair_tables`; they depend on
 the channel only, not on T, V or the profile, so they are cached per
 channel and read-only) give every pair's value in a few vectorized passes
 of flat gathers; the best pair is zoomed on local tables (one full-power
-pass each, per-weight integrals only where the weight changes the split),
-and the best pick of the zoom is reported.  A dense hover scan covers the
-x_I == x_F family exactly (`_best_hover`, also behind `asymptotic.solve_v0`).
+pass each, per-weight integrals only where the weight changes the split,
+and the flight's whole grid cells summed from a per-channel cell cache,
+`grid_cells`), and the best pick of the zoom is reported.  A dense hover
+scan covers the x_I == x_F family exactly (`_best_hover`, also behind
+`asymptotic.solve_v0`).
 The mirror fold leaves alpha1 <= alpha2, and the paper's static hover then
 lies nearer user 2, the one with the larger rate target, so only the grid's
 x >= 0 half is scanned: a vectorized screen, the near-best positions scored
@@ -55,6 +57,7 @@ from .core import (
     gain_pair,
     make_hfh,
     trace,
+    validate_params,
 )
 from .errors import DiscretizationInvalid
 from .fixed_region import fixed_boundary
@@ -590,10 +593,11 @@ class PairTables:
     g = mu*h1 + (1 - mu)*h2.  mu runs from 0 to 1: the first row gives all
     power to user 2 and the last all to user 1, so they hold the full-power
     rates (and c1 = 0 on the first row, c2 = 0 on the last).  `_rate_tables`
-    builds them: one full-power pass, per-row integrals only where the
-    weight matters, and sub-cells summed in groups of _SUBCELLS before they
-    are cumulated.  They depend on (beta0, H, D, Pbar) only; `pair_tables`
-    caches one read-only set per channel."""
+    builds them on segments cut at every x and at every node of the global
+    grid (`_cell_grid`) between them: one full-power pass, per-row integrals
+    only where the weight matters, and sub-cells summed in groups of
+    _SUBCELLS before they are cumulated.  They depend on (beta0, H, D, Pbar)
+    only; `pair_tables` caches one read-only set per channel."""
 
     x: np.ndarray
     mu: np.ndarray
@@ -602,6 +606,25 @@ class PairTables:
     c1: np.ndarray
     c2: np.ndarray
     g: np.ndarray
+
+
+@dataclass(frozen=True)
+class GridCells:
+    """What a table build reads of the global grid's cells, per channel.
+
+    `grid` holds the global table's positions with x = 0; cell c spans
+    [grid[c], grid[c + 1]].  `sums` holds each cell's `_group_sums` of its
+    sub-cells' `_full_power_integrals` (users by cells), as the global
+    build sums them.  `below` and `above` bound each cell's plain runs:
+    at every weight up to `below[c]` each of its Gauss nodes gives all
+    power to user 2 by `_tested_regime`, and from `above[c]` on all to
+    user 1.  A cell whose strong user is not its neighbours' (beside
+    x = 0) has no run: -inf and +inf."""
+
+    grid: np.ndarray
+    sums: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
 
 
 def _gauss_nodes(params, a, b):
@@ -664,25 +687,47 @@ def _full_power_integrals(half, frame, Pbar):
     return half * (l1[..., 0] + l1[..., 1]), half * (l2[..., 0] + l2[..., 1])
 
 
-def _pieces(params, edges, c):
-    """`_gauss_nodes` of the sub-cells c between edges, each cut into
-    _SUBCELLS equal pieces (the second axis)."""
-    piece = (edges[c + 1] - edges[c])[:, None] / _SUBCELLS
-    a = edges[c, None] + piece * np.arange(_SUBCELLS)
+def _pieces(params, a, b):
+    """`_gauss_nodes` of the sub-cells [a, b], each cut into _SUBCELLS
+    equal pieces (the second axis)."""
+    piece = (b - a)[:, None] / _SUBCELLS
+    a = a[:, None] + piece * np.arange(_SUBCELLS)
     return _gauss_nodes(params, a, a + piece)
 
 
-def _rate_tables(params, x, mu) -> PairTables:
+def _cell_grid(D):
+    """The global table's positions over [-D/2, D/2], with x = 0."""
+    half = 0.5 * D
+    return np.union1d(np.linspace(-half, half, _PAIR_NODES), [0.0])
+
+
+def _subcells(lo, hi, D):
+    """The sub-cells of the segments [lo, hi], at most
+    D / ((_PAIR_NODES - 1) * _SUBCELLS) wide and equal within a segment:
+    (segment, index in it, left edge, right edge) of each, in order."""
+    gaps = hi - lo
+    n_sub = np.ceil(gaps / D * (_PAIR_NODES - 1) * _SUBCELLS - 1e-9).clip(1).astype(int)
+    ends = np.cumsum(n_sub)
+    j = np.repeat(np.arange(len(n_sub)), n_sub)
+    k = np.arange(ends[-1] if len(ends) else 0) - (ends - n_sub)[j]
+    piece = (gaps / n_sub)[j]
+    left = lo[j] + piece * k
+    return j, k, left, np.where(k + 1 < n_sub[j], lo[j] + piece * (k + 1), hi[j])
+
+
+def _rate_tables(params, x, mu, cells: Optional[GridCells] = None) -> PairTables:
     """PairTables at sorted positions x and sorted weights mu, mu[0] = 0 and
     mu[-1] = 1.
 
     Flight integrals use 2-point Gauss on sub-cells at most
-    D / ((_PAIR_NODES - 1) * _SUBCELLS) wide, cut at every x and at x = 0
-    (the rates jump there).  A sub-cell whose Gauss nodes, or whose node and
-    its neighbour's, disagree on the split's regime holds a kink and is
-    integrated on _SUBCELLS pieces instead.  Each segment between cuts sums
-    its sub-cells in zero-padded groups of _SUBCELLS by `_group_sums`, and
-    the tables cumulate the group sums.
+    D / ((_PAIR_NODES - 1) * _SUBCELLS) wide, cut at every x, at x = 0 (the
+    rates jump there) and at every node of the global grid between them, so
+    the flight between two windows of positions runs over whole global
+    cells.  A sub-cell whose Gauss nodes, or whose node and its neighbour's,
+    disagree on the split's regime holds a kink and is integrated on
+    _SUBCELLS pieces instead.  Each segment between cuts lies in one cell,
+    so its at most _SUBCELLS sub-cells make one zero-padded group, summed
+    by `_group_sums`, and the tables cumulate the group sums.
 
     One full-power pass integrates log1p(Pbar*h1) and log1p(Pbar*h2) over
     every sub-cell.  Where the split gives all power to user k at both
@@ -699,81 +744,95 @@ def _rate_tables(params, x, mu) -> PairTables:
     put on one corner regime (all power to one user) at both nodes, with
     one strong user and no kink, at both weights therefore keeps them at
     every weight between: its integrals are full-power ones throughout.
-    Only the other (live)
-    sub-cells are integrated per row, kinks are sought only among them and
-    their neighbours, and a group with neither is summed once.  So every
-    entry equals the per-row build's to the last bit.  Chunks of rows bound
-    the temporaries: at most _CHUNK_CELLS per-row sub-cell slots, and
+    Only the other (live) sub-cells are integrated per row, and kinks are
+    sought only among them and their neighbours.  So every entry equals
+    the per-row build's to the last bit.  Chunks of rows bound the
+    temporaries: at most _CHUNK_CELLS per-row sub-cell slots, and
     4 * _TABLE_CHUNK rows.
+
+    With the channel's `cells` (`grid_cells`), a segment that is a whole
+    global cell whose plain run holds the block's weights, between two
+    such cells (or the table's end) of the same run, takes the cell's
+    cached group sums for every row and no sub-cell pass: its sub-cells
+    are flat and none is next to a live one, so the build without `cells`
+    gives the same sums.  Every other segment is built as above, with
+    kink steps sought only between sub-cells that touch; every entry
+    equals the build without `cells` to the last bit.
     """
     Pbar = params.Pbar
-    cuts = np.union1d(x, [0.0]) if x[0] < 0.0 < x[-1] else np.unique(x)
-    gaps = np.diff(cuts)
-    n_sub = np.ceil(gaps / params.D * (_PAIR_NODES - 1) * _SUBCELLS - 1e-9).clip(1).astype(int)
-    ends = np.concatenate([[0], np.cumsum(n_sub)])
-    k = np.arange(ends[-1]) - np.repeat(ends[:-1], n_sub)
-    edges = np.append(np.repeat(cuts[:-1], n_sub) + np.repeat(gaps / n_sub, n_sub) * k, cuts[-1])
-    half, frame = _gauss_nodes(params, edges[:-1], edges[1:])
-    strong2 = frame[0]
-    # Each sub-cell's slot in its segment's zero-padded groups.
-    groups = np.concatenate([[0], np.cumsum(-(-n_sub // _SUBCELLS))])
-    slot = np.repeat(groups[:-1] * _SUBCELLS, n_sub) + k
-    n_groups = groups[-1]
-    at_x = groups[np.searchsorted(cuts, x)]
-
-    def cumulate(g):
-        """Rows of group sums, cumulated and read at x."""
-        return np.cumsum(np.concatenate([np.zeros(g.shape[:-1] + (1,)), g], axis=-1), axis=-1)[..., at_x]
-
-    full = np.zeros((2, n_groups * _SUBCELLS))
-    full[:, slot] = _full_power_integrals(half, frame, Pbar)
+    grid = _cell_grid(params.D) if cells is None else cells.grid
+    inside = grid[np.searchsorted(grid, x[0], "right"):np.searchsorted(grid, x[-1])]
+    cuts = np.union1d(x, inside)
+    n_seg = len(cuts) - 1
     n = len(mu)
+    # Rows of group sums after a zero column, cumulated at the end; every
+    # segment lies in one cell, so it is one group.
+    sums = np.zeros((2, n, n_seg + 1))
+    # The whole cells summed from the cache, to user 1 where `up`.
+    kept = np.zeros(n_seg, dtype=bool)
+    if cells is not None:
+        cell = np.minimum(np.searchsorted(grid, cuts[:-1]), len(grid) - 2)
+        whole = (grid[cell] == cuts[:-1]) & (grid[cell + 1] == cuts[1:])
+        runs = whole & np.array([mu[-2] <= cells.below[cell], mu[1] >= cells.above[cell]])
+        both = runs.copy()  # with both neighbours (where there is one) in the run
+        both[:, 1:] &= runs[:, :-1]
+        both[:, :-1] &= runs[:, 1:]
+        low, up = both
+        kept = low | up
+        at, g = 1 + np.flatnonzero(kept), cells.sums[:, cell[kept]]
+        sums[0, -1, at], sums[1, 0, at] = g
+        sums[:, 1:-1, at] = (g * np.array([up[kept], ~up[kept]]))[:, None]
+    # The sub-cells of the other (open) segments, their slots in the open
+    # segments' zero-padded groups, and which consecutive ones touch.
+    open_ = np.flatnonzero(~kept)
+    n_open = len(open_)
+    j, k, left, right = _subcells(cuts[open_], cuts[open_ + 1], params.D)
+    slot = j * _SUBCELLS + k
+    adj = open_[j[1:]] - open_[j[:-1]] <= 1
+    half, frame = _gauss_nodes(params, left, right)
+    strong2 = frame[0]
+    full = np.zeros((2, n_open * _SUBCELLS))
+    full[:, slot] = _full_power_integrals(half, frame, Pbar)
+    sums[0, -1, 1 + open_], sums[1, 0, 1 + open_] = _group_sums(full.reshape(2, n_open, _SUBCELLS))
     node_frame = _split_frame(*gain_pair(params, x), Pbar)
     nps = _strong_power(node_frame, mu[:, None], Pbar)
     out = np.empty((4, n, len(x)))
     out[0], out[1] = _sc_rates(*node_frame[:3], nps, Pbar - nps)
 
-    out[2:, [0, -1]] = 0.0
-    out[2, -1], out[3, 0] = cumulate(_group_sums(full.reshape(2, n_groups, _SUBCELLS)))
-
     regime = _tested_regime(frame, mu[[1, -2], None, None])
     corner = regime[0, :, 0]
     flat = (corner != 1) & np.all(regime == corner[:, None], axis=(0, 2))
-    flat &= (strong2[:, 0] == strong2[:, 1]) & ~np.any(_kinks(regime), axis=0)
+    flat &= (strong2[:, 0] == strong2[:, 1]) & ~np.any(_kinks(regime, adj), axis=0)
     # The full-power rows with the flat sub-cells' other user zeroed.
-    to_user1 = np.zeros(n_groups * _SUBCELLS, dtype=bool)
+    to_user1 = np.zeros(n_open * _SUBCELLS, dtype=bool)
     to_user1[slot] = (corner == 2) != strong2[:, 0]
     f_flat = full * np.array([to_user1, ~to_user1])
     # Per-row sub-cells, and with their neighbours the only kink candidates,
     # with their slots in the groups that hold them.
     live = np.flatnonzero(~flat)
     near = ~flat
-    near[:-1] |= ~flat[1:]
-    near[1:] |= ~flat[:-1]
+    near[:-1] |= ~flat[1:] & adj
+    near[1:] |= ~flat[:-1] & adj
     near = np.flatnonzero(near)
-    adjacent = near[1:] == near[:-1] + 1
+    adjacent = (near[1:] == near[:-1] + 1) & adj[near[:-1]]
     at_live = np.searchsorted(near, live)
-    busy, near_at = np.unique(slot[near] // _SUBCELLS, return_inverse=True)
-    near_at = near_at * _SUBCELLS + slot[near] % _SUBCELLS
-    live_half, live_frame, live_at = half[live], tuple(a[live] for a in frame), near_at[at_live]
-    f_busy = f_flat.reshape(2, n_groups, _SUBCELLS)[:, busy].reshape(2, -1)
-    g_flat = _group_sums(f_flat.reshape(2, n_groups, _SUBCELLS))
-    step = min(4 * _TABLE_CHUNK, max(1, _CHUNK_CELLS // max(f_busy.shape[1], 1)))
+    live_half, live_frame, live_at = half[live], tuple(a[live] for a in frame), slot[live]
+    step = min(4 * _TABLE_CHUNK, max(1, _CHUNK_CELLS // max(f_flat.shape[1], 1)))
     for s in range(1, n - 1, step):
         rows = slice(s, min(s + step, n - 1))
         m = mu[rows, None]
-        f = np.repeat(f_busy[:, None], len(m), axis=1)
+        f = np.repeat(f_flat[:, None], len(m), axis=1)
         live_ps = _strong_power(live_frame, m[..., None], Pbar)
         f[0][:, live_at], f[1][:, live_at] = _gauss_integrals(live_half, live_frame, live_ps, Pbar)
         reg = np.repeat(regime[:1, near], len(m), axis=0)
         reg[:, at_live] = _regime(live_ps, Pbar)
         r, c = np.nonzero(_kinks(reg, adjacent))
-        k_half, k_frame = _pieces(params, edges, near[c])
-        k1, k2 = _gauss_integrals(k_half, k_frame, _strong_power(k_frame, m[r, :, None], Pbar), Pbar)
-        f[0][r, near_at[c]], f[1][r, near_at[c]] = k1.sum(-1), k2.sum(-1)
-        g = np.repeat(g_flat[:, None], len(m), axis=1)
-        g[..., busy] = _group_sums(f.reshape(2, len(m), len(busy), _SUBCELLS))
-        out[2:, rows] = cumulate(g)
+        if r.size:
+            k_half, k_frame = _pieces(params, left[near[c]], right[near[c]])
+            k1, k2 = _gauss_integrals(k_half, k_frame, _strong_power(k_frame, m[r, :, None], Pbar), Pbar)
+            f[0][r, slot[near[c]]], f[1][r, slot[near[c]]] = k1.sum(-1), k2.sum(-1)
+        sums[:, rows, 1 + open_] = _group_sums(f.reshape(2, len(m), n_open, _SUBCELLS))
+    out[2:] = np.cumsum(sums, axis=-1)[..., np.searchsorted(cuts, x)]
     h1, h2, c1, c2 = out / LOG2
     w = mu[:, None]
     return PairTables(x, mu, h1, h2, c1, c2, w * h1 + (1.0 - w) * h2)
@@ -786,16 +845,66 @@ def pair_tables(params: SystemParams) -> PairTables:
     return _channel_tables(params.beta0, params.H, params.D, params.Pbar)
 
 
-@functools.lru_cache(maxsize=8)  # ~1 MB per channel
+def grid_cells(params: SystemParams) -> GridCells:
+    """The channel's `GridCells`, which every table build of the search
+    reads.  Built once per channel (beta0, H, D, Pbar) and shared: the
+    arrays are read-only."""
+    return _channel_cells(params.beta0, params.H, params.D, params.Pbar)
+
+
+@functools.lru_cache(maxsize=8)
 def _channel_tables(beta0, H, D, Pbar) -> PairTables:
+    """The global tables (1,039,800 bytes per channel), built on the
+    channel's `GridCells`: segments are the global cells, and those plain
+    over all 127 inner weights take their cached sums."""
     # The build reads no V or T, so any placeholder values serve.
     params = SystemParams(beta0, 1.0, H, D, Pbar, V=0.0, T=1.0)
     half = 0.5 * D
     x = np.linspace(-half, half, _PAIR_NODES)
-    tables = _rate_tables(params, x, np.linspace(0.0, 1.0, _PAIR_WEIGHTS))
+    tables = _rate_tables(params, x, np.linspace(0.0, 1.0, _PAIR_WEIGHTS), grid_cells(params))
     for a in vars(tables).values():
         a.flags.writeable = False
     return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _channel_cells(beta0, H, D, Pbar) -> GridCells:
+    """The global grid's `GridCells` (8,008 bytes per channel), from the
+    sub-cells the global build integrates; built on the first table build,
+    not at import."""
+    params = SystemParams(beta0, 1.0, H, D, Pbar, V=0.0, T=1.0)
+    grid = _cell_grid(D)
+    cell, k, left, right = _subcells(grid[:-1], grid[1:], D)
+    half, frame = _gauss_nodes(params, left, right)
+    full = np.zeros((2, len(grid) - 1, _SUBCELLS))
+    full[:, cell, k] = _full_power_integrals(half, frame, Pbar)
+    # Per node, the last weight with all power to user 2 and the first with
+    # all to user 1: the roots of `_strong_power`'s tests (dP then d0 where
+    # user 2 is strong, d0 then dP where user 1 is), each moved toward 0 or
+    # 1 until the tests, monotone in mu, confirm it, else 0 or 1, where
+    # they always hold.
+    strong2, hs, hw, cw, cs, _ = frame
+    top, bottom = hs * cw, hw * cs
+    bounds = np.array([np.where(strong2, top / (top + bottom), hw / (hs + hw)),
+                       np.where(strong2, hs / (hs + hw), bottom / (top + bottom))])
+    want = np.array([np.where(strong2, 2, 0), np.where(strong2, 0, 2)])
+    ends = np.array([0.0, 1.0])[:, None, None]
+    for i in range(8):
+        miss = _tested_regime(frame, bounds) != want
+        bounds = np.where(miss, np.clip(bounds + (2.0 * ends - 1.0) * 2.0 ** (i - 50), 0.0, 1.0), bounds)
+    to_user2, to_user1 = np.where(_tested_regime(frame, bounds) == want, bounds, ends)
+    # Cells with one strong user, their neighbours' (not beside x = 0).
+    first = np.flatnonzero(k == 0)
+    side = np.logical_and.reduceat(strong2.all(axis=1), first)
+    one = side | ~np.logical_or.reduceat(strong2.any(axis=1), first)
+    one[1:] &= side[1:] == side[:-1]
+    one[:-1] &= side[:-1] == side[1:]
+    cells = GridCells(grid, _group_sums(full),
+                      np.where(one, np.minimum.reduceat(to_user2.min(axis=1), first), -np.inf),
+                      np.where(one, np.maximum.reduceat(to_user1.max(axis=1), first), np.inf))
+    for a in vars(cells).values():
+        a.flags.writeable = False
+    return cells
 
 
 def _pair_primal(params, tables, slack, m, i, j):
@@ -877,7 +986,7 @@ def _best_pair(params, profile, tables):
             )
             w = mu_hi - mu_lo  # widened bracket, with mu = 0 and 1 as sentinels
             mu = np.linspace(max(mu_lo - w, 0.0), min(mu_hi + w, 1.0), _POLISH_WEIGHTS)
-            tables = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu))
+            tables = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu), grid_cells(params))
         x, mu = tables.x, tables.mu
         i, j = np.triu_indices(len(x))
         keep = x[j] - x[i] <= params.V * params.T
@@ -911,9 +1020,13 @@ def _best_pair(params, profile, tables):
 # ---------------------------------------------------------------------------
 
 
-def _hover_value(params, x, profile):
-    pair = fixed_boundary(params, x, profile).rate_pair
-    return profile.rate_scale(pair.r1, pair.r2)
+def _hover_value(params, x, profile, points=None):
+    """The rate scale of `fixed_boundary` at x, whose point is kept in
+    `points` (by x) when given."""
+    point = fixed_boundary(params, x, profile)
+    if points is not None:
+        points[x] = point
+    return profile.rate_scale(point.rate_pair.r1, point.rate_pair.r2)
 
 
 def _hover_screen(params, xs, profile):
@@ -936,36 +1049,38 @@ def _hover_screen(params, xs, profile):
     return np.minimum(r1 / profile.alpha1, r2 / profile.alpha2) / LOG2
 
 
-def _hover_argmax(params, xs, profile):
+def _hover_argmax(params, xs, profile, points=None):
     """(i, `_hover_value` at xs[i]) for the first exact maximum over xs.
 
     Only the positions within `_HOVER_WINDOW` of the screen's best are
-    scored exactly, in grid order.
+    scored exactly, in grid order (their points kept in `points`).
     """
     screen = _hover_screen(params, xs, profile)
     near = np.flatnonzero(screen >= screen.max() * (1.0 - _HOVER_WINDOW))
-    vals = [_hover_value(params, x, profile) for x in xs[near]]
+    vals = [_hover_value(params, x, profile, points) for x in xs[near]]
     k = int(np.argmax(vals))
     return int(near[k]), vals[k]
 
 
 def _best_hover(params, profile, n):
-    """The best static hover (x, `_hover_value` at x) for a non-corner
-    profile with alpha1 <= alpha2: `_hover_argmax` over the points of an
-    n-point grid on [-D/2, D/2] from its middle on (x >= 0), golden-refined
-    over a grid step either side; the grid point stays if that ends lower."""
+    """The best static hover (x, `_hover_value` at x, its `fixed_boundary`
+    point) for a non-corner profile with alpha1 <= alpha2: `_hover_argmax`
+    over the points of an n-point grid on [-D/2, D/2] from its middle on
+    (x >= 0), golden-refined over a grid step either side; the grid point
+    stays if that ends lower."""
     xs = np.linspace(-0.5 * params.D, 0.5 * params.D, n)[n // 2:]
-    i, r_grid = _hover_argmax(params, xs, profile)
+    points = {}
+    i, r_grid = _hover_argmax(params, xs, profile, points)
     x, r = golden_max(
-        lambda x: _hover_value(params, x, profile),
+        lambda x: _hover_value(params, x, profile, points),
         xs[max(i - 1, 0)],
         xs[min(i + 1, len(xs) - 1)],
         iters=60,
         xtol=1e-10 * params.D,
     )
     if r_grid > r:
-        return float(xs[i]), r_grid
-    return float(x), r
+        x, r = xs[i], r_grid
+    return float(x), r, points[x]
 
 
 def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None):
@@ -1044,8 +1159,9 @@ def solve_profile(
     unpolished pair only, not on r), the polished value, the winner's
     search value (`search_best_r`: the hover value, or the flight's r), the
     P5 solve count (`p5_calls`) and the weight solves of all of them
-    (`weight_solves`).
+    (`weight_solves`).  Raises InvalidParams for out-of-range params.
     """
+    validate_params(params)
     if profile.is_corner:
         return _corner_solution(params, profile, cfg)
     if profile.alpha1 > profile.alpha2:
@@ -1053,7 +1169,7 @@ def solve_profile(
         return mirror_solution(params, mirrored)
 
     diagnostics: dict = {}
-    x_h, r_h = _best_hover(params, profile, cfg.hover_grid)
+    x_h, r_h, _ = _best_hover(params, profile, cfg.hover_grid)
     best_r = r_h
     diagnostics["hover_r"] = r_h
     p5_calls = weight_solves = 0
@@ -1096,6 +1212,7 @@ def trace_region(
     Profiles with alpha1 > alpha2 are obtained by mirroring the symmetric
     solve (index-exact), halving the work.
     """
+    validate_params(params)
     # `solve_profile` is looked up at call time, so a wrapper installed on
     # the module sees every solve.
     return trace(

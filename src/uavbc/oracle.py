@@ -28,6 +28,7 @@ from .core import (
     channel_gain,
     gain_pair,
     log2_1p,
+    validate_params,
 )
 from .errors import GridTooCoarse, NoSignChange
 from .fixed_region import fixed_region_sample
@@ -403,8 +404,10 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
       inside the windows.
 
     Returns (r, positions): the certified rate scale and the winning path
-    positions (length cfg.n_slots).
+    positions (length cfg.n_slots).  Raises InvalidParams for out-of-range
+    params, then GridTooCoarse for a grid `validate_dp_config` rejects.
     """
+    validate_params(params)
     validate_dp_config(params, cfg)
     half = 0.5 * params.D
     P = cfg.n_positions

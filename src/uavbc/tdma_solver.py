@@ -42,6 +42,7 @@ from .core import (
     log2_1p,
     make_hfh,
     trace,
+    validate_params,
 )
 from .errors import TimeOutOfRange
 from .hfh_solver import _SQRT3, _SUBCELLS, pair_tables
@@ -438,8 +439,10 @@ def tdma_solve_profile(
     `_SCREEN_WINDOW` of its best with `_evaluate` (the first exact maximum
     wins), golden-refines the winner's parameter on `_evaluate` and reports
     the rates it searched on, `CumulativeRates.pair_at` at the resulting
-    trajectory and switch time.
+    trajectory and switch time.  Raises InvalidParams for out-of-range
+    params.
     """
+    validate_params(params)
     if profile.is_corner:
         return _corner_tdma(params, profile)
     if profile.alpha1 > profile.alpha2:
@@ -486,6 +489,7 @@ def tdma_trace_region(
     cfg: TdmaSearchConfig = DEFAULT_TDMA_CONFIG,
 ) -> RegionBoundary:
     """TDMA region boundary at uniformly spaced profiles (mirror-folded)."""
+    validate_params(params)
     return trace(
         "tdma",
         n_profiles,

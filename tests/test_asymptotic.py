@@ -14,6 +14,7 @@ from uavbc import (
     region_tinf,
     solve_v0,
 )
+from uavbc import asymptotic, hfh_solver
 from uavbc.core import log2_1p
 
 PEAK = 6.6582114827517955  # log2(1 + Pbar beta0 / H^2) of the base scenario
@@ -100,6 +101,32 @@ class TestSolveV0:
         rhs = prof.alpha2 * np.log2(1.0 + (base.Pbar - p2s) * h1 / (p2s * h1 + 1.0))
         best = p2s[np.argmin(np.abs(lhs - rhs))]
         assert sol.p2 == pytest.approx(best, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha1", [0.1, 0.3, 0.5, 0.8])
+    def test_reports_the_search_winner(self, base, monkeypatch, alpha1):
+        """The placement's own `fixed_boundary` point is reported: a solve
+        makes no call beyond `_best_hover`'s (one fewer than re-solving the
+        winner), and the split equals `fixed_boundary` at x_star."""
+        prof = RateProfile.of(alpha1)
+        calls = 0
+        boundary = hfh_solver.fixed_boundary
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return boundary(*args)
+
+        for module in (hfh_solver, asymptotic):  # wherever a caller looks it up
+            monkeypatch.setattr(module, "fixed_boundary", counting, raising=False)
+        sol = solve_v0(base, prof)
+        in_solve = calls
+        calls = 0
+        hfh_solver._best_hover(base, prof.mirrored() if alpha1 > 0.5 else prof,
+                               hfh_solver.DEFAULT_CONFIG.hover_grid)
+        assert in_solve == calls > 0
+        monkeypatch.undo()
+        point = fixed_boundary(base, sol.x_star, prof)
+        assert (sol.p1, sol.p2, sol.rate_pair) == (point.p1, point.p2, point.rate_pair)
 
     def test_hover_side_matches_profile(self, base):
         rng = np.random.default_rng(29)

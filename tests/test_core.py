@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from uavbc import (
+    DpConfig,
     InvalidParams,
     InvalidTrajectory,
     PowerBudgetExceeded,
@@ -13,10 +14,16 @@ from uavbc import (
     TimeOutOfRange,
     ZeroSpeedLeg,
     channel_gain,
+    dp_trajectory_oracle,
     hfh_position,
     leg_rate_integral,
     make_hfh,
     sc_rate_pair,
+    solve_profile,
+    solve_v0,
+    tdma_solve_profile,
+    tdma_trace_region,
+    trace_region,
     validate_params,
 )
 
@@ -36,6 +43,29 @@ def test_validate_params_rejects(base, field, value):
     bad = replace(base, **{field: value})
     with pytest.raises(InvalidParams) as err:
         validate_params(bad)
+    assert err.value.field == field
+
+
+ENTRY_POINTS = {
+    "solve_profile": lambda params, prof: solve_profile(params, prof),
+    "trace_region": lambda params, prof: trace_region(params, 3),
+    "tdma_solve_profile": lambda params, prof: tdma_solve_profile(params, prof),
+    "tdma_trace_region": lambda params, prof: tdma_trace_region(params, 3),
+    "dp_trajectory_oracle": lambda params, prof: dp_trajectory_oracle(params, prof, DpConfig(8, 11, 3, 64)),
+    "solve_v0": lambda params, prof: solve_v0(params, prof),
+}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("Pbar", math.nan), ("T", 0.0), ("T", math.inf), ("H", 0.0), ("V", -1.0)],
+)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_validate_params(base, entry, field, value):
+    """Out-of-range params raise InvalidParams naming the field, not a raw
+    numpy error, a zero rate or `DiscretizationInvalid`."""
+    with pytest.raises(InvalidParams) as err:
+        ENTRY_POINTS[entry](replace(base, **{field: value}), RateProfile.of(0.3))
     assert err.value.field == field
 
 

@@ -390,10 +390,10 @@ class TestSearchExactness:
 
     def test_profile_0_3(self, base):
         sol = solve_profile(base, RateProfile.of(0.3))
-        assert sol.r == 5.2712659321374895
-        assert sol.rate_pair.r1 == 1.5813797796412468
-        assert sol.rate_pair.r2 == 3.689886152496392
-        assert sol.mu == 0.49989579743722795
+        assert sol.r == 5.27126593213625
+        assert sol.rate_pair.r1 == 1.5813797796408748
+        assert sol.rate_pair.r2 == 3.689886152496764
+        assert sol.mu == 0.4998957974371809
         t = sol.trajectory
         assert (t.x_I, t.x_F, t.t_I, t.t_F) == (
             -500.0,
@@ -405,7 +405,7 @@ class TestSearchExactness:
     def test_profile_0_5(self, base):
         sol = solve_profile(base, RateProfile.of(0.5))
         assert sol.r == 5.271266064564797
-        assert sol.mu == 0.4998977946281433
+        assert sol.mu == 0.4999005103647709
         assert sol.trajectory.x_I == -500.0
         assert sol.trajectory.t_I == 13.333333333333332
 
@@ -714,10 +714,13 @@ def _plain_cumulative(f, n_sub):
 
 
 def _plain_rate_tables(params, x, mu):
-    """The table build with every sub-cell integrated at every weight row.
-    At mu = 0 and 1 one user has all power at every position, so those rows
-    refine no kink."""
-    cuts = np.union1d(x, [0.0]) if x[0] < 0.0 < x[-1] else np.unique(x)
+    """The table build with every sub-cell integrated at every weight row,
+    on segments cut at every x and at every node of the global grid (x = 0
+    included) between them.  At mu = 0 and 1 one user has all power at
+    every position, so those rows refine no kink."""
+    half = 0.5 * params.D
+    grid = np.union1d(np.linspace(-half, half, hfh_solver._PAIR_NODES), [0.0])
+    cuts = np.union1d(x, grid[(grid > x[0]) & (grid < x[-1])])
     gaps = np.diff(cuts)
     per_cell = (hfh_solver._PAIR_NODES - 1) * hfh_solver._SUBCELLS
     n_sub = np.ceil(gaps / params.D * per_cell - 1e-9).clip(1).astype(int)
@@ -888,6 +891,133 @@ class TestPairTablesCache:
     def test_read_only(self, base, name):
         with pytest.raises(ValueError):
             getattr(hfh_solver.pair_tables(base), name)[...] = 0.0
+
+
+# Polish-stage windows (x_I, x_F, stage) for the cell cache: far apart, at
+# the corners, one straddling x = 0, two overlapping, stage-4 spacing off
+# the sub-cell grid, and global-grid spacing (every segment a whole cell);
+# and weight brackets (centre, width): narrow inside most flight cells'
+# plain runs, wide across them, and one where the cells beside x = 0 all
+# give all power to user 2 (their regimes still step at x = 0, so they
+# hold kinks).
+CELL_WINDOWS = {
+    "apart": (-480.0, 480.0, 1),
+    "corners": (-500.0, 500.0, 1),
+    "straddles-zero": (-1.3, 250.0, 1),
+    "overlapping": (120.0, 121.0, 2),
+    "stage4-off-grid": (-237.1234, 318.777, 4),
+    "on-grid": (200.0, 300.0, 0),
+}
+CELL_BRACKETS = {"narrow": (0.5, 1e-3), "wide": (0.5, 0.3), "beside-zero": (0.45, 1e-3)}
+
+
+class TestGridCells:
+    """Builds on the channel's cached cells equal the builds without them,
+    to the last bit, and the cached sums are the per-row integrals."""
+
+    @staticmethod
+    def _counted_build(params, x, mu, cells, monkeypatch):
+        """The build, and the Gauss nodes it evaluates outside kink pieces."""
+        count = 0
+        nodes = hfh_solver._gauss_nodes
+
+        def counting(params, a, b):
+            nonlocal count
+            count += 2 * np.size(a) if np.ndim(a) == 1 else 0
+            return nodes(params, a, b)
+
+        monkeypatch.setattr(hfh_solver, "_gauss_nodes", counting)
+        tables = hfh_solver._rate_tables(params, x, mu, cells)
+        monkeypatch.undo()
+        return tables, count
+
+    @pytest.mark.parametrize("bracket", CELL_BRACKETS)
+    @pytest.mark.parametrize("window", CELL_WINDOWS)
+    @pytest.mark.parametrize("change", TABLE_CHANNELS)
+    def test_cached_equals_uncached(self, base, change, window, bracket):
+        params = replace(base, **change)
+        x_I, x_F, stage = CELL_WINDOWS[window]
+        scale = params.D / base.D
+        x, mu = _polish_stage_inputs(params, x_I * scale, x_F * scale, stage, *CELL_BRACKETS[bracket])
+        cells = hfh_solver.grid_cells(params)
+        cached = hfh_solver._rate_tables(params, x, mu, cells)
+        plain = hfh_solver._rate_tables(params, x, mu)
+        for name in ("h1", "h2", "c1", "c2", "g"):
+            assert np.array_equal(getattr(cached, name), getattr(plain, name)), name
+
+    def test_cache_skips_plain_cells(self, base, monkeypatch):
+        """The narrow bracket's flight cells take their cached sums (under a
+        tenth of the nodes of the build without cells are evaluated); the
+        wide bracket crosses every cell's runs, so no cell is skipped."""
+        cells = hfh_solver.grid_cells(base)
+        counts = {}
+        for bracket in ("narrow", "wide"):
+            x, mu = _polish_stage_inputs(base, -480.0, 480.0, 1, *CELL_BRACKETS[bracket])
+            counts[bracket] = [self._counted_build(base, x, mu, c, monkeypatch)[1] for c in (cells, None)]
+        assert counts["narrow"][0] * 10 < counts["narrow"][1]
+        assert counts["wide"][0] == counts["wide"][1]
+
+    def test_cell_beside_a_band_edge(self, base, monkeypatch):
+        """A whole cell plain over the bracket, whose left neighbour's last
+        node leaves the all-to-user-2 corner inside it: the regime step
+        between the two cells' nodes makes the plain cell's first sub-cell a
+        kink in the upper rows, so that cell must not take its cached sums."""
+        cells = hfh_solver.grid_cells(base)
+        c = int(np.searchsorted(cells.grid, 200.0))
+        width = base.D / ((hfh_solver._PAIR_NODES - 1) * hfh_solver._SUBCELLS)
+        node = cells.grid[c] - 0.5 * width * (1.0 - 1.0 / math.sqrt(3.0))  # cell c - 1's last
+        lo, hi = 0.0, 1.0  # bisect the weight at which `node` leaves the corner
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if per_slot_weighted_split(base, node, mid)[1] == base.Pbar else (lo, mid)
+        assert hi < cells.below[c]
+        x, mu = _polish_stage_inputs(base, -480.0, 480.0, 1, hi, 0.25 * (cells.below[c] - hi))
+        refined = []
+        pieces = hfh_solver._pieces
+
+        def recording(params, a, b):
+            refined.extend(a)
+            return pieces(params, a, b)
+
+        monkeypatch.setattr(hfh_solver, "_pieces", recording)
+        plain = hfh_solver._rate_tables(base, x, mu)
+        assert cells.grid[c] in refined
+        cached = hfh_solver._rate_tables(base, x, mu, cells)
+        for name in ("h1", "h2", "c1", "c2", "g"):
+            assert np.array_equal(getattr(cached, name), getattr(plain, name)), name
+
+    @pytest.mark.parametrize("change", TABLE_CHANNELS)
+    def test_plain_runs_hold_the_cached_sums(self, base, change):
+        """At the last weight of each cell's all-to-user-2 run and the first
+        of its all-to-user-1 run, the per-row integrals of its sub-cells are
+        zero for the other user and sum (pairwise, in one group) to the
+        cached full-power sum, to the last bit."""
+        params = replace(base, **change)
+        cells = hfh_solver.grid_cells(params)
+        per_cell = (hfh_solver._PAIR_NODES - 1) * hfh_solver._SUBCELLS
+        runs = 0
+        for c in range(len(cells.grid) - 1):
+            lo, hi = cells.grid[c], cells.grid[c + 1]
+            n_sub = int(np.ceil((hi - lo) / params.D * per_cell - 1e-9))
+            a = lo + (hi - lo) / n_sub * np.arange(n_sub)
+            b = np.append(a[1:], hi)
+            for user, mu in ((2, cells.below[c]), (1, cells.above[c])):
+                if not np.isfinite(mu):
+                    continue
+                runs += 1
+                f1, f2, regime = _plain_gauss_rates(params, a, b, np.array(mu))
+                assert not np.any(regime == 1)
+                full, other = (f2, f1) if user == 2 else (f1, f2)
+                assert np.all(other == 0.0)
+                sums = _plain_cumulative(full, [n_sub])
+                assert sums[-1] == cells.sums[user - 1, c], (c, user)
+        assert runs >= 2 * (len(cells.grid) - 1) - 4  # all but the two cells beside x = 0
+
+    def test_shared_and_read_only(self, base):
+        cells = hfh_solver.grid_cells(base)
+        assert hfh_solver.grid_cells(replace(base, V=5.0, T=400.0)) is cells
+        with pytest.raises(ValueError):
+            cells.sums[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
