@@ -131,12 +131,18 @@ class RatePair:
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Rate-ratio weights (alpha1, alpha2), nonnegative and summing to one."""
+    """Rate-ratio weights (alpha1, alpha2), finite, nonnegative and summing
+    to one; a weight that is not finite raises InvalidParams (a ValueError)
+    naming it."""
 
     alpha1: float
     alpha2: float
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParams(name, f"profile weight {name} must be finite, got {value}")
         if self.alpha1 < 0.0 or self.alpha2 < 0.0:
             raise ValueError("profile weights must be nonnegative")
         if abs(self.alpha1 + self.alpha2 - 1.0) > 1e-9:

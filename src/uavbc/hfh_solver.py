@@ -17,10 +17,10 @@ a blend across the bracket.  Per-weight tables of hover rates, weighted
 hover rates and cumulative flight integrals (`pair_tables`; they depend on
 the channel only, not on T, V or the profile, so they are cached per
 channel and read-only) give every pair's value in a few vectorized passes
-of flat gathers; the best pair is zoomed on local tables (one full-power
-pass each, per-weight integrals only where the weight changes the split,
-and the flight's whole grid cells summed from a per-channel cell cache,
-`grid_cells`), and the best pick of the zoom is reported.  A dense hover
+of flat gathers; the best pair is zoomed on local tables (the flight's
+whole grid cells that give one user all power at every weight summed from
+a per-channel cell cache, `grid_cells`, every other sub-cell integrated
+per weight), and the best pick of the zoom is reported.  A dense hover
 scan covers the x_I == x_F family exactly (`_best_hover`, also behind
 `asymptotic.solve_v0`).
 The mirror fold leaves alpha1 <= alpha2, and the paper's static hover then
@@ -449,6 +449,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
     lo = hi = None
     fL = fH = 0.0
     side = 0
+    collapsed = False  # no weight lies strictly inside the final bracket
     flat_lo, flat_hi = ev.plateau()
     centre, width = (0.0, 1.0) if guess is None else (guess, _P5_WARM)
     mu = max(centre - width, 0.0)
@@ -492,6 +493,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
             mu = lo[0] + d * (fL / (fL - fH))
             mu = min(max(mu, lo[0] + _P5_MARGIN * d), hi[0] - _P5_MARGIN * d)
             if not lo[0] < mu < hi[0]:
+                collapsed = True
                 break
 
     r_best, mu_best, (p1, p2, r1, r2) = best
@@ -504,7 +506,10 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
     # tied gains flip all power between the users at a critical weight.  On
     # such slots the slot region degenerates to the line r1 + r2 = const, so
     # any blend of the bracket schedules is realized exactly by an
-    # intermediate power; blend with the ratio-matching coefficient.
+    # intermediate power; blend with the ratio-matching coefficient.  Gains
+    # apart by more than that tie but so little that the ratio jumps where
+    # no weight lies strictly inside the bracket (`collapsed`) are blended
+    # too: the blend's rates are re-evaluated, so they are achievable.
     mixed = None
     if lo is not None and hi is not None:
         (mu_lo, gL, (p1L, p2L, _, _)), (mu_hi, gH, (p1H, p2H, _, _)) = lo, hi
@@ -513,7 +518,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
         p2_mix = p2L.copy()
         differ = np.abs(p2L - p2H) > 1e-9 * Pbar
         tied = np.abs(ev.h1m - ev.h2m) <= 1e-9 * np.maximum(ev.h1m, ev.h2m)
-        if np.all(~differ | tied):
+        if collapsed or np.all(~differ | tied):
             h = ev.h2m[differ]
             r2L_slot = np.log1p(p2L[differ] * h)
             r2H_slot = np.log1p(p2H[differ] * h)
@@ -594,8 +599,9 @@ class PairTables:
     power to user 2 and the last all to user 1, so they hold the full-power
     rates (and c1 = 0 on the first row, c2 = 0 on the last).  `_rate_tables`
     builds them on segments cut at every x and at every node of the global
-    grid (`_cell_grid`) between them: one full-power pass, per-row integrals
-    only where the weight matters, and sub-cells summed in groups of
+    grid (`_cell_grid`) between them: whole cells plain over the inner
+    weights take the channel's cached sums (`grid_cells`), every other
+    sub-cell is integrated per row, and sub-cells are summed in groups of
     _SUBCELLS before they are cumulated.  They depend on (beta0, H, D, Pbar)
     only; `pair_tables` caches one read-only set per channel."""
 
@@ -610,7 +616,7 @@ class PairTables:
 
 @dataclass(frozen=True)
 class GridCells:
-    """What a table build reads of the global grid's cells, per channel.
+    """What every table build reads of the global grid's cells, per channel.
 
     `grid` holds the global table's positions with x = 0; cell c spans
     [grid[c], grid[c + 1]].  `sums` holds each cell's `_group_sums` of its
@@ -651,13 +657,15 @@ def _regime(ps, Pbar):
 
 def _tested_regime(frame, mu):
     """`_regime` where `_strong_power`'s tests decide a corner, and 1
-    elsewhere: the interior, or a corner that only the clamp of p* reaches."""
+    elsewhere: the interior, or a corner that only the clamp of p* reaches.
+    The tests are monotone in mu, also after rounding, so `_channel_cells`
+    bounds the cells' plain runs with it."""
     d0, dP = _split_tests(frame, mu)
     up = d0 > 0.0
     return up.astype(np.int8) + (up & (dP >= 0.0))
 
 
-def _kinks(regime, adjacent=True):
+def _kinks(regime, adjacent):
     """Sub-cells (rows by sub-cells) whose two nodes, or whose node and its
     neighbour's, disagree on the regime; `adjacent` says which consecutive
     columns are neighbours."""
@@ -715,52 +723,37 @@ def _subcells(lo, hi, D):
     return j, k, left, np.where(k + 1 < n_sub[j], lo[j] + piece * (k + 1), hi[j])
 
 
-def _rate_tables(params, x, mu, cells: Optional[GridCells] = None) -> PairTables:
+def _rate_tables(params, x, mu) -> PairTables:
     """PairTables at sorted positions x and sorted weights mu, mu[0] = 0 and
-    mu[-1] = 1.
+    mu[-1] = 1, on the channel's `grid_cells`.
 
     Flight integrals use 2-point Gauss on sub-cells at most
     D / ((_PAIR_NODES - 1) * _SUBCELLS) wide, cut at every x, at x = 0 (the
     rates jump there) and at every node of the global grid between them, so
     the flight between two windows of positions runs over whole global
-    cells.  A sub-cell whose Gauss nodes, or whose node and its neighbour's,
-    disagree on the split's regime holds a kink and is integrated on
-    _SUBCELLS pieces instead.  Each segment between cuts lies in one cell,
-    so its at most _SUBCELLS sub-cells make one zero-padded group, summed
-    by `_group_sums`, and the tables cumulate the group sums.
+    cells.  A sub-cell whose Gauss nodes, or whose node and its touching
+    neighbour's, disagree on the split's regime holds a kink and is
+    integrated on _SUBCELLS pieces instead.  Each segment between cuts lies
+    in one cell, so its at most _SUBCELLS sub-cells make one zero-padded
+    group, summed by `_group_sums`, and the tables cumulate the group sums.
 
-    One full-power pass integrates log1p(Pbar*h1) and log1p(Pbar*h2) over
-    every sub-cell.  Where the split gives all power to user k at both
-    nodes, these are its `_sc_rates` integrals to the last bit: the
-    full-power one for user k, zero for the other.  At mu = 0 every node
-    gives all power to user 2 and at mu = 1 to user 1, so those two rows
-    are this pass: the strong user changes at x = 0, but the allocation
-    does not, so the rows hold no kink.
-
-    The rows between form one block, classified at its first and last
-    weight by `_strong_power`'s two tests (`_tested_regime`).  Every
-    operation in those tests is monotone in mu, also after rounding, so at
-    each node the regime they decide is monotone in mu.  A sub-cell they
-    put on one corner regime (all power to one user) at both nodes, with
-    one strong user and no kink, at both weights therefore keeps them at
-    every weight between: its integrals are full-power ones throughout.
-    Only the other (live) sub-cells are integrated per row, and kinks are
-    sought only among them and their neighbours.  So every entry equals
-    the per-row build's to the last bit.  Chunks of rows bound the
-    temporaries: at most _CHUNK_CELLS per-row sub-cell slots, and
-    4 * _TABLE_CHUNK rows.
-
-    With the channel's `cells` (`grid_cells`), a segment that is a whole
-    global cell whose plain run holds the block's weights, between two
-    such cells (or the table's end) of the same run, takes the cell's
-    cached group sums for every row and no sub-cell pass: its sub-cells
-    are flat and none is next to a live one, so the build without `cells`
-    gives the same sums.  Every other segment is built as above, with
-    kink steps sought only between sub-cells that touch; every entry
-    equals the build without `cells` to the last bit.
+    A segment that is a whole global cell whose plain run (`GridCells`)
+    holds the inner weights mu[1] .. mu[-2], between two such cells (or the
+    table's end) of the same run, takes the cell's cached group sums for
+    every row and no sub-cell pass.  At those weights every node of the
+    cell and of its neighbours gives all power to the run's user, and
+    where the split does so at both nodes the per-row integrals are that
+    user's full-power ones to the last bit (zero for the other user): with
+    no kink in the cell, the per-row build's sums.  Every other (open)
+    sub-cell is integrated on every inner row.  The mu = 0 and 1 rows are
+    one full-power pass: every node gives all power to user 2, or to user
+    1, so the rows hold no kink, though the strong user changes at x = 0.
+    Chunks of rows bound the temporaries: at most _CHUNK_CELLS per-row
+    sub-cell slots, and 4 * _TABLE_CHUNK rows.
     """
     Pbar = params.Pbar
-    grid = _cell_grid(params.D) if cells is None else cells.grid
+    cells = grid_cells(params)
+    grid = cells.grid
     inside = grid[np.searchsorted(grid, x[0], "right"):np.searchsorted(grid, x[-1])]
     cuts = np.union1d(x, inside)
     n_seg = len(cuts) - 1
@@ -769,19 +762,17 @@ def _rate_tables(params, x, mu, cells: Optional[GridCells] = None) -> PairTables
     # segment lies in one cell, so it is one group.
     sums = np.zeros((2, n, n_seg + 1))
     # The whole cells summed from the cache, to user 1 where `up`.
-    kept = np.zeros(n_seg, dtype=bool)
-    if cells is not None:
-        cell = np.minimum(np.searchsorted(grid, cuts[:-1]), len(grid) - 2)
-        whole = (grid[cell] == cuts[:-1]) & (grid[cell + 1] == cuts[1:])
-        runs = whole & np.array([mu[-2] <= cells.below[cell], mu[1] >= cells.above[cell]])
-        both = runs.copy()  # with both neighbours (where there is one) in the run
-        both[:, 1:] &= runs[:, :-1]
-        both[:, :-1] &= runs[:, 1:]
-        low, up = both
-        kept = low | up
-        at, g = 1 + np.flatnonzero(kept), cells.sums[:, cell[kept]]
-        sums[0, -1, at], sums[1, 0, at] = g
-        sums[:, 1:-1, at] = (g * np.array([up[kept], ~up[kept]]))[:, None]
+    cell = np.minimum(np.searchsorted(grid, cuts[:-1]), len(grid) - 2)
+    whole = (grid[cell] == cuts[:-1]) & (grid[cell + 1] == cuts[1:])
+    runs = whole & np.array([mu[-2] <= cells.below[cell], mu[1] >= cells.above[cell]])
+    both = runs.copy()  # with both neighbours (where there is one) in the run
+    both[:, 1:] &= runs[:, :-1]
+    both[:, :-1] &= runs[:, 1:]
+    low, up = both
+    kept = low | up
+    at, g = 1 + np.flatnonzero(kept), cells.sums[:, cell[kept]]
+    sums[0, -1, at], sums[1, 0, at] = g
+    sums[:, 1:-1, at] = (g * np.array([up[kept], ~up[kept]]))[:, None]
     # The sub-cells of the other (open) segments, their slots in the open
     # segments' zero-padded groups, and which consecutive ones touch.
     open_ = np.flatnonzero(~kept)
@@ -790,7 +781,6 @@ def _rate_tables(params, x, mu, cells: Optional[GridCells] = None) -> PairTables
     slot = j * _SUBCELLS + k
     adj = open_[j[1:]] - open_[j[:-1]] <= 1
     half, frame = _gauss_nodes(params, left, right)
-    strong2 = frame[0]
     full = np.zeros((2, n_open * _SUBCELLS))
     full[:, slot] = _full_power_integrals(half, frame, Pbar)
     sums[0, -1, 1 + open_], sums[1, 0, 1 + open_] = _group_sums(full.reshape(2, n_open, _SUBCELLS))
@@ -799,38 +789,18 @@ def _rate_tables(params, x, mu, cells: Optional[GridCells] = None) -> PairTables
     out = np.empty((4, n, len(x)))
     out[0], out[1] = _sc_rates(*node_frame[:3], nps, Pbar - nps)
 
-    regime = _tested_regime(frame, mu[[1, -2], None, None])
-    corner = regime[0, :, 0]
-    flat = (corner != 1) & np.all(regime == corner[:, None], axis=(0, 2))
-    flat &= (strong2[:, 0] == strong2[:, 1]) & ~np.any(_kinks(regime, adj), axis=0)
-    # The full-power rows with the flat sub-cells' other user zeroed.
-    to_user1 = np.zeros(n_open * _SUBCELLS, dtype=bool)
-    to_user1[slot] = (corner == 2) != strong2[:, 0]
-    f_flat = full * np.array([to_user1, ~to_user1])
-    # Per-row sub-cells, and with their neighbours the only kink candidates,
-    # with their slots in the groups that hold them.
-    live = np.flatnonzero(~flat)
-    near = ~flat
-    near[:-1] |= ~flat[1:] & adj
-    near[1:] |= ~flat[:-1] & adj
-    near = np.flatnonzero(near)
-    adjacent = (near[1:] == near[:-1] + 1) & adj[near[:-1]]
-    at_live = np.searchsorted(near, live)
-    live_half, live_frame, live_at = half[live], tuple(a[live] for a in frame), slot[live]
-    step = min(4 * _TABLE_CHUNK, max(1, _CHUNK_CELLS // max(f_flat.shape[1], 1)))
+    step = min(4 * _TABLE_CHUNK, max(1, _CHUNK_CELLS // max(full.shape[1], 1)))
     for s in range(1, n - 1, step):
         rows = slice(s, min(s + step, n - 1))
         m = mu[rows, None]
-        f = np.repeat(f_flat[:, None], len(m), axis=1)
-        live_ps = _strong_power(live_frame, m[..., None], Pbar)
-        f[0][:, live_at], f[1][:, live_at] = _gauss_integrals(live_half, live_frame, live_ps, Pbar)
-        reg = np.repeat(regime[:1, near], len(m), axis=0)
-        reg[:, at_live] = _regime(live_ps, Pbar)
-        r, c = np.nonzero(_kinks(reg, adjacent))
+        ps = _strong_power(frame, m[..., None], Pbar)
+        f = np.zeros((2, len(m), n_open * _SUBCELLS))
+        f[0][:, slot], f[1][:, slot] = _gauss_integrals(half, frame, ps, Pbar)
+        r, c = np.nonzero(_kinks(_regime(ps, Pbar), adj))
         if r.size:
-            k_half, k_frame = _pieces(params, left[near[c]], right[near[c]])
+            k_half, k_frame = _pieces(params, left[c], right[c])
             k1, k2 = _gauss_integrals(k_half, k_frame, _strong_power(k_frame, m[r, :, None], Pbar), Pbar)
-            f[0][r, slot[near[c]]], f[1][r, slot[near[c]]] = k1.sum(-1), k2.sum(-1)
+            f[0][r, slot[c]], f[1][r, slot[c]] = k1.sum(-1), k2.sum(-1)
         sums[:, rows, 1 + open_] = _group_sums(f.reshape(2, len(m), n_open, _SUBCELLS))
     out[2:] = np.cumsum(sums, axis=-1)[..., np.searchsorted(cuts, x)]
     h1, h2, c1, c2 = out / LOG2
@@ -861,7 +831,7 @@ def _channel_tables(beta0, H, D, Pbar) -> PairTables:
     params = SystemParams(beta0, 1.0, H, D, Pbar, V=0.0, T=1.0)
     half = 0.5 * D
     x = np.linspace(-half, half, _PAIR_NODES)
-    tables = _rate_tables(params, x, np.linspace(0.0, 1.0, _PAIR_WEIGHTS), grid_cells(params))
+    tables = _rate_tables(params, x, np.linspace(0.0, 1.0, _PAIR_WEIGHTS))
     for a in vars(tables).values():
         a.flags.writeable = False
     return tables
@@ -986,7 +956,7 @@ def _best_pair(params, profile, tables):
             )
             w = mu_hi - mu_lo  # widened bracket, with mu = 0 and 1 as sentinels
             mu = np.linspace(max(mu_lo - w, 0.0), min(mu_hi + w, 1.0), _POLISH_WEIGHTS)
-            tables = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu), grid_cells(params))
+            tables = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu))
         x, mu = tables.x, tables.mu
         i, j = np.triu_indices(len(x))
         keep = x[j] - x[i] <= params.V * params.T

@@ -11,7 +11,8 @@ cell while flying.  The trajectory family itself is small: the UAV either
 flies the whole time, or hovers only above a user (never at interior
 points).  That leaves the one-parameter families of `_families` (pure
 flight, hover above user 1 then fly, fly then hover above user 2, hover
-above both; with V = 0 the fixed hovers), each searched on a grid.
+above both; with V = 0, or a reach V*T the positions do not resolve, the
+fixed hovers), each searched on a grid.
 `_screen` values the whole grid at once from its own cumulative-rate table
 over position; only the candidates near its best are scored by the
 per-trajectory `_evaluate`, in grid order, so the first exact maximum wins
@@ -31,6 +32,7 @@ import numpy as np
 
 from .core import (
     LOG2,
+    REL_EPS,
     HfhTrajectory,
     RatePair,
     RateProfile,
@@ -304,9 +306,9 @@ def solve_t1(
 class _Family(NamedTuple):
     """The trajectories build(s) for s in [lo, hi]: searched on n grid
     values, then refined by golden section over s +- step to xtol.  `case`
-    names the family in the diagnostics: 1 pure flight (or, with V = 0, a
-    fixed hover), 2 hover above user 1 then fly, 3 fly then hover above
-    user 2, 4 hover above both."""
+    names the family in the diagnostics: 1 pure flight (or, with V = 0 or a
+    reach the positions do not resolve, a fixed hover), 2 hover above user
+    1 then fly, 3 fly then hover above user 2, 4 hover above both."""
 
     case: int
     lo: float
@@ -324,13 +326,20 @@ def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
     free parameter is the one location or hover time not fixed by the
     family and the time budget.  Each family refines over its own grid
     step.
+
+    A reach V*T below the position spacing at the users over REL_EPS (V = 0,
+    or under ~5.7e-5 m at D = 1 km) is not resolved by the positions:
+    x + V*T can round so far that the flight overruns T beyond `make_hfh`'s
+    tolerance, and switch times inside it are quantized to the spacing
+    over V.  It leaves the fixed hovers, the flights' limit, which close
+    their time budget exactly; every other flight closes it to REL_EPS / 2.
     """
     half = 0.5 * params.D
     V, T, D = params.V, params.T, params.D
     n, xtol = cfg.x_grid, 1e-9 * D
-    if V == 0.0:
-        return [_Family(1, -half, half, n, D / (n - 1), xtol, lambda x: make_hfh(params, x, x, T))]
     reach = V * T
+    if np.spacing(half) > REL_EPS * reach:
+        return [_Family(1, -half, half, n, D / (n - 1), xtol, lambda x: make_hfh(params, x, x, T))]
     out = []
     if reach <= D:
         out.append(_Family(1, -half, half - reach, n, (D - reach) / (n - 1), xtol,

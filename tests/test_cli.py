@@ -130,6 +130,18 @@ class TestRegionCommand:
         )
         assert code == 0
 
+    def test_tdma_at_tiny_speed(self, tmp_path):
+        """A reach of 6e-6 m, which the positions at the users do not
+        resolve, is solved, as SC solves it."""
+        path = tmp_path / "slow.cfg"
+        path.write_text(BASE_SCENARIO.replace("v = 30", "v = 1e-7"))
+        for mode in ("tdma", "sc"):
+            out = tmp_path / f"{mode}.csv"
+            code = main(["region", "--scenario", str(path), "--mode", mode,
+                         "--profiles", "5", "--out", str(out)])
+            assert code == 0, mode
+            assert len(read_csv(out)) == 5
+
     def test_missing_scenario_file(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(

@@ -132,6 +132,15 @@ def test_rate_profile_validation():
     assert RateProfile.of(0.25).mirrored().alpha1 == 0.75
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rate_profile_rejects_non_finite_weights(value):
+    for make, field in ((lambda: RateProfile.of(value), "alpha1"),
+                        (lambda: RateProfile(0.5, value), "alpha2")):
+        with pytest.raises(InvalidParams) as err:
+            make()
+        assert err.value.field == field
+
+
 class TestHfhPosition:
     def test_endpoints(self, base):
         traj = make_hfh(base, -400.0, 300.0, 5.0)

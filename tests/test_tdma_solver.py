@@ -148,6 +148,17 @@ class TestTdmaSolveProfile:
                 sol = tdma_solve_profile(replace(base, Pbar=Pbar, D=D, T=T), RateProfile.of(alpha1))
                 assert sol.diagnostics["search_r"] == sol.r
 
+    @pytest.mark.parametrize("alpha1", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("T", [20.0, 60.0, 400.0])
+    @pytest.mark.parametrize("V", [1e-7, 1e-9, 1e-12])
+    def test_tiny_speed(self, base, V, T, alpha1):
+        """Reaches V*T of 2e-11 to 4e-5 m, which the positions at the users
+        do not resolve: no member's flight overruns T, and r is at least the
+        fixed hovers' (V = 0)."""
+        prof = RateProfile.of(alpha1)
+        sol = tdma_solve_profile(replace(base, V=V, T=T), prof)
+        assert sol.r >= tdma_solve_profile(replace(base, V=0.0, T=T), prof).r * (1.0 - 1e-12)
+
     def test_mirror(self, base):
         a = tdma_solve_profile(base, RateProfile.of(0.25), FAST_TDMA)
         b = tdma_solve_profile(base, RateProfile.of(0.75), FAST_TDMA)
