@@ -13,7 +13,7 @@ Three regimes admit (near) closed forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     HfhTrajectory,
@@ -27,7 +27,7 @@ from .core import (
     validate_params,
 )
 from .errors import InfeasibleFlight, ValidityError
-from .hfh_solver import DEFAULT_CONFIG, _best_hover
+from .hfh_solver import solve_profile
 import math
 
 # Validity gate for the high-SNR closed form, expressed on the worst-case
@@ -91,28 +91,17 @@ def hfh_tdma_achievable(params: SystemParams, profile: RateProfile) -> RatePair:
 def solve_v0(params: SystemParams, profile: RateProfile) -> HoverSolution:
     """Optimal static hover for the given rate profile (V -> 0 regime).
 
-    For alpha2 >= alpha1 the hover point lies in [0, D/2]; it is placed by
-    the solver's own static-hover search (`hfh_solver._best_hover` on the
-    default hover grid), whose winning `fixed_boundary` point (the monotone
-    bisection of the profile-constrained fixed-location problem) gives the
-    power split.
-    Opposite profiles are handled by mirror symmetry.  Raises InvalidParams
-    for out-of-range params.
+    `hfh_solver.solve_profile` at V = 0, viewed as a hover: its static-hover
+    search on the default hover grid places the UAV (on [0, D/2] for
+    alpha2 >= alpha1, mirrored otherwise, above the served user at the
+    corners), and the winning `fixed_boundary` point (the monotone bisection
+    of the profile-constrained fixed-location problem) gives the power
+    split.  Raises InvalidParams for out-of-range params, V included.
     """
     validate_params(params)
-    peak = params.peak_rate
-    half = 0.5 * params.D
-    if profile.alpha1 == 0.0:
-        return HoverSolution(half, 0.0, params.Pbar, RatePair(0.0, peak), profile)
-    if profile.alpha2 == 0.0:
-        return HoverSolution(-half, params.Pbar, 0.0, RatePair(peak, 0.0), profile)
-    if profile.alpha1 > profile.alpha2:
-        m = solve_v0(params, profile.mirrored())
-        return HoverSolution(
-            -m.x_star, m.p2, m.p1, m.rate_pair.swapped(), profile
-        )
-    x_star, _, point = _best_hover(params, profile, DEFAULT_CONFIG.hover_grid)
-    return HoverSolution(x_star, point.p1, point.p2, point.rate_pair, profile)
+    sol = solve_profile(replace(params, V=0.0), profile)
+    return HoverSolution(sol.trajectory.x_I, float(sol.schedule.p1[0]),
+                         float(sol.schedule.p2[0]), sol.rate_pair, profile)
 
 
 def region_high_snr(params: SystemParams, n_profiles: int = 33) -> RegionBoundary:

@@ -132,8 +132,8 @@ class RatePair:
 @dataclass(frozen=True)
 class RateProfile:
     """Rate-ratio weights (alpha1, alpha2), finite, nonnegative and summing
-    to one; a weight that is not finite raises InvalidParams (a ValueError)
-    naming it."""
+    to one, else InvalidParams (a ValueError) naming the weight (alpha2 for
+    the sum)."""
 
     alpha1: float
     alpha2: float
@@ -143,10 +143,10 @@ class RateProfile:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidParams(name, f"profile weight {name} must be finite, got {value}")
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise ValueError("profile weights must be nonnegative")
+            if value < 0.0:
+                raise InvalidParams(name, f"profile weight {name} must be nonnegative")
         if abs(self.alpha1 + self.alpha2 - 1.0) > 1e-9:
-            raise ValueError("profile weights must sum to 1")
+            raise InvalidParams("alpha2", "profile weights must sum to 1")
 
     @classmethod
     def of(cls, alpha1: float) -> "RateProfile":
@@ -184,12 +184,15 @@ def sc_rate_pair(params: SystemParams, x: float, p1: float, p2: float) -> RatePa
     The user with the larger gain decodes and cancels the other user's
     signal (ties at x = 0 resolve to user 2 strong, which does not affect
     the sum): strong rate log2(1 + p_s h_s), weak rate
-    log2(1 + p_w h_w / (p_s h_w + 1)).
+    log2(1 + p_w h_w / (p_s h_w + 1)).  Raises PowerBudgetExceeded for
+    powers outside the budget or not finite, and for a non-finite x.
     """
-    if p1 < 0.0 or p2 < 0.0 or p1 + p2 > params.Pbar * (1.0 + REL_EPS):
+    if not (p1 >= 0.0 and p2 >= 0.0 and p1 + p2 <= params.Pbar * (1.0 + REL_EPS)):
         raise PowerBudgetExceeded(
             f"p1={p1!r}, p2={p2!r} outside budget Pbar={params.Pbar!r}"
         )
+    if not math.isfinite(x):
+        raise PowerBudgetExceeded(f"position x={x!r} is not finite")
     h1, h2 = gain_pair(params, x)
     if h2 >= h1:  # user 2 strong
         r2 = log2_1p(p2 * h2)
@@ -223,7 +226,8 @@ def make_hfh(params: SystemParams, x_I: float, x_F: float, t_I: float) -> HfhTra
     """Construct a valid HFH trajectory, deriving t_F from the time budget.
 
     For V = 0 only x_I == x_F is representable.  Raises InvalidTrajectory
-    (a ValueError) on infeasible geometry or timing.
+    (a ValueError) on infeasible geometry or timing, a non-finite t_I
+    included.
     """
     half = 0.5 * params.D
     if not (-half - REL_EPS * params.D <= x_I <= x_F <= half + REL_EPS * params.D):
@@ -237,7 +241,7 @@ def make_hfh(params: SystemParams, x_I: float, x_F: float, t_I: float) -> HfhTra
     else:
         flight = (x_F - x_I) / params.V
     t_F = params.T - t_I - flight
-    if t_I < -REL_EPS * params.T or t_F < -REL_EPS * params.T:
+    if not (t_I >= -REL_EPS * params.T and t_F >= -REL_EPS * params.T):
         raise InvalidTrajectory(
             f"hover times infeasible: t_I={t_I}, flight={flight}, T={params.T}"
         )
@@ -245,9 +249,10 @@ def make_hfh(params: SystemParams, x_I: float, x_F: float, t_I: float) -> HfhTra
 
 
 def hfh_position(traj: HfhTrajectory, params: SystemParams, t: float) -> float:
-    """UAV position at time t along the HFH trajectory."""
+    """UAV position at time t along the HFH trajectory; raises
+    TimeOutOfRange for t outside [0, T] or not finite."""
     T = params.T
-    if t < -REL_EPS * T or t > T * (1.0 + REL_EPS):
+    if not -REL_EPS * T <= t <= T * (1.0 + REL_EPS):
         raise TimeOutOfRange(f"t={t} outside [0, {T}]")
     t = min(max(t, 0.0), T)
     if t <= traj.t_I:

@@ -26,16 +26,18 @@ scan covers the x_I == x_F family exactly (`_best_hover`, also behind
 The mirror fold leaves alpha1 <= alpha2, and the paper's static hover then
 lies nearer user 2, the one with the larger rate target, so only the grid's
 x >= 0 half is scanned: a vectorized screen, the near-best positions scored
-by `fixed_boundary`, and a golden refinement.  The winner is reported with
-one P5 solve on `SearchConfig.n_slots` slots, a flight's warm-started from
-the zoom's weight bracket; nothing is tuned to the slots and the slot count
-is not doubled.
+by `fixed_boundary`, and a golden refinement.  A winning flight is
+reported with one P5 solve on `SearchConfig.n_slots` slots, warm-started
+from the zoom's weight bracket; nothing is tuned to the slots and the slot
+count is not doubled.  A winning hover, like a corner profile, is reported
+from its `fixed_boundary` point, the same split in every slot, with no P5
+(`_hover_solution`).
 
-Every reported solution is evaluated with exact per-slot integration
+Every reported flight is evaluated with exact per-slot integration
 (closed-form hover segments, Gauss nodes on flight segments cut at the
-hover/flight switch times and at x = 0), so emitted rate pairs are
-achievable to quadrature precision and survive independent feasibility
-re-checks.
+hover/flight switch times and at x = 0), and a reported hover's rates are
+the closed form at its position, so emitted rate pairs are achievable to
+quadrature precision and survive independent feasibility re-checks.
 """
 
 from __future__ import annotations
@@ -78,10 +80,10 @@ _HOVER_WINDOW = 1e-9
 class SearchConfig:
     """Knobs of the trajectory search and of P5's weight root search.
 
-    The search reads n_slots (2,048: the reported P5 is its only slotted
-    solve), hover_grid, mu_tol and mu_max_iter.  hover_grid points span
-    [-D/2, D/2]; the static-hover search scans those at x >= 0 (129 of the
-    default 257, which `asymptotic.solve_v0` uses).  P5 runs regula falsi on
+    The search reads n_slots (2,048 schedule slots; a winning flight's P5
+    is its only slotted solve), hover_grid, mu_tol and mu_max_iter.
+    hover_grid points span [-D/2, D/2]; the static-hover search scans those
+    at x >= 0 (129 of the default 257, which `asymptotic.solve_v0` uses).  P5 runs regula falsi on
     the weight mu until the rates are balanced to mu_tol (relative to r),
     within mu_max_iter weight solves.  grid_xi, grid_xf, grid_ti,
     golden_iters, refine_rounds and rerank_top are accepted but not read:
@@ -936,13 +938,10 @@ def _best_pair(params, profile, tables):
     outside the window, and a finer window would shrink away from it.  Each
     stage centres on the previous stage's pick, but a stage's best can fall
     below an earlier one, so the best pick of all stages is reported.
-    Returns (x_I, x_F, t_I, value, dual, polished value, bracket): the
-    reported pick's endpoints and hover time, the table pick's value and
-    its dual, the min over the table's weights of
-    D(mu) / (mu a1 + (1 - mu) a2), then the reported pick's value and the
-    weights (mu_lo, mu_hi) its value blends.  The dual bounds, to quadrature
-    accuracy, only the schedules of the unpolished table pick: the polish
-    moves to other pairs, so it is no bound on the reported r."""
+    Returns (x_I, x_F, t_I, value, polished value, bracket): the reported
+    pick's endpoints and hover time, the table pick's value, then the
+    reported pick's value and the weights (mu_lo, mu_hi) its value
+    blends."""
     half = 0.5 * params.D
     offsets = (tables.x[1] - tables.x[0]) * (np.arange(_POLISH_SIDE) - _POLISH_SIDE // 2)
     stage = recentres = 0
@@ -968,10 +967,6 @@ def _best_pair(params, profile, tables):
         if best is None or value[k] >= best[0]:
             best = (value[k], x_I, x_F, t_I[k], mu_lo, mu_hi)
         if not stage:
-            slack = params.T - (x[j] - x[i]) / params.V
-            r1, r2, _ = _pair_primal(params, tables, slack, np.arange(len(mu)), i, j)
-            a1, a2 = profile.alpha1, profile.alpha2
-            dual = np.min((mu * r1 + (1.0 - mu) * r2) / (mu * a1 + (1.0 - mu) * a2))
             pair_value = value[k]
         else:
             reach = offsets[-1] * 0.25 ** stage * (1.0 - 1e-9)
@@ -982,7 +977,7 @@ def _best_pair(params, profile, tables):
                 continue
         stage += 1
     value, x_I, x_F, t_I, mu_lo, mu_hi = map(float, best)
-    return x_I, x_F, t_I, float(pair_value), float(dual), value, (mu_lo, mu_hi)
+    return x_I, x_F, t_I, float(pair_value), value, (mu_lo, mu_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,25 +1063,21 @@ def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None
     )
 
 
-def _corner_solution(params, profile, cfg) -> BoundarySolution:
-    """All weight on one user: hover above that user the whole flight."""
-    user = 2 if profile.alpha1 == 0.0 else 1
-    x = params.user_position(user)
-    traj = make_hfh(params, x, x, params.T)
-    n = cfg.n_slots
-    p2 = np.full(n, params.Pbar if user == 2 else 0.0)
-    p1 = params.Pbar - p2
-    peak = params.peak_rate
-    pair = RatePair(0.0, peak) if user == 2 else RatePair(peak, 0.0)
-    return BoundarySolution(
-        profile,
-        pair,
-        peak,
-        traj,
-        PowerSchedule(p1, p2),
-        0.0 if user == 2 else 1.0,
-        {"corner": True, "n_slots": n},
-    )
+def _hover_solution(params, profile, x, point, cfg, diagnostics) -> BoundarySolution:
+    """Hover at x the whole flight with the split of `fixed_boundary`'s
+    `point` at x in every slot: the fixed-location boundary point, with no
+    P5.  mu is the weight at which that split is stationary,
+    h2 (1 + ps h1) / (h2 (1 + ps h1) + h1 (1 + ps h2)) with ps the strong
+    user's power (1/2 at tied gains), or 0 or 1 at the corners."""
+    h1, h2 = gain_pair(params, x)
+    ps = point.p2 if h2 >= h1 else point.p1
+    top = h2 * (1.0 + ps * h1)
+    mu = float(profile.alpha2 == 0.0) if profile.is_corner else top / (top + h1 * (1.0 + ps * h2))
+    n, pair = cfg.n_slots, point.rate_pair
+    return BoundarySolution(profile, pair, profile.rate_scale(pair.r1, pair.r2),
+                            make_hfh(params, x, x, params.T),
+                            PowerSchedule(np.full(n, point.p1), np.full(n, point.p2)), mu,
+                            dict(diagnostics, n_slots=n))
 
 
 def mirror_solution(params: SystemParams, sol: BoundarySolution) -> BoundarySolution:
@@ -1123,33 +1114,34 @@ def solve_profile(
     than the hover by more than `_TIE_TOL_REL` is solved once with the
     exact P5 on `cfg.n_slots` slots, warm-started at the midpoint of the
     pick's weight bracket, and replaces the hover when that r, too, is
-    better by more than the tie; otherwise the hover is solved the same
-    way, cold.  So a solve makes at most two P5 solves.  Diagnostics report the hover value, the table
-    pick's value and its dual (`table_pick_dual`, a bound on that
-    unpolished pair only, not on r), the polished value, the winner's
-    search value (`search_best_r`: the hover value, or the flight's r), the
-    P5 solve count (`p5_calls`) and the weight solves of all of them
-    (`weight_solves`).  Raises InvalidParams for out-of-range params.
+    better by more than the tie.  Otherwise the hover is reported from its
+    `fixed_boundary` point (`_hover_solution`), as is a corner profile
+    from the served user's position, so a solve makes at most one P5
+    solve, and only for a flight.  Diagnostics report the hover value, the
+    table pick's value, the polished value, the P5 solve count (`p5_calls`)
+    and its weight solves (`weight_solves`).  Raises InvalidParams for
+    out-of-range params.
     """
     validate_params(params)
     if profile.is_corner:
-        return _corner_solution(params, profile, cfg)
+        x = params.user_position(2 if profile.alpha1 == 0.0 else 1)
+        return _hover_solution(params, profile, x, fixed_boundary(params, x, profile), cfg,
+                               {"corner": True})
     if profile.alpha1 > profile.alpha2:
         mirrored = solve_profile(params, profile.mirrored(), cfg)
         return mirror_solution(params, mirrored)
 
     diagnostics: dict = {}
-    x_h, r_h, _ = _best_hover(params, profile, cfg.hover_grid)
-    best_r = r_h
+    x_h, r_h, point = _best_hover(params, profile, cfg.hover_grid)
     diagnostics["hover_r"] = r_h
     p5_calls = weight_solves = 0
 
     sol = None
     if params.V > 0.0:
-        x_I, x_F, t_I, pair_value, dual, polished, bracket = _best_pair(
+        x_I, x_F, t_I, pair_value, polished, bracket = _best_pair(
             params, profile, pair_tables(params)
         )
-        diagnostics.update(pair_value=pair_value, table_pick_dual=dual, polish_value=polished)
+        diagnostics.update(pair_value=pair_value, polish_value=polished)
         tie = _TIE_TOL_REL * max(r_h, 1e-12)
         # Slots only lose rate against the continuous value, so a polished
         # value within the tie of the hover cannot replace it.
@@ -1157,17 +1149,13 @@ def solve_profile(
             slack = params.T - (x_F - x_I) / params.V
             flight = _exact_solution(params, profile, make_hfh(params, x_I, x_F, min(t_I, slack)),
                                      cfg.n_slots, cfg, diagnostics, guess=0.5 * sum(bracket))
-            p5_calls += 1
-            weight_solves += flight.diagnostics["mu_iterations"]
+            p5_calls, weight_solves = 1, flight.diagnostics["mu_iterations"]
             if flight.r > r_h + tie:
-                sol, best_r = flight, flight.r
+                sol = flight
 
     if sol is None:
-        sol = _exact_solution(params, profile, make_hfh(params, x_h, x_h, params.T),
-                              cfg.n_slots, cfg, diagnostics)
-        p5_calls += 1
-        weight_solves += sol.diagnostics["mu_iterations"]
-    sol.diagnostics.update(search_best_r=best_r, p5_calls=p5_calls, weight_solves=weight_solves)
+        sol = _hover_solution(params, profile, x_h, point, cfg, diagnostics)
+    sol.diagnostics.update(p5_calls=p5_calls, weight_solves=weight_solves)
     return sol
 
 

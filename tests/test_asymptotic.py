@@ -12,6 +12,7 @@ from uavbc import (
     hfh_tdma_achievable,
     region_high_snr,
     region_tinf,
+    solve_profile,
     solve_v0,
 )
 from uavbc import asymptotic, hfh_solver
@@ -81,6 +82,18 @@ class TestSolveV0:
         mirrored = solve_v0(base, RateProfile.of(1.0))
         assert mirrored.x_star == -500.0
         assert mirrored.rate_pair.r1 == pytest.approx(PEAK, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha1", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_is_solve_profile_at_rest(self, base, alpha1):
+        """`solve_profile` at V = 0 viewed as a hover, field for field."""
+        prof = RateProfile.of(alpha1)
+        sol = solve_profile(replace(base, V=0.0), prof)
+        hover = solve_v0(base, prof)
+        assert hover.x_star == sol.trajectory.x_I == sol.trajectory.x_F
+        assert (hover.p1, hover.p2) == (sol.schedule.p1[0], sol.schedule.p2[0])
+        assert hover.rate_pair == sol.rate_pair
+        assert hover.profile == prof
+        assert hover.r == sol.r
 
     def test_equal_profile_beats_center_hover(self, base):
         sol = solve_v0(base, RateProfile.of(0.5))

@@ -132,6 +132,37 @@ def test_rate_profile_validation():
     assert RateProfile.of(0.25).mirrored().alpha1 == 0.75
 
 
+@pytest.mark.parametrize(
+    "alpha1, alpha2, field",
+    [(-0.1, 1.1, "alpha1"), (1.1, -0.1, "alpha2"), (0.3, 0.3, "alpha2"), (0.6, 0.6, "alpha2")],
+    ids=["negative-alpha1", "negative-alpha2", "sum-below-one", "sum-above-one"],
+)
+def test_rate_profile_errors_are_typed(alpha1, alpha2, field):
+    with pytest.raises(InvalidParams) as err:
+        RateProfile(alpha1, alpha2)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda p: make_hfh(p, 0.0, 0.0, math.nan), InvalidTrajectory),
+        (lambda p: make_hfh(p, 0.0, 0.0, math.inf), InvalidTrajectory),
+        (lambda p: sc_rate_pair(p, 0.0, math.nan, 0.0), PowerBudgetExceeded),
+        (lambda p: sc_rate_pair(p, 0.0, 0.0, math.nan), PowerBudgetExceeded),
+        (lambda p: sc_rate_pair(p, math.nan, 0.0, p.Pbar), PowerBudgetExceeded),
+        (lambda p: sc_rate_pair(p, math.inf, p.Pbar, 0.0), PowerBudgetExceeded),
+        (lambda p: hfh_position(make_hfh(p, 0.0, 0.0, 0.0), p, math.nan), TimeOutOfRange),
+    ],
+    ids=["hfh-nan-time", "hfh-inf-time", "sc-nan-p1", "sc-nan-p2", "sc-nan-x", "sc-inf-x",
+         "position-nan-time"],
+)
+def test_non_finite_inputs_are_typed(base, call, error):
+    """A non-finite input raises its typed error instead of a NaN result."""
+    with pytest.raises(error):
+        call(base)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_rate_profile_rejects_non_finite_weights(value):
     for make, field in ((lambda: RateProfile.of(value), "alpha1"),

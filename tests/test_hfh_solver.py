@@ -272,6 +272,19 @@ class TestSolveProfile:
         assert sol.trajectory.x_I == sol.trajectory.x_F == 500.0
         assert sol.rate_pair.r2 == pytest.approx(PEAK, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha1", [0.0, 1.0])
+    def test_corner_reports_peak_rate(self, base, monkeypatch, alpha1):
+        """A corner is the served user's fixed-location point: the peak
+        rate at weight 0 or 1, all power to that user, no P5."""
+        monkeypatch.setattr(hfh_solver, "_solve_p5_on", None)
+        sol = solve_profile(base, RateProfile.of(alpha1))
+        peak = base.peak_rate
+        assert sol.r == peak
+        assert sol.mu == alpha1
+        assert (sol.rate_pair.r1, sol.rate_pair.r2) == ((peak, 0.0) if alpha1 else (0.0, peak))
+        assert np.all(sol.schedule.p1 == alpha1 * base.Pbar)
+        assert np.all(sol.schedule.p2 == (1.0 - alpha1) * base.Pbar)
+
     def test_equal_rate_bracketed(self, base):
         sol = solve_profile(base, RateProfile.of(0.5), FAST)
         lower = hfh_tdma_achievable(base, RateProfile.of(0.5)).r1
@@ -283,7 +296,7 @@ class TestSolveProfile:
         sol = solve_profile(static, prof)
         hover = solve_v0(static, prof)
         assert sol.trajectory.x_I == sol.trajectory.x_F == hover.x_star
-        assert sol.r == pytest.approx(hover.r, rel=SearchConfig().mu_tol, abs=0.0)
+        assert sol.r == hover.r
 
     def test_speed_feasible_and_checked(self, base):
         sol = solve_profile(base, RateProfile.of(0.3), FAST)
@@ -296,14 +309,14 @@ class TestSolveProfile:
 
     def test_losing_flight_reports_the_hover(self, base):
         """On two slots the polished flight's P5 value falls within the tie
-        of the best hover, so the hover is reported by a second P5 solve."""
+        of the best hover, so the hover is reported from its own
+        `fixed_boundary` point, with no second P5 solve."""
         sol = solve_profile(replace(base, T=30.0), RateProfile.of(0.2), SearchConfig(n_slots=2))
         d = sol.diagnostics
         assert d["polish_value"] > d["hover_r"] * (1.0 + 1e-6)
-        assert d["p5_calls"] == 2
+        assert d["p5_calls"] == 1
         assert sol.trajectory.x_I == sol.trajectory.x_F
-        assert d["search_best_r"] == d["hover_r"]
-        assert sol.r == pytest.approx(d["hover_r"], rel=1e-9)
+        assert sol.r == d["hover_r"]
 
     @pytest.mark.parametrize("alpha1", [0.1, 0.3, 0.5])
     @pytest.mark.parametrize("H", [3e5, 1e6, 1e7])
@@ -457,30 +470,44 @@ class TestSearchExactness:
         "V, T, alpha1, r, pair, mu, hover_r, x",
         [
             pytest.param(
-                0.0, 60.0, 0.3, 3.3734823761774986,
-                (1.0120447128532495, 2.3614376633242515), 0.8887765516948398,
+                0.0, 60.0, 0.3, 3.373482376177497,
+                (1.012044712853249, 2.361437663324248), 0.8887765516948398,
                 3.373482376177497, 391.4151909817422, id="static",
             ),
             pytest.param(  # +-x tie in value: the winner on x >= 0, the half scanned
-                0.0, 60.0, 0.5, 2.4762606897896524,
-                (1.238130345790371, 1.2381303448948262), 0.7325362125392239,
+                0.0, 60.0, 0.5, 2.476260691101694,
+                (1.238130345550847, 1.238130345550847), 0.7325362124826615,
                 2.476260691101694, 202.28582136574397, id="static-mirror-tie",
             ),
             pytest.param(  # too short a flight: the hover beats every pair
-                30.0, 20.0, 0.2, 4.384226820560039,
-                (0.876845364112008, 3.5073814590110803), 0.8869171149833964,
+                30.0, 20.0, 0.2, 4.384226821642132,
+                (0.8768453643284264, 3.5073814573137057), 0.8869171150863515,
                 4.384226821642132, 457.9352323251564, id="hover-beats-flight",
             ),
         ],
     )
     def test_hover_winner(self, base, V, T, alpha1, r, pair, mu, hover_r, x):
-        sol = solve_profile(replace(base, V=V, T=T), RateProfile.of(alpha1))
-        assert sol.r == r
+        """A winning hover is reported from the `fixed_boundary` point its
+        search found, with no P5: r is the hover value, every slot takes
+        that point's split, and the per-slot split at the reported weight
+        returns it."""
+        params = replace(base, V=V, T=T)
+        sol = solve_profile(params, RateProfile.of(alpha1))
+        assert sol.r == r == hover_r
         assert (sol.rate_pair.r1, sol.rate_pair.r2) == pair
         assert sol.mu == mu
         assert sol.diagnostics["hover_r"] == hover_r
+        assert sol.diagnostics["p5_calls"] == sol.diagnostics["weight_solves"] == 0
         t = sol.trajectory
         assert (t.x_I, t.x_F, t.t_I, t.t_F) == (x, x, T, 0.0)
+        p1, p2 = sol.schedule.p1, sol.schedule.p2
+        assert len(p1) == SearchConfig().n_slots
+        assert np.all(p1 == p1[0]) and np.all(p2 == p2[0])
+        report = check_feasibility(params, sol, tolerance=1e-9)
+        assert report.passed, report
+        q1, q2 = per_slot_weighted_split(params, x, mu)
+        assert abs(q1 - p1[0]) <= 1e-9 * params.Pbar
+        assert abs(q2 - p2[0]) <= 1e-9 * params.Pbar
 
     @pytest.mark.parametrize(
         "alpha1, mu_max_iter, mu",
@@ -646,10 +673,10 @@ class TestKernelEquivalence:
         trajectory; P5 balances the rates to 1e-10 here, below its default
         mu_tol, so the gap measures slotting and quadrature alone."""
         prof = RateProfile.of(alpha1)
-        x_I, x_F, t_I, pair, bound, polished, _ = hfh_solver._best_pair(
+        x_I, x_F, t_I, pair, polished, _ = hfh_solver._best_pair(
             base, prof, hfh_solver.pair_tables(base)
         )
-        assert pair <= polished and pair <= bound
+        assert pair <= polished
         disc = discretize(base, make_hfh(base, x_I, x_F, t_I), 4096)
         res = solve_p5(base, disc, prof, SearchConfig(mu_tol=1e-10, mu_max_iter=100))
         assert res.r == pytest.approx(polished, abs=1e-6)
