@@ -1096,3 +1096,133 @@ class TestHoverScreen:
         for alpha1 in np.linspace(0.01, 0.5, 13):
             screen = hfh_solver._hover_screen(params, xs, RateProfile.of(float(alpha1)))
             assert screen[xs < 0.0].max() <= screen[xs >= 0.0].max(), alpha1
+
+
+# ---------------------------------------------------------------------------
+# the floored global ranking: the same pick from a pruned bisection
+# ---------------------------------------------------------------------------
+
+FLOOR_CHANNELS = [
+    pytest.param({"Pbar": Pbar, "H": H, "D": D}, id=f"{Pbar}W-{H:g}m-{D:g}m")
+    for Pbar in (1e-5, 1e-2, 1.0)
+    for H, D in ((100.0, 1000.0), (200.0, 3000.0))
+] + [pytest.param({"H": 1e7}, id="near-tied-gains")]
+
+
+def _floor_cases(base, channel):
+    """(params, profile, tables, pairs) of the global ranking at T in {20,
+    400} s and alpha1 in {0.05, 0.3, 0.5} on one channel."""
+    for T in (20.0, 400.0):
+        params = replace(base, T=T, **channel)
+        tables = hfh_solver.pair_tables(params)
+        pairs = hfh_solver._reachable_pairs(params, tables.x)
+        for alpha1 in (0.05, 0.3, 0.5):
+            yield params, RateProfile.of(alpha1), tables, pairs
+
+
+def _assert_same_pick(plain, floored):
+    """Equal argmax (index, value, t_I, lo, hi), and every survivor's outputs
+    equal the unfloored ones, to the last bit; pruned pairs read -inf."""
+    k = int(np.argmax(plain[0]))
+    assert int(np.argmax(floored[0])) == k
+    for a, b in zip(plain, floored):
+        assert a[k] == b[k]
+    kept = floored[0] > -np.inf
+    for a, b in zip(plain, floored):
+        assert np.array_equal(a[kept], b[kept])
+    assert np.all(plain[0][~kept] < plain[0][k])
+
+
+class TestFlooredRanking:
+    @pytest.mark.parametrize("channel", FLOOR_CHANNELS)
+    def test_same_pick(self, base, channel):
+        """The ranking floored by `_rank_floor` picks the unfloored argmax."""
+        pruned = 0
+        for params, prof, tables, pairs in _floor_cases(base, channel):
+            plain = hfh_solver._batched_profile_values(params, pairs, prof, tables)
+            floor = hfh_solver._rank_floor(params, pairs, prof, tables)
+            assert floor <= plain[0].max()
+            floored = hfh_solver._batched_profile_values(params, pairs, prof, tables, floor)
+            _assert_same_pick(plain, floored)
+            pruned += int(np.sum(floored[0] == -np.inf))
+        assert pruned > 0
+
+    @pytest.mark.parametrize("alpha1", [0.05, 0.3, 0.5])
+    def test_floor_at_the_maximum(self, base, alpha1):
+        """The tightest floor a pair reaches still keeps the first maximum."""
+        params, prof = replace(base, T=20.0), RateProfile.of(alpha1)
+        tables = hfh_solver.pair_tables(params)
+        pairs = hfh_solver._reachable_pairs(params, tables.x)
+        plain = hfh_solver._batched_profile_values(params, pairs, prof, tables)
+        floored = hfh_solver._batched_profile_values(params, pairs, prof, tables, plain[0].max())
+        _assert_same_pick(plain, floored)
+        assert np.sum(floored[0] > -np.inf) < 0.1 * len(pairs)
+
+    def test_two_weights_prune_nothing(self, base):
+        """With only the mu = 0 and 1 sentinels no bisection step runs, so
+        no pair is pruned, whatever the floor."""
+        params, prof = replace(base, T=20.0), RateProfile.of(0.3)
+        x, _ = _polish_stage_inputs(params, -250.0, 150.0, 1, 0.45, 0.05)
+        tables = hfh_solver._rate_tables(params, x, np.array([0.0, 1.0]))
+        pairs = hfh_solver._reachable_pairs(params, x)
+        plain = hfh_solver._batched_profile_values(params, pairs, prof, tables)
+        floored = hfh_solver._batched_profile_values(params, pairs, prof, tables, plain[0].max())
+        for a, b in zip(plain, floored):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("channel", FLOOR_CHANNELS)
+    def test_value_below_every_row_bound(self, base, channel):
+        """The pruning's invariant: a pair's value is at most its weighted-rate
+        bound at every row, to _PRUNE_REL.  It holds because the row-m primal
+        maximizes the mu[m]-weighted rate over the rows' primals; a table
+        change that breaks that dominance fails here first."""
+        for params, prof, tables, pairs in _floor_cases(base, channel):
+            value = hfh_solver._batched_profile_values(params, pairs, prof, tables)[0]
+            i, j = pairs[:, 0], pairs[:, 1]
+            slack = params.T - (tables.x[j] - tables.x[i]) / params.V
+            for m, w in enumerate(tables.mu):
+                r1, r2, _ = hfh_solver._pair_primal(params, tables, slack, m, i, j)
+                bound = (w * r1 + (1.0 - w) * r2) / (w * prof.alpha1 + (1.0 - w) * prof.alpha2)
+                assert np.all(value <= bound * (1.0 + hfh_solver._PRUNE_REL)), (m, prof.alpha1)
+
+    def test_global_stage_gathers_a_quarter(self, base, monkeypatch):
+        """At the reference scenario the global stage's `_pair_primal` gathers
+        (pairs summed over calls, the floor's candidates included) are at
+        most 25% of the unfloored ranking's, for alpha1 = k/32, k = 1 .. 16."""
+        tables = hfh_solver.pair_tables(base)
+        primal = hfh_solver._pair_primal
+        gathered = [0]
+
+        def counting(params, tables_, slack, m, i, j):
+            if tables_ is tables:
+                gathered[0] += len(i)
+            return primal(params, tables_, slack, m, i, j)
+
+        def global_gathers(prof):
+            gathered[0] = 0
+            hfh_solver._best_pair(base, prof, tables)
+            return gathered[0]
+
+        monkeypatch.setattr(hfh_solver, "_pair_primal", counting)
+        for k in range(1, 17):
+            prof = RateProfile.of(k / 32)
+            floored = global_gathers(prof)
+            with monkeypatch.context() as m:
+                m.setattr(hfh_solver, "_rank_floor", lambda *args: -np.inf)
+                plain = global_gathers(prof)
+            assert floored <= 0.25 * plain, k
+
+    @pytest.mark.parametrize("change", [{}, {"Pbar": 1e-5, "T": 20.0}], ids=["reference", "low-snr"])
+    def test_region_unchanged(self, base, change, monkeypatch):
+        """Every point of `trace_region(33)` equals the one traced with the
+        floor forced to -inf: rates, trajectory, weight, schedule and
+        diagnostics."""
+        params = replace(base, **change)
+        floored = trace_region(params, 33)
+        monkeypatch.setattr(hfh_solver, "_rank_floor", lambda *args: -np.inf)
+        plain = trace_region(params, 33)
+        for p, q in zip(plain.points, floored.points):
+            assert (p.r, p.rate_pair, p.trajectory, p.mu) == (q.r, q.rate_pair, q.trajectory, q.mu)
+            assert p.diagnostics == q.diagnostics
+            assert np.array_equal(p.schedule.p1, q.schedule.p1)
+            assert np.array_equal(p.schedule.p2, q.schedule.p2)
