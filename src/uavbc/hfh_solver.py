@@ -980,9 +980,9 @@ def _reachable_pairs(params, x):
 def _rank_floor(params, pairs, profile, tables):
     """The best value over the structural candidates among `pairs`: an end
     at x = -+D/2, a static hover (x_I == x_F), or each x_I's longest
-    reachable flight (`_reachable_pairs` order).  The paper's optima hover
-    at the users or fly as far as they can, so this is near the best
-    pair's value, from ~3% of the global table's pairs."""
+    reachable flight (`_reachable_pairs` order).  Most winners hover above
+    a user or fly as far as T allows, so this is near the best pair's
+    value, from ~3% of the global table's pairs."""
     i, j = pairs[:, 0], pairs[:, 1]
     longest = np.append(i[1:] != i[:-1], True)
     cand = (i == 0) | (j == len(tables.x) - 1) | (i == j) | longest
@@ -1017,8 +1017,8 @@ def _best_pair(params, profile, tables):
             tables = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu))
         x, mu = tables.x, tables.mu
         pairs = _reachable_pairs(params, x)
-        # The global ranking is pruned against its candidates' best value;
-        # the polish tables (~170 pairs) gain nothing from a floor.
+        # Only the global ranking is floored: on the polish tables (~170
+        # pairs) the candidate ranking costs more than the pruning saves.
         floor = -np.inf if stage else _rank_floor(params, pairs, profile, tables)
         value, t_I, lo, hi = _batched_profile_values(params, pairs, profile, tables, floor)
         k = int(np.argmax(value))
