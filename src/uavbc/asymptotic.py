@@ -6,7 +6,7 @@ Three regimes admit (near) closed forms:
     user in turn (orthogonal scheduling suffices);
   * vanishing speed: the UAV parks at one location per rate profile, on the
     half nearer the user with the larger rate target, with superposition
-    coding;
+    coding, placed in closed form by `hfh_solver._best_hover`;
   * high SNR: the region tends to r1 + r2 <= log2(Pbar beta0 / H^2) and the
     optimal trajectory degenerates to hovering above the favored user.
 """
@@ -91,12 +91,12 @@ def hfh_tdma_achievable(params: SystemParams, profile: RateProfile) -> RatePair:
 def solve_v0(params: SystemParams, profile: RateProfile) -> HoverSolution:
     """Optimal static hover for the given rate profile (V -> 0 regime).
 
-    `hfh_solver.solve_profile` at V = 0, viewed as a hover: its static-hover
-    search on the default hover grid places the UAV (on [0, D/2] for
-    alpha2 >= alpha1, mirrored otherwise, above the served user at the
-    corners), and the winning `fixed_boundary` point (the monotone bisection
-    of the profile-constrained fixed-location problem) gives the power
-    split.  Raises InvalidParams for out-of-range params, V included.
+    `hfh_solver.solve_profile` at V = 0, viewed as a hover: its closed-form
+    static-hover placement puts the UAV (on [0, D/2] for alpha2 >= alpha1,
+    mirrored otherwise, above the served user at the corners), and the
+    `fixed_boundary` point there (the monotone bisection of the
+    profile-constrained fixed-location problem) gives the power split.
+    Raises InvalidParams for out-of-range params, V included.
     """
     validate_params(params)
     sol = solve_profile(replace(params, V=0.0), profile)

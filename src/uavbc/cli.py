@@ -43,7 +43,6 @@ DEFAULT_SCENARIO = {
 _SOLVER_KEYS = {
     "profiles": int,
     "n_slots": int,
-    "hover_grid": int,
     "tdma_x_grid": int,
     "tdma_ti_grid": int,
     "dp_slots": int,
@@ -187,8 +186,7 @@ def _n_profiles(args, settings, default=33):
 
 
 def _search_config(settings) -> SearchConfig:
-    keys = ("n_slots", "hover_grid")
-    return SearchConfig(**{k: settings[k] for k in keys if k in settings})
+    return SearchConfig(**{k: settings[k] for k in ("n_slots",) if k in settings})
 
 
 def _tdma_config(settings) -> TdmaSearchConfig:

@@ -95,6 +95,13 @@ def validate_params(params: SystemParams) -> SystemParams:
     return params
 
 
+def validate_least(cfg, **least):
+    """Raise InvalidParams naming the first field of config cfg below its least value."""
+    for name, low in least.items():
+        if not getattr(cfg, name) >= low:
+            raise InvalidParams(name, f"{type(cfg).__name__}.{name} must be at least {low}")
+
+
 def channel_gain(params: SystemParams, x, user: int):
     """Noise-normalized channel power gain of ``user`` with the UAV at x.
 

@@ -27,16 +27,15 @@ bit, from ~20% of the gathers.  The best pair is zoomed on local tables
 (the flight's whole grid cells that give one user all power at every
 weight summed from a per-channel cell cache, `grid_cells`, every other
 sub-cell integrated per weight), ranked unfloored, and the best pick of
-the zoom is reported.  A dense hover scan covers the x_I == x_F family
-exactly (`_best_hover`, also behind `asymptotic.solve_v0`).
-The mirror fold leaves alpha1 <= alpha2, and the paper's static hover then
-lies nearer user 2, the one with the larger rate target, so only the grid's
-x >= 0 half is scanned: a vectorized screen, the near-best positions scored
-by `fixed_boundary`, and a golden refinement.  A winning flight is
-reported with one P5 solve on `SearchConfig.n_slots` slots, warm-started
-from the zoom's weight bracket; nothing is tuned to the slots and the slot
-count is not doubled.  A winning hover, like a corner profile, is reported
-from its `fixed_boundary` point, the same split in every slot, with no P5
+the zoom is reported.  The static hovers (x_I == x_F) are placed in closed
+form (`_best_hover`, also behind `asymptotic.solve_v0`): the mirror fold
+leaves alpha1 <= alpha2, the paper's static hover then lies on [0, D/2],
+nearer user 2, and there it is one monotone root in the rate scale at a
+quadratic's vertex.  A winning flight is reported with one P5 solve on
+`SearchConfig.n_slots` slots, warm-started from the zoom's weight bracket;
+nothing is tuned to the slots and the slot count is not doubled.  A
+winning hover, like a corner profile, is reported from its
+`fixed_boundary` point, the same split in every slot, with no P5
 (`_hover_solution`).
 
 Every reported flight is evaluated with exact per-slot integration
@@ -65,11 +64,13 @@ from .core import (
     gain_pair,
     make_hfh,
     trace,
+    validate_least,
     validate_params,
 )
 from .errors import DiscretizationInvalid
 from .fixed_region import fixed_boundary
-from .numerics import golden_max
+# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 4).
+from .numerics import bisect_increasing, golden_max  # noqa: F401
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -77,35 +78,33 @@ _SQRT3 = math.sqrt(3.0)
 # (relative).
 _TIE_TOL_REL = 1e-6
 
-# Hover grid positions whose `_hover_screen` value is within this (relative)
-# of the best screen value are scored exactly by `_hover_value`.
-_HOVER_WINDOW = 1e-9
-
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the trajectory search and of P5's weight root search.
 
     The search reads n_slots (2,048 schedule slots; a winning flight's P5
-    is its only slotted solve), hover_grid, mu_tol and mu_max_iter.
-    hover_grid points span [-D/2, D/2]; the static-hover search scans those
-    at x >= 0 (129 of the default 257, which `asymptotic.solve_v0` uses).  P5 runs regula falsi on
-    the weight mu until the rates are balanced to mu_tol (relative to r),
+    is its only slotted solve), mu_tol and mu_max_iter; n_slots and
+    mu_max_iter below 1 raise InvalidParams.  P5 runs regula falsi on the
+    weight mu until the rates are balanced to mu_tol (relative to r),
     within mu_max_iter weight solves.  grid_xi, grid_xf, grid_ti,
-    golden_iters, refine_rounds and rerank_top are accepted but not read:
-    the benchmark's small test config still sets them.
+    hover_grid, golden_iters, refine_rounds and rerank_top are accepted but
+    not read: the benchmark's small test config still sets them.
     """
 
     n_slots: int = 2048           # schedule slots of reported solutions
     grid_xi: int = 17
     grid_xf: int = 17
     grid_ti: int = 9
-    hover_grid: int = 257         # static-hover grid over [-D/2, D/2]
+    hover_grid: int = 257
     refine_rounds: int = 3
     golden_iters: int = 30
     mu_tol: float = 1e-9          # |r1/a1 - r2/a2| <= mu_tol * r at exit
     mu_max_iter: int = 60         # weight solves per P5, bracket ends counted
     rerank_top: int = 16
+
+    def __post_init__(self):
+        validate_least(self, n_slots=1, mu_max_iter=1)
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -1054,58 +1053,45 @@ def _hover_value(params, x, profile, points=None):
     return profile.rate_scale(point.rate_pair.r1, point.rate_pair.r2)
 
 
-def _hover_screen(params, xs, profile):
-    """`_hover_value` at all positions xs at once (non-corner profile).
-
-    Bisects `fixed_boundary`'s power balance at every position together,
-    to the last bit as it does, so the two agree to rounding.
-    """
-    Pbar = params.Pbar
-    strong2, hs, hw = _split_frame(*gain_pair(params, xs), Pbar)[:3]
-    a_s = np.where(strong2, profile.alpha2, profile.alpha1)
-    a_w = np.where(strong2, profile.alpha1, profile.alpha2)
-    lo, hi = np.zeros(len(xs)), np.full(len(xs), Pbar)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = a_w * np.log1p(mid * hs) <= a_s * np.log1p((Pbar - mid) * hw / (mid * hw + 1.0))
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    ps = 0.5 * (lo + hi)
-    r1, r2 = _sc_rates(strong2, hs, hw, ps, Pbar - ps)
-    return np.minimum(r1 / profile.alpha1, r2 / profile.alpha2) / LOG2
-
-
-def _hover_argmax(params, xs, profile, points=None):
-    """(i, `_hover_value` at xs[i]) for the first exact maximum over xs.
-
-    Only the positions within `_HOVER_WINDOW` of the screen's best are
-    scored exactly, in grid order (their points kept in `points`).
-    """
-    screen = _hover_screen(params, xs, profile)
-    near = np.flatnonzero(screen >= screen.max() * (1.0 - _HOVER_WINDOW))
-    vals = [_hover_value(params, x, profile, points) for x in xs[near]]
-    k = int(np.argmax(vals))
-    return int(near[k]), vals[k]
-
-
-def _best_hover(params, profile, n):
+def _best_hover(params, profile):
     """The best static hover (x, `_hover_value` at x, its `fixed_boundary`
-    point) for a non-corner profile with alpha1 <= alpha2: `_hover_argmax`
-    over the points of an n-point grid on [-D/2, D/2] from its middle on
-    (x >= 0), golden-refined over a grid step either side; the grid point
-    stays if that ends lower."""
-    xs = np.linspace(-0.5 * params.D, 0.5 * params.D, n)[n // 2:]
+    point) on [0, D/2] for a non-corner profile, in closed form.
+
+    On [0, D/2] user 2 is strong, so the rates (alpha1 v, alpha2 v) are
+    achievable at x exactly when user 2's power b / h2(x) leaves user 1
+    its rate: Q_v(x) = (a - 1) d1(x) + a b d2(x) <= Pbar beta0, with
+    a = 2^(alpha1 v), b = 2^(alpha2 v) - 1, d_k(x) = H^2 + (x - x_k)^2.
+    Q_v is a convex quadratic in x and increases with v, so the hover value
+    is quasi-concave, and its maximum is the root v* of
+    min_x Q_v = Pbar beta0, at the clamped vertex
+    x* = (D/2) (a b - (a - 1)) / (a b + (a - 1)).  The bracket
+    [0, peak_rate / max(alpha1, alpha2)] keeps 2^(alpha v) finite for
+    either orientation of the profile.
+
+    The half restriction: at -y the mirrored condition (user 1 strong)
+    exceeds Q_v(y) by (2^(alpha2 v) - 2^(alpha1 v)) (d1(y) - d2(y)), which
+    is >= 0 for y >= 0 when alpha1 <= alpha2, so no hover on x < 0 beats
+    the best on x >= 0.
+    """
+    half, H2 = 0.5 * params.D, params.H * params.H
+    a1, a2 = profile.alpha1 * LOG2, profile.alpha2 * LOG2
+
+    def vertex(v):
+        """(x*, Q_v(x*)): Q_v's minimum over [0, D/2] and where it is."""
+        am1 = math.expm1(a1 * v)                  # a - 1
+        ab = (am1 + 1.0) * math.expm1(a2 * v)     # a b
+        den = ab + am1                            # 0 at v = 0 only
+        x = min(max(half * (ab - am1) / den, 0.0), half) if den > 0.0 else half
+        return x, am1 * ((x + half) ** 2 + H2) + ab * ((x - half) ** 2 + H2)
+
+    budget = params.Pbar * params.beta0
+    top = params.peak_rate / max(profile.alpha1, profile.alpha2)
+    # No bracket of doubles takes 2,100 halvings: the bisection ends at the last bit.
+    v = bisect_increasing(lambda v: vertex(v)[1] - budget, 0.0, top, iters=2100)
+    x = vertex(v)[0]
     points = {}
-    i, r_grid = _hover_argmax(params, xs, profile, points)
-    x, r = golden_max(
-        lambda x: _hover_value(params, x, profile, points),
-        xs[max(i - 1, 0)],
-        xs[min(i + 1, len(xs) - 1)],
-        iters=60,
-        xtol=1e-10 * params.D,
-    )
-    if r_grid > r:
-        x, r = xs[i], r_grid
-    return float(x), r, points[x]
+    r = _hover_value(params, x, profile, points)
+    return x, r, points[x]
 
 
 def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None):
@@ -1167,17 +1153,17 @@ def solve_profile(
 ) -> BoundarySolution:
     """Boundary point of the capacity region for one rate profile.
 
-    Searches the HFH family: the best static hover (`_best_hover` on the
-    x >= 0 points of the cfg.hover_grid grid; alpha1 > alpha2 is solved
-    as its mirror), then (for V > 0) the best endpoint pair of
-    `pair_tables(params)`, zoomed on local tables.  A polished pair better
-    than the hover by more than `_TIE_TOL_REL` is solved once with the
-    exact P5 on `cfg.n_slots` slots, warm-started at the midpoint of the
-    pick's weight bracket, and replaces the hover when that r, too, is
-    better by more than the tie.  Otherwise the hover is reported from its
-    `fixed_boundary` point (`_hover_solution`), as is a corner profile
-    from the served user's position, so a solve makes at most one P5
-    solve, and only for a flight.  Diagnostics report the hover value, the
+    Searches the HFH family: the best static hover (`_best_hover`, in
+    closed form on [0, D/2]; alpha1 > alpha2 is solved as its mirror),
+    then (for V > 0) the best endpoint pair of `pair_tables(params)`,
+    zoomed on local tables.  A polished pair better than the hover by more
+    than `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots`
+    slots, warm-started at the midpoint of the pick's weight bracket, and
+    replaces the hover when that r, too, is better by more than the tie.
+    Otherwise the hover is reported from its `fixed_boundary` point
+    (`_hover_solution`), as is a corner profile from the served user's
+    position, so a solve makes at most one P5 solve, and only for a
+    flight.  Diagnostics report the hover value, the
     table pick's value, the polished value, the P5 solve count (`p5_calls`)
     and its weight solves (`weight_solves`).  Raises InvalidParams for
     out-of-range params.
@@ -1192,7 +1178,7 @@ def solve_profile(
         return mirror_solution(params, mirrored)
 
     diagnostics: dict = {}
-    x_h, r_h, point = _best_hover(params, profile, cfg.hover_grid)
+    x_h, r_h, point = _best_hover(params, profile)
     diagnostics["hover_r"] = r_h
     p5_calls = weight_solves = 0
 

@@ -44,6 +44,7 @@ from .core import (
     log2_1p,
     make_hfh,
     trace,
+    validate_least,
     validate_params,
 )
 from .errors import TimeOutOfRange
@@ -80,10 +81,14 @@ _SCREEN_WINDOW = 1e-5
 class TdmaSearchConfig:
     """Grid sizes of the trajectory search: x_grid values of the free
     location of each location family, ti_grid hover times of the
-    hover-both family."""
+    hover-both family.  Raises InvalidParams for x_grid < 2 or
+    ti_grid < 1."""
 
     x_grid: int = 129
     ti_grid: int = 17
+
+    def __post_init__(self):
+        validate_least(self, x_grid=2, ti_grid=1)
 
 
 DEFAULT_TDMA_CONFIG = TdmaSearchConfig()

@@ -134,8 +134,7 @@ class TestSolveV0:
         sol = solve_v0(base, prof)
         in_solve = calls
         calls = 0
-        hfh_solver._best_hover(base, prof.mirrored() if alpha1 > 0.5 else prof,
-                               hfh_solver.DEFAULT_CONFIG.hover_grid)
+        hfh_solver._best_hover(base, prof.mirrored() if alpha1 > 0.5 else prof)
         assert in_solve == calls > 0
         monkeypatch.undo()
         point = fixed_boundary(base, sol.x_star, prof)

@@ -57,9 +57,10 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError):
             build_scenario(parse_scenario_file(str(path)))
 
-    @pytest.mark.parametrize("key", ["grid_xi", "grid_xf", "grid_ti"])
+    @pytest.mark.parametrize("key", ["grid_xi", "grid_xf", "grid_ti", "hover_grid"])
     def test_old_grid_keys_rejected(self, tmp_path, key):
-        """The endpoint-pair search has no grid, so its old knobs are unknown."""
+        """The endpoint-pair search and the closed-form hover placement have
+        no grid, so their old knobs are unknown."""
         path = tmp_path / "grid.cfg"
         path.write_text(BASE_SCENARIO + f"{key} = 9\n")
         with pytest.raises(ConfigError, match="unknown scenario key"):
@@ -172,6 +173,31 @@ def test_bad_profile_count_is_config_error(scenario, tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error:") and "profiles" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, command",
+    [
+        ("n_slots = 0", ["region", "--override", "V=0"]),
+        ("n_slots = -3", ["region"]),
+        ("tdma_x_grid = 1", ["region", "--mode", "tdma"]),
+        ("tdma_ti_grid = 0", ["region", "--mode", "tdma"]),
+    ],
+    ids=["no-slots", "negative-slots", "one-x", "no-hover-times"],
+)
+def test_bad_search_knob_is_config_error(tmp_path, capsys, line, command):
+    """A search knob below its least value exits 2 naming it, with one
+    message line and no output file."""
+    path = tmp_path / "knob.cfg"
+    path.write_text(BASE_SCENARIO + line + "\n")
+    out = tmp_path / "out.csv"
+    code = main([*command, "--scenario", str(path), "--profiles", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    field = line.split(" = ")[0].removeprefix("tdma_")
+    assert err.startswith("configuration error:") and field in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 

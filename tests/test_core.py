@@ -10,7 +10,9 @@ from uavbc import (
     InvalidTrajectory,
     PowerBudgetExceeded,
     RateProfile,
+    SearchConfig,
     SystemParams,
+    TdmaSearchConfig,
     TimeOutOfRange,
     ZeroSpeedLeg,
     channel_gain,
@@ -161,6 +163,33 @@ def test_non_finite_inputs_are_typed(base, call, error):
     """A non-finite input raises its typed error instead of a NaN result."""
     with pytest.raises(error):
         call(base)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: SearchConfig(n_slots=0), "n_slots"),
+        (lambda: SearchConfig(n_slots=-3), "n_slots"),
+        (lambda: SearchConfig(mu_max_iter=0), "mu_max_iter"),
+        (lambda: TdmaSearchConfig(x_grid=1), "x_grid"),
+        (lambda: TdmaSearchConfig(ti_grid=0), "ti_grid"),
+    ],
+    ids=["no-slots", "negative-slots", "no-weight-solves", "one-x", "no-hover-times"],
+)
+def test_search_config_errors_are_typed(make, field):
+    """A read search knob below its least value raises InvalidParams naming
+    it, instead of an empty schedule, a raw error or a dropped family."""
+    with pytest.raises(InvalidParams) as err:
+        make()
+    assert err.value.field == field
+
+
+def test_search_configs_at_their_least_values(base):
+    """The least values solve, and the unread fields are not checked."""
+    SearchConfig(hover_grid=0, grid_xi=0, golden_iters=0)
+    prof = RateProfile.of(0.3)
+    assert solve_profile(base, prof, SearchConfig(n_slots=1, mu_max_iter=1)).r > 0.0
+    assert tdma_solve_profile(base, prof, TdmaSearchConfig(x_grid=2, ti_grid=1)).r > 0.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

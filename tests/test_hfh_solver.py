@@ -35,9 +35,6 @@ from uavbc.tdma_solver import CumulativeRates
 
 PEAK = 6.6582114827517955
 
-# trimmed search for tests that only need a sane solution, not a tight one
-FAST = SearchConfig(hover_grid=65)
-
 
 class TestPerSlotSplit:
     def test_all_weight_user1(self, base):
@@ -286,7 +283,7 @@ class TestSolveProfile:
         assert np.all(sol.schedule.p2 == (1.0 - alpha1) * base.Pbar)
 
     def test_equal_rate_bracketed(self, base):
-        sol = solve_profile(base, RateProfile.of(0.5), FAST)
+        sol = solve_profile(base, RateProfile.of(0.5))
         lower = hfh_tdma_achievable(base, RateProfile.of(0.5)).r1
         assert lower - 1e-9 <= sol.rate_pair.r1 <= PEAK / 2 + 1e-9
         assert sol.rate_pair.r2 == pytest.approx(sol.rate_pair.r1, rel=1e-5)
@@ -299,7 +296,7 @@ class TestSolveProfile:
         assert sol.r == hover.r
 
     def test_speed_feasible_and_checked(self, base):
-        sol = solve_profile(base, RateProfile.of(0.3), FAST)
+        sol = solve_profile(base, RateProfile.of(0.3))
         flight = sol.trajectory.span / base.V
         assert sol.trajectory.t_I + flight + sol.trajectory.t_F == pytest.approx(
             base.T, rel=1e-9
@@ -333,15 +330,15 @@ class TestSolveProfile:
 
     def test_optimal_pair_satisfies_hull_condition(self, base):
         """Intermediate hover locations are covered by the endpoints' hull."""
-        sol = solve_profile(base, RateProfile.of(0.45), FAST)
+        sol = solve_profile(base, RateProfile.of(0.45))
         xI, xF = sol.trajectory.x_I, sol.trajectory.x_F
         if xF - xI > 1.0:
             for x in np.linspace(xI, xF, 7):
                 assert triangle_contains(base, xI, xF, float(x), n_samples=96)
 
     def test_mirror_profile_swaps(self, base):
-        a = solve_profile(base, RateProfile.of(0.3), FAST)
-        b = solve_profile(base, RateProfile.of(0.7), FAST)
+        a = solve_profile(base, RateProfile.of(0.3))
+        b = solve_profile(base, RateProfile.of(0.7))
         assert a.rate_pair.r1 == pytest.approx(b.rate_pair.r2, abs=1e-6)
         assert a.rate_pair.r2 == pytest.approx(b.rate_pair.r1, abs=1e-6)
         assert check_feasibility(base, b).passed
@@ -398,7 +395,7 @@ class TestInvariants:
 
 
 def test_trace_region_small(base):
-    reg = trace_region(base, 3, FAST)
+    reg = trace_region(base, 3)
     assert [p.profile.alpha1 for p in reg.points] == [0.0, 0.5, 1.0]
     assert reg.points[0].rate_pair.r1 == 0.0
     assert reg.points[2].rate_pair.r2 == 0.0
@@ -471,18 +468,18 @@ class TestSearchExactness:
         [
             pytest.param(
                 0.0, 60.0, 0.3, 3.373482376177497,
-                (1.012044712853249, 2.361437663324248), 0.8887765516948398,
-                3.373482376177497, 391.4151909817422, id="static",
+                (1.012044712853249, 2.3614376633242475), 0.8887765468590508,
+                3.373482376177497, 391.4151865159188, id="static",
             ),
-            pytest.param(  # +-x tie in value: the winner on x >= 0, the half scanned
+            pytest.param(  # +-x tie in value: the winner on x >= 0, the half searched
                 0.0, 60.0, 0.5, 2.476260691101694,
-                (1.238130345550847, 1.238130345550847), 0.7325362124826615,
-                2.476260691101694, 202.28582136574397, id="static-mirror-tie",
+                (1.238130345550847, 1.238130345550847), 0.7325362062641467,
+                2.476260691101694, 202.28581681284106, id="static-mirror-tie",
             ),
             pytest.param(  # too short a flight: the hover beats every pair
-                30.0, 20.0, 0.2, 4.384226821642132,
-                (0.8768453643284264, 3.5073814573137057), 0.8869171150863515,
-                4.384226821642132, 457.9352323251564, id="hover-beats-flight",
+                30.0, 20.0, 0.2, 4.384226821642133,
+                (0.8768453643284266, 3.5073814573137065), 0.8869171097799904,
+                4.384226821642133, 457.93522582708636, id="hover-beats-flight",
             ),
         ],
     )
@@ -1059,43 +1056,57 @@ class TestGridCells:
 
 
 # ---------------------------------------------------------------------------
-# the hover screen: its error bound and the grid winner it lets through
+# the static-hover placement: the root of Q_v's minimum over [0, D/2]
 # ---------------------------------------------------------------------------
 
-HOVER_SCREEN_POINTS = [(Pbar, a1) for Pbar in (1e-5, 1e-2, 10.0) for a1 in (0.01, 0.1, 0.3, 0.5)]
+HOVER_ALPHAS = np.linspace(0.01, 0.5, 7)
 
 
+@pytest.mark.parametrize("Pbar", [1e-6, 1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("H, D", [(100.0, 1000.0), (200.0, 3000.0), (50.0, 200.0),
+                                  (300.0, 400.0), (100.0, 100.0)])
 class TestHoverScreen:
-    @pytest.mark.parametrize("Pbar, alpha1", HOVER_SCREEN_POINTS)
-    def test_error_within_half_window(self, base, Pbar, alpha1):
-        """Within half the window of the exact value at every grid position
-        (x = 0, where the gains tie, included), so the first exact maximum
-        is among the positions scored exactly."""
-        params, prof = replace(base, Pbar=Pbar), RateProfile.of(alpha1)
-        xs = np.linspace(-0.5 * base.D, 0.5 * base.D, SearchConfig().hover_grid)
-        assert 0.0 in xs
-        exact = np.array([hfh_solver._hover_value(params, x, prof) for x in xs])
-        screen = hfh_solver._hover_screen(params, xs, prof)
-        assert np.max(np.abs(screen - exact) / exact) <= 0.5 * hfh_solver._HOVER_WINDOW
+    """`_best_hover`'s closed-form placement (the class keeps the name of the
+    grid screen it replaced, so its test ids stay)."""
 
-    @pytest.mark.parametrize("Pbar, alpha1", HOVER_SCREEN_POINTS)
-    def test_argmax_is_first_exact_maximum(self, base, Pbar, alpha1):
-        params, prof = replace(base, Pbar=Pbar), RateProfile.of(alpha1)
-        xs = np.linspace(-0.5 * base.D, 0.5 * base.D, SearchConfig().hover_grid)
-        exact = [hfh_solver._hover_value(params, x, prof) for x in xs]
-        assert hfh_solver._hover_argmax(params, xs, prof) == (int(np.argmax(exact)), max(exact))
-
-    @pytest.mark.parametrize("Pbar", [1e-6, 1e-3, 1.0, 100.0])
-    @pytest.mark.parametrize("H, D", [(100.0, 1000.0), (200.0, 3000.0), (50.0, 200.0),
-                                      (300.0, 400.0), (100.0, 100.0)])
-    def test_best_hover_is_nearer_the_larger_target(self, base, Pbar, H, D):
-        """For alpha1 <= alpha2 no hover on x < 0 beats the best on x >= 0,
-        so `_best_hover` scans that half only."""
+    def test_no_scan_point_beats_it(self, base, Pbar, H, D):
+        """No point of a 257-point scan of [-D/2, D/2], or of a 201-point
+        scan of x* +- 1 m, beats the placement by more than 1e-13."""
         params = replace(base, Pbar=Pbar, H=H, D=D)
-        xs = np.linspace(-0.5 * D, 0.5 * D, 2049)
-        for alpha1 in np.linspace(0.01, 0.5, 13):
-            screen = hfh_solver._hover_screen(params, xs, RateProfile.of(float(alpha1)))
-            assert screen[xs < 0.0].max() <= screen[xs >= 0.0].max(), alpha1
+        for alpha1 in HOVER_ALPHAS:
+            prof = RateProfile.of(float(alpha1))
+            x, r, _ = hfh_solver._best_hover(params, prof)
+            near = np.clip(x + np.linspace(-1.0, 1.0, 201), -0.5 * D, 0.5 * D)
+            for xs in (np.linspace(-0.5 * D, 0.5 * D, 257), near):
+                scan = max(hfh_solver._hover_value(params, float(y), prof) for y in xs)
+                assert scan <= r * (1.0 + 1e-13), (alpha1, scan / r - 1.0)
+
+    def test_best_hover_is_nearer_the_larger_target(self, base, Pbar, H, D):
+        """For alpha1 <= alpha2 the best hover on x >= 0 scores at least the
+        best on x <= 0 (the mirrored profile's on x >= 0), so `_best_hover`
+        searches that half only.  At alpha1 = 1/2 the two tie: -x* scores
+        the same."""
+        params = replace(base, Pbar=Pbar, H=H, D=D)
+        for alpha1 in HOVER_ALPHAS:
+            prof = RateProfile.of(float(alpha1))
+            r = hfh_solver._best_hover(params, prof)[1]
+            r_left = hfh_solver._best_hover(params, prof.mirrored())[1]
+            assert r >= r_left, alpha1
+        prof = RateProfile.of(0.5)
+        x, r, _ = hfh_solver._best_hover(params, prof)
+        assert hfh_solver._hover_value(params, -x, prof) == r
+
+    def test_power_balance_at_the_placement(self, base, Pbar, H, D):
+        """(a - 1) d1(x*) + a b d2(x*) = Pbar beta0 at the reported r, with
+        a = 2^(alpha1 r) and b = 2^(alpha2 r) - 1: all power is used and
+        both users get their rates."""
+        params = replace(base, Pbar=Pbar, H=H, D=D)
+        for alpha1 in HOVER_ALPHAS:
+            prof = RateProfile.of(float(alpha1))
+            x, r, _ = hfh_solver._best_hover(params, prof)
+            a, b = 2.0 ** (prof.alpha1 * r), 2.0 ** (prof.alpha2 * r) - 1.0
+            q = (a - 1.0) * ((x + 0.5 * D) ** 2 + H * H) + a * b * ((x - 0.5 * D) ** 2 + H * H)
+            assert q == pytest.approx(Pbar * params.beta0, rel=1e-10), alpha1
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from uavbc import (
     triangle_contains,
 )
 from uavbc import oracle
-from uavbc.hfh_solver import BoundarySolution, PowerSchedule, SearchConfig
+from uavbc.hfh_solver import BoundarySolution, PowerSchedule
 from uavbc.oracle import (
     DpConfig,
     check_feasibility,
@@ -32,8 +32,6 @@ from uavbc.oracle import (
     path_shape_stats,
     validate_dp_config,
 )
-
-FAST = SearchConfig(hover_grid=65)
 
 
 class TestGridPowerOracle:
@@ -192,7 +190,7 @@ class TestDpOracle:
         cfg = DpConfig(32, 26, 7, r1_bins=4096)
         prof = RateProfile.of(0.5)
         r_dp, path = dp_trajectory_oracle(base, prof, cfg)
-        sol = solve_profile(base, prof, FAST)
+        sol = solve_profile(base, prof)
         assert abs(r_dp - sol.r) / sol.r <= 0.03
         uni, clusters = path_shape_stats(path, (base.D / 25) * 0.5)
         assert uni
@@ -221,13 +219,13 @@ class TestCheckFeasibility:
         assert report.passed
 
     def test_solver_output_passes(self, base):
-        sol = solve_profile(base, RateProfile.of(0.4), FAST)
+        sol = solve_profile(base, RateProfile.of(0.4))
         report = check_feasibility(base, sol)
         assert report.passed
         assert report.rate_violation <= 1e-6
 
     def test_doctored_power_flagged(self, base):
-        sol = solve_profile(base, RateProfile.of(0.4), FAST)
+        sol = solve_profile(base, RateProfile.of(0.4))
         p1 = sol.schedule.p1.copy()
         p2 = sol.schedule.p2.copy()
         k = len(p1) // 2
@@ -243,7 +241,7 @@ class TestCheckFeasibility:
         assert report.power_violation > 1e-6
 
     def test_overclaimed_rates_flagged(self, base):
-        sol = solve_profile(base, RateProfile.of(0.4), FAST)
+        sol = solve_profile(base, RateProfile.of(0.4))
         inflated = BoundarySolution(
             sol.profile,
             __import__("uavbc").RatePair(sol.rate_pair.r1 * 1.01, sol.rate_pair.r2),
