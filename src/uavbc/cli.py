@@ -178,11 +178,14 @@ def apply_overrides(params, override_text):
     return new_params
 
 
+def _flag_or_key(flag, settings, key, default):
+    """A command-line flag when given, else the scenario's key, else default."""
+    return flag if flag is not None else settings.get(key, default)
+
+
 def _n_profiles(args, settings, default=33):
     """--profiles when given, else the scenario's `profiles`, else default."""
-    if args.profiles is not None:
-        return args.profiles
-    return settings.get("profiles", default)
+    return _flag_or_key(args.profiles, settings, "profiles", default)
 
 
 def _search_config(settings) -> SearchConfig:
@@ -375,12 +378,12 @@ def cmd_oracle_check(args):
     params = apply_overrides(params, args.override)
     profiles = uniform_profiles(_n_profiles(args, settings, 8))
     dp_cfg = oracle.DpConfig(
-        n_slots=settings.get("dp_slots", args.dp_slots),
-        n_positions=settings.get("dp_positions", args.dp_positions),
+        n_slots=_flag_or_key(args.dp_slots, settings, "dp_slots", 64),
+        n_positions=_flag_or_key(args.dp_positions, settings, "dp_positions", 51),
         mu_steps=settings.get("mu_steps", 11),
     )
     oracle.validate_dp_config(params, dp_cfg)
-    tol = settings.get("oracle_tol", args.tol)
+    tol = _flag_or_key(args.tol, settings, "oracle_tol", 0.03)
     cfg = _search_config(settings)
     spacing = params.D / (dp_cfg.n_positions - 1)
 
@@ -459,9 +462,11 @@ def build_parser():
     p = sub.add_parser("oracle-check", help="certify the solver against the DP oracle")
     common(p)
     p.add_argument("--override", default="")
-    p.add_argument("--dp-slots", type=int, default=64)
-    p.add_argument("--dp-positions", type=int, default=51)
-    p.add_argument("--tol", type=float, default=0.03)
+    # Each flag wins over its scenario key (dp_slots, dp_positions,
+    # oracle_tol), which wins over the default.
+    p.add_argument("--dp-slots", type=int, default=None, help="DP slots (default 64)")
+    p.add_argument("--dp-positions", type=int, default=None, help="DP positions (default 51)")
+    p.add_argument("--tol", type=float, default=None, help="worst relative gap (default 0.03)")
     p.set_defaults(fn=cmd_oracle_check)
     return parser
 

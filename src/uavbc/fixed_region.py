@@ -78,8 +78,11 @@ def corner_rates(params: SystemParams, x: float) -> RatePair:
 def fixed_boundary(params: SystemParams, x: float, profile: RateProfile) -> FixedBoundaryPoint:
     """The boundary point of C_f(x) with r1 : r2 = alpha1 : alpha2.
 
-    Found by bisection on the strong user's power: alpha_w * r_s grows with
-    p_s while alpha_s * r_w falls, so their difference has a single root.
+    alpha_w * r_s grows with the strong user's power p_s while alpha_s * r_w
+    falls, so their difference has a single root.  Its sign at p_s = Pbar/2
+    says which user's share is the smaller; that share is bisected on
+    [0, Pbar/2] and the other is Pbar less it, so a tiny share keeps its
+    relative precision (Pbar less a near-Pbar share would cancel).
     Zero-weight profiles return the single-user corners.
     """
     h1, h2 = gain_pair(params, x)
@@ -89,20 +92,28 @@ def fixed_boundary(params: SystemParams, x: float, profile: RateProfile) -> Fixe
     if profile.alpha2 == 0.0:
         return FixedBoundaryPoint(x, Pbar, 0.0, RatePair(log2_1p(Pbar * h1), 0.0))
 
-    if _strong_user(h1, h2) == 2:
+    strong2 = _strong_user(h1, h2) == 2
+    if strong2:
         hs, hw = h2, h1
         a_s, a_w = profile.alpha2, profile.alpha1
     else:
         hs, hw = h1, h2
         a_s, a_w = profile.alpha1, profile.alpha2
 
-    def gap(ps):
+    def gap(ps, pw):
         r_s = log2_1p(ps * hs)
-        r_w = log2_1p((Pbar - ps) * hw / (ps * hw + 1.0))
+        r_w = log2_1p(pw * hw / (ps * hw + 1.0))
         return a_w * r_s - a_s * r_w
 
-    ps = bisect_increasing(gap, 0.0, Pbar, iters=80)
-    return _point_from_strong_power(params, x, h1, h2, ps)
+    half = 0.5 * Pbar
+    if gap(half, half) >= 0.0:
+        ps = bisect_increasing(lambda p: gap(p, Pbar - p), 0.0, half, iters=80)
+        pw = Pbar - ps
+    else:
+        pw = bisect_increasing(lambda p: -gap(Pbar - p, p), 0.0, half, iters=80)
+        ps = Pbar - pw
+    p1, p2 = (pw, ps) if strong2 else (ps, pw)
+    return FixedBoundaryPoint(x, p1, p2, sc_rate_pair(params, x, p1, p2))
 
 
 def fixed_region_sample(params: SystemParams, x: float, n: int) -> list:

@@ -67,7 +67,7 @@ from .core import (
     validate_least,
     validate_params,
 )
-from .errors import DiscretizationInvalid
+from .errors import DiscretizationInvalid, InvalidParams
 from .fixed_region import fixed_boundary
 # golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 4).
 from .numerics import bisect_increasing, golden_max  # noqa: F401
@@ -85,9 +85,11 @@ class SearchConfig:
 
     The search reads n_slots (2,048 schedule slots; a winning flight's P5
     is its only slotted solve), mu_tol and mu_max_iter; n_slots and
-    mu_max_iter below 1 raise InvalidParams.  P5 runs regula falsi on the
-    weight mu until the rates are balanced to mu_tol (relative to r),
-    within mu_max_iter weight solves.  grid_xi, grid_xf, grid_ti,
+    mu_max_iter below 1, and mu_tol outside (0, inf), raise InvalidParams.
+    P5 runs regula falsi on the weight mu until the rates are balanced to
+    mu_tol (relative to r), within mu_max_iter weight solves.  An infinite
+    mu_tol would stop it after one solve, and one not above 0 would never
+    be met.  grid_xi, grid_xf, grid_ti,
     hover_grid, golden_iters, refine_rounds and rerank_top are accepted but
     not read: the benchmark's small test config still sets them.
     """
@@ -105,6 +107,8 @@ class SearchConfig:
 
     def __post_init__(self):
         validate_least(self, n_slots=1, mu_max_iter=1)
+        if not 0.0 < self.mu_tol < math.inf:
+            raise InvalidParams("mu_tol", f"SearchConfig.mu_tol must be in (0, inf), not {self.mu_tol}")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -635,8 +639,7 @@ class GridCells:
     build sums them.  `below` and `above` bound each cell's plain runs:
     at every weight up to `below[c]` each of its Gauss nodes gives all
     power to user 2 by `_tested_regime`, and from `above[c]` on all to
-    user 1.  A cell whose strong user is not its neighbours' (beside
-    x = 0) has no run: -inf and +inf."""
+    user 1."""
 
     grid: np.ndarray
     sums: np.ndarray
@@ -660,10 +663,12 @@ def _gauss_integrals(half, frame, ps, Pbar):
     return half * (r1[..., 0] + r1[..., 1]), half * (r2[..., 0] + r2[..., 1])
 
 
-def _regime(ps, Pbar):
-    """The split's regime at strong-user power ps: 0 all power to the weak
-    user, 1 interior, 2 all to the strong one."""
-    return (ps > 0.0).astype(np.int8) + (ps >= Pbar)
+def _regime(ps, Pbar, strong2):
+    """The split's regime per user at strong-user power ps: 0 all power to
+    user 2, 1 interior, 2 all to user 1.  Coded per user, not per strong
+    user, so the power's jump from user 1 to user 2 at x = 0 is a step."""
+    code = (ps > 0.0).astype(np.int8) + (ps >= Pbar)
+    return np.where(strong2, 2 - code, code)
 
 
 def _tested_regime(frame, mu):
@@ -673,7 +678,8 @@ def _tested_regime(frame, mu):
     bounds the cells' plain runs with it."""
     d0, dP = _split_tests(frame, mu)
     up = d0 > 0.0
-    return up.astype(np.int8) + (up & (dP >= 0.0))
+    code = up.astype(np.int8) + (up & (dP >= 0.0))
+    return np.where(frame[0], 2 - code, code)
 
 
 def _kinks(regime, adjacent):
@@ -758,7 +764,7 @@ def _rate_tables(params, x, mu) -> PairTables:
     no kink in the cell, the per-row build's sums.  Every other (open)
     sub-cell is integrated on every inner row.  The mu = 0 and 1 rows are
     one full-power pass: every node gives all power to user 2, or to user
-    1, so the rows hold no kink, though the strong user changes at x = 0.
+    1, so the rows hold no kink.
     Chunks of rows bound the temporaries: at most _CHUNK_CELLS per-row
     sub-cell slots, and 4 * _TABLE_CHUNK rows.
     """
@@ -807,7 +813,7 @@ def _rate_tables(params, x, mu) -> PairTables:
         ps = _strong_power(frame, m[..., None], Pbar)
         f = np.zeros((2, len(m), n_open * _SUBCELLS))
         f[0][:, slot], f[1][:, slot] = _gauss_integrals(half, frame, ps, Pbar)
-        r, c = np.nonzero(_kinks(_regime(ps, Pbar), adj))
+        r, c = np.nonzero(_kinks(_regime(ps, Pbar, frame[0]), adj))
         if r.size:
             k_half, k_frame = _pieces(params, left[c], right[c])
             k1, k2 = _gauss_integrals(k_half, k_frame, _strong_power(k_frame, m[r, :, None], Pbar), Pbar)
@@ -868,21 +874,15 @@ def _channel_cells(beta0, H, D, Pbar) -> GridCells:
     top, bottom = hs * cw, hw * cs
     bounds = np.array([np.where(strong2, top / (top + bottom), hw / (hs + hw)),
                        np.where(strong2, hs / (hs + hw), bottom / (top + bottom))])
-    want = np.array([np.where(strong2, 2, 0), np.where(strong2, 0, 2)])
+    want = np.array([0, 2])[:, None, None]
     ends = np.array([0.0, 1.0])[:, None, None]
     for i in range(8):
         miss = _tested_regime(frame, bounds) != want
         bounds = np.where(miss, np.clip(bounds + (2.0 * ends - 1.0) * 2.0 ** (i - 50), 0.0, 1.0), bounds)
     to_user2, to_user1 = np.where(_tested_regime(frame, bounds) == want, bounds, ends)
-    # Cells with one strong user, their neighbours' (not beside x = 0).
     first = np.flatnonzero(k == 0)
-    side = np.logical_and.reduceat(strong2.all(axis=1), first)
-    one = side | ~np.logical_or.reduceat(strong2.any(axis=1), first)
-    one[1:] &= side[1:] == side[:-1]
-    one[:-1] &= side[:-1] == side[1:]
-    cells = GridCells(grid, _group_sums(full),
-                      np.where(one, np.minimum.reduceat(to_user2.min(axis=1), first), -np.inf),
-                      np.where(one, np.maximum.reduceat(to_user1.max(axis=1), first), np.inf))
+    cells = GridCells(grid, _group_sums(full), np.minimum.reduceat(to_user2.min(axis=1), first),
+                      np.maximum.reduceat(to_user1.max(axis=1), first))
     for a in vars(cells).values():
         a.flags.writeable = False
     return cells

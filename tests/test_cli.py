@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from uavbc import oracle
 from uavbc.cli import (
     ConfigError,
     apply_overrides,
@@ -258,6 +259,24 @@ class TestOracleCheckCommand:
         assert len(rows) == 2
         for row in rows:
             assert float(row["rel_gap"]) <= 0.03
+
+    def test_flags_win_over_scenario_keys(self, tmp_path, monkeypatch):
+        """--dp-slots, --dp-positions and --tol win over the scenario's
+        dp_slots, dp_positions and oracle_tol, as --profiles wins over
+        profiles; without the flags the keys apply."""
+        path = tmp_path / "dp.cfg"
+        path.write_text(BASE_SCENARIO + "dp_slots = 16\ndp_positions = 11\noracle_tol = -1\n")
+        seen = []
+        check = oracle.validate_dp_config
+        monkeypatch.setattr(oracle, "validate_dp_config",
+                            lambda params, cfg: seen.append(cfg) or check(params, cfg))
+        out = tmp_path / "oracle.csv"
+        command = ["oracle-check", "--scenario", str(path), "--profiles", "2", "--out", str(out)]
+        assert main([*command, "--dp-slots", "32", "--dp-positions", "26", "--tol", "1"]) == 0
+        assert {(cfg.n_slots, cfg.n_positions) for cfg in seen} == {(32, 26)}
+        seen.clear()
+        assert main(command) == 4  # every gap exceeds oracle_tol = -1
+        assert {(cfg.n_slots, cfg.n_positions) for cfg in seen} == {(16, 11)}
 
 
 def test_compare_command(scenario, tmp_path):

@@ -171,14 +171,20 @@ def test_non_finite_inputs_are_typed(base, call, error):
         (lambda: SearchConfig(n_slots=0), "n_slots"),
         (lambda: SearchConfig(n_slots=-3), "n_slots"),
         (lambda: SearchConfig(mu_max_iter=0), "mu_max_iter"),
+        (lambda: SearchConfig(mu_tol=math.inf), "mu_tol"),
+        (lambda: SearchConfig(mu_tol=math.nan), "mu_tol"),
+        (lambda: SearchConfig(mu_tol=0.0), "mu_tol"),
+        (lambda: SearchConfig(mu_tol=-1.0), "mu_tol"),
         (lambda: TdmaSearchConfig(x_grid=1), "x_grid"),
         (lambda: TdmaSearchConfig(ti_grid=0), "ti_grid"),
     ],
-    ids=["no-slots", "negative-slots", "no-weight-solves", "one-x", "no-hover-times"],
+    ids=["no-slots", "negative-slots", "no-weight-solves", "infinite-mu-tol", "nan-mu-tol",
+         "zero-mu-tol", "negative-mu-tol", "one-x", "no-hover-times"],
 )
 def test_search_config_errors_are_typed(make, field):
-    """A read search knob below its least value raises InvalidParams naming
-    it, instead of an empty schedule, a raw error or a dropped family."""
+    """A read search knob out of its range raises InvalidParams naming it,
+    instead of an empty schedule, a raw error, a dropped family or a P5
+    that stops after one solve or runs until its bracket collapses."""
     with pytest.raises(InvalidParams) as err:
         make()
     assert err.value.field == field
