@@ -641,6 +641,16 @@ _SIMPSON9 = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
 _OFFS9 = np.linspace(0.0, 1.0, 9)
 # Slots re-integrated per block by `_inequality_integrals`.
 _FEASIBILITY_BLOCK = 2048
+# `_tdma_integrals`' flight rule: the longest panel over H, the most panels
+# in one window, and the 8-point Gauss-Legendre rule on [-1, 1] per panel
+# (the nodes' positive halves and their weights, as `leggauss(8)` gives
+# them; `numpy.polynomial` itself is not loaded, which saves ~1 MB).
+_TDMA_PANEL = 0.5
+_TDMA_MAX_PANELS = 1 << 14
+_GL_HALF = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_HALF_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1], _GL_HALF])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 
 
 def _dual_uplink_powers(p1, p2, h1, h2):
@@ -773,25 +783,33 @@ def check_feasibility(params: SystemParams, solution, tolerance: float = 1e-6) -
 
 
 def _tdma_integrals(params, traj, t1):
-    """Independent Simpson re-integration of the TDMA rate windows."""
+    """Independent re-integration of the TDMA rate windows.
+
+    Hovers are closed forms.  A flight runs composite 8-point
+    Gauss-Legendre on equal panels at most _TDMA_PANEL * H long (at most
+    _TDMA_MAX_PANELS of them): the integrand's nearest singularities lie H
+    off the flight, so the rule's error falls geometrically with the nodes
+    per panel and does not grow with the flight's length.  This is not the
+    pair tables' rule (2-point Gauss on sub-cells of the table grid).
+    """
+    fly_start, fly_end = traj.t_I, params.T - traj.t_F
 
     def window(user, a, b):
         if b <= a:
             return 0.0
-        fly_start, fly_end = traj.t_I, params.T - traj.t_F
         total = 0.0
         hov = max(min(b, fly_start) - a, 0.0)
         if hov > 0.0:
             total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_I, user))
         lo, hi = max(a, fly_start), min(b, fly_end)
         if hi > lo:
-            ts = lo + (hi - lo) * np.linspace(0.0, 1.0, 257)
-            xs = positions_at(params, traj, ts)
-            vals = np.log1p(params.Pbar * channel_gain(params, xs, user))
-            wts = np.ones(257)
-            wts[1:-1:2] = 4.0
-            wts[2:-1:2] = 2.0
-            total += (hi - lo) / (256 * 3.0) * float(wts @ vals) / LOG2
+            panels = np.clip(np.ceil((hi - lo) * params.V / (_TDMA_PANEL * params.H)), 1, _TDMA_MAX_PANELS)
+            edges = np.linspace(lo, hi, int(panels) + 1)
+            half = 0.5 * (edges[1] - edges[0])
+            ts = (edges[:-1] + half)[:, None] + half * _GL_NODES
+            xs = positions_at(params, traj, ts.ravel())
+            vals = np.log1p(params.Pbar * channel_gain(params, xs, user)).reshape(ts.shape)
+            total += half * float(np.sum(vals @ _GL_WEIGHTS)) / LOG2
         hov = b - max(a, fly_end)
         if hov > 0.0:
             total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_F, user))

@@ -16,15 +16,19 @@ fixed hovers), each searched on a grid.
 `_screen` values the whole grid at once from its own cumulative-rate table
 over position; only the candidates near its best are scored by the
 per-trajectory `_evaluate`, in grid order, so the first exact maximum wins
-as if all were scored.  The winner's parameter is then refined by one
-golden-section search over a grid step on either side, and the reported
-rates are the search's own: `CumulativeRates.pair_at` at the winner's
-switch time.  `tdma_rates` integrates the same rates independently, by
-adaptive quadrature.
+as if all were scored.  The screen picks the basin (the pure flight can
+have several local maxima at high SNR); the winner is then placed by the
+first-order conditions: hovering above both users in closed form (the
+switch at x = 0, `_hover_both`), every other family by a root of its
+residual `foc` within a grid step (`_foc_root`).  The reported rates are
+the search's own: `CumulativeRates.pair_at` at the winner's switch time.
+`tdma_rates` integrates the same rates independently, by adaptive
+quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -40,6 +44,7 @@ from .core import (
     SystemParams,
     channel_gain,
     gain_pair,
+    hfh_position,
     leg_rate_integral,
     log2_1p,
     make_hfh,
@@ -49,13 +54,13 @@ from .core import (
 )
 from .errors import TimeOutOfRange
 from .hfh_solver import _SQRT3, _SUBCELLS, pair_tables
-from .numerics import golden_max
+# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 4).
+from .numerics import golden_max  # noqa: F401
 
 # `_screen`'s trapezoid nodes over [-D/2, D/2] and its t1 bisection tolerance
-# (relative to T); the golden-section iterations of the refinement.
+# (relative to T).
 _CUM_SAMPLES = 8193
 _T1_REL_TOL = 1e-9
-_GOLDEN_ITERS = 50
 
 # Newton steps of `solve_t1` in a flight cell, and the step (relative to the
 # cell) after which the next would change nothing: convergence is quadratic.
@@ -130,8 +135,8 @@ class CumulativeRates:
         self.x_I, self.x_F = traj.x_I, traj.x_F
         self.fly_start = traj.t_I
         self.fly_end = params.T - traj.t_F
-        self.rate_I = tuple(log2_1p(params.Pbar * h) for h in gain_pair(params, traj.x_I))
-        self.rate_F = tuple(log2_1p(params.Pbar * h) for h in gain_pair(params, traj.x_F))
+        self.rate_I = _full_rates(params, traj.x_I)
+        self.rate_F = _full_rates(params, traj.x_F)
         self.flight = self.fly_end - self.fly_start > 1e-12 * params.T and params.V > 0.0
         if self.flight:
             tables = pair_tables(params)
@@ -168,15 +173,15 @@ class CumulativeRates:
         hover_F = max(t - self.fly_end, 0.0)
         r = [i * hover_I + f * hover_F for i, f in zip(self.rate_I, self.rate_F)]
         if self.flight and t > self.fly_start:
-            if t >= self.fly_end:
-                flown = self._last
-            else:
-                x = self.x_I + (t - self.fly_start) * self.params.V
-                j = int(np.searchsorted(self._x, x, side="right")) - self._a
-                xa, at_xa = self._breakpoint(j)
-                flown = [f + p for f, p in zip(at_xa, _flight_integrals(self.params, xa, x)[0].tolist())]
+            flown = self._last if t >= self.fly_end else self.flown(self.x_I + (t - self.fly_start) * self.params.V)
             r = [rk + f / self.params.V for rk, f in zip(r, flown)]
         return tuple(r)
+
+    def flown(self, x: float):
+        """Flight integrals (user 1, user 2) from x_I to x in [x_I, x_F], in
+        bps/Hz times meters."""
+        xa, at_xa = self._breakpoint(int(np.searchsorted(self._x, x, side="right")) - self._a)
+        return tuple(f + p for f, p in zip(at_xa, _flight_integrals(self.params, xa, x)[0].tolist()))
 
     def cum(self, t: float, user: int) -> float:
         """R_user(t) in rate-seconds."""
@@ -309,11 +314,13 @@ def solve_t1(
 
 
 class _Family(NamedTuple):
-    """The trajectories build(s) for s in [lo, hi]: searched on n grid
-    values, then refined by golden section over s +- step to xtol.  `case`
-    names the family in the diagnostics: 1 pure flight (or, with V = 0 or a
-    reach the positions do not resolve, a fixed hover), 2 hover above user
-    1 then fly, 3 fly then hover above user 2, 4 hover above both."""
+    """The trajectories build(s) for s in [lo, hi], screened on n grid
+    values.  `case` names the family in the diagnostics: 1 pure flight (or,
+    with V = 0 or a reach the positions do not resolve, a fixed hover), 2
+    hover above user 1 then fly, 3 fly then hover above user 2, 4 hover
+    above both.  `foc(params, profile, traj, t1)` has the sign of dr/ds at a
+    member (None for case 4, placed in closed form); its root is sought over
+    s +- step to xtol."""
 
     case: int
     lo: float
@@ -322,6 +329,47 @@ class _Family(NamedTuple):
     step: float
     xtol: float
     build: Callable[[float], HfhTrajectory]
+    foc: Callable | None
+
+
+def _full_rates(params, x):
+    """(C1(x), C2(x)): the users' full-power rates with the UAV at x."""
+    return tuple(log2_1p(params.Pbar * h) for h in gain_pair(params, x))
+
+
+def _flight_foc(params, profile, traj, t1):
+    """f / (C1(x_s) C2(x_F)) with f = C1(x_s) C2(x_F) - C1(x_I) C2(x_s), x_s
+    the position at t1: the sign of dr/ds in families 1-3.  Moving the
+    free location moves the whole flight, which trades C1(x_s) - C1(x_I)
+    of user 1's rate-time against C2(x_F) - C2(x_s) of user 2's, and the
+    balance at t1 weighs them by C2(x_s) and C1(x_s).  Formed from rate
+    ratios, which do not underflow; 0 where a rate does (r is 0)."""
+    c1_s, c2_s = _full_rates(params, hfh_position(traj, params, t1))
+    c2_F = _full_rates(params, traj.x_F)[1]
+    if c1_s == 0.0 or c2_F == 0.0:
+        return 0.0
+    return 1.0 - _full_rates(params, traj.x_I)[0] / c1_s * (c2_s / c2_F)
+
+
+def _hover_foc(params, profile, traj, t1):
+    """The sign of dr/dx for a fixed hover at x, where
+    r = C1 C2 / (alpha1 C2 + alpha2 C1): that of
+    alpha1 C2^2 C1' + alpha2 C1^2 C2', or, over C1^2 C2, of
+    alpha1 (C2 / C1) L1 + alpha2 L2 with L_k = C_k' / C_k (no product of
+    rates, which can underflow), over the sum of the two terms' magnitudes.
+    0 where a gain underflows (r is 0)."""
+    x = traj.x_I
+    L = []
+    for user in (1, 2):
+        u = params.Pbar * channel_gain(params, x, user)
+        if u == 0.0:
+            return 0.0
+        dx = x - params.user_position(user)
+        L.append(-2.0 * dx / (dx * dx + params.H * params.H) * u / ((1.0 + u) * math.log1p(u)))
+    c1, c2 = _full_rates(params, x)
+    terms = profile.alpha1 * c2 / c1 * L[0], profile.alpha2 * L[1]
+    total = abs(terms[0]) + abs(terms[1])
+    return (terms[0] + terms[1]) / total if total > 0.0 else 0.0
 
 
 def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
@@ -329,8 +377,8 @@ def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
 
     Pure flight needs VT <= D and hovering above both users VT >= D; the
     free parameter is the one location or hover time not fixed by the
-    family and the time budget.  Each family refines over its own grid
-    step.
+    family and the time budget.  Each family's root search spans its own
+    grid step.
 
     A reach V*T below the position spacing at the users over REL_EPS (V = 0,
     or under ~5.7e-5 m at D = 1 km) is not resolved by the positions:
@@ -344,21 +392,21 @@ def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
     n, xtol = cfg.x_grid, 1e-9 * D
     reach = V * T
     if np.spacing(half) > REL_EPS * reach:
-        return [_Family(1, -half, half, n, D / (n - 1), xtol, lambda x: make_hfh(params, x, x, T))]
+        return [_Family(1, -half, half, n, D / (n - 1), xtol, lambda x: make_hfh(params, x, x, T), _hover_foc)]
     out = []
     if reach <= D:
         out.append(_Family(1, -half, half - reach, n, (D - reach) / (n - 1), xtol,
-                           lambda x: make_hfh(params, x, x + reach, 0.0)))
+                           lambda x: make_hfh(params, x, x + reach, 0.0), _flight_foc))
     hi = min(half, -half + reach)
     out.append(_Family(2, -half, hi, n, (hi + half) / (n - 1), xtol,
-                       lambda x: make_hfh(params, -half, x, T - (x + half) / V)))
+                       lambda x: make_hfh(params, -half, x, T - (x + half) / V), _flight_foc))
     lo = max(-half, half - reach)
     out.append(_Family(3, lo, half, n, (half - lo) / (n - 1), xtol,
-                       lambda x: make_hfh(params, x, half, 0.0)))
+                       lambda x: make_hfh(params, x, half, 0.0), _flight_foc))
     if reach >= D:
         slack = T - D / V
         out.append(_Family(4, 0.0, slack, cfg.ti_grid, slack / max(cfg.ti_grid - 1, 1),
-                           1e-9 * T, lambda t: make_hfh(params, -half, half, t)))
+                           1e-9 * T, lambda t: make_hfh(params, -half, half, t), None))
     return out
 
 
@@ -420,6 +468,88 @@ def _screen(params, trajs, profile):
     return np.minimum(cum(t1, 0) / a1, (total2 - cum(t1, 1)) / a2) / T
 
 
+class _Point(NamedTuple):
+    """A member s of a family, scored by `_evaluate`, and its residual."""
+
+    r: float
+    s: float
+    traj: HfhTrajectory
+    t1: float
+    pair: RatePair
+    foc: float
+
+
+def _hover_both(params, profile, fam, traj) -> _Point:
+    """Family 4's best member, in closed form (residual 0).
+
+    Moving t_I trades C1(-D/2) against C2(D/2), which are equal, and moving
+    the switch trades C1(x_s) against C2(x_s), so an interior optimum
+    switches at x = 0.  With S = T - D/V, c = C1(-D/2) and the flight
+    integrals F1 of C1 over [-D/2, 0] and F2 of C2 over [0, D/2], the
+    balance there is alpha2 (c t_I + F1/V) = alpha1 (F2/V + c (S - t_I)).
+    r rises in t_I while the switch lies right of x = 0 and falls while it
+    lies left, so the clamped root is the family's maximum.
+    """
+    cum = CumulativeRates(params, traj)  # every member flies the same flight
+    F1, at_zero = cum.flown(0.0)
+    F2 = cum._last[1] - at_zero
+    a1, a2, c, V = profile.alpha1, profile.alpha2, cum.rate_I[0], params.V
+    t_I = (a1 * (F2 / V + c * fam.hi) - a2 * F1 / V) / (c * (a1 + a2)) if c > 0.0 else 0.0  # c = 0: r is 0
+    t_I = min(max(t_I, 0.0), fam.hi)
+    traj = fam.build(t_I)
+    r, t1, pair = _evaluate(params, traj, profile)
+    return _Point(r, t_I, traj, t1, pair, 0.0)
+
+
+def _foc_root(params, profile, fam, start: _Point) -> _Point:
+    """The best member of `fam` near the grid winner `start`, from the root
+    of `fam.foc`.
+
+    The root is sought on the side of start.s that foc points to, out to one
+    grid step (within [lo, hi]), by Illinois regula falsi to `fam.xtol`, one
+    `_evaluate` a step.  The best point evaluated is kept, start included,
+    so r never falls below the grid winner's; without a + to - sign change
+    on the bracket, the better end wins.  The returned point's foc is
+    |foc|, or 0 at a family end foc points out of.
+    """
+
+    def point(s):
+        traj = fam.build(s)
+        r, t1, pair = _evaluate(params, traj, profile)
+        return _Point(r, s, traj, t1, pair, fam.foc(params, profile, traj, t1))
+
+    best, s, f = start, start.s, start.foc
+    outer = min(fam.hi, s + fam.step) if f > 0.0 else max(fam.lo, s - fam.step)
+    if f != 0.0 and outer != s:
+        end = point(outer)
+        if end.r > best.r:
+            best = end
+        if end.foc * f < 0.0:  # foc falls from + at sa to - at sb
+            (sa, fa), (sb, fb) = sorted([(s, f), (outer, end.foc)])
+            kept = 0  # +1 if sb, -1 if sa was kept by the last step
+            while sb - sa > fam.xtol:
+                v = sb - fb * (sb - sa) / (fb - fa)
+                if not sa < v < sb:
+                    v = 0.5 * (sa + sb)
+                p = point(v)
+                if p.r > best.r:
+                    best = p
+                if p.foc > 0.0:
+                    sa, fa = v, p.foc
+                    if kept > 0:
+                        fb *= 0.5  # Illinois: halve the end kept twice
+                    kept = 1
+                elif p.foc < 0.0:
+                    sb, fb = v, p.foc
+                    if kept < 0:
+                        fa *= 0.5
+                    kept = -1
+                else:
+                    break
+    points_out = (best.s == fam.lo and best.foc < 0.0) or (best.s == fam.hi and best.foc > 0.0)
+    return best._replace(foc=0.0 if points_out else abs(best.foc))
+
+
 def _mirror_tdma(params, sol: TdmaSolution) -> TdmaSolution:
     diag = dict(sol.diagnostics)
     diag["mirrored"] = True
@@ -451,10 +581,13 @@ def tdma_solve_profile(
 
     Screens the families' grid with `_screen`, scores the candidates within
     `_SCREEN_WINDOW` of its best with `_evaluate` (the first exact maximum
-    wins), golden-refines the winner's parameter on `_evaluate` and reports
-    the rates it searched on, `CumulativeRates.pair_at` at the resulting
-    trajectory and switch time.  Raises InvalidParams for out-of-range
-    params.
+    wins), places the winner's family optimum by its first-order conditions
+    and reports the rates it searched on, `CumulativeRates.pair_at` at the
+    resulting trajectory and switch time.  The diagnostics hold the family
+    (`case`), the value searched (`search_r`, equal to r) and `foc_residual`,
+    the relative first-order residual at the winner (0 hovering above both
+    users, placed in closed form, and at a family end the residual points
+    out of).  Raises InvalidParams for out-of-range params.
     """
     validate_params(params)
     if profile.is_corner:
@@ -472,29 +605,13 @@ def tdma_solve_profile(
         r, t1, pair = _evaluate(params, traj, profile)
         if best is None or r > best[0]:
             best = (r, fam, s, traj, t1, pair)
-    r_best, fam, s, traj, t1, pair = best
-
-    # Refine the winning family's parameter over one grid step either side,
-    # keeping every point's evaluation: the refined winner's is then reused.
-    evals = {}
-
-    def value(v):
-        traj_v = fam.build(v)
-        evals[v] = _evaluate(params, traj_v, profile) + (traj_v,)
-        return evals[v][0]
-
-    s, _ = golden_max(
-        value,
-        max(fam.lo, s - fam.step),
-        min(fam.hi, s + fam.step),
-        iters=_GOLDEN_ITERS,
-        xtol=fam.xtol,
-    )
-    r_cand, t1_cand, pair_cand, cand = evals[s]
-    if r_cand > r_best:
-        r_best, traj, t1, pair = r_cand, cand, t1_cand, pair_cand
-
-    return TdmaSolution(profile, pair, traj, t1, {"case": fam.case, "search_r": r_best})
+    r, fam, s, traj, t1, pair = best
+    if fam.foc is None:
+        win = _hover_both(params, profile, fam, traj)
+    else:
+        win = _foc_root(params, profile, fam, _Point(r, s, traj, t1, pair, fam.foc(params, profile, traj, t1)))
+    diagnostics = {"case": fam.case, "search_r": win.r, "foc_residual": win.foc}
+    return TdmaSolution(profile, win.pair, win.traj, win.t1, diagnostics)
 
 
 def tdma_trace_region(

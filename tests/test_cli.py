@@ -144,6 +144,18 @@ class TestRegionCommand:
             assert code == 0, mode
             assert len(read_csv(out)) == 5
 
+    def test_tdma_sidecar_reports_the_residual(self, scenario, tmp_path):
+        """Each non-corner TDMA point's sidecar entry carries its first-order
+        residual (0 for the reference scenario's hover-both winners)."""
+        out = tmp_path / "tdma.csv"
+        code = main(["region", "--scenario", scenario, "--mode", "tdma",
+                     "--profiles", "5", "--out", str(out)])
+        assert code == 0
+        points = json.loads(out.with_suffix(".json").read_text())["regions"][0]["points"]
+        for point in points[1:-1]:
+            assert point["diagnostics"]["foc_residual"] == 0.0
+            assert point["diagnostics"]["case"] == 4
+
     def test_missing_scenario_file(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(

@@ -9,12 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from uavbc import (
     GridTooCoarse,
     RateProfile,
+    channel_gain,
     dp_trajectory_oracle,
     grid_power_oracle,
+    hfh_position,
     intersection_point,
     make_hfh,
     numeric_intersection_oracle,
@@ -257,6 +260,36 @@ class TestCheckFeasibility:
     def test_tdma_solution_passes(self, base):
         sol = tdma_solve_profile(base, RateProfile.of(0.35))
         assert check_feasibility(base, sol).passed
+
+    def test_long_tdma_flight_passes_at_1e9(self, base):
+        """A 2,906 m flight (Pbar = 1e-2 W, H = 100 m, D = 3000 m, T = 200 s,
+        alpha1 = 0.1): a fixed 257-node Simpson missed r1 by 1.73e-9 here."""
+        params = replace(base, D=3000.0, T=200.0)
+        sol = tdma_solve_profile(params, RateProfile.of(0.1))
+        assert sol.trajectory.x_F - sol.trajectory.x_I > 2900.0
+        assert check_feasibility(params, sol, tolerance=1e-9).passed
+
+    @pytest.mark.parametrize("Pbar", [1e-5, 10.0])
+    @pytest.mark.parametrize("H, D", [(10.0, 3000.0), (100.0, 3000.0), (200.0, 1000.0)])
+    def test_tdma_integrals_match_quad(self, base, Pbar, H, D):
+        """The TDMA windows' re-integration agrees with adaptive quadrature
+        to 1e-12, on flights of up to 558 panels."""
+        params = replace(base, Pbar=Pbar, H=H, D=D, T=200.0)
+        traj = make_hfh(params, -0.45 * D, 0.48 * D, 10.0)
+        fly = (traj.t_I, params.T - traj.t_F)
+
+        def window(user, a, b):
+            def rate(t):
+                return math.log2(1.0 + params.Pbar * channel_gain(params, hfh_position(traj, params, t), user))
+
+            points = [t for t in fly if a < t < b] or None
+            return quad(rate, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=500)[0] / params.T
+
+        for t1 in (5.0, 60.0, 150.0):
+            I1, I2, I3 = oracle._tdma_integrals(params, traj, t1)
+            assert I1 == pytest.approx(window(1, 0.0, t1), rel=1e-12, abs=0.0)
+            assert I2 == pytest.approx(window(2, t1, params.T), rel=1e-12, abs=0.0)
+            assert I3 == I1 + I2
 
     def test_blocks_match_one_pass(self, base, monkeypatch):
         """A schedule longer than a block, with its flight cut at x = 0

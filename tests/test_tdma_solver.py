@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,8 @@ from uavbc import (
     HfhTrajectory,
     RateProfile,
     TimeOutOfRange,
+    channel_gain,
+    hfh_position,
     make_hfh,
     solve_profile,
     solve_t1,
@@ -182,23 +186,23 @@ class TestTdmaExactness:
         "V, T, alpha1, r, t1, traj",
         [
             pytest.param(  # hover at both users
-                30.0, 200.0, 0.1, 6.24212785729569, 24.99934316234686,
-                HfhTrajectory(-500.0, 500.0, 8.33267786208662, 158.33398880458003),
+                30.0, 200.0, 0.1, 6.24212785729569, 24.999344061497283,
+                HfhTrajectory(-500.0, 500.0, 8.332677394830634, 158.33398927183603),
                 id="hover-both",
             ),
             pytest.param(  # fly, then hover above user 2
-                30.0, 63.712, 0.189061, 5.352355756953716, 15.993024035965787,
-                HfhTrajectory(-476.8897064940588, 500.0, 0.0, 31.149009783531376),
+                30.0, 63.712, 0.189061, 5.352355756953716, 15.99302421259783,
+                HfhTrajectory(-476.8897037167402, 500.0, 0.0, 31.149009876108664),
                 id="fly-then-hover",
             ),
             pytest.param(  # fly the whole time
-                30.0, 20.0, 0.5, 3.174036968361343, 9.999999997100995,
-                HfhTrajectory(-300.00000009360417, 299.99999990639583, 0.0, 0.0),
+                30.0, 20.0, 0.5, 3.174036968361343, 9.999999999999995,
+                HfhTrajectory(-300.00000000000034, 299.99999999999966, 0.0, 0.0),
                 id="pure-flight",
             ),
             pytest.param(  # V = 0: one fixed hover
-                0.0, 88.144, 0.256504, 2.824524478762563, 55.03643170262159,
-                HfhTrajectory(394.2367385513062, 394.2367385513062, 88.144, 0.0),
+                0.0, 88.144, 0.256504, 2.8245244787625645, 55.03643088066329,
+                HfhTrajectory(394.23672871066, 394.23672871066, 88.144, 0.0),
                 id="static",
             ),
         ],
@@ -237,7 +241,7 @@ def _exhaustive_tdma(params, profile, cfg=tdma_solver.DEFAULT_TDMA_CONFIG):
         lambda v: evaluate(fam.build(v))[0],
         max(fam.lo, s - fam.step),
         min(fam.hi, s + fam.step),
-        iters=tdma_solver._GOLDEN_ITERS,
+        iters=50,
         xtol=fam.xtol,
     )
     cand = fam.build(s)
@@ -288,10 +292,131 @@ class TestScreen:
         ],
     )
     def test_matches_exhaustive_search(self, base, V, T, Pbar, alpha1):
+        """The solver's winner is at least as good as the search without the
+        screen, refined by golden section, and as the best point of a
+        4,097-point scan of every admissible family."""
         params = replace(base, V=V, T=T, Pbar=Pbar)
+        prof = RateProfile.of(alpha1)
+        sol = tdma_solve_profile(params, prof)
+        pair, _, _, diagnostics = _exhaustive_tdma(params, prof)
+        assert sol.r >= prof.rate_scale(pair.r1, pair.r2) * (1.0 - 1e-13)
+        assert sol.diagnostics["case"] == diagnostics["case"]
+        for fam in tdma_solver._families(params, tdma_solver.DEFAULT_TDMA_CONFIG):
+            for s in np.linspace(fam.lo, fam.hi, 4097).tolist():
+                assert sol.r >= tdma_solver._evaluate(params, fam.build(s), prof)[0]
+
+
+# ---------------------------------------------------------------------------
+# the paper's first-order conditions at the winner
+# ---------------------------------------------------------------------------
+
+
+def _flight_residual(params, traj, t1):
+    """f / (C1(x_s) C2(x_F)) with f = C1(x_s) C2(x_F) - C1(x_I) C2(x_s), C_k
+    user k's full-power rate and x_s the position at t1: the sign of dr/ds
+    when the free location s of a flight family moves."""
+
+    def rates(x):
+        return [math.log1p(params.Pbar * channel_gain(params, x, k)) for k in (1, 2)]
+
+    c1_s, c2_s = rates(hfh_position(traj, params, t1))
+    ref = c1_s * rates(traj.x_F)[1]
+    return (ref - rates(traj.x_I)[0] * c2_s) / ref
+
+
+@pytest.fixture(scope="module")
+def foc_scan(base):
+    """(params, solution, family) over 384 flights: Pbar from 1e-5 to 10 W,
+    two altitudes and distances, V in {5, 30} m/s, T from 20 to 400 s."""
+    out = []
+    for Pbar, H, D, V, T, alpha1 in itertools.product(
+        (1e-5, 1e-2, 10.0), (100.0, 200.0), (1000.0, 3000.0), (5.0, 30.0),
+        (20.0, 60.0, 200.0, 400.0), (0.02, 0.1, 0.3, 0.5),
+    ):
+        params = replace(base, Pbar=Pbar, H=H, D=D, V=V, T=T)
         sol = tdma_solve_profile(params, RateProfile.of(alpha1))
-        pair, traj, t1, diagnostics = _exhaustive_tdma(params, RateProfile.of(alpha1))
-        assert sol.rate_pair == pair
-        assert sol.trajectory == traj
-        assert sol.t1 == t1
-        assert sol.diagnostics == diagnostics
+        families = {fam.case: fam for fam in tdma_solver._families(params, tdma_solver.DEFAULT_TDMA_CONFIG)}
+        out.append((params, sol, families[sol.diagnostics["case"]]))
+    return out
+
+
+class TestFirstOrderConditions:
+    def test_hover_both_switches_at_the_center(self, foc_scan):
+        """Hovering above both users, an interior optimum switches where
+        C1 = C2, at x = 0."""
+        switches = [
+            abs(hfh_position(sol.trajectory, params, sol.t1)) / params.D
+            for params, sol, fam in foc_scan
+            if fam.case == 4 and sol.trajectory.t_I > 0.0 and sol.trajectory.t_F > 0.0
+        ]
+        assert len(switches) >= 80
+        assert max(switches) <= 1e-12
+
+    def test_symmetric_points(self, base):
+        """At alpha1 = 1/2 the optimum is its own mirror image."""
+        sol = tdma_solve_profile(base, RateProfile.of(0.5))
+        assert sol.diagnostics["case"] == 4
+        assert sol.trajectory.t_I == pytest.approx(sol.trajectory.t_F, rel=0.0, abs=1e-12 * base.T)
+        assert sol.t1 == pytest.approx(base.T / 2, rel=0.0, abs=1e-12 * base.T)
+        sol = tdma_solve_profile(replace(base, T=20.0), RateProfile.of(0.5))
+        assert sol.diagnostics["case"] == 1
+        assert sol.trajectory.x_I == pytest.approx(-300.0, rel=0.0, abs=1e-9)
+        assert sol.trajectory.x_F == pytest.approx(300.0, rel=0.0, abs=1e-9)
+
+    def test_flight_families_meet_their_first_order_condition(self, foc_scan):
+        """An interior winner of families 1-3 is a root of the residual, to
+        the root search's location tolerance (1e-9 D): the residual's
+        90th percentile reflects it, and r's rounding (near the root r is
+        flat to an ulp over ~1e-6 m, and the best point evaluated wins).
+        A winner at a family end has the residual pointing out."""
+        inner, ends = [], 0
+        for params, sol, fam in foc_scan:
+            if fam.case == 4:
+                continue
+            traj = sol.trajectory
+            f = _flight_residual(params, traj, sol.t1)
+            s = traj.x_F if fam.case == 2 else traj.x_I
+            if s == fam.lo or s == fam.hi:
+                assert (s == fam.lo and f <= 0.0) or (s == fam.hi and f >= 0.0)
+                ends += 1
+            else:
+                inner.append(abs(f))
+        assert len(inner) >= 250 and ends >= 5
+        assert np.median(inner) <= 1e-12
+        assert np.percentile(inner, 90) <= 1e-8
+
+    def test_reports_the_residual(self, foc_scan):
+        """`foc_residual` is |f| at an interior winner of families 1-3, and 0
+        at a family end f points out of and for hover-both (closed form)."""
+        for params, sol, fam in foc_scan:
+            traj = sol.trajectory
+            s = traj.x_F if fam.case == 2 else traj.x_I
+            if fam.case == 4 or s == fam.lo or s == fam.hi:
+                assert sol.diagnostics["foc_residual"] == 0.0
+            else:
+                f = _flight_residual(params, traj, sol.t1)
+                assert sol.diagnostics["foc_residual"] == pytest.approx(abs(f), rel=1e-6, abs=1e-15)
+
+    @pytest.mark.parametrize("H, Pbar, V", [(1e160, 1e-2, 0.0), (100.0, 1e-300, 0.0), (100.0, 1e-300, 30.0)])
+    def test_underflowing_rates(self, base, H, Pbar, V):
+        """Gains that underflow to 0 (H = 1e160 m), or rates whose products
+        do (Pbar = 1e-300 W): the residuals are formed from rate ratios, and
+        the winner is at least the best grid member."""
+        params = replace(base, H=H, Pbar=Pbar, V=V)
+        prof = RateProfile.of(0.1)
+        sol = tdma_solve_profile(params, prof)
+        cands = tdma_solver._candidate_trajectories(params, tdma_solver.DEFAULT_TDMA_CONFIG)
+        assert sol.r >= max(tdma_solver._evaluate(params, traj, prof)[0] for _, _, traj in cands)
+
+    @pytest.mark.parametrize("alpha1", [0.05, 0.256504, 0.5])
+    def test_fixed_hover_meets_its_first_order_condition(self, static, alpha1):
+        """With V = 0, r = C1 C2 / (alpha1 C2 + alpha2 C1) at the hover x, so
+        r is no higher, to its rounding, a location tolerance (1e-9 D) or
+        more either side."""
+        prof = RateProfile.of(alpha1)
+        sol = tdma_solve_profile(static, prof)
+        x = sol.trajectory.x_I
+        assert sol.diagnostics["foc_residual"] <= 1e-6
+        for dx in (-1e-3, -1e-6, 1e-6, 1e-3):
+            r = tdma_solver._evaluate(static, make_hfh(static, x + dx, x + dx, static.T), prof)[0]
+            assert r <= sol.r * (1.0 + 1e-15)
