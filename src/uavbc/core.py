@@ -83,7 +83,9 @@ def validate_params(params: SystemParams) -> SystemParams:
     """Check positivity of all physical quantities, return the params.
 
     Raises InvalidParams naming the offending field.  V may be zero; all
-    other quantities must be strictly positive and finite.
+    other quantities must be strictly positive and finite.  The gains must
+    be representable: D^2 finite (else "D"), H^2 neither 0 nor infinite
+    and the far user's gain beta0 / (H^2 + D^2) above 0 (else "H").
     """
     strict = ("gamma0", "sigma2", "H", "D", "Pbar", "T")
     for name in strict:
@@ -92,6 +94,11 @@ def validate_params(params: SystemParams) -> SystemParams:
             raise InvalidParams(name)
     if not math.isfinite(params.V) or params.V < 0.0:
         raise InvalidParams("V")
+    H2, D2 = params.H * params.H, params.D * params.D
+    if D2 == math.inf:
+        raise InvalidParams("D", f"D = {params.D!r} m: D^2 overflows")
+    if H2 == 0.0 or H2 == math.inf or params.beta0 / (H2 + D2) == 0.0:
+        raise InvalidParams("H", f"H = {params.H!r} m: the channel gains do not fit in a double")
     return params
 
 

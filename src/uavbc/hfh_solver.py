@@ -23,20 +23,25 @@ longest flight).  By weak duality each weight row the bisection visits
 bounds a pair's value by its weighted rate, and a pair whose bound falls
 below the floor leaves the bisection.  Every pair at the maximum stays and
 runs the unfloored operations, so the pick is the unfloored one bit for
-bit, from ~20% of the gathers.  The best pair is zoomed on local tables
-(the flight's whole grid cells that give one user all power at every
-weight summed from a per-channel cell cache, `grid_cells`, every other
-sub-cell integrated per weight), ranked unfloored, and the best pick of
-the zoom is reported.  The static hovers (x_I == x_F) are placed in closed
-form (`_best_hover`, also behind `asymptotic.solve_v0`): the mirror fold
-leaves alpha1 <= alpha2, the paper's static hover then lies on [0, D/2],
-nearer user 2, and there it is one monotone root in the rate scale at a
-quadratic's vertex.  A winning flight is reported with one P5 solve on
-`SearchConfig.n_slots` slots, warm-started from the zoom's weight bracket;
-nothing is tuned to the slots and the slot count is not doubled.  A
-winning hover, like a corner profile, is reported from its
-`fixed_boundary` point, the same split in every slot, with no P5
-(`_hover_solution`).
+bit, from ~20% of the gathers; the pairs and the candidates are cached per
+(D, V T) (`global_pairs`).  A best pair that hovers above both users
+(-D/2 to D/2) with both hovers positive is placed in closed form: its
+weight is 1/2, where SC serves the stronger user alone as TDMA does, and
+the hover time is the root TDMA's hover-both family shares
+(`_hover_both_pick`, `_hover_both_time`).  Any other best pair is zoomed
+on local tables (the flight's whole grid cells that give one user all
+power at every weight summed from a per-channel cell cache,
+`grid_cells`, every other sub-cell integrated per weight), ranked
+unfloored, and the best pick of the zoom is reported.  The static hovers
+(x_I == x_F) are placed in closed form (`_best_hover`, also behind
+`asymptotic.solve_v0`): the mirror fold leaves alpha1 <= alpha2, the
+paper's static hover then lies on [0, D/2], nearer user 2, and there it
+is one monotone root in the rate scale at a quadratic's vertex.  A
+winning flight is reported with one P5 solve on `SearchConfig.n_slots`
+slots, warm-started from the polish's weight bracket; nothing is tuned
+to the slots and the slot count is not doubled.  A winning hover, like a
+corner profile, is reported from its `fixed_boundary` point, the same
+split in every slot, with no P5 (`_hover_solution`).
 
 Every reported flight is evaluated with exact per-slot integration
 (closed-form hover segments, Gauss nodes on flight segments cut at the
@@ -971,35 +976,117 @@ def _batched_profile_values(params, pairs, profile, tables, floor=-np.inf):
 def _reachable_pairs(params, x):
     """The pairs (i, j) of sorted positions x, i <= j, whose flight from
     x[i] to x[j] fits in T, each i's by rising j."""
+    return _pairs_within(x, params.V * params.T)
+
+
+def _pairs_within(x, reach):
+    """`_reachable_pairs` with the reach V T given."""
     i, j = np.triu_indices(len(x))
-    keep = x[j] - x[i] <= params.V * params.T
+    keep = x[j] - x[i] <= reach
     return np.stack([i[keep], j[keep]], axis=1)
 
 
-def _rank_floor(params, pairs, profile, tables):
-    """The best value over the structural candidates among `pairs`: an end
-    at x = -+D/2, a static hover (x_I == x_F), or each x_I's longest
-    reachable flight (`_reachable_pairs` order).  Most winners hover above
-    a user or fly as far as T allows, so this is near the best pair's
-    value, from ~3% of the global table's pairs."""
+def _floor_candidates(pairs, n):
+    """The structural candidates among `pairs` (`_reachable_pairs` order)
+    of n positions: an end at x = -+D/2, a static hover (x_I == x_F), or
+    each x_I's longest reachable flight.  Most winners hover above a user
+    or fly as far as T allows, so their best value is near the best
+    pair's, from ~3% of the global table's pairs."""
     i, j = pairs[:, 0], pairs[:, 1]
     longest = np.append(i[1:] != i[:-1], True)
-    cand = (i == 0) | (j == len(tables.x) - 1) | (i == j) | longest
-    return float(np.max(_batched_profile_values(params, pairs[cand], profile, tables)[0]))
+    return pairs[(i == 0) | (j == n - 1) | (i == j) | longest]
+
+
+def global_pairs(params: SystemParams):
+    """(pairs, candidates): the global table's `_reachable_pairs` and their
+    `_floor_candidates`.  Built once per (D, V T) and shared: the arrays
+    are read-only."""
+    return _global_pairs(params.D, params.V * params.T)
+
+
+@functools.lru_cache(maxsize=1)
+def _global_pairs(D, reach):
+    """`global_pairs` on `pair_tables`' positions (~340 kB at full reach).
+    One entry: a region's solves share it, and a scan over (V, T) would
+    only hold more memory."""
+    half = 0.5 * D
+    pairs = _pairs_within(np.linspace(-half, half, _PAIR_NODES), reach)
+    out = pairs, _floor_candidates(pairs, _PAIR_NODES)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _rank_floor(params, candidates, profile, tables):
+    """The best value over `candidates`, a floor for the global ranking."""
+    return float(np.max(_batched_profile_values(params, candidates, profile, tables)[0]))
+
+
+def _hover_both_time(profile, c, F1, F2, V, S):
+    """The hover time t_I at x_I = -D/2 that balances the profile when the
+    UAV hovers above user 1 for t_I, flies to user 2 and hovers there for
+    S - t_I, serving each user alone where it is the stronger: the root of
+    alpha2 (c t_I + F1/V) = alpha1 (F2/V + c (S - t_I)).  c is the served
+    user's rate above itself (the same at both users), F1 user 1's flight
+    integral over [-D/2, 0] and F2 user 2's over [0, D/2] (bps/Hz times
+    meters).  Unclamped; None when c is not positive (no rate at all).
+    SC at weight 1/2 (`_best_pair`) and TDMA (`tdma_solver._hover_both`)
+    both place their hover-both point by it."""
+    a1, a2 = profile.alpha1, profile.alpha2
+    return (a1 * (F2 / V + c * S) - a2 * F1 / V) / (c * (a1 + a2)) if c > 0.0 else None
+
+
+def _hover_both_pick(params, profile, tables):
+    """(t_I, value) of the pair (-D/2, D/2) in closed form, or None unless
+    both hovers are positive (0 < t_I < S, S = T - D/V).
+
+    Why it is the pair's optimum: both hovers can be positive at a pair's
+    optimum only where its two ends' weighted hover rates are equal (else
+    all slack goes to the better end), and by the users' mirror symmetry
+    the ends -+D/2 have equal ones at weight 1/2 only.  At weight 1/2 every
+    position gives all power to its stronger user, so the mu = 1/2 row of
+    the global tables (row _PAIR_WEIGHTS // 2, whose weight is exactly 1/2)
+    holds the rates: c above either user and the flight integrals F1, F2 of
+    `_hover_both_time`.  Every split of the slack between the hovers has
+    the same weighted rate, so the balanced split, the root of
+    `_hover_both_time`, reaches the pair's weight-1/2 bound: by weak
+    duality it is the pair's exact optimum, with mu* = 1/2.
+
+    Why no pair near it is better: by the envelope theorem, moving an end x
+    with hover time t > 0 changes the value at the rate
+    t g'(x) / (T (mu* alpha1 + (1 - mu*) alpha2)), g the weight-mu* hover
+    rate.  Here g = C_strong / 2, which peaks exactly above the users, so
+    the value is stationary at (-D/2, D/2), and as g rises toward each user
+    for the weights near 1/2 that nearby pairs balance at, moving either end
+    inward (both hovers stay positive) lowers the value.  So none of the
+    pairs the zoom would try, a few grid steps around the ends, beats it."""
+    m = _PAIR_WEIGHTS // 2
+    h1, h2 = tables.h1[m], tables.h2[m]
+    F1, F2 = tables.c1[m, -1] - tables.c1[m, 0], tables.c2[m, -1] - tables.c2[m, 0]
+    V, S = params.V, params.T - (tables.x[-1] - tables.x[0]) / params.V
+    t_I = _hover_both_time(profile, h1[0], F1, F2, V, S)
+    if t_I is None or not 0.0 < t_I < S:
+        return None
+    r1 = (F1 / V + t_I * h1[0] + (S - t_I) * h1[-1]) / params.T
+    r2 = (F2 / V + t_I * h2[0] + (S - t_I) * h2[-1]) / params.T
+    return float(t_I), float(min(r1 / profile.alpha1, r2 / profile.alpha2))
 
 
 def _best_pair(params, profile, tables):
-    """The best feasible pair of `tables`, zoomed in _POLISH_STAGES stages of
-    local tables around it.  A stage whose pick lands on the edge of its
-    endpoint's window (not at -+D/2) is repeated around that pick at the
-    same spacing, up to _POLISH_RECENTRES times in all: the optimum lies
+    """The best feasible pair of the global `tables` (`pair_tables(params)`),
+    then polished.  A pick that hovers above both users (-D/2 to D/2) with
+    both hovers positive is placed in closed form (`_hover_both_pick`: its
+    weight is exactly 1/2).  Any other pick is zoomed in _POLISH_STAGES
+    stages of local tables around it.  A stage whose pick lands on the edge
+    of its endpoint's window (not at -+D/2) is repeated around that pick at
+    the same spacing, up to _POLISH_RECENTRES times in all: the optimum lies
     outside the window, and a finer window would shrink away from it.  Each
     stage centres on the previous stage's pick, but a stage's best can fall
     below an earlier one, so the best pick of all stages is reported.
     Returns (x_I, x_F, t_I, value, polished value, bracket): the reported
     pick's endpoints and hover time, the table pick's value, then the
-    reported pick's value and the weights (mu_lo, mu_hi) its value
-    blends."""
+    reported pick's value and the weights (mu_lo, mu_hi) its value blends,
+    (1/2, 1/2) in closed form."""
     half = 0.5 * params.D
     offsets = (tables.x[1] - tables.x[0]) * (np.arange(_POLISH_SIDE) - _POLISH_SIDE // 2)
     stage = recentres = 0
@@ -1014,11 +1101,14 @@ def _best_pair(params, profile, tables):
             w = mu_hi - mu_lo  # widened bracket, with mu = 0 and 1 as sentinels
             mu = np.linspace(max(mu_lo - w, 0.0), min(mu_hi + w, 1.0), _POLISH_WEIGHTS)
             tables = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu))
+            pairs = _reachable_pairs(params, tables.x)
+            # Only the global ranking is floored: on the polish tables (~170
+            # pairs) the candidate ranking costs more than the pruning saves.
+            floor = -np.inf
+        else:
+            pairs, candidates = global_pairs(params)
+            floor = _rank_floor(params, candidates, profile, tables)
         x, mu = tables.x, tables.mu
-        pairs = _reachable_pairs(params, x)
-        # Only the global ranking is floored: on the polish tables (~170
-        # pairs) the candidate ranking costs more than the pruning saves.
-        floor = -np.inf if stage else _rank_floor(params, pairs, profile, tables)
         value, t_I, lo, hi = _batched_profile_values(params, pairs, profile, tables, floor)
         k = int(np.argmax(value))
         i, j = pairs[k]
@@ -1026,7 +1116,11 @@ def _best_pair(params, profile, tables):
         if best is None or value[k] >= best[0]:
             best = (value[k], x_I, x_F, t_I[k], mu_lo, mu_hi)
         if not stage:
-            pair_value = value[k]
+            pair_value = float(value[k])
+            if i == 0 and j == len(x) - 1:
+                pick = _hover_both_pick(params, profile, tables)
+                if pick is not None:
+                    return float(x_I), float(x_F), pick[0], pair_value, pick[1], (0.5, 0.5)
         else:
             reach = offsets[-1] * 0.25 ** stage * (1.0 - 1e-9)
             if recentres < _POLISH_RECENTRES and any(
@@ -1036,7 +1130,7 @@ def _best_pair(params, profile, tables):
                 continue
         stage += 1
     value, x_I, x_F, t_I, mu_lo, mu_hi = map(float, best)
-    return x_I, x_F, t_I, float(pair_value), value, (mu_lo, mu_hi)
+    return x_I, x_F, t_I, pair_value, value, (mu_lo, mu_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -1156,16 +1250,20 @@ def solve_profile(
     Searches the HFH family: the best static hover (`_best_hover`, in
     closed form on [0, D/2]; alpha1 > alpha2 is solved as its mirror),
     then (for V > 0) the best endpoint pair of `pair_tables(params)`,
-    zoomed on local tables.  A polished pair better than the hover by more
-    than `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots`
-    slots, warm-started at the midpoint of the pick's weight bracket, and
-    replaces the hover when that r, too, is better by more than the tie.
+    polished by `_best_pair`: in closed form at weight 1/2 when it hovers
+    above both users with both hovers positive, else zoomed on local
+    tables.  A polished pair better than the hover by more than
+    `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots`
+    slots, warm-started at the midpoint of the pick's weight bracket (1/2
+    in closed form), and replaces the hover when that r, too, is better by
+    more than the tie.
     Otherwise the hover is reported from its `fixed_boundary` point
     (`_hover_solution`), as is a corner profile from the served user's
     position, so a solve makes at most one P5 solve, and only for a
     flight.  Diagnostics report the hover value, the
-    table pick's value, the polished value, the P5 solve count (`p5_calls`)
-    and its weight solves (`weight_solves`).  Raises InvalidParams for
+    table pick's value, the polished value, how the pair was polished
+    (`polish`: "hover_both" in closed form, else "zoom"), the P5 solve
+    count (`p5_calls`) and its weight solves (`weight_solves`).  Raises InvalidParams for
     out-of-range params.
     """
     validate_params(params)
@@ -1187,7 +1285,8 @@ def solve_profile(
         x_I, x_F, t_I, pair_value, polished, bracket = _best_pair(
             params, profile, pair_tables(params)
         )
-        diagnostics.update(pair_value=pair_value, polish_value=polished)
+        diagnostics.update(pair_value=pair_value, polish_value=polished,
+                           polish="hover_both" if bracket[0] == bracket[1] else "zoom")
         tie = _TIE_TOL_REL * max(r_h, 1e-12)
         # Slots only lose rate against the continuous value, so a polished
         # value within the tie of the hover cannot replace it.

@@ -53,7 +53,7 @@ from .core import (
     validate_params,
 )
 from .errors import TimeOutOfRange
-from .hfh_solver import _SQRT3, _SUBCELLS, pair_tables
+from .hfh_solver import _SQRT3, _SUBCELLS, _hover_both_time, pair_tables
 # golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 4).
 from .numerics import golden_max  # noqa: F401
 
@@ -486,16 +486,16 @@ def _hover_both(params, profile, fam, traj) -> _Point:
     the switch trades C1(x_s) against C2(x_s), so an interior optimum
     switches at x = 0.  With S = T - D/V, c = C1(-D/2) and the flight
     integrals F1 of C1 over [-D/2, 0] and F2 of C2 over [0, D/2], the
-    balance there is alpha2 (c t_I + F1/V) = alpha1 (F2/V + c (S - t_I)).
-    r rises in t_I while the switch lies right of x = 0 and falls while it
-    lies left, so the clamped root is the family's maximum.
+    balance there is alpha2 (c t_I + F1/V) = alpha1 (F2/V + c (S - t_I)),
+    the root of `hfh_solver._hover_both_time`, which SC's hover-both pick
+    shares.  r rises in t_I while the switch lies right of x = 0 and falls
+    while it lies left, so the clamped root is the family's maximum.
     """
     cum = CumulativeRates(params, traj)  # every member flies the same flight
     F1, at_zero = cum.flown(0.0)
     F2 = cum._last[1] - at_zero
-    a1, a2, c, V = profile.alpha1, profile.alpha2, cum.rate_I[0], params.V
-    t_I = (a1 * (F2 / V + c * fam.hi) - a2 * F1 / V) / (c * (a1 + a2)) if c > 0.0 else 0.0  # c = 0: r is 0
-    t_I = min(max(t_I, 0.0), fam.hi)
+    t_I = _hover_both_time(profile, cum.rate_I[0], F1, F2, params.V, fam.hi)
+    t_I = 0.0 if t_I is None else min(max(t_I, 0.0), fam.hi)  # None: r is 0
     traj = fam.build(t_I)
     r, t1, pair = _evaluate(params, traj, profile)
     return _Point(r, t_I, traj, t1, pair, 0.0)

@@ -156,6 +156,30 @@ class TestRegionCommand:
             assert point["diagnostics"]["foc_residual"] == 0.0
             assert point["diagnostics"]["case"] == 4
 
+    @pytest.mark.parametrize("h", ["1e-320", "1e160"])
+    def test_unrepresentable_gain_exits_2(self, tmp_path, capsys, h):
+        """An altitude whose gains a double cannot hold exits 2 naming H,
+        with one message line and no output file."""
+        path = tmp_path / "h.cfg"
+        path.write_text(BASE_SCENARIO.replace("h = 100", f"h = {h}"))
+        out = tmp_path / "sc.csv"
+        code = main(["region", "--scenario", str(path), "--profiles", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: H = {float(h)!r} m")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_sc_sidecar_reports_the_polish(self, scenario, tmp_path):
+        """Each flight's sidecar entry says how its pair was polished: the
+        reference scenario's balanced profiles hover above both users and
+        are placed in closed form."""
+        out = tmp_path / "sc.csv"
+        code = main(["region", "--scenario", scenario, "--profiles", "5", "--out", str(out)])
+        assert code == 0
+        points = json.loads(out.with_suffix(".json").read_text())["regions"][0]["points"]
+        assert [p["diagnostics"].get("polish") for p in points] == [None, "zoom", "hover_both", "zoom", None]
+
     def test_missing_scenario_file(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(

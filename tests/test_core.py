@@ -60,15 +60,26 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize(
     "field,value",
-    [("Pbar", math.nan), ("T", 0.0), ("T", math.inf), ("H", 0.0), ("V", -1.0)],
+    [("Pbar", math.nan), ("T", 0.0), ("T", math.inf), ("H", 0.0), ("V", -1.0),
+     ("H", 1e-320), ("H", 1e160), ("D", 1e200)],
 )
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_entry_points_validate_params(base, entry, field, value):
     """Out-of-range params raise InvalidParams naming the field, not a raw
-    numpy error, a zero rate or `DiscretizationInvalid`."""
+    numpy error, a zero rate or `DiscretizationInvalid`: also a positive
+    finite H or D whose square underflows or overflows."""
     with pytest.raises(InvalidParams) as err:
         ENTRY_POINTS[entry](replace(base, **{field: value}), RateProfile.of(0.3))
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_an_underflowing_gain(base, entry):
+    """A far-user gain beta0 / (H^2 + D^2) that underflows to 0 raises
+    InvalidParams naming H, not a RuntimeWarning from 0/0."""
+    with pytest.raises(InvalidParams) as err:
+        ENTRY_POINTS[entry](replace(base, gamma0=1e-300, H=1e20), RateProfile.of(0.3))
+    assert err.value.field == "H"
 
 
 def test_channel_gain_values(base):

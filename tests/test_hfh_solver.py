@@ -413,24 +413,24 @@ class TestSearchExactness:
 
     def test_profile_0_3(self, base):
         sol = solve_profile(base, RateProfile.of(0.3))
-        assert sol.r == 5.27126593213625
-        assert sol.rate_pair.r1 == 1.5813797796408748
-        assert sol.rate_pair.r2 == 3.689886152496764
-        assert sol.mu == 0.4998957974371809
+        assert sol.r == 5.271265932136474
+        assert sol.rate_pair.r1 == 1.5813797796409421
+        assert sol.rate_pair.r2 == 3.689886152496696
+        assert sol.mu == 0.49989579743718937
         t = sol.trajectory
         assert (t.x_I, t.x_F, t.t_I, t.t_F) == (
             -500.0,
             500.0,
-            3.83300536408198,
-            22.833661302584687,
+            3.8330053640819823,
+            22.83366130258468,
         )
 
     def test_profile_0_5(self, base):
         sol = solve_profile(base, RateProfile.of(0.5))
         assert sol.r == 5.271266064564797
-        assert sol.mu == 0.4999005103647709
+        assert sol.mu == 0.4999  # the warm start's lower end balances
         assert sol.trajectory.x_I == -500.0
-        assert sol.trajectory.t_I == 13.333333333333332
+        assert sol.trajectory.t_I == 13.33333333333333
 
     def test_polish_follows_an_optimum_past_its_window(self, base):
         """Here polish stages 2 to 5 used to pick x_I on their window's edge
@@ -948,6 +948,139 @@ class TestPairTablesCache:
             getattr(hfh_solver.pair_tables(base), name)[...] = 0.0
 
 
+class TestGlobalPairsCache:
+    """One read-only set of the global stage's pairs and floor candidates per
+    (D, V T)."""
+
+    def test_equal_to_a_fresh_build(self, base):
+        params = replace(base, T=20.0)  # a reach of 600 m: not every pair fits
+        pairs, candidates = hfh_solver.global_pairs(params)
+        fresh = hfh_solver._reachable_pairs(params, hfh_solver.pair_tables(params).x)
+        assert np.array_equal(pairs, fresh) and len(pairs) < 201 * 202 // 2
+        assert np.array_equal(candidates, hfh_solver._floor_candidates(fresh, hfh_solver._PAIR_NODES))
+
+    def test_shared_across_equal_reach(self, base):
+        first = hfh_solver.global_pairs(replace(base, V=30.0, T=20.0))
+        assert hfh_solver.global_pairs(replace(base, V=20.0, T=30.0, Pbar=1.0)) is first
+        assert hfh_solver.global_pairs(replace(base, V=30.0, T=21.0)) is not first
+
+    def test_read_only(self, base):
+        for a in hfh_solver.global_pairs(base):
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+# The power-axis scan on the reference channel, and a D = 3000 m slice.
+POWER_AXIS = [
+    ({"Pbar": Pbar, "T": T}, alpha1)
+    for Pbar in (1e-5, 1e-4, 1e-3, 1e-2, 1.0)
+    for T in (20.0, 60.0, 200.0, 400.0)
+    for alpha1 in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
+]
+WIDE_SLICE = [
+    ({"Pbar": Pbar, "H": 200.0, "D": 3000.0, "T": T}, alpha1)
+    for Pbar in (1e-5, 1e-2, 10.0)
+    for T in (200.0, 400.0)
+    for alpha1 in (0.05, 0.2, 0.35, 0.5)
+]
+
+
+def _closed_form_cases(base, cases):
+    """(params, profile, _best_pair output) where the pick hovers above both
+    users and is placed in closed form."""
+    for change, alpha1 in cases:
+        params, prof = replace(base, **change), RateProfile.of(alpha1)
+        out = hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
+        if out[5] == (0.5, 0.5):
+            yield params, prof, out
+
+
+class TestHoverBothPick:
+    """A global pick from -D/2 to D/2 with both hovers positive is placed in
+    closed form at weight 1/2, with no polish stage."""
+
+    @pytest.mark.parametrize("cases", [POWER_AXIS, WIDE_SLICE], ids=["power-axis", "D=3000m"])
+    def test_not_below_the_zoom(self, base, cases, monkeypatch):
+        """The closed form against the zoom on the same pick, forced by a
+        closed form that never applies: never lower beyond rounding."""
+        closed = list(_closed_form_cases(base, cases))
+        assert len(closed) >= 10
+        monkeypatch.setattr(hfh_solver, "_hover_both_time", lambda *args: None)
+        for params, prof, (x_I, x_F, t_I, pair_value, polished, _) in closed:
+            zoom = hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
+            assert zoom[5][0] < zoom[5][1]
+            assert zoom[3] == pair_value
+            assert polished >= zoom[4] * (1.0 - 1e-13), (params, prof)
+            assert (x_I, x_F) == (-0.5 * params.D, 0.5 * params.D)
+            assert 0.0 < t_I < params.T - params.D / params.V
+
+    def test_not_below_tdma(self, base):
+        """SC and TDMA place this family alike (at weight 1/2 the split
+        serves the stronger user alone), so the polished value is TDMA's r
+        or above, and its hover time is TDMA's."""
+        closed = list(_closed_form_cases(base, POWER_AXIS))
+        assert len(closed) >= 40
+        for params, prof, (_, _, t_I, _, polished, _) in closed:
+            td = tdma_solve_profile(params, prof)
+            assert polished >= td.r * (1.0 - 1e-12), (params, prof)
+            if td.diagnostics["case"] == 4:
+                assert t_I == pytest.approx(td.trajectory.t_I, rel=1e-9, abs=1e-9 * params.T)
+
+    def test_reported_with_one_p5(self, base):
+        sol = solve_profile(base, RateProfile.of(0.4))
+        assert sol.diagnostics["polish"] == "hover_both"
+        assert sol.diagnostics["p5_calls"] == 1
+        assert (sol.trajectory.x_I, sol.trajectory.x_F) == (-500.0, 500.0)
+        polished = sol.diagnostics["polish_value"]
+        assert polished * (1.0 - 1e-7) <= sol.r <= polished  # the report's slots only lose
+
+
+class TestPolishBuilds:
+    """Where the zoom runs: polish tables are built for every pick but a
+    closed-form one."""
+
+    @staticmethod
+    def _builds(params, prof, monkeypatch):
+        hfh_solver.pair_tables(params)  # the global tables, cached
+        calls = []
+        build = hfh_solver._rate_tables
+        monkeypatch.setattr(hfh_solver, "_rate_tables", lambda *args: calls.append(1) or build(*args))
+        sol = solve_profile(params, prof)
+        monkeypatch.setattr(hfh_solver, "_rate_tables", build)
+        return len(calls), sol
+
+    @pytest.mark.parametrize("k", range(9, 17))
+    def test_none_above_both_users(self, base, k, monkeypatch):
+        """alpha1 = k/32 for k = 9 .. 16 picks -D/2 to D/2 from the global
+        table with both hovers positive.  (At k = 8 the table picks
+        -495 m to D/2, and its zoom reaches -D/2.)"""
+        builds, sol = self._builds(base, RateProfile.of(k / 32), monkeypatch)
+        assert builds == 0
+        assert sol.diagnostics["polish"] == "hover_both"
+
+    @pytest.mark.parametrize("Pbar", [1e-5, 1e-2])
+    def test_no_slack_zooms(self, base, Pbar, monkeypatch):
+        """At T = D/V the pick -D/2 to D/2 is a pure flight, with no hover
+        time to split (the closed form's t_I is 0 up to rounding, of either
+        sign), so the zoom runs."""
+        params = replace(base, Pbar=Pbar, T=base.D / base.V)
+        builds, sol = self._builds(params, RateProfile.of(0.5), monkeypatch)
+        assert builds >= hfh_solver._POLISH_STAGES
+        assert sol.diagnostics["polish"] == "zoom"
+        assert (sol.trajectory.x_I, sol.trajectory.x_F) == (-500.0, 500.0)
+        assert check_feasibility(params, sol, 1e-9).passed
+
+    def test_fly_hover_zooms(self, base, monkeypatch):
+        """alpha1 = 5/32 picks a fly-hover pair, -380.6 m to D/2 with no
+        hover at x_I: the zoom runs its stages."""
+        builds, sol = self._builds(base, RateProfile.of(5 / 32), monkeypatch)
+        assert builds >= hfh_solver._POLISH_STAGES
+        assert sol.diagnostics["polish"] == "zoom"
+        assert sol.trajectory.x_I == pytest.approx(-380.6, abs=0.1)
+        assert sol.trajectory.x_F == 500.0
+        assert sol.trajectory.t_I < 1e-3
+
+
 # Polish-stage windows (x_I, x_F, stage) for the cell cache: far apart, at
 # the corners, one straddling x = 0, two overlapping, stage-4 spacing off
 # the sub-cell grid, and global-grid spacing (every segment a whole cell);
@@ -1185,7 +1318,7 @@ class TestFlooredRanking:
         pruned = 0
         for params, prof, tables, pairs in _floor_cases(base, channel):
             plain = hfh_solver._batched_profile_values(params, pairs, prof, tables)
-            floor = hfh_solver._rank_floor(params, pairs, prof, tables)
+            floor = hfh_solver._rank_floor(params, hfh_solver.global_pairs(params)[1], prof, tables)
             assert floor <= plain[0].max()
             floored = hfh_solver._batched_profile_values(params, pairs, prof, tables, floor)
             _assert_same_pick(plain, floored)

@@ -397,10 +397,11 @@ class TestFirstOrderConditions:
                 f = _flight_residual(params, traj, sol.t1)
                 assert sol.diagnostics["foc_residual"] == pytest.approx(abs(f), rel=1e-6, abs=1e-15)
 
-    @pytest.mark.parametrize("H, Pbar, V", [(1e160, 1e-2, 0.0), (100.0, 1e-300, 0.0), (100.0, 1e-300, 30.0)])
+    @pytest.mark.parametrize("H, Pbar, V", [(1e150, 1e-2, 0.0), (100.0, 1e-300, 0.0), (100.0, 1e-300, 30.0)])
     def test_underflowing_rates(self, base, H, Pbar, V):
-        """Gains that underflow to 0 (H = 1e160 m), or rates whose products
-        do (Pbar = 1e-300 W): the residuals are formed from rate ratios, and
+        """Rates of ~1e-294 bps/Hz (H = 1e150 m; at 1e160 m H^2 overflows,
+        which `validate_params` rejects) or rates whose products underflow
+        (Pbar = 1e-300 W): the residuals are formed from rate ratios, and
         the winner is at least the best grid member."""
         params = replace(base, H=H, Pbar=Pbar, V=V)
         prof = RateProfile.of(0.1)
