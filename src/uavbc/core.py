@@ -83,9 +83,13 @@ def validate_params(params: SystemParams) -> SystemParams:
     """Check positivity of all physical quantities, return the params.
 
     Raises InvalidParams naming the offending field.  V may be zero; all
-    other quantities must be strictly positive and finite.  The gains must
-    be representable: D^2 finite (else "D"), H^2 neither 0 nor infinite
-    and the far user's gain beta0 / (H^2 + D^2) above 0 (else "H").
+    other quantities must be strictly positive and finite.  The gains and
+    the closed-form flight integrals must be representable: beta0 =
+    gamma0 / sigma2 finite (else "gamma0"), D^2 finite (else "D"), H^2
+    neither 0 nor infinite, the far user's gain beta0 / (H^2 + D^2) above 0
+    and the squared peak gain (beta0 / H^2)^2 finite (else "H"), and the
+    peak SNR Pbar beta0 / H^2 and H^2 + D^2 + Pbar beta0 finite (else
+    "Pbar").
     """
     strict = ("gamma0", "sigma2", "H", "D", "Pbar", "T")
     for name in strict:
@@ -94,11 +98,18 @@ def validate_params(params: SystemParams) -> SystemParams:
             raise InvalidParams(name)
     if not math.isfinite(params.V) or params.V < 0.0:
         raise InvalidParams("V")
+    beta0 = params.beta0
+    if not math.isfinite(beta0):
+        raise InvalidParams("gamma0", f"gamma0 / sigma2 = {beta0!r}: the reference gain overflows")
     H2, D2 = params.H * params.H, params.D * params.D
     if D2 == math.inf:
         raise InvalidParams("D", f"D = {params.D!r} m: D^2 overflows")
-    if H2 == 0.0 or H2 == math.inf or params.beta0 / (H2 + D2) == 0.0:
+    if (H2 == 0.0 or H2 == math.inf or beta0 / (H2 + D2) == 0.0
+            or not math.isfinite((beta0 / H2) * (beta0 / H2))):
         raise InvalidParams("H", f"H = {params.H!r} m: the channel gains do not fit in a double")
+    Pb = params.Pbar * beta0
+    if not math.isfinite(Pb / H2 + H2 + D2 + Pb):
+        raise InvalidParams("Pbar", f"Pbar = {params.Pbar!r} W: the received powers do not fit in a double")
     return params
 
 

@@ -17,7 +17,11 @@ a blend across the bracket.  Per-weight tables of hover rates, weighted
 hover rates and cumulative flight integrals (`pair_tables`; they depend on
 the channel only, not on T, V or the profile, so they are cached per
 channel and read-only) give every pair's value in a few vectorized passes
-of flat gathers.  The global ranking is floored by the best value of a few
+of flat gathers.  The flight integrals are in closed form: between the
+weight's regime changes (`_regime_cuts`) each user's rate is a sum of
+logarithms of |x| and of quadratics in x (`_piece_integrals`), and the
+full-power antiderivative (`_full_power_antiderivative`) also serves
+TDMA.  The global ranking is floored by the best value of a few
 structural candidates (`_rank_floor`: an end at a user, a static hover, a
 longest flight).  By weak duality each weight row the bisection visits
 bounds a pair's value by its weighted rate, and a pair whose bound falls
@@ -29,10 +33,8 @@ bit, from ~20% of the gathers; the pairs and the candidates are cached per
 weight is 1/2, where SC serves the stronger user alone as TDMA does, and
 the hover time is the root TDMA's hover-both family shares
 (`_hover_both_pick`, `_hover_both_time`).  Any other best pair is zoomed
-on local tables (the flight's whole grid cells that give one user all
-power at every weight summed from a per-channel cell cache,
-`grid_cells`, every other sub-cell integrated per weight), ranked
-unfloored, and the best pick of the zoom is reported.  The static hovers
+on local tables, built like the global ones, ranked unfloored, and the
+best pick of the zoom is reported.  The static hovers
 (x_I == x_F) are placed in closed form (`_best_hover`, also behind
 `asymptotic.solve_v0`): the mirror fold leaves alpha1 <= alpha2, the
 paper's static hover then lies on [0, D/2], nearer user 2, and there it
@@ -74,7 +76,7 @@ from .core import (
 )
 from .errors import DiscretizationInvalid, InvalidParams
 from .fixed_region import fixed_boundary
-# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 4).
+# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 1).
 from .numerics import bisect_increasing, golden_max  # noqa: F401
 
 _SQRT3 = math.sqrt(3.0)
@@ -583,21 +585,125 @@ def solve_p5(
 
 
 # ---------------------------------------------------------------------------
+# flight integrals in closed form
+# ---------------------------------------------------------------------------
+
+
+def _full_power_antiderivative(params, x):
+    """(Phi1(x), Phi2(x)): antiderivatives in x of the full-power rates
+    ln(1 + Pbar h_k(x)), in nats times meters; x is a float or an array.
+
+    With y = x - x_k and A = sqrt(H^2 + Pbar beta0) the rate is
+    ln(y^2 + A^2) - ln(y^2 + H^2), whose antiderivative is
+    y ln1p(Pbar beta0 / (H^2 + y^2)) + 2 (A atan(y/A) - H atan(y/H)).  The
+    bracket is formed without cancellation, as
+    (A - H) atan(y/A) + H atan(y (H - A) / (H A + y^2)), with
+    A - H = Pbar beta0 / (A + H).  `validate_params` keeps every term
+    finite."""
+    H, Pb = params.H, params.Pbar * params.beta0
+    A = math.sqrt(H * H + Pb)
+    AmH, HA = Pb / (A + H), H * A
+    out = []
+    for user in (1, 2):
+        y = x - params.user_position(user)
+        y2 = y * y
+        out.append(y * np.log1p(Pb / (H * H + y2))
+                   + 2.0 * (AmH * np.arctan(y / A) - H * np.arctan(y * AmH / (HA + y2))))
+    return out
+
+
+def _log_quadratic_integral(c, ya, w):
+    """The integral of ln(c^2 + y^2) over [ya, ya + w], c > 0: the
+    difference of y ln(c^2 + y^2) - 2 y + 2 c atan(y/c) between the ends,
+    written relative to the piece (ya ln1p(w (ya + yb) / (c^2 + ya^2)) +
+    w ln(c^2 + yb^2), yb = ya + w, and one atan2), so that no term outgrows
+    w times a logarithm.  The width is passed, not yb: ya rounds where the
+    piece's ends are shifted to a user, and the rounding must not change
+    the width."""
+    yb = ya + w
+    c2 = c * c
+    return (ya * np.log1p(w * (ya + yb) / (c2 + ya * ya)) + w * (np.log(c2 + yb * yb) - 2.0)
+            + 2.0 * c * np.arctan2(c * w, c2 + ya * yb))
+
+
+def _interior_integrals(params, a, b, mu, strong2):
+    """The integrals of (r1, r2) in nats times meters over pieces [a, b],
+    a < b on one side of x = 0, where the split at weight mu is interior
+    (never next to x = 0: there the gains tie, and one user has all
+    power).
+
+    There p* = (muw hw - mus hs) / (hs hw (mus - muw)) gives, with
+    d_k = H^2 + (x - x_k)^2 and dw - ds = 2 D |x|,
+        r_s = ln(mus / (muw - mus)) + ln(2 D |x|) - ln ds,
+        r_w = ln(dw + Pbar beta0) - ln(2 D |x|) - ln(muw / (muw - mus)).
+    """
+    half = 0.5 * params.D
+    nu = 1.0 - mu
+    mus, muw = np.where(strong2, nu, mu), np.where(strong2, mu, nu)
+    gap = np.where(strong2, mu - nu, nu - mu)
+    w = b - a
+    p, q = np.minimum(abs(a), abs(b)), np.maximum(abs(a), abs(b))  # |x| on the piece
+    log_x = w * (math.log(2.0 * params.D) + np.log(q) - 1.0) + p * np.log1p(w / p)
+    x_s = np.where(strong2, half, -half)
+    A = math.sqrt(params.H * params.H + params.Pbar * params.beta0)
+    r_s = w * np.log(mus / gap) + log_x - _log_quadratic_integral(params.H, a - x_s, w)
+    r_w = _log_quadratic_integral(A, a + x_s, w) - log_x - w * np.log(muw / gap)
+    return np.where(strong2, r_w, r_s), np.where(strong2, r_s, r_w)
+
+
+def _regime_cuts(params, mu):
+    """Per weight of the array mu (last axis): x = 0, where the strong user
+    flips, and where `_strong_power`'s tests d0 and dP change sign, the
+    roots in x of (1 - mu)(d1 + c) = mu (d2 + c) for c = 0 and
+    c = Pbar beta0.  One equation serves both sides of x = 0, as the strong
+    and weak weights swap with the users.  It reads
+    a x^2 + D x + a (D^2/4 + H^2 + c) = 0, a = 1 - 2 mu, whose roots'
+    product is above D^2/4, so only its smaller root, taken by the stable
+    formula, can lie inside (-D/2, D/2); 0 stands in for no real root."""
+    half, H2 = 0.5 * params.D, params.H * params.H
+    a = (1.0 - mu) - mu
+    out = [np.zeros_like(mu)]
+    for c in (0.0, params.Pbar * params.beta0):
+        k = half * half + H2 + c
+        disc = half * half - a * a * k
+        root = a * k / (-half - np.sqrt(np.maximum(disc, 0.0)))
+        out.append(np.where(disc >= 0.0, root, 0.0))
+    return np.stack(out, axis=-1)
+
+
+def _piece_integrals(params, edges, mu):
+    """The integrals of (r1, r2) in nats times meters over the pieces
+    between consecutive `edges` (last axis, sorted, cut at every
+    `_regime_cuts` of the weights mu, which broadcast against the pieces).
+    Each piece lies in one regime, read from `_strong_power` at its
+    midpoint: a user with all power integrates `_full_power_antiderivative`,
+    the other none, and an interior split `_interior_integrals`."""
+    Pbar = params.Pbar
+    a, b = edges[..., :-1], edges[..., 1:]
+    frame = _split_frame(*gain_pair(params, 0.5 * (a + b)), Pbar)
+    ps = _strong_power(frame, mu, Pbar)
+    strong2 = frame[0]
+    phi = _full_power_antiderivative(params, edges)
+    f1 = np.where(np.where(strong2, ps <= 0.0, ps >= Pbar), phi[0][..., 1:] - phi[0][..., :-1], 0.0)
+    f2 = np.where(np.where(strong2, ps >= Pbar, ps <= 0.0), phi[1][..., 1:] - phi[1][..., :-1], 0.0)
+    inner = np.nonzero((ps > 0.0) & (ps < Pbar) & (a < b))
+    if inner[0].size:
+        f1[inner], f2[inner] = _interior_integrals(
+            params, a[inner], b[inner], np.broadcast_to(mu, ps.shape)[inner], strong2[inner])
+    return f1, f2
+
+
+# ---------------------------------------------------------------------------
 # endpoint-pair tables
 # ---------------------------------------------------------------------------
 
 
-# Position nodes (odd, so x = 0 is a node) and weights mu of the pair tables,
-# Gauss sub-cells per node cell, and weight rows per build chunk (bounds the
-# build's temporaries: per-row sub-cells up to _TABLE_CHUNK rows of a table
-# spanning D).  The polish zooms in _POLISH_STAGES stages, each on
-# _POLISH_SIDE positions around either endpoint at a quarter of the previous
-# spacing and _POLISH_WEIGHTS weights across the widened bracket.
+# Position nodes (odd, so x = 0 is a node) and weights mu of the pair tables.
+# The polish zooms in _POLISH_STAGES stages, each on _POLISH_SIDE positions
+# around either endpoint at a quarter of the previous spacing and
+# _POLISH_WEIGHTS weights across the widened bracket.
 _PAIR_NODES = 201
 _PAIR_WEIGHTS = 129
-_SUBCELLS = 16
-_TABLE_CHUNK = 8
-_CHUNK_CELLS = _TABLE_CHUNK * (_PAIR_NODES - 1) * _SUBCELLS
 _POLISH_SIDE = 9
 _POLISH_WEIGHTS = 17
 _POLISH_STAGES = 5
@@ -618,12 +724,8 @@ class PairTables:
     g = mu*h1 + (1 - mu)*h2.  mu runs from 0 to 1: the first row gives all
     power to user 2 and the last all to user 1, so they hold the full-power
     rates (and c1 = 0 on the first row, c2 = 0 on the last).  `_rate_tables`
-    builds them on segments cut at every x and at every node of the global
-    grid (`_cell_grid`) between them: whole cells plain over the inner
-    weights take the channel's cached sums (`grid_cells`), every other
-    sub-cell is integrated per row, and sub-cells are summed in groups of
-    _SUBCELLS before they are cumulated.  They depend on (beta0, H, D, Pbar)
-    only; `pair_tables` caches one read-only set per channel."""
+    integrates the flight in closed form.  They depend on (beta0, H, D,
+    Pbar) only; `pair_tables` caches one read-only set per channel."""
 
     x: np.ndarray
     mu: np.ndarray
@@ -634,197 +736,29 @@ class PairTables:
     g: np.ndarray
 
 
-@dataclass(frozen=True)
-class GridCells:
-    """What every table build reads of the global grid's cells, per channel.
-
-    `grid` holds the global table's positions with x = 0; cell c spans
-    [grid[c], grid[c + 1]].  `sums` holds each cell's `_group_sums` of its
-    sub-cells' `_full_power_integrals` (users by cells), as the global
-    build sums them.  `below` and `above` bound each cell's plain runs:
-    at every weight up to `below[c]` each of its Gauss nodes gives all
-    power to user 2 by `_tested_regime`, and from `above[c]` on all to
-    user 1."""
-
-    grid: np.ndarray
-    sums: np.ndarray
-    below: np.ndarray
-    above: np.ndarray
-
-
-def _gauss_nodes(params, a, b):
-    """Half-widths of the sub-cells [a, b] and the split frame at their two
-    Gauss nodes (last axis)."""
-    half = 0.5 * (b - a)
-    x = (a + half)[..., None] + (half / _SQRT3)[..., None] * np.array([-1.0, 1.0])
-    return half, _split_frame(*gain_pair(params, x), params.Pbar)
-
-
-def _gauss_integrals(half, frame, ps, Pbar):
-    """2-point Gauss integrals of the per-position rates (r1, r2), in nats
-    times meters, over the sub-cells of `_gauss_nodes` at strong-user
-    powers ps (one per node)."""
-    r1, r2 = _sc_rates(*frame[:3], ps, Pbar - ps)
-    return half * (r1[..., 0] + r1[..., 1]), half * (r2[..., 0] + r2[..., 1])
-
-
-def _regime(ps, Pbar, strong2):
-    """The split's regime per user at strong-user power ps: 0 all power to
-    user 2, 1 interior, 2 all to user 1.  Coded per user, not per strong
-    user, so the power's jump from user 1 to user 2 at x = 0 is a step."""
-    code = (ps > 0.0).astype(np.int8) + (ps >= Pbar)
-    return np.where(strong2, 2 - code, code)
-
-
-def _tested_regime(frame, mu):
-    """`_regime` where `_strong_power`'s tests decide a corner, and 1
-    elsewhere: the interior, or a corner that only the clamp of p* reaches.
-    The tests are monotone in mu, also after rounding, so `_channel_cells`
-    bounds the cells' plain runs with it."""
-    d0, dP = _split_tests(frame, mu)
-    up = d0 > 0.0
-    code = up.astype(np.int8) + (up & (dP >= 0.0))
-    return np.where(frame[0], 2 - code, code)
-
-
-def _kinks(regime, adjacent):
-    """Sub-cells (rows by sub-cells) whose two nodes, or whose node and its
-    neighbour's, disagree on the regime; `adjacent` says which consecutive
-    columns are neighbours."""
-    step = (regime[:, :-1, 1] != regime[:, 1:, 0]) & adjacent
-    kink = regime[..., 0] != regime[..., 1]
-    kink[:, :-1] |= step
-    kink[:, 1:] |= step
-    return kink
-
-
-def _group_sums(f):
-    """Sums over the last axis, of length _SUBCELLS, added pairwise: element
-    2i to 2i + 1, then the same on the halved axis, until one is left.  The
-    order does not depend on the array's layout."""
-    while f.shape[-1] > 1:
-        f = f[..., ::2] + f[..., 1::2]
-    return f[..., 0]
-
-
-def _full_power_integrals(half, frame, Pbar):
-    """2-point Gauss integrals of log1p(Pbar*h1) and log1p(Pbar*h2) over the
-    sub-cells of `_gauss_nodes`: `_sc_rates`' r1 where user 1 has all power,
-    and r2 where user 2 has, to the last bit."""
-    strong2, hs, hw = frame[:3]
-    l_strong, l_weak = np.log1p(Pbar * hs), np.log1p(Pbar * hw)
-    l1, l2 = np.where(strong2, l_weak, l_strong), np.where(strong2, l_strong, l_weak)
-    return half * (l1[..., 0] + l1[..., 1]), half * (l2[..., 0] + l2[..., 1])
-
-
-def _pieces(params, a, b):
-    """`_gauss_nodes` of the sub-cells [a, b], each cut into _SUBCELLS
-    equal pieces (the second axis)."""
-    piece = (b - a)[:, None] / _SUBCELLS
-    a = a[:, None] + piece * np.arange(_SUBCELLS)
-    return _gauss_nodes(params, a, a + piece)
-
-
-def _cell_grid(D):
-    """The global table's positions over [-D/2, D/2], with x = 0."""
-    half = 0.5 * D
-    return np.union1d(np.linspace(-half, half, _PAIR_NODES), [0.0])
-
-
-def _subcells(lo, hi, D):
-    """The sub-cells of the segments [lo, hi], at most
-    D / ((_PAIR_NODES - 1) * _SUBCELLS) wide and equal within a segment:
-    (segment, index in it, left edge, right edge) of each, in order."""
-    gaps = hi - lo
-    n_sub = np.ceil(gaps / D * (_PAIR_NODES - 1) * _SUBCELLS - 1e-9).clip(1).astype(int)
-    ends = np.cumsum(n_sub)
-    j = np.repeat(np.arange(len(n_sub)), n_sub)
-    k = np.arange(ends[-1] if len(ends) else 0) - (ends - n_sub)[j]
-    piece = (gaps / n_sub)[j]
-    left = lo[j] + piece * k
-    return j, k, left, np.where(k + 1 < n_sub[j], lo[j] + piece * (k + 1), hi[j])
-
-
 def _rate_tables(params, x, mu) -> PairTables:
     """PairTables at sorted positions x and sorted weights mu, mu[0] = 0 and
-    mu[-1] = 1, on the channel's `grid_cells`.
+    mu[-1] = 1.
 
-    Flight integrals use 2-point Gauss on sub-cells at most
-    D / ((_PAIR_NODES - 1) * _SUBCELLS) wide, cut at every x, at x = 0 (the
-    rates jump there) and at every node of the global grid between them, so
-    the flight between two windows of positions runs over whole global
-    cells.  A sub-cell whose Gauss nodes, or whose node and its touching
-    neighbour's, disagree on the split's regime holds a kink and is
-    integrated on _SUBCELLS pieces instead.  Each segment between cuts lies
-    in one cell, so its at most _SUBCELLS sub-cells make one zero-padded
-    group, summed by `_group_sums`, and the tables cumulate the group sums.
-
-    A segment that is a whole global cell whose plain run (`GridCells`)
-    holds the inner weights mu[1] .. mu[-2], between two such cells (or the
-    table's end) of the same run, takes the cell's cached group sums for
-    every row and no sub-cell pass.  At those weights every node of the
-    cell and of its neighbours gives all power to the run's user, and
-    where the split does so at both nodes the per-row integrals are that
-    user's full-power ones to the last bit (zero for the other user): with
-    no kink in the cell, the per-row build's sums.  Every other (open)
-    sub-cell is integrated on every inner row.  The mu = 0 and 1 rows are
-    one full-power pass: every node gives all power to user 2, or to user
-    1, so the rows hold no kink.
-    Chunks of rows bound the temporaries: at most _CHUNK_CELLS per-row
-    sub-cell slots, and 4 * _TABLE_CHUNK rows.
+    Each row's flight from x[0] is cut at every x and at the row's
+    `_regime_cuts` within [x[0], x[-1]]; on each piece every user's rate is
+    a sum of logarithms of |x| and of quadratics in x, integrated in closed
+    form by `_piece_integrals`, and the pieces are cumulated.  A cut that
+    coincides with a position, or lies outside the table, adds a piece of
+    width 0, which integrates to 0.
     """
-    Pbar = params.Pbar
-    cells = grid_cells(params)
-    grid = cells.grid
-    inside = grid[np.searchsorted(grid, x[0], "right"):np.searchsorted(grid, x[-1])]
-    cuts = np.union1d(x, inside)
-    n_seg = len(cuts) - 1
-    n = len(mu)
-    # Rows of group sums after a zero column, cumulated at the end; every
-    # segment lies in one cell, so it is one group.
-    sums = np.zeros((2, n, n_seg + 1))
-    # The whole cells summed from the cache, to user 1 where `up`.
-    cell = np.minimum(np.searchsorted(grid, cuts[:-1]), len(grid) - 2)
-    whole = (grid[cell] == cuts[:-1]) & (grid[cell + 1] == cuts[1:])
-    runs = whole & np.array([mu[-2] <= cells.below[cell], mu[1] >= cells.above[cell]])
-    both = runs.copy()  # with both neighbours (where there is one) in the run
-    both[:, 1:] &= runs[:, :-1]
-    both[:, :-1] &= runs[:, 1:]
-    low, up = both
-    kept = low | up
-    at, g = 1 + np.flatnonzero(kept), cells.sums[:, cell[kept]]
-    sums[0, -1, at], sums[1, 0, at] = g
-    sums[:, 1:-1, at] = (g * np.array([up[kept], ~up[kept]]))[:, None]
-    # The sub-cells of the other (open) segments, their slots in the open
-    # segments' zero-padded groups, and which consecutive ones touch.
-    open_ = np.flatnonzero(~kept)
-    n_open = len(open_)
-    j, k, left, right = _subcells(cuts[open_], cuts[open_ + 1], params.D)
-    slot = j * _SUBCELLS + k
-    adj = open_[j[1:]] - open_[j[:-1]] <= 1
-    half, frame = _gauss_nodes(params, left, right)
-    full = np.zeros((2, n_open * _SUBCELLS))
-    full[:, slot] = _full_power_integrals(half, frame, Pbar)
-    sums[0, -1, 1 + open_], sums[1, 0, 1 + open_] = _group_sums(full.reshape(2, n_open, _SUBCELLS))
-    node_frame = _split_frame(*gain_pair(params, x), Pbar)
-    nps = _strong_power(node_frame, mu[:, None], Pbar)
-    out = np.empty((4, n, len(x)))
-    out[0], out[1] = _sc_rates(*node_frame[:3], nps, Pbar - nps)
-
-    step = min(4 * _TABLE_CHUNK, max(1, _CHUNK_CELLS // max(full.shape[1], 1)))
-    for s in range(1, n - 1, step):
-        rows = slice(s, min(s + step, n - 1))
-        m = mu[rows, None]
-        ps = _strong_power(frame, m[..., None], Pbar)
-        f = np.zeros((2, len(m), n_open * _SUBCELLS))
-        f[0][:, slot], f[1][:, slot] = _gauss_integrals(half, frame, ps, Pbar)
-        r, c = np.nonzero(_kinks(_regime(ps, Pbar, frame[0]), adj))
-        if r.size:
-            k_half, k_frame = _pieces(params, left[c], right[c])
-            k1, k2 = _gauss_integrals(k_half, k_frame, _strong_power(k_frame, m[r, :, None], Pbar), Pbar)
-            f[0][r, slot[c]], f[1][r, slot[c]] = k1.sum(-1), k2.sum(-1)
-        sums[:, rows, 1 + open_] = _group_sums(f.reshape(2, len(m), n_open, _SUBCELLS))
-    out[2:] = np.cumsum(sums, axis=-1)[..., np.searchsorted(cuts, x)]
+    Pbar, n = params.Pbar, len(x)
+    frame = _split_frame(*gain_pair(params, x), Pbar)
+    ps = _strong_power(frame, mu[:, None], Pbar)
+    out = np.empty((4, len(mu), n))
+    out[0], out[1] = _sc_rates(*frame[:3], ps, Pbar - ps)
+    cuts = np.clip(_regime_cuts(params, mu), x[0], x[-1])
+    edges = np.sort(np.concatenate([np.broadcast_to(x, (len(mu), n)), cuts], axis=1), axis=1)
+    f = np.zeros((2, len(mu), edges.shape[1]))
+    f[:, :, 1:] = _piece_integrals(params, edges, mu[:, None])
+    # x[i] sits after i positions and the cuts below it.
+    at = np.arange(n) + np.sum(cuts[:, None, :] < x[:, None], axis=-1)
+    out[2:] = np.take_along_axis(np.cumsum(f, axis=-1), np.broadcast_to(at, (2, *at.shape)), axis=-1)
     h1, h2, c1, c2 = out / LOG2
     w = mu[:, None]
     return PairTables(x, mu, h1, h2, c1, c2, w * h1 + (1.0 - w) * h2)
@@ -837,18 +771,9 @@ def pair_tables(params: SystemParams) -> PairTables:
     return _channel_tables(params.beta0, params.H, params.D, params.Pbar)
 
 
-def grid_cells(params: SystemParams) -> GridCells:
-    """The channel's `GridCells`, which every table build of the search
-    reads.  Built once per channel (beta0, H, D, Pbar) and shared: the
-    arrays are read-only."""
-    return _channel_cells(params.beta0, params.H, params.D, params.Pbar)
-
-
 @functools.lru_cache(maxsize=8)
 def _channel_tables(beta0, H, D, Pbar) -> PairTables:
-    """The global tables (1,039,800 bytes per channel), built on the
-    channel's `GridCells`: segments are the global cells, and those plain
-    over all 127 inner weights take their cached sums."""
+    """The global tables (1,039,800 bytes per channel)."""
     # The build reads no V or T, so any placeholder values serve.
     params = SystemParams(beta0, 1.0, H, D, Pbar, V=0.0, T=1.0)
     half = 0.5 * D
@@ -857,40 +782,6 @@ def _channel_tables(beta0, H, D, Pbar) -> PairTables:
     for a in vars(tables).values():
         a.flags.writeable = False
     return tables
-
-
-@functools.lru_cache(maxsize=8)
-def _channel_cells(beta0, H, D, Pbar) -> GridCells:
-    """The global grid's `GridCells` (8,008 bytes per channel), from the
-    sub-cells the global build integrates; built on the first table build,
-    not at import."""
-    params = SystemParams(beta0, 1.0, H, D, Pbar, V=0.0, T=1.0)
-    grid = _cell_grid(D)
-    cell, k, left, right = _subcells(grid[:-1], grid[1:], D)
-    half, frame = _gauss_nodes(params, left, right)
-    full = np.zeros((2, len(grid) - 1, _SUBCELLS))
-    full[:, cell, k] = _full_power_integrals(half, frame, Pbar)
-    # Per node, the last weight with all power to user 2 and the first with
-    # all to user 1: the roots of `_strong_power`'s tests (dP then d0 where
-    # user 2 is strong, d0 then dP where user 1 is), each moved toward 0 or
-    # 1 until the tests, monotone in mu, confirm it, else 0 or 1, where
-    # they always hold.
-    strong2, hs, hw, cw, cs, _ = frame
-    top, bottom = hs * cw, hw * cs
-    bounds = np.array([np.where(strong2, top / (top + bottom), hw / (hs + hw)),
-                       np.where(strong2, hs / (hs + hw), bottom / (top + bottom))])
-    want = np.array([0, 2])[:, None, None]
-    ends = np.array([0.0, 1.0])[:, None, None]
-    for i in range(8):
-        miss = _tested_regime(frame, bounds) != want
-        bounds = np.where(miss, np.clip(bounds + (2.0 * ends - 1.0) * 2.0 ** (i - 50), 0.0, 1.0), bounds)
-    to_user2, to_user1 = np.where(_tested_regime(frame, bounds) == want, bounds, ends)
-    first = np.flatnonzero(k == 0)
-    cells = GridCells(grid, _group_sums(full), np.minimum.reduceat(to_user2.min(axis=1), first),
-                      np.maximum.reduceat(to_user1.max(axis=1), first))
-    for a in vars(cells).values():
-        a.flags.writeable = False
-    return cells
 
 
 def _pair_primal(params, tables, slack, m, i, j):

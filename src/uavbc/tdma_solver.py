@@ -3,22 +3,22 @@
 One user is served at a time with full power: user 1 on [0, t1], user 2 on
 (t1, T].  Along a unidirectional left-to-right trajectory the optimal switch
 time t1 is the unique root of a monotone rate-ratio balance.
-`CumulativeRates` serves a trajectory's cumulative full-power rates from the
-cached pair tables of `hfh_solver`, whose mu = 1 and mu = 0 rows are exactly
-the single-user rates and their position integrals, and `solve_t1` returns
-the exact root: closed form while hovering, Newton's method within one table
-cell while flying.  The trajectory family itself is small: the UAV either
-flies the whole time, or hovers only above a user (never at interior
-points).  That leaves the one-parameter families of `_families` (pure
-flight, hover above user 1 then fly, fly then hover above user 2, hover
-above both; with V = 0, or a reach V*T the positions do not resolve, the
-fixed hovers), each searched on a grid.
-`_screen` values the whole grid at once from its own cumulative-rate table
-over position; only the candidates near its best are scored by the
-per-trajectory `_evaluate`, in grid order, so the first exact maximum wins
-as if all were scored.  The screen picks the basin (the pure flight can
-have several local maxima at high SNR); the winner is then placed by the
-first-order conditions: hovering above both users in closed form (the
+`CumulativeRates` serves a trajectory's cumulative full-power rates in
+closed form, from the antiderivative of the full-power rate that the SC
+tables integrate with (`hfh_solver._full_power_antiderivative`), and
+`solve_t1` returns the exact root: closed form while hovering, a safeguarded
+Newton iteration on the closed-form integral while flying.  The trajectory
+family itself is small: the UAV either flies the whole time, or hovers only
+above a user (never at interior points).  That leaves the one-parameter
+families of `_families` (pure flight, hover above user 1 then fly, fly then
+hover above user 2, hover above both; with V = 0, or a reach V*T the
+positions do not resolve, the fixed hovers), each searched on a grid.
+`_screen` values the whole grid at once from the same antiderivative,
+bisecting every t1 together; only the candidates near its best are scored
+by the per-trajectory `_evaluate`, in grid order, so the first exact maximum
+wins as if all were scored.  The screen picks the basin (the pure flight
+can have several local maxima at high SNR); the winner is then placed by
+the first-order conditions: hovering above both users in closed form (the
 switch at x = 0, `_hover_both`), every other family by a root of its
 residual `foc` within a grid step (`_foc_root`).  The reported rates are
 the search's own: `CumulativeRates.pair_at` at the winner's switch time.
@@ -53,27 +53,17 @@ from .core import (
     validate_params,
 )
 from .errors import TimeOutOfRange
-from .hfh_solver import _SQRT3, _SUBCELLS, _hover_both_time, pair_tables
-# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 4).
+from .hfh_solver import _full_power_antiderivative, _hover_both_time
+# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 1).
 from .numerics import golden_max  # noqa: F401
 
-# `_screen`'s trapezoid nodes over [-D/2, D/2] and its t1 bisection tolerance
-# (relative to T).
-_CUM_SAMPLES = 8193
+# `_screen`'s t1 bisection tolerance (relative to T).
 _T1_REL_TOL = 1e-9
 
-# Newton steps of `solve_t1` in a flight cell, and the step (relative to the
-# cell) after which the next would change nothing: convergence is quadratic.
+# Newton steps of `solve_t1` over a flight, and the step (relative to D)
+# after which the next would change nothing: convergence is quadratic.
 _NEWTON_ITERS = 60
-_NEWTON_XTOL = 1e-8
-
-# `_flight_integrals`' nodes along an interval, as unit offsets: the 2-point
-# Gauss nodes of _SUBCELLS equal sub-cells, then the right end; and their
-# weights per unit width, nats to bits included (the right end's is 0).
-_GAUSS_AT = np.append(
-    ((np.arange(_SUBCELLS)[:, None] + 0.5 + np.array([-0.5, 0.5]) / _SQRT3) / _SUBCELLS).ravel(), 1.0
-)
-_GAUSS_WEIGHTS = np.append(np.full(2 * _SUBCELLS, 0.5 / (_SUBCELLS * LOG2)), 0.0)
+_NEWTON_XTOL = 5e-11
 
 # Grid candidates whose `_screen` value is within this (relative) of the
 # best screen value are scored exactly by `_evaluate`.  The exact winner is
@@ -119,14 +109,8 @@ class CumulativeRates:
 
     R_k(t) = integral over [0, t] of log2(1 + Pbar h_k(x(s))) ds.  Hover
     segments are linear in t.  A flight leg's rate-time is the position
-    integral of the rate over V, read from the cached pair tables: their
-    mu = 1 row (user 1) and mu = 0 row (user 2) hold exactly these full-power
-    rates and their cumulative integrals at the table nodes.  The flight's
-    breakpoints are x_I, the nodes strictly inside (x_I, x_F) and x_F, at
-    most one table cell apart; the integral from x_I to a breakpoint is a
-    difference of table entries plus the partial cell at x_I, and to any
-    other position adds the partial cell from the breakpoint before it.
-    Partial cells go through `_flight_integrals`, the tables' own rule.
+    integral of the rate over V, in closed form: the difference of
+    `hfh_solver._full_power_antiderivative` between x_I and the position.
     `total` is (R_1(T), R_2(T)).
     """
 
@@ -139,33 +123,8 @@ class CumulativeRates:
         self.rate_F = _full_rates(params, traj.x_F)
         self.flight = self.fly_end - self.fly_start > 1e-12 * params.T and params.V > 0.0
         if self.flight:
-            tables = pair_tables(params)
-            x = tables.x
-            a = int(np.searchsorted(x, traj.x_I, side="right"))
-            b = int(np.searchsorted(x, traj.x_F))  # x[a:b] lie strictly inside (x_I, x_F)
-            c = (tables.c1[-1], tables.c2[0])
-            if b > a:
-                # Both end cells in one call: [x_I, x[a]] and [x[b - 1], x_F].
-                lo, hi = np.array([traj.x_I, x[b - 1]]), np.array([x[a], traj.x_F])
-                ends = _flight_integrals(params, lo, hi)[0]
-                first = tuple(ends[:, 0].tolist())
-                last = [f + float(ck[b - 1] - ck[a]) + e for f, ck, e in zip(first, c, ends[:, 1].tolist())]
-            else:
-                first = tuple(_flight_integrals(params, traj.x_I, traj.x_F)[0].tolist())
-                last = first
-            self._x, self._c, self._a, self._b = x, c, a, b
-            self._first, self._last = first, tuple(last)
+            self._phi_I = [float(p) for p in _full_power_antiderivative(params, traj.x_I)]
         self.total = self._cum_pair(params.T)
-
-    def _breakpoint(self, j: int):
-        """Position of flight breakpoint j (0 is x_I, b - a + 1 is x_F) and the
-        flight integrals (user 1, user 2) from x_I to it."""
-        if j == 0:
-            return self.x_I, (0.0, 0.0)
-        if j > self._b - self._a:
-            return self.x_F, self._last
-        k, a = self._a + j - 1, self._a
-        return float(self._x[k]), tuple(f + float(ck[k] - ck[a]) for f, ck in zip(self._first, self._c))
 
     def _cum_pair(self, t: float):
         """(R_1(t), R_2(t)) in rate-seconds."""
@@ -173,15 +132,15 @@ class CumulativeRates:
         hover_F = max(t - self.fly_end, 0.0)
         r = [i * hover_I + f * hover_F for i, f in zip(self.rate_I, self.rate_F)]
         if self.flight and t > self.fly_start:
-            flown = self._last if t >= self.fly_end else self.flown(self.x_I + (t - self.fly_start) * self.params.V)
-            r = [rk + f / self.params.V for rk, f in zip(r, flown)]
+            x = self.x_F if t >= self.fly_end else self.x_I + (t - self.fly_start) * self.params.V
+            r = [rk + f / self.params.V for rk, f in zip(r, self.flown(x))]
         return tuple(r)
 
     def flown(self, x: float):
         """Flight integrals (user 1, user 2) from x_I to x in [x_I, x_F], in
         bps/Hz times meters."""
-        xa, at_xa = self._breakpoint(int(np.searchsorted(self._x, x, side="right")) - self._a)
-        return tuple(f + p for f, p in zip(at_xa, _flight_integrals(self.params, xa, x)[0].tolist()))
+        return tuple(float(p - p_I) / LOG2
+                     for p, p_I in zip(_full_power_antiderivative(self.params, x), self._phi_I))
 
     def cum(self, t: float, user: int) -> float:
         """R_user(t) in rate-seconds."""
@@ -192,21 +151,6 @@ class CumulativeRates:
         T = self.params.T
         r1, r2 = self._cum_pair(t1)
         return RatePair(r1 / T, (self.total[1] - r2) / T)
-
-
-def _flight_integrals(params, a, b):
-    """Full-power rate integrals of users 1 and 2 over [a, b] (scalars or
-    arrays, each interval within one pair-table cell), in bps/Hz times
-    meters, and the rates at b: two arrays with a leading axis of 2.  The
-    pair tables' rule: 2-point Gauss on _SUBCELLS equal sub-cells, so a sub-
-    cell is at most D / ((_PAIR_NODES - 1) * _SUBCELLS) wide."""
-    width = b - a
-    x = np.multiply.outer(width, _GAUSS_AT)
-    x += np.asarray(a)[..., None]
-    f = np.array(gain_pair(params, x))
-    f *= params.Pbar
-    np.log1p(f, out=f)
-    return width * (f @ _GAUSS_WEIGHTS), f[..., -1] / LOG2
 
 
 def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair:
@@ -252,11 +196,10 @@ def solve_t1(
 
     The gap a2*R1(t) - a1*(R2(T) - R2(t)) is nondecreasing in t: gap(0) >= 0
     gives 0 and gap(T) <= 0 gives T.  Inside a hover segment the gap is
-    linear and the root closed form.  Otherwise the root lies in the flight
-    cell (between `CumulativeRates` breakpoints) where the weighted flight
-    integral a2*F1 + a1*F2 reaches its target, found from the table nodes at
-    once; inside it Newton's method runs on the exact partial integral,
-    safeguarded by bisection to stay within the cell.
+    linear and the root closed form.  Otherwise the root lies in the flight,
+    where the weighted flight integral a2*F1 + a1*F2 from x_I reaches its
+    target: Newton's method runs on the closed-form integral over
+    [x_I, x_F], safeguarded by bisection.
     """
     if profile.alpha1 == 0.0:
         return 0.0
@@ -280,33 +223,29 @@ def solve_t1(
         return cum.fly_start
 
     # The gap is zero where the weighted flight integral from x_I reaches
-    # `target`; it does so between breakpoints j and j + 1.
+    # `target`; it rises at a2*C1 + a1*C2 > 0, so Newton's method runs on it
+    # from the linear guess, kept inside [x_I, x_F] by bisection.
     target = (a1 * R2 - hover_I * cum.fly_start) * params.V
-    (c1, c2), a, b = cum._c, cum._a, cum._b
-    j = 0
-    if b > a:  # at node k the integral is the table's from x[a] plus the first cell's
-        at_nodes = a2 * c1[a:b] + a1 * c2[a:b]
-        first = a2 * cum._first[0] + a1 * cum._first[1]
-        j = int(np.searchsorted(at_nodes, target - first + at_nodes[0], side="right"))
-    xa, (f1, f2) = cum._breakpoint(j)
-    xb, (g1, g2) = cum._breakpoint(j + 1)
-    rest = target - (a2 * f1 + a1 * f2)  # a2*P1(xa, x) + a1*P2(xa, x) at the root
-    cell = a2 * (g1 - f1) + a1 * (g2 - f2)
-    lo, hi = xa, xb
-    x = xa + (xb - xa) * (min(max(rest / cell, 0.0), 1.0) if cell > 0.0 else 0.0)
+    lo, hi = cum.x_I, cum.x_F
+    f1, f2 = cum.flown(hi)
+    span = a2 * f1 + a1 * f2
+    x = lo + (hi - lo) * (min(max(target / span, 0.0), 1.0) if span > 0.0 else 0.0)
+    xtol = _NEWTON_XTOL * params.D
     for _ in range(_NEWTON_ITERS):
-        (p1, p2), (r1, r2) = (v.tolist() for v in _flight_integrals(params, xa, x))
-        excess = a2 * p1 + a1 * p2 - rest
+        f1, f2 = cum.flown(x)
+        excess = a2 * f1 + a1 * f2 - target
         if excess == 0.0:
             break
         if excess < 0.0:
             lo = x
         else:
             hi = x
-        x_new = x - excess / (a2 * r1 + a1 * r2)
-        if not lo <= x_new <= hi:  # keep within the cell
+        r1, r2 = _full_rates(params, x)
+        slope = a2 * r1 + a1 * r2
+        x_new = x - excess / slope if slope > 0.0 else 0.5 * (lo + hi)
+        if not lo <= x_new <= hi:  # keep within the bracket
             x_new = 0.5 * (lo + hi)
-        done = abs(x_new - x) <= _NEWTON_XTOL * (xb - xa)
+        done = abs(x_new - x) <= xtol
         x = x_new
         if done:
             break
@@ -431,11 +370,11 @@ def _evaluate(params, traj, profile):
 def _screen(params, trajs, profile):
     """`_evaluate`'s search values of all `trajs` at once (non-corner profile).
 
-    A flight leg's rate-time is its position integral over V, so one
-    trapezoid table of cumulative full-power rates over [-D/2, D/2] serves
-    every trajectory; t1 is then bisected for all of them together.
+    A flight leg's rate-time is its position integral over V, read from
+    `hfh_solver._full_power_antiderivative` for every trajectory at once;
+    t1 is then bisected for all of them together.
     """
-    T, V, Pbar, half = params.T, params.V, params.Pbar, 0.5 * params.D
+    T, V, Pbar = params.T, params.V, params.Pbar
     x_I = np.array([t.x_I for t in trajs])
     x_F = np.array([t.x_F for t in trajs])
     t_I = np.array([t.t_I for t in trajs])
@@ -443,29 +382,27 @@ def _screen(params, trajs, profile):
     rate_I = [np.log1p(Pbar * h) / LOG2 for h in gain_pair(params, x_I)]
     rate_F = [np.log1p(Pbar * h) / LOG2 for h in gain_pair(params, x_F)]
     if V > 0.0:
-        xs = np.linspace(-half, half, _CUM_SAMPLES)
-        f = [np.log1p(Pbar * h) for h in gain_pair(params, xs)]
-        scale = (xs[1] - xs[0]) / (2.0 * LOG2 * V)
-        table = [np.concatenate([[0.0], np.cumsum(fk[1:] + fk[:-1])]) * scale for fk in f]
-        start = [np.interp(x_I, xs, tk) for tk in table]
+        phi_I = _full_power_antiderivative(params, x_I)
 
-    def cum(t, k):
-        """R_k(t) in rate-seconds for every trajectory (k = 0, 1)."""
-        total = rate_I[k] * np.minimum(t, t_I) + rate_F[k] * np.maximum(t - fly_end, 0.0)
+    def cum(t):
+        """(R_1(t), R_2(t)) in rate-seconds for every trajectory."""
+        out = [rI * np.minimum(t, t_I) + rF * np.maximum(t - fly_end, 0.0) for rI, rF in zip(rate_I, rate_F)]
         if V > 0.0:
             x = np.minimum(np.maximum(x_I + (t - t_I) * V, x_I), x_F)
-            total += np.interp(x, xs, table[k]) - start[k]
-        return total
+            for r, p, p_I in zip(out, _full_power_antiderivative(params, x), phi_I):
+                r += (p - p_I) / (LOG2 * V)
+        return out
 
     a1, a2 = profile.alpha1, profile.alpha2
-    total2 = cum(T, 1)
+    total2 = cum(T)[1]
     lo, hi = np.zeros(len(trajs)), np.full(len(trajs), T)
     while np.max(hi - lo) > _T1_REL_TOL * T:
         mid = 0.5 * (lo + hi)
-        below = a2 * cum(mid, 0) <= a1 * (total2 - cum(mid, 1))
+        r1, r2 = cum(mid)
+        below = a2 * r1 <= a1 * (total2 - r2)
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    t1 = 0.5 * (lo + hi)
-    return np.minimum(cum(t1, 0) / a1, (total2 - cum(t1, 1)) / a2) / T
+    r1, r2 = cum(0.5 * (lo + hi))
+    return np.minimum(r1 / a1, (total2 - r2) / a2) / T
 
 
 class _Point(NamedTuple):
@@ -479,8 +416,9 @@ class _Point(NamedTuple):
     foc: float
 
 
-def _hover_both(params, profile, fam, traj) -> _Point:
-    """Family 4's best member, in closed form (residual 0).
+def _hover_both(params, profile, fam, start: _Point) -> _Point:
+    """Family 4's best member, in closed form (residual 0), or the grid
+    winner `start` (its foc 0) if rounding makes it better.
 
     Moving t_I trades C1(-D/2) against C2(D/2), which are equal, and moving
     the switch trades C1(x_s) against C2(x_s), so an interior optimum
@@ -491,14 +429,15 @@ def _hover_both(params, profile, fam, traj) -> _Point:
     shares.  r rises in t_I while the switch lies right of x = 0 and falls
     while it lies left, so the clamped root is the family's maximum.
     """
-    cum = CumulativeRates(params, traj)  # every member flies the same flight
-    F1, at_zero = cum.flown(0.0)
-    F2 = cum._last[1] - at_zero
-    t_I = _hover_both_time(profile, cum.rate_I[0], F1, F2, params.V, fam.hi)
+    half = 0.5 * params.D
+    phi1, phi2 = _full_power_antiderivative(params, np.array([-half, 0.0, half]))
+    F1, F2 = float(phi1[1] - phi1[0]) / LOG2, float(phi2[2] - phi2[1]) / LOG2
+    t_I = _hover_both_time(profile, _full_rates(params, -half)[0], F1, F2, params.V, fam.hi)
     t_I = 0.0 if t_I is None else min(max(t_I, 0.0), fam.hi)  # None: r is 0
     traj = fam.build(t_I)
     r, t1, pair = _evaluate(params, traj, profile)
-    return _Point(r, t_I, traj, t1, pair, 0.0)
+    best = _Point(r, t_I, traj, t1, pair, 0.0)
+    return best if best.r >= start.r else start
 
 
 def _foc_root(params, profile, fam, start: _Point) -> _Point:
@@ -606,10 +545,8 @@ def tdma_solve_profile(
         if best is None or r > best[0]:
             best = (r, fam, s, traj, t1, pair)
     r, fam, s, traj, t1, pair = best
-    if fam.foc is None:
-        win = _hover_both(params, profile, fam, traj)
-    else:
-        win = _foc_root(params, profile, fam, _Point(r, s, traj, t1, pair, fam.foc(params, profile, traj, t1)))
+    start = _Point(r, s, traj, t1, pair, 0.0 if fam.foc is None else fam.foc(params, profile, traj, t1))
+    win = (_hover_both if fam.foc is None else _foc_root)(params, profile, fam, start)
     diagnostics = {"case": fam.case, "search_r": win.r, "foc_residual": win.foc}
     return TdmaSolution(profile, win.pair, win.traj, win.t1, diagnostics)
 

@@ -156,7 +156,7 @@ class TestRegionCommand:
             assert point["diagnostics"]["foc_residual"] == 0.0
             assert point["diagnostics"]["case"] == 4
 
-    @pytest.mark.parametrize("h", ["1e-320", "1e160"])
+    @pytest.mark.parametrize("h", ["1e-320", "1e160", "1e-150", "1e-160"])
     def test_unrepresentable_gain_exits_2(self, tmp_path, capsys, h):
         """An altitude whose gains a double cannot hold exits 2 naming H,
         with one message line and no output file."""
@@ -167,6 +167,20 @@ class TestRegionCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"configuration error: H = {float(h)!r} m")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_reference_gain_exits_2(self, tmp_path, capsys):
+        """gamma0 = 3000 dB over sigma2 = -2970 dBm: beta0 overflows, so the
+        run exits 2 naming gamma0, with no output file."""
+        path = tmp_path / "g.cfg"
+        path.write_text(BASE_SCENARIO.replace("gamma0_db = -50", "gamma0_db = 3000")
+                        .replace("sigma2_dbm = -100", "sigma2_dbm = -2970"))
+        out = tmp_path / "sc.csv"
+        code = main(["region", "--scenario", str(path), "--profiles", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: gamma0 / sigma2 = inf")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 

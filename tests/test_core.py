@@ -61,13 +61,16 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize(
     "field,value",
     [("Pbar", math.nan), ("T", 0.0), ("T", math.inf), ("H", 0.0), ("V", -1.0),
-     ("H", 1e-320), ("H", 1e160), ("D", 1e200)],
+     ("H", 1e-320), ("H", 1e160), ("D", 1e200), ("H", 1e-150), ("H", 1e-160), ("Pbar", 1e305)],
 )
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_entry_points_validate_params(base, entry, field, value):
     """Out-of-range params raise InvalidParams naming the field, not a raw
-    numpy error, a zero rate or `DiscretizationInvalid`: also a positive
-    finite H or D whose square underflows or overflows."""
+    numpy error, a zero rate, `DiscretizationInvalid` or
+    `PowerBudgetExceeded`: also a positive finite H or D whose square
+    underflows or overflows, an H whose squared peak gain overflows
+    (1e-150 m; at 1e-160 m the peak gain itself does) and a Pbar whose
+    received power does."""
     with pytest.raises(InvalidParams) as err:
         ENTRY_POINTS[entry](replace(base, **{field: value}), RateProfile.of(0.3))
     assert err.value.field == field
@@ -80,6 +83,15 @@ def test_entry_points_reject_an_underflowing_gain(base, entry):
     with pytest.raises(InvalidParams) as err:
         ENTRY_POINTS[entry](replace(base, gamma0=1e-300, H=1e20), RateProfile.of(0.3))
     assert err.value.field == "H"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_an_overflowing_reference_gain(base, entry):
+    """beta0 = gamma0 / sigma2 = 1e300 / 1e-300 overflows: InvalidParams
+    naming gamma0, not `PowerBudgetExceeded: x=nan`."""
+    with pytest.raises(InvalidParams) as err:
+        ENTRY_POINTS[entry](replace(base, gamma0=1e300, sigma2=1e-300), RateProfile.of(0.3))
+    assert err.value.field == "gamma0"
 
 
 def test_channel_gain_values(base):

@@ -187,17 +187,17 @@ class TestTdmaExactness:
         [
             pytest.param(  # hover at both users
                 30.0, 200.0, 0.1, 6.24212785729569, 24.999344061497283,
-                HfhTrajectory(-500.0, 500.0, 8.332677394830634, 158.33398927183603),
+                HfhTrajectory(-500.0, 500.0, 8.33267739483063, 158.33398927183603),
                 id="hover-both",
             ),
             pytest.param(  # fly, then hover above user 2
-                30.0, 63.712, 0.189061, 5.352355756953716, 15.99302421259783,
-                HfhTrajectory(-476.8897037167402, 500.0, 0.0, 31.149009876108664),
+                30.0, 63.712, 0.189061, 5.3523557569537115, 15.993024212597856,
+                HfhTrajectory(-476.8897037167412, 500.0, 0.0, 31.14900987610863),
                 id="fly-then-hover",
             ),
             pytest.param(  # fly the whole time
-                30.0, 20.0, 0.5, 3.174036968361343, 9.999999999999995,
-                HfhTrajectory(-300.00000000000034, 299.99999999999966, 0.0, 0.0),
+                30.0, 20.0, 0.5, 3.1740369683613427, 10.000000000000007,
+                HfhTrajectory(-299.9999999999999, 300.0000000000001, 0.0, 0.0),
                 id="pure-flight",
             ),
             pytest.param(  # V = 0: one fixed hover
@@ -262,11 +262,9 @@ class TestScreen:
         above the screen's best less w times it.
 
         The error is measured against the best value, not the candidate's
-        own: the screen interpolates a trapezoid table linearly and bisects
-        t1 to 1e-9 T, while `_evaluate` finds the exact root, so a candidate
-        served to user 1 for ~1e-5 T (Pbar = 1e-5, D = 3000, V = 5,
-        alpha1 = 0.01) reads 3e-5 of its own value off, at a value a
-        hundredth of the best.
+        own: the screen bisects t1 to 1e-9 T, while `_evaluate` finds the
+        exact root, so a candidate served to user 1 for a short time reads
+        a larger share of its own value off than of the best.
         """
         cfg = TdmaSearchConfig(x_grid=17, ti_grid=5)
         w = tdma_solver._SCREEN_WINDOW
