@@ -5,8 +5,8 @@ may be given in dBm and gains in dB at this boundary only; the library
 itself is strictly linear-units.  All commands are deterministic: the same
 scenario file produces byte-identical CSV/JSON output.
 
-Exit codes: 0 ok, 2 configuration error, 3 solver failure, 4 oracle
-disagreement.
+Exit codes: 0 ok, 2 configuration error (grid sizes too large to allocate
+included), 3 solver failure, 4 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -478,6 +478,9 @@ def main(argv=None):
         return args.fn(args)
     except (ConfigError, GridTooCoarse, ValidityError, InvalidParams) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid size (n_slots, tdma_x_grid, ...) past memory
+        print(f"configuration error: grid sizes too large: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UavbcError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -3,22 +3,21 @@
 One user is served at a time with full power: user 1 on [0, t1], user 2 on
 (t1, T].  Along a unidirectional left-to-right trajectory the optimal switch
 time t1 is the unique root of a monotone rate-ratio balance.
-`CumulativeRates` serves a trajectory's cumulative full-power rates in
-closed form, from the antiderivative of the full-power rate that the SC
-tables integrate with (`hfh_solver._full_power_antiderivative`), and
-`solve_t1` returns the exact root: closed form while hovering, a safeguarded
-Newton iteration on the closed-form integral while flying.  The trajectory
-family itself is small: the UAV either flies the whole time, or hovers only
-above a user (never at interior points).  That leaves the one-parameter
-families of `_families` (pure flight, hover above user 1 then fly, fly then
-hover above user 2, hover above both; with V = 0, or a reach V*T the
-positions do not resolve, the fixed hovers), each searched on a grid.
-`_screen` values the whole grid at once from the same antiderivative,
-bisecting every t1 together; only the candidates near its best are scored
-by the per-trajectory `_evaluate`, in grid order, so the first exact maximum
-wins as if all were scored.  The screen picks the basin (the pure flight
-can have several local maxima at high SNR); the winner is then placed by
-the first-order conditions: hovering above both users in closed form (the
+`CumulativeRates` serves the cumulative full-power rates of one trajectory
+or of a whole batch in closed form, from the antiderivative of the
+full-power rate that the SC tables integrate with
+(`hfh_solver._full_power_antiderivative`), and `solve_t1` returns the exact
+root of each: closed form while hovering, a safeguarded Newton iteration on
+the closed-form integral while flying.  The trajectory family itself is
+small: the UAV either flies the whole time, or hovers only above a user
+(never at interior points).  That leaves the one-parameter families of
+`_families` (pure flight, hover above user 1 then fly, fly then hover above
+user 2, hover above both; with V = 0, or a reach V*T the positions do not
+resolve, the fixed hovers), each searched on a grid.  `_evaluate` scores
+every grid candidate exactly in one batch, and the first maximum picks the
+basin (the pure flight can have several local maxima at high SNR); the
+winner is then placed by the first-order conditions, each point scored by
+the same `_evaluate`: hovering above both users in closed form (the
 switch at x = 0, `_hover_both`), every other family by a root of its
 residual `foc` within a grid step (`_foc_root`).  The reported rates are
 the search's own: `CumulativeRates.pair_at` at the winner's switch time.
@@ -57,19 +56,10 @@ from .hfh_solver import _full_power_antiderivative, _hover_both_time
 # golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 1).
 from .numerics import golden_max  # noqa: F401
 
-# `_screen`'s t1 bisection tolerance (relative to T).
-_T1_REL_TOL = 1e-9
-
 # Newton steps of `solve_t1` over a flight, and the step (relative to D)
 # after which the next would change nothing: convergence is quadratic.
 _NEWTON_ITERS = 60
 _NEWTON_XTOL = 5e-11
-
-# Grid candidates whose `_screen` value is within this (relative) of the
-# best screen value are scored exactly by `_evaluate`.  The exact winner is
-# among them while no screen value is further from its exact value than
-# about half of this times the best exact value.
-_SCREEN_WINDOW = 1e-5
 
 
 @dataclass(frozen=True)
@@ -105,52 +95,74 @@ class TdmaSolution:
 
 
 class CumulativeRates:
-    """Cumulative full-power single-user rate integrals along a trajectory.
+    """Cumulative full-power single-user rate integrals along trajectories.
 
     R_k(t) = integral over [0, t] of log2(1 + Pbar h_k(x(s))) ds.  Hover
     segments are linear in t.  A flight leg's rate-time is the position
     integral of the rate over V, in closed form: the difference of
     `hfh_solver._full_power_antiderivative` between x_I and the position.
-    `total` is (R_1(T), R_2(T)).
+
+    `traj` is one trajectory or a sequence of them, one lane each: `x_I`,
+    `x_F`, `fly_start`, `fly_end` and `flight` hold an array of one value
+    per lane, or a numpy scalar for one trajectory, and `rate_I`, `rate_F`,
+    `phi_I` (the antiderivative at x_I) and `total` one such per user.
+    `total` is (R_1(T), R_2(T)).  Every lane is computed alike, so a
+    trajectory's numbers do not depend on the batch it is in.
     """
 
-    def __init__(self, params: SystemParams, traj: HfhTrajectory):
+    def __init__(self, params: SystemParams, traj):
         self.params = params
-        self.x_I, self.x_F = traj.x_I, traj.x_F
-        self.fly_start = traj.t_I
-        self.fly_end = params.T - traj.t_F
-        self.rate_I = _full_rates(params, traj.x_I)
-        self.rate_F = _full_rates(params, traj.x_F)
-        self.flight = self.fly_end - self.fly_start > 1e-12 * params.T and params.V > 0.0
-        if self.flight:
-            self._phi_I = [float(p) for p in _full_power_antiderivative(params, traj.x_I)]
+        self.one = isinstance(traj, HfhTrajectory)
+
+        def per_lane(key):
+            if self.one:
+                return np.float64(getattr(traj, key))
+            return np.array([getattr(t, key) for t in traj])
+
+        self.x_I, self.x_F = per_lane("x_I"), per_lane("x_F")
+        self.fly_start = per_lane("t_I")
+        self.fly_end = params.T - per_lane("t_F")
+        self.rate_I = _full_rates(params, self.x_I)
+        self.rate_F = _full_rates(params, self.x_F)
+        self.flight = (self.fly_end - self.fly_start > 1e-12 * params.T) & (params.V > 0.0)
+        self.phi_I = _full_power_antiderivative(params, self.x_I)
         self.total = self._cum_pair(params.T)
 
-    def _cum_pair(self, t: float):
-        """(R_1(t), R_2(t)) in rate-seconds."""
-        hover_I = min(t, self.fly_start)
-        hover_F = max(t - self.fly_end, 0.0)
+    def _cum_pair(self, t):
+        """(R_1(t), R_2(t)) in rate-seconds; t is a float or one per lane."""
+        V = self.params.V
+        hover_I = np.minimum(t, self.fly_start)
+        hover_F = np.maximum(t - self.fly_end, 0.0)
         r = [i * hover_I + f * hover_F for i, f in zip(self.rate_I, self.rate_F)]
-        if self.flight and t > self.fly_start:
-            x = self.x_F if t >= self.fly_end else self.x_I + (t - self.fly_start) * self.params.V
-            r = [rk + f / self.params.V for rk, f in zip(r, self.flown(x))]
-        return tuple(r)
+        flying = self.flight & (t > self.fly_start)
+        if flying.any():
+            x = _where(t >= self.fly_end, self.x_F, self.x_I + (t - self.fly_start) * V)
+            r = [_where(flying, rk + f / V, rk) for rk, f in zip(r, self.flown(x))]
+        return r
 
-    def flown(self, x: float):
-        """Flight integrals (user 1, user 2) from x_I to x in [x_I, x_F], in
-        bps/Hz times meters."""
-        return tuple(float(p - p_I) / LOG2
-                     for p, p_I in zip(_full_power_antiderivative(self.params, x), self._phi_I))
+    def flown(self, x):
+        """Flight integrals (user 1, user 2) from x_I to x in [x_I, x_F], one
+        per lane, in bps/Hz times meters."""
+        phi = _full_power_antiderivative(self.params, x)
+        return [(p - p_I) / LOG2 for p, p_I in zip(phi, self.phi_I)]
 
-    def cum(self, t: float, user: int) -> float:
-        """R_user(t) in rate-seconds."""
-        return self._cum_pair(t)[user - 1]
+    def lanes(self, values):
+        """`values`, one per lane, as the object was built: a float for one
+        trajectory, the array for a sequence."""
+        return float(values) if self.one else values
 
-    def pair_at(self, t1: float) -> RatePair:
-        """(r1, r2) with user 1 served before t1 and user 2 after."""
+    def pair_at(self, t1) -> RatePair:
+        """(r1, r2) with user 1 served before t1 (a float, or one per lane)
+        and user 2 after."""
         T = self.params.T
         r1, r2 = self._cum_pair(t1)
-        return RatePair(r1 / T, (self.total[1] - r2) / T)
+        return RatePair(self.lanes(r1 / T), self.lanes((self.total[1] - r2) / T))
+
+
+def _where(cond, a, b):
+    """`np.where` over lanes.  One lane keeps its numpy scalars: `np.where`
+    would make them 0-d arrays, at an array's cost per operation."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair:
@@ -188,72 +200,78 @@ def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair
 
 def solve_t1(
     params: SystemParams,
-    traj: HfhTrajectory,
+    traj,
     profile: RateProfile,
     cum: CumulativeRates | None = None,
-) -> float:
-    """Unique switch time where r1(t1)/alpha1 = r2(t1)/alpha2.
+):
+    """Unique switch time where r1(t1)/alpha1 = r2(t1)/alpha2: a float for
+    one trajectory, an array for a sequence of them (the lanes of
+    `CumulativeRates`).
 
     The gap a2*R1(t) - a1*(R2(T) - R2(t)) is nondecreasing in t: gap(0) >= 0
     gives 0 and gap(T) <= 0 gives T.  Inside a hover segment the gap is
     linear and the root closed form.  Otherwise the root lies in the flight,
     where the weighted flight integral a2*F1 + a1*F2 from x_I reaches its
     target: Newton's method runs on the closed-form integral over
-    [x_I, x_F], safeguarded by bisection.
+    [x_I, x_F], safeguarded by bisection, in all such lanes at once.  A
+    lane stops moving once its step is within _NEWTON_XTOL*D, so it ends
+    where it would alone.
     """
-    if profile.alpha1 == 0.0:
-        return 0.0
-    if profile.alpha2 == 0.0:
-        return params.T
     if cum is None:
         cum = CumulativeRates(params, traj)
-    a1, a2 = profile.alpha1, profile.alpha2
+    T, V, a1, a2 = params.T, params.V, profile.alpha1, profile.alpha2
+    if profile.is_corner:  # one user takes all the time
+        return cum.lanes(np.full_like(cum.x_I, T if a2 == 0.0 else 0.0))
     R1, R2 = cum.total
-    if a1 * R2 <= 0.0:  # gap(0) = -a1*R2(T)
-        return 0.0
-    if a2 * R1 <= 0.0:  # gap(T) = a2*R1(T)
-        return params.T
     hover_I = a2 * cum.rate_I[0] + a1 * cum.rate_I[1]  # the gap's slope at x_I
-    if hover_I * cum.fly_start >= a1 * R2:
-        return a1 * R2 / hover_I
     hover_F = a2 * cum.rate_F[0] + a1 * cum.rate_F[1]
-    if hover_F * (params.T - cum.fly_end) >= a2 * R1:
-        return params.T - a2 * R1 / hover_F
-    if not cum.flight:  # both hover tests failed only by rounding
-        return cum.fly_start
+    # The first case that holds in a lane wins, so they are laid over each
+    # other last first; a lane in no case (NaN) has its root in the flight.
+    # Values not taken (a case that does not hold, a Newton step at slope 0)
+    # may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Without a flight, both hover tests failed only by rounding.
+        t1 = _where(cum.flight, np.nan, cum.fly_start)
+        t1 = _where(hover_F * (T - cum.fly_end) >= a2 * R1, T - a2 * R1 / hover_F, t1)
+        t1 = _where(hover_I * cum.fly_start >= a1 * R2, a1 * R2 / hover_I, t1)
+        t1 = _where(a2 * R1 <= 0.0, T, t1)  # gap(T) = a2*R1(T)
+        t1 = _where(a1 * R2 <= 0.0, 0.0, t1)  # gap(0) = -a1*R2(T)
+        flying = np.isnan(t1)
+        if not flying.any():
+            return cum.lanes(t1)
 
-    # The gap is zero where the weighted flight integral from x_I reaches
-    # `target`; it rises at a2*C1 + a1*C2 > 0, so Newton's method runs on it
-    # from the linear guess, kept inside [x_I, x_F] by bisection.
-    target = (a1 * R2 - hover_I * cum.fly_start) * params.V
-    lo, hi = cum.x_I, cum.x_F
-    f1, f2 = cum.flown(hi)
-    span = a2 * f1 + a1 * f2
-    x = lo + (hi - lo) * (min(max(target / span, 0.0), 1.0) if span > 0.0 else 0.0)
-    xtol = _NEWTON_XTOL * params.D
-    for _ in range(_NEWTON_ITERS):
-        f1, f2 = cum.flown(x)
-        excess = a2 * f1 + a1 * f2 - target
-        if excess == 0.0:
-            break
-        if excess < 0.0:
-            lo = x
-        else:
-            hi = x
-        r1, r2 = _full_rates(params, x)
-        slope = a2 * r1 + a1 * r2
-        x_new = x - excess / slope if slope > 0.0 else 0.5 * (lo + hi)
-        if not lo <= x_new <= hi:  # keep within the bracket
-            x_new = 0.5 * (lo + hi)
-        done = abs(x_new - x) <= xtol
-        x = x_new
-        if done:
-            break
-    return cum.fly_start + (x - cum.x_I) / params.V
+        # The gap is zero where the weighted flight integral from x_I reaches
+        # `target`; it rises at a2*C1 + a1*C2 > 0, so Newton's method runs on
+        # it from the linear guess, kept inside [x_I, x_F] by bisection.
+        # Lanes with a root already ride along, frozen.
+        target = (a1 * R2 - hover_I * cum.fly_start) * V
+        lo, hi = cum.x_I, cum.x_F
+        f1, f2 = cum.flown(hi)
+        span = a2 * f1 + a1 * f2
+        x = lo + (hi - lo) * _where(span > 0.0, np.minimum(np.maximum(target / span, 0.0), 1.0), 0.0)
+        xtol = _NEWTON_XTOL * params.D
+        moving = flying
+        for _ in range(_NEWTON_ITERS):
+            f1, f2 = cum.flown(x)
+            excess = a2 * f1 + a1 * f2 - target
+            moving = moving & (excess != 0.0)
+            lo = _where(moving & (excess < 0.0), x, lo)
+            hi = _where(moving & (excess > 0.0), x, hi)
+            r1, r2 = _full_rates(params, x)
+            slope = a2 * r1 + a1 * r2
+            mid = 0.5 * (lo + hi)
+            x_new = _where(slope > 0.0, x - excess / slope, mid)
+            x_new = _where((lo <= x_new) & (x_new <= hi), x_new, mid)  # keep within the bracket
+            step = np.abs(x_new - x)
+            x = _where(moving, x_new, x)
+            moving = moving & (step > xtol)
+            if not moving.any():
+                break
+    return cum.lanes(_where(flying, cum.fly_start + (x - cum.x_I) / V, t1))
 
 
 class _Family(NamedTuple):
-    """The trajectories build(s) for s in [lo, hi], screened on n grid
+    """The trajectories build(s) for s in [lo, hi], scored on n grid
     values.  `case` names the family in the diagnostics: 1 pure flight (or,
     with V = 0 or a reach the positions do not resolve, a fixed hover), 2
     hover above user 1 then fly, 3 fly then hover above user 2, 4 hover
@@ -272,8 +290,9 @@ class _Family(NamedTuple):
 
 
 def _full_rates(params, x):
-    """(C1(x), C2(x)): the users' full-power rates with the UAV at x."""
-    return tuple(log2_1p(params.Pbar * h) for h in gain_pair(params, x))
+    """(C1(x), C2(x)): the users' full-power rates with the UAV at x (a
+    float or an array)."""
+    return tuple(np.log1p(params.Pbar * h) / LOG2 for h in gain_pair(params, x))
 
 
 def _flight_foc(params, profile, traj, t1):
@@ -287,7 +306,7 @@ def _flight_foc(params, profile, traj, t1):
     c2_F = _full_rates(params, traj.x_F)[1]
     if c1_s == 0.0 or c2_F == 0.0:
         return 0.0
-    return 1.0 - _full_rates(params, traj.x_I)[0] / c1_s * (c2_s / c2_F)
+    return float(1.0 - _full_rates(params, traj.x_I)[0] / c1_s * (c2_s / c2_F))
 
 
 def _hover_foc(params, profile, traj, t1):
@@ -308,7 +327,7 @@ def _hover_foc(params, profile, traj, t1):
     c1, c2 = _full_rates(params, x)
     terms = profile.alpha1 * c2 / c1 * L[0], profile.alpha2 * L[1]
     total = abs(terms[0]) + abs(terms[1])
-    return (terms[0] + terms[1]) / total if total > 0.0 else 0.0
+    return float((terms[0] + terms[1]) / total) if total > 0.0 else 0.0
 
 
 def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
@@ -359,50 +378,14 @@ def _candidate_trajectories(params: SystemParams, cfg: TdmaSearchConfig):
 
 
 def _evaluate(params, traj, profile):
-    """(search value, t1, rate pair) of a trajectory on its cumulative-rate
-    curves."""
+    """(search value, t1, rate pair) on the cumulative-rate curves of one
+    trajectory, as floats, or of each of a sequence of them, as arrays
+    (non-corner profile).  A trajectory scores the same alone as in a
+    sequence, to the bit."""
     cum = CumulativeRates(params, traj)
     t1 = solve_t1(params, traj, profile, cum=cum)
     pair = cum.pair_at(t1)
-    return profile.rate_scale(pair.r1, pair.r2), t1, pair
-
-
-def _screen(params, trajs, profile):
-    """`_evaluate`'s search values of all `trajs` at once (non-corner profile).
-
-    A flight leg's rate-time is its position integral over V, read from
-    `hfh_solver._full_power_antiderivative` for every trajectory at once;
-    t1 is then bisected for all of them together.
-    """
-    T, V, Pbar = params.T, params.V, params.Pbar
-    x_I = np.array([t.x_I for t in trajs])
-    x_F = np.array([t.x_F for t in trajs])
-    t_I = np.array([t.t_I for t in trajs])
-    fly_end = T - np.array([t.t_F for t in trajs])
-    rate_I = [np.log1p(Pbar * h) / LOG2 for h in gain_pair(params, x_I)]
-    rate_F = [np.log1p(Pbar * h) / LOG2 for h in gain_pair(params, x_F)]
-    if V > 0.0:
-        phi_I = _full_power_antiderivative(params, x_I)
-
-    def cum(t):
-        """(R_1(t), R_2(t)) in rate-seconds for every trajectory."""
-        out = [rI * np.minimum(t, t_I) + rF * np.maximum(t - fly_end, 0.0) for rI, rF in zip(rate_I, rate_F)]
-        if V > 0.0:
-            x = np.minimum(np.maximum(x_I + (t - t_I) * V, x_I), x_F)
-            for r, p, p_I in zip(out, _full_power_antiderivative(params, x), phi_I):
-                r += (p - p_I) / (LOG2 * V)
-        return out
-
-    a1, a2 = profile.alpha1, profile.alpha2
-    total2 = cum(T)[1]
-    lo, hi = np.zeros(len(trajs)), np.full(len(trajs), T)
-    while np.max(hi - lo) > _T1_REL_TOL * T:
-        mid = 0.5 * (lo + hi)
-        r1, r2 = cum(mid)
-        below = a2 * r1 <= a1 * (total2 - r2)
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    r1, r2 = cum(0.5 * (lo + hi))
-    return np.minimum(r1 / a1, (total2 - r2) / a2) / T
+    return cum.lanes(np.minimum(pair.r1 / profile.alpha1, pair.r2 / profile.alpha2)), t1, pair
 
 
 class _Point(NamedTuple):
@@ -432,7 +415,7 @@ def _hover_both(params, profile, fam, start: _Point) -> _Point:
     half = 0.5 * params.D
     phi1, phi2 = _full_power_antiderivative(params, np.array([-half, 0.0, half]))
     F1, F2 = float(phi1[1] - phi1[0]) / LOG2, float(phi2[2] - phi2[1]) / LOG2
-    t_I = _hover_both_time(profile, _full_rates(params, -half)[0], F1, F2, params.V, fam.hi)
+    t_I = _hover_both_time(profile, float(_full_rates(params, -half)[0]), F1, F2, params.V, fam.hi)
     t_I = 0.0 if t_I is None else min(max(t_I, 0.0), fam.hi)  # None: r is 0
     traj = fam.build(t_I)
     r, t1, pair = _evaluate(params, traj, profile)
@@ -518,10 +501,9 @@ def tdma_solve_profile(
 ) -> TdmaSolution:
     """Best TDMA rate pair for one profile over the admissible HFH family.
 
-    Screens the families' grid with `_screen`, scores the candidates within
-    `_SCREEN_WINDOW` of its best with `_evaluate` (the first exact maximum
-    wins), places the winner's family optimum by its first-order conditions
-    and reports the rates it searched on, `CumulativeRates.pair_at` at the
+    Scores every grid candidate of the families with `_evaluate` (the first
+    maximum wins), places the winner's family optimum by its first-order
+    conditions and reports the rates it searched on, `CumulativeRates.pair_at` at the
     resulting trajectory and switch time.  The diagnostics hold the family
     (`case`), the value searched (`search_r`, equal to r) and `foc_residual`,
     the relative first-order residual at the winner (0 hovering above both
@@ -537,14 +519,9 @@ def tdma_solve_profile(
         )
 
     cands = _candidate_trajectories(params, cfg)
-    screen = _screen(params, [traj for _, _, traj in cands], profile)
-    best = None
-    for k in np.flatnonzero(screen >= screen.max() * (1.0 - _SCREEN_WINDOW)):
-        fam, s, traj = cands[k]
-        r, t1, pair = _evaluate(params, traj, profile)
-        if best is None or r > best[0]:
-            best = (r, fam, s, traj, t1, pair)
-    r, fam, s, traj, t1, pair = best
+    scores = _evaluate(params, [traj for _, _, traj in cands], profile)[0]
+    fam, s, traj = cands[int(np.argmax(scores))]  # the first maximum
+    r, t1, pair = _evaluate(params, traj, profile)
     start = _Point(r, s, traj, t1, pair, 0.0 if fam.foc is None else fam.foc(params, profile, traj, t1))
     win = (_hover_both if fam.foc is None else _foc_root)(params, profile, fam, start)
     diagnostics = {"case": fam.case, "search_r": win.r, "foc_residual": win.foc}

@@ -253,6 +253,25 @@ def test_bad_search_knob_is_config_error(tmp_path, capsys, line, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, mode", [("tdma_x_grid", "tdma"), ("tdma_ti_grid", "tdma"), ("n_slots", "sc")]
+)
+def test_unallocatable_grid_is_config_error(tmp_path, capsys, key, mode):
+    """A grid of 10**14 points needs 800 TB per float array, more than a
+    47-bit address space holds, so its first array fails to allocate at
+    once: exit 2 with one message line and no output file."""
+    path = tmp_path / "huge.cfg"
+    path.write_text(BASE_SCENARIO + f"{key} = {10**14}\n")
+    out = tmp_path / "out.csv"
+    code = main(["region", "--mode", mode, "--scenario", str(path), "--profiles", "3",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: grid sizes too large")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestFixedCommand:
     def test_fixed_at_center_is_line(self, scenario, tmp_path):
         out = tmp_path / "fixed.csv"
