@@ -13,16 +13,17 @@ small: the UAV either flies the whole time, or hovers only above a user
 (never at interior points).  That leaves the one-parameter families of
 `_families` (pure flight, hover above user 1 then fly, fly then hover above
 user 2, hover above both; with V = 0, or a reach V*T the positions do not
-resolve, the fixed hovers), each searched on a grid.  `_evaluate` scores
-every grid candidate exactly in one batch, and the first maximum picks the
-basin (the pure flight can have several local maxima at high SNR); the
-winner is then placed by the first-order conditions, each point scored by
-the same `_evaluate`: hovering above both users in closed form (the
-switch at x = 0, `_hover_both`), every other family by a root of its
-residual `foc` within a grid step (`_foc_root`).  The reported rates are
-the search's own: `CumulativeRates.pair_at` at the winner's switch time.
-`tdma_rates` integrates the same rates independently, by adaptive
-quadrature.
+resolve, the fixed hovers), each searched on a grid.  The grid is built
+once, as columns (`_candidate_trajectories`), `_evaluate` scores every
+candidate exactly in one batch, and the first maximum picks the basin (the
+pure flight can have several local maxima at high SNR); only the winner
+becomes an `HfhTrajectory`.  It is then placed by the first-order
+conditions, each point scored by the same `_evaluate`: hovering above both
+users in closed form (the switch at x = 0, `_hover_both`), every other
+family by a root of its residual `foc` within a grid step (`_foc_root`).
+The reported rates are the search's own: `CumulativeRates.pair_at` at the
+winner's switch time.  `tdma_rates` integrates the same rates
+independently, by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -102,26 +103,22 @@ class CumulativeRates:
     integral of the rate over V, in closed form: the difference of
     `hfh_solver._full_power_antiderivative` between x_I and the position.
 
-    `traj` is one trajectory or a sequence of them, one lane each: `x_I`,
-    `x_F`, `fly_start`, `fly_end` and `flight` hold an array of one value
-    per lane, or a numpy scalar for one trajectory, and `rate_I`, `rate_F`,
-    `phi_I` (the antiderivative at x_I) and `total` one such per user.
-    `total` is (R_1(T), R_2(T)).  Every lane is computed alike, so a
+    `traj` is one `HfhTrajectory` or the columns of a batch (the
+    `_Candidates` of `_candidate_trajectories`), one lane per candidate:
+    `x_I`, `x_F`, `fly_start`, `fly_end` and `flight` hold an array of one
+    value per lane, or a numpy scalar for one trajectory, and `rate_I`,
+    `rate_F`, `phi_I` (the antiderivative at x_I) and `total` one such per
+    user.  `total` is (R_1(T), R_2(T)).  Every lane is computed alike, so a
     trajectory's numbers do not depend on the batch it is in.
     """
 
     def __init__(self, params: SystemParams, traj):
         self.params = params
         self.one = isinstance(traj, HfhTrajectory)
-
-        def per_lane(key):
-            if self.one:
-                return np.float64(getattr(traj, key))
-            return np.array([getattr(t, key) for t in traj])
-
-        self.x_I, self.x_F = per_lane("x_I"), per_lane("x_F")
-        self.fly_start = per_lane("t_I")
-        self.fly_end = params.T - per_lane("t_F")
+        lane = np.float64 if self.one else np.asarray
+        self.x_I, self.x_F = lane(traj.x_I), lane(traj.x_F)
+        self.fly_start = lane(traj.t_I)
+        self.fly_end = params.T - lane(traj.t_F)
         self.rate_I = _full_rates(params, self.x_I)
         self.rate_F = _full_rates(params, self.x_F)
         self.flight = (self.fly_end - self.fly_start > 1e-12 * params.T) & (params.V > 0.0)
@@ -205,7 +202,7 @@ def solve_t1(
     cum: CumulativeRates | None = None,
 ):
     """Unique switch time where r1(t1)/alpha1 = r2(t1)/alpha2: a float for
-    one trajectory, an array for a sequence of them (the lanes of
+    one trajectory, an array for the columns of a batch (the lanes of
     `CumulativeRates`).
 
     The gap a2*R1(t) - a1*(R2(T) - R2(t)) is nondecreasing in t: gap(0) >= 0
@@ -272,12 +269,14 @@ def solve_t1(
 
 class _Family(NamedTuple):
     """The trajectories build(s) for s in [lo, hi], scored on n grid
-    values.  `case` names the family in the diagnostics: 1 pure flight (or,
-    with V = 0 or a reach the positions do not resolve, a fixed hover), 2
-    hover above user 1 then fly, 3 fly then hover above user 2, 4 hover
-    above both.  `foc(params, profile, traj, t1)` has the sign of dr/ds at a
-    member (None for case 4, placed in closed form); its root is sought over
-    s +- step to xtol."""
+    values.  `ends(s)` gives a member's (x_I, x_F, t_I), for a float s or
+    an array of them, and build(s) is `make_hfh` of it.  `case` names the
+    family in the diagnostics: 1 pure flight (or, with V = 0 or a reach the
+    positions do not resolve, a fixed hover), 2 hover above user 1 then fly,
+    3 fly then hover above user 2, 4 hover above both.
+    `foc(params, profile, traj, t1)` has the sign of dr/ds at a member (None
+    for case 4, placed in closed form); its root is sought over s +- step
+    to xtol."""
 
     case: int
     lo: float
@@ -285,6 +284,7 @@ class _Family(NamedTuple):
     n: int
     step: float
     xtol: float
+    ends: Callable
     build: Callable[[float], HfhTrajectory]
     foc: Callable | None
 
@@ -349,39 +349,81 @@ def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
     V, T, D = params.V, params.T, params.D
     n, xtol = cfg.x_grid, 1e-9 * D
     reach = V * T
+
+    def family(case, lo, hi, n, step, xtol, ends, foc):
+        return _Family(case, lo, hi, n, step, xtol, ends, lambda s: make_hfh(params, *ends(s)), foc)
+
     if np.spacing(half) > REL_EPS * reach:
-        return [_Family(1, -half, half, n, D / (n - 1), xtol, lambda x: make_hfh(params, x, x, T), _hover_foc)]
+        return [family(1, -half, half, n, D / (n - 1), xtol, lambda x: (x, x, T), _hover_foc)]
     out = []
     if reach <= D:
-        out.append(_Family(1, -half, half - reach, n, (D - reach) / (n - 1), xtol,
-                           lambda x: make_hfh(params, x, x + reach, 0.0), _flight_foc))
+        out.append(family(1, -half, half - reach, n, (D - reach) / (n - 1), xtol,
+                          lambda x: (x, x + reach, 0.0), _flight_foc))
     hi = min(half, -half + reach)
-    out.append(_Family(2, -half, hi, n, (hi + half) / (n - 1), xtol,
-                       lambda x: make_hfh(params, -half, x, T - (x + half) / V), _flight_foc))
+    out.append(family(2, -half, hi, n, (hi + half) / (n - 1), xtol,
+                      lambda x: (-half, x, T - (x + half) / V), _flight_foc))
     lo = max(-half, half - reach)
-    out.append(_Family(3, lo, half, n, (half - lo) / (n - 1), xtol,
-                       lambda x: make_hfh(params, x, half, 0.0), _flight_foc))
+    out.append(family(3, lo, half, n, (half - lo) / (n - 1), xtol,
+                      lambda x: (x, half, 0.0), _flight_foc))
     if reach >= D:
         slack = T - D / V
-        out.append(_Family(4, 0.0, slack, cfg.ti_grid, slack / max(cfg.ti_grid - 1, 1),
-                           1e-9 * T, lambda t: make_hfh(params, -half, half, t), None))
+        out.append(family(4, 0.0, slack, cfg.ti_grid, slack / max(cfg.ti_grid - 1, 1),
+                          1e-9 * T, lambda t: (-half, half, t), None))
     return out
 
 
-def _candidate_trajectories(params: SystemParams, cfg: TdmaSearchConfig):
-    """Every grid candidate of `_families`, as (family, parameter, trajectory)."""
-    return [
-        (fam, s, fam.build(s))
-        for fam in _families(params, cfg)
-        for s in np.linspace(fam.lo, fam.hi, fam.n).tolist()
-    ]
+@dataclass(frozen=True, eq=False)
+class _Candidates:
+    """TDMA's grid as columns, one lane per candidate: lane i is member s[i]
+    of families[family[i]], the trajectory (x_I, x_F, t_I, t_F)[i]."""
+
+    families: list
+    family: np.ndarray
+    s: np.ndarray
+    x_I: np.ndarray
+    x_F: np.ndarray
+    t_I: np.ndarray
+    t_F: np.ndarray
+
+    def __len__(self):
+        return len(self.s)
+
+    def member(self, i: int):
+        """(family, s) of lane i; `family.build(s)` is its trajectory."""
+        return self.families[self.family[i]], float(self.s[i])
+
+
+def _candidate_trajectories(params: SystemParams, cfg: TdmaSearchConfig) -> _Candidates:
+    """Every grid candidate of `_families`, as columns.
+
+    Each family's `ends` runs on its whole grid at once, and the time budget
+    closes with `make_hfh`'s own arithmetic (flight, t_F = T - t_I - flight,
+    both hover times clamped at 0), so every lane equals `fam.build(s)` to
+    the bit; `make_hfh`'s range checks are skipped, as the families hold
+    only admissible members.
+    """
+    families = _families(params, cfg)
+    grids = [np.linspace(fam.lo, fam.hi, fam.n) for fam in families]
+    x_I, x_F, t_I = (np.concatenate(col) for col in zip(
+        *(np.broadcast_arrays(*fam.ends(s)) for fam, s in zip(families, grids))))
+    flight = 0.0 if params.V == 0.0 else (x_F - x_I) / params.V
+    t_F = params.T - t_I - flight
+    return _Candidates(
+        families,
+        np.repeat(np.arange(len(families)), [fam.n for fam in families]),
+        np.concatenate(grids),
+        x_I,
+        x_F,
+        np.where(t_I < 0.0, 0.0, t_I),  # max(t, 0.0), as `make_hfh` clamps
+        np.where(t_F < 0.0, 0.0, t_F),
+    )
 
 
 def _evaluate(params, traj, profile):
     """(search value, t1, rate pair) on the cumulative-rate curves of one
-    trajectory, as floats, or of each of a sequence of them, as arrays
-    (non-corner profile).  A trajectory scores the same alone as in a
-    sequence, to the bit."""
+    trajectory, as floats, or of each lane of the columns of
+    `_candidate_trajectories`, as arrays (non-corner profile).  A
+    trajectory scores the same alone as in a batch, to the bit."""
     cum = CumulativeRates(params, traj)
     t1 = solve_t1(params, traj, profile, cum=cum)
     pair = cum.pair_at(t1)
@@ -501,10 +543,12 @@ def tdma_solve_profile(
 ) -> TdmaSolution:
     """Best TDMA rate pair for one profile over the admissible HFH family.
 
-    Scores every grid candidate of the families with `_evaluate` (the first
-    maximum wins), places the winner's family optimum by its first-order
-    conditions and reports the rates it searched on, `CumulativeRates.pair_at` at the
-    resulting trajectory and switch time.  The diagnostics hold the family
+    Scores the columns of every grid candidate of the families with one
+    `_evaluate` (the first maximum wins, its numbers read from its lane,
+    which scores as it would alone), builds only the winner's trajectory,
+    places its family optimum by its first-order conditions and reports the
+    rates it searched on, `CumulativeRates.pair_at` at the resulting
+    trajectory and switch time.  The diagnostics hold the family
     (`case`), the value searched (`search_r`, equal to r) and `foc_residual`,
     the relative first-order residual at the winner (0 hovering above both
     users, placed in closed form, and at a family end the residual points
@@ -519,9 +563,11 @@ def tdma_solve_profile(
         )
 
     cands = _candidate_trajectories(params, cfg)
-    scores = _evaluate(params, [traj for _, _, traj in cands], profile)[0]
-    fam, s, traj = cands[int(np.argmax(scores))]  # the first maximum
-    r, t1, pair = _evaluate(params, traj, profile)
+    r, t1, pair = _evaluate(params, cands, profile)
+    i = int(np.argmax(r))  # the first maximum
+    fam, s = cands.member(i)
+    traj = fam.build(s)
+    r, t1, pair = float(r[i]), float(t1[i]), RatePair(float(pair.r1[i]), float(pair.r2[i]))
     start = _Point(r, s, traj, t1, pair, 0.0 if fam.foc is None else fam.foc(params, profile, traj, t1))
     win = (_hover_both if fam.foc is None else _foc_root)(params, profile, fam, start)
     diagnostics = {"case": fam.case, "search_r": win.r, "foc_residual": win.foc}

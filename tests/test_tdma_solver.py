@@ -233,7 +233,9 @@ def _exhaustive_tdma(params, profile, cfg=tdma_solver.DEFAULT_TDMA_CONFIG):
         return tdma_solver._evaluate(params, traj, profile)
 
     best = None
-    for fam, s, traj in tdma_solver._candidate_trajectories(params, cfg):
+    cands = tdma_solver._candidate_trajectories(params, cfg)
+    for fam, s in map(cands.member, range(len(cands))):
+        traj = fam.build(s)
         r, t1, _ = evaluate(traj)
         if best is None or r > best[0]:
             best = (r, fam, s, traj, t1)
@@ -265,10 +267,11 @@ class TestScreen:
         cfg = TdmaSearchConfig(x_grid=17, ti_grid=5)
         for V in (0.0, 5.0, 30.0):
             params = replace(base, Pbar=Pbar, H=H, D=D, V=V)
-            trajs = [t for _, _, t in tdma_solver._candidate_trajectories(params, cfg)]
+            cands = tdma_solver._candidate_trajectories(params, cfg)
+            trajs = [fam.build(s) for fam, s in map(cands.member, range(len(cands)))]
             for alpha1 in (0.01, 0.1, 0.3, 0.5):
                 prof = RateProfile.of(alpha1)
-                r, t1, pair = tdma_solver._evaluate(params, trajs, prof)
+                r, t1, pair = tdma_solver._evaluate(params, cands, prof)
                 alone = [tdma_solver._evaluate(params, t, prof) for t in trajs]
                 assert r.tolist() == [a[0] for a in alone]
                 assert t1.tolist() == [a[1] for a in alone]
@@ -301,6 +304,49 @@ class TestScreen:
         for fam in tdma_solver._families(params, tdma_solver.DEFAULT_TDMA_CONFIG):
             for s in np.linspace(fam.lo, fam.hi, 4097).tolist():
                 assert sol.r >= tdma_solver._evaluate(params, fam.build(s), prof)[0]
+
+
+class TestColumns:
+    @pytest.mark.parametrize(
+        "V, T, cases",
+        [
+            pytest.param(0.0, 60.0, [1], id="static"),
+            # a reach of 6e-6 m, below the position spacing at the users
+            pytest.param(1e-7, 60.0, [1], id="reach-below-spacing"),
+            pytest.param(30.0, 20.0, [1, 2, 3], id="reach-below-D"),
+            pytest.param(25.0, 40.0, [1, 2, 3, 4], id="reach-is-D"),
+            pytest.param(30.0, 60.0, [2, 3, 4], id="reach-above-D"),
+        ],
+    )
+    def test_lanes_are_built_members(self, base, V, T, cases):
+        """Each lane of `_candidate_trajectories` is member s of its family
+        on the family's grid, its (x_I, x_F, t_I, t_F) are `fam.build(s)`'s
+        to the bit, and `_evaluate` scores the columns as it scores each
+        built trajectory alone (r, t1, r1, r2).  The benchmark tracer counts
+        `len` of the columns as the candidates scored."""
+        params = replace(base, V=V, T=T)
+        cfg = TdmaSearchConfig(x_grid=17, ti_grid=5)
+        cands = tdma_solver._candidate_trajectories(params, cfg)
+        assert [fam.case for fam in cands.families] == cases
+        assert len(cands) == sum(fam.n for fam in tdma_solver._families(params, cfg))
+        if V * T < 1e-4:
+            assert cands.families[0].foc is tdma_solver._hover_foc  # the fixed hovers
+        members = [cands.member(i) for i in range(len(cands))]
+        for fam in cands.families:
+            assert [s for f, s in members if f is fam] == np.linspace(fam.lo, fam.hi, fam.n).tolist()
+        built = [fam.build(s) for fam, s in members]
+        for key in ("x_I", "x_F", "t_I", "t_F"):
+            column = getattr(cands, key)
+            assert column.dtype == np.float64
+            assert column.tobytes() == np.array([getattr(t, key) for t in built]).tobytes()
+        for alpha1 in (0.01, 0.3, 0.5):
+            prof = RateProfile.of(alpha1)
+            r, t1, pair = tdma_solver._evaluate(params, cands, prof)
+            alone = [tdma_solver._evaluate(params, t, prof) for t in built]
+            assert r.tolist() == [a[0] for a in alone]
+            assert t1.tolist() == [a[1] for a in alone]
+            assert pair.r1.tolist() == [a[2].r1 for a in alone]
+            assert pair.r2.tolist() == [a[2].r2 for a in alone]
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +440,38 @@ class TestFirstOrderConditions:
                 f = _flight_residual(params, traj, sol.t1)
                 assert sol.diagnostics["foc_residual"] == pytest.approx(abs(f), rel=1e-6, abs=1e-15)
 
+    def test_start_is_the_first_maximum_lane(self, foc_scan, monkeypatch):
+        """The point the first-order placement starts from is the grid's first
+        maximum, with the numbers a lone `_evaluate` of its built trajectory
+        gives, to the bit: r, t1, r1, r2 and the residual."""
+        starts = []
+
+        def spy(place):
+            def placed(params, profile, fam, start):
+                starts.append((fam, start))
+                return place(params, profile, fam, start)
+
+            return placed
+
+        for name in ("_hover_both", "_foc_root"):
+            monkeypatch.setattr(tdma_solver, name, spy(getattr(tdma_solver, name)))
+        for params, sol, _ in foc_scan:
+            prof = sol.profile
+            starts.clear()
+            again = tdma_solve_profile(params, prof)
+            assert (again.r, again.t1, again.trajectory) == (sol.r, sol.t1, sol.trajectory)
+            [(fam, start)] = starts
+            cands = tdma_solver._candidate_trajectories(params, tdma_solver.DEFAULT_TDMA_CONFIG)
+            scores = tdma_solver._evaluate(params, cands, prof)[0].tolist()
+            first, s = cands.member(scores.index(max(scores)))
+            assert (first.case, s) == (fam.case, start.s)
+            traj = fam.build(s)
+            r, t1, pair = tdma_solver._evaluate(params, traj, prof)
+            assert start.traj == traj
+            assert (start.r, start.t1, start.pair.r1, start.pair.r2) == (r, t1, pair.r1, pair.r2)
+            assert all(type(v) is float for v in (start.r, start.t1, start.pair.r1, start.pair.r2))
+            assert start.foc == (0.0 if fam.foc is None else fam.foc(params, prof, traj, t1))
+
     @pytest.mark.parametrize("H, Pbar, V", [(1e150, 1e-2, 0.0), (100.0, 1e-300, 0.0), (100.0, 1e-300, 30.0)])
     def test_underflowing_rates(self, base, H, Pbar, V):
         """Rates of ~1e-294 bps/Hz (H = 1e150 m; at 1e160 m H^2 overflows,
@@ -404,7 +482,8 @@ class TestFirstOrderConditions:
         prof = RateProfile.of(0.1)
         sol = tdma_solve_profile(params, prof)
         cands = tdma_solver._candidate_trajectories(params, tdma_solver.DEFAULT_TDMA_CONFIG)
-        assert sol.r >= max(tdma_solver._evaluate(params, traj, prof)[0] for _, _, traj in cands)
+        assert sol.r >= max(tdma_solver._evaluate(params, fam.build(s), prof)[0]
+                            for fam, s in map(cands.member, range(len(cands))))
 
     @pytest.mark.parametrize("alpha1", [0.05, 0.256504, 0.5])
     def test_fixed_hover_meets_its_first_order_condition(self, static, alpha1):
