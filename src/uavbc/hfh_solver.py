@@ -23,15 +23,20 @@ logarithms of |x| and of quadratics in x (`_piece_integrals`), and the
 full-power antiderivative (`_full_power_antiderivative`) also serves
 TDMA.  The global ranking is floored by the best value of a few
 structural candidates (`_rank_floor`: an end at a user, a static hover, a
-longest flight).  By weak duality each weight row the bisection visits
-bounds a pair's value by its weighted rate, and a pair whose bound falls
-below the floor leaves the bisection.  Every pair at the maximum stays and
-runs the unfloored operations, so the pick is the unfloored one bit for
-bit, from ~20% of the gathers; the pairs and the candidates are cached per
-(D, V T) (`global_pairs`).  A best pair that hovers above both users
-(-D/2 to D/2) with both hovers positive is placed in closed form: its
-weight is 1/2, where SC serves the stronger user alone as TDMA does, and
-the hover time is the root TDMA's hover-both family shares
+longest flight).  By weak duality a pair's value is at most its weighted
+rate over the profile's weighted share, at every weight.  Before any pair
+is ranked, blocks of four nodes are bounded at nine weights
+(`_block_bounds`) and the pairs of the blocks below the floor are dropped;
+in the bisection each weight row it visits bounds the survivors, and a
+pair whose bound falls below the floor leaves it.  Every pair at the
+maximum stays and runs the unfloored operations, so the pick is the
+unfloored one bit for bit, from ~5% of the gathers; the pairs and the
+candidates are cached per (D, V T) (`global_pairs`), the block bounds per
+channel and V T.  A static best pair (x_I == x_F) is not polished: the
+static family's optimum is `_best_hover`'s.  A best pair that hovers
+above both users (-D/2 to D/2) with both hovers positive is placed in
+closed form: its weight is 1/2, where SC serves the stronger user alone
+as TDMA does, and the hover time is the root TDMA's hover-both family shares
 (`_hover_both_pick`, `_hover_both_time`).  Any other best pair is zoomed
 on local tables, built like the global ones, ranked unfloored, and the
 best pick of the zoom is reported.  The static hovers
@@ -714,6 +719,10 @@ _POLISH_RECENTRES = 8
 # floor by more than this (relative); the tables' row dominance holds to
 # ~3e-15.
 _PRUNE_REL = 1e-12
+# The global ranking first drops whole blocks of _BLOCK_NODES positions,
+# bounded at every _BLOCK_ROW_STEP-th weight (mu = 0, 1/8, ..., 1).
+_BLOCK_NODES = 4
+_BLOCK_ROW_STEP = 16
 
 
 @dataclass(frozen=True)
@@ -816,7 +825,9 @@ def _batched_profile_values(params, pairs, profile, tables, floor=-np.inf):
     the row dominance to a few ulps, far inside _PRUNE_REL, so every pair
     at the maximum survives; survivors run the unfloored operations on
     their own entries, so their outputs, the argmax's included, are the
-    unfloored ones bit for bit.
+    unfloored ones bit for bit.  The global ranking passes only the pairs
+    of the node blocks whose bound reaches the floor (`_block_survivors`),
+    so the floor prunes the bisection of those survivors alone.
     """
     a1, a2 = profile.alpha1, profile.alpha2
     n_pairs, top = len(pairs), len(tables.mu) - 1
@@ -891,7 +902,8 @@ def _floor_candidates(pairs, n):
 def global_pairs(params: SystemParams):
     """(pairs, candidates): the global table's `_reachable_pairs` and their
     `_floor_candidates`.  Built once per (D, V T) and shared: the arrays
-    are read-only."""
+    are read-only.  `_block_bounds` bounds the same pairs block by block,
+    cached per channel and V T."""
     return _global_pairs(params.D, params.V * params.T)
 
 
@@ -906,6 +918,63 @@ def _global_pairs(D, reach):
     for a in out:
         a.flags.writeable = False
     return out
+
+
+def _block_bounds(params):
+    """(bounds, ids, mu) of the global pairs' node blocks: `global_pairs`'
+    pairs, cut into blocks of _BLOCK_NODES positions, at every
+    _BLOCK_ROW_STEP-th weight mu of `pair_tables`.
+
+    Column b of `bounds` bounds, at each of those weights, the mu-weighted
+    rate of every pair in the block pair (I, J) that pair `ids` points to:
+        U_mu(I, J) = [cg(last of J) - cg(first of I)] / (V T)
+                     + max(1 - d(I, J) / (V T), 0) max(g over I and J),
+    with cg = mu c1 + (1 - mu) c2 and g the weighted hover rate.  cg never
+    decreases in x (the rates are not negative, and neither is g), and
+    d(I, J) is the least distance between the blocks, so U_mu is at least
+    the weighted flight term and hover share of each of their pairs."""
+    return _channel_blocks(params.beta0, params.H, params.D, params.Pbar, params.V * params.T)
+
+
+@functools.lru_cache(maxsize=1)
+def _channel_blocks(beta0, H, D, Pbar, reach):
+    """`_block_bounds` (~100 kB of bounds and int16 ids at full reach).  One
+    entry, as `_global_pairs` holds one."""
+    t = _channel_tables(beta0, H, D, Pbar)
+    i, j = _global_pairs(D, reach)[0].T
+    starts = np.arange(0, _PAIR_NODES, _BLOCK_NODES)
+    ends = np.minimum(starts + _BLOCK_NODES, _PAIR_NODES) - 1
+    n = len(starts)
+    block = np.arange(_PAIR_NODES) // _BLOCK_NODES
+    flat = block[i] * n + block[j]  # each pair's block pair (I, J), as I n + J
+    present = np.zeros(n * n, dtype=bool)
+    present[flat] = True
+    I, J = np.divmod(np.flatnonzero(present), n)
+    ids = (np.cumsum(present) - 1).astype(np.int16)[flat]
+    rows = np.arange(0, _PAIR_WEIGHTS, _BLOCK_ROW_STEP)
+    mu = t.mu[rows]
+    w = mu[:, None]
+    cg = w * t.c1[rows] + (1.0 - w) * t.c2[rows]
+    g = np.maximum.reduceat(t.g[rows], starts, axis=1)
+    gap = np.where(I < J, t.x[starts[J]] - t.x[ends[I]], 0.0)
+    bounds = np.ascontiguousarray((cg[:, ends[J]] - cg[:, starts[I]]) / reach
+                                  + np.maximum(1.0 - gap / reach, 0.0) * np.maximum(g[:, I], g[:, J]))
+    out = bounds, ids, mu
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _block_survivors(params, pairs, profile, floor):
+    """The rows of `global_pairs`' `pairs` whose block bound reaches the
+    floor: by weak duality no pair is worth more than its block's least
+    U_mu / (mu alpha1 + (1 - mu) alpha2), so a block below
+    floor * (1 - _PRUNE_REL) holds no pair at the maximum.  The rows keep
+    their order, so the first maximum stays first."""
+    bounds, ids, mu = _block_bounds(params)
+    den = mu * profile.alpha1 + (1.0 - mu) * profile.alpha2
+    keep = np.min(bounds / den[:, None], axis=0) >= floor * (1.0 - _PRUNE_REL)
+    return pairs.take(np.flatnonzero(keep.take(ids)), axis=0)
 
 
 def _rank_floor(params, candidates, profile, tables):
@@ -965,60 +1034,78 @@ def _hover_both_pick(params, profile, tables):
 
 def _best_pair(params, profile, tables):
     """The best feasible pair of the global `tables` (`pair_tables(params)`),
-    then polished.  A pick that hovers above both users (-D/2 to D/2) with
-    both hovers positive is placed in closed form (`_hover_both_pick`: its
-    weight is exactly 1/2).  Any other pick is zoomed in _POLISH_STAGES
-    stages of local tables around it.  A stage whose pick lands on the edge
-    of its endpoint's window (not at -+D/2) is repeated around that pick at
-    the same spacing, up to _POLISH_RECENTRES times in all: the optimum lies
-    outside the window, and a finer window would shrink away from it.  Each
-    stage centres on the previous stage's pick, but a stage's best can fall
-    below an earlier one, so the best pick of all stages is reported.
-    Returns (x_I, x_F, t_I, value, polished value, bracket): the reported
-    pick's endpoints and hover time, the table pick's value, then the
-    reported pick's value and the weights (mu_lo, mu_hi) its value blends,
-    (1/2, 1/2) in closed form."""
+    then polished.
+
+    The ranking is floored by `_rank_floor`: `_block_survivors` drops the
+    node blocks whose bound is below it before any pair is ranked, and
+    `_batched_profile_values` prunes the survivors' bisection by the same
+    floor; neither drops the first maximum.  A static pick (x_I == x_F) is
+    returned as it is: it belongs to the static family, whose optimum
+    `_best_hover` places in closed form.  A pick that hovers above both
+    users (-D/2 to D/2) with both hovers positive is placed in closed form
+    (`_hover_both_pick`: its weight is exactly 1/2).  Any other pick is
+    zoomed (`_zoom`).  Returns (x_I, x_F, t_I, value, polished value,
+    bracket): the reported pick's endpoints and hover time, the table
+    pick's value, then the reported pick's value (None at a static pick)
+    and the weights (mu_lo, mu_hi) its value blends, (1/2, 1/2) in closed
+    form."""
+    pairs, candidates = global_pairs(params)
+    floor = _rank_floor(params, candidates, profile, tables)
+    if floor > -np.inf:
+        pairs = _block_survivors(params, pairs, profile, floor)
+    value, t_I, lo, hi = _batched_profile_values(params, pairs, profile, tables, floor)
+    k = int(np.argmax(value))
+    i, j = pairs[k]
+    x, mu = tables.x, tables.mu
+    pair_value, bracket = float(value[k]), (float(mu[lo[k]]), float(mu[hi[k]]))
+    if i == j:
+        return float(x[i]), float(x[j]), float(t_I[k]), pair_value, None, bracket
+    if i == 0 and j == len(x) - 1:
+        pick = _hover_both_pick(params, profile, tables)
+        if pick is not None:
+            return float(x[i]), float(x[j]), pick[0], pair_value, pick[1], (0.5, 0.5)
+    return _zoom(params, profile, tables, float(x[i]), float(x[j]), float(t_I[k]), pair_value, bracket)
+
+
+def _zoom(params, profile, tables, x_I, x_F, t_I, pair_value, bracket):
+    """`_best_pair`'s polish of the global pick (x_I, x_F), with hover time
+    t_I, value `pair_value` and weight bracket `bracket`, in _POLISH_STAGES
+    stages of local tables around it, each ranked unfloored: on the polish
+    tables (~170 pairs) the candidate ranking costs more than the pruning
+    saves.  A stage whose pick lands on the edge of its endpoint's window
+    (not at -+D/2) is repeated around that pick at the same spacing, up to
+    _POLISH_RECENTRES times in all: the optimum lies outside the window,
+    and a finer window would shrink away from it.  Each stage centres on
+    the previous stage's pick, but a stage's best can fall below an earlier
+    one, so the best pick of all stages, the global one's included, is
+    reported, in `_best_pair`'s form."""
     half = 0.5 * params.D
     offsets = (tables.x[1] - tables.x[0]) * (np.arange(_POLISH_SIDE) - _POLISH_SIDE // 2)
-    stage = recentres = 0
-    best = None
+    mu_lo, mu_hi = bracket
+    best = (pair_value, x_I, x_F, t_I, mu_lo, mu_hi)
+    stage, recentres = 1, 0
     while stage <= _POLISH_STAGES:
-        if stage:
-            centres = (x_I, x_F)
-            pos = np.union1d(
-                np.clip(x_I + offsets * 0.25 ** stage, -half, half),
-                np.clip(x_F + offsets * 0.25 ** stage, -half, half),
-            )
-            w = mu_hi - mu_lo  # widened bracket, with mu = 0 and 1 as sentinels
-            mu = np.linspace(max(mu_lo - w, 0.0), min(mu_hi + w, 1.0), _POLISH_WEIGHTS)
-            tables = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu))
-            pairs = _reachable_pairs(params, tables.x)
-            # Only the global ranking is floored: on the polish tables (~170
-            # pairs) the candidate ranking costs more than the pruning saves.
-            floor = -np.inf
-        else:
-            pairs, candidates = global_pairs(params)
-            floor = _rank_floor(params, candidates, profile, tables)
-        x, mu = tables.x, tables.mu
-        value, t_I, lo, hi = _batched_profile_values(params, pairs, profile, tables, floor)
+        centres = (x_I, x_F)
+        pos = np.union1d(
+            np.clip(x_I + offsets * 0.25 ** stage, -half, half),
+            np.clip(x_F + offsets * 0.25 ** stage, -half, half),
+        )
+        w = mu_hi - mu_lo  # widened bracket, with mu = 0 and 1 as sentinels
+        mu = np.linspace(max(mu_lo - w, 0.0), min(mu_hi + w, 1.0), _POLISH_WEIGHTS)
+        local = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu))
+        pairs = _reachable_pairs(params, local.x)
+        value, t, lo, hi = _batched_profile_values(params, pairs, profile, local)
         k = int(np.argmax(value))
         i, j = pairs[k]
-        x_I, x_F, mu_lo, mu_hi = x[i], x[j], mu[lo[k]], mu[hi[k]]
-        if best is None or value[k] >= best[0]:
-            best = (value[k], x_I, x_F, t_I[k], mu_lo, mu_hi)
-        if not stage:
-            pair_value = float(value[k])
-            if i == 0 and j == len(x) - 1:
-                pick = _hover_both_pick(params, profile, tables)
-                if pick is not None:
-                    return float(x_I), float(x_F), pick[0], pair_value, pick[1], (0.5, 0.5)
-        else:
-            reach = offsets[-1] * 0.25 ** stage * (1.0 - 1e-9)
-            if recentres < _POLISH_RECENTRES and any(
-                abs(p - c) >= reach and abs(p) < half for p, c in zip((x_I, x_F), centres)
-            ):
-                recentres += 1
-                continue
+        x_I, x_F, mu_lo, mu_hi = local.x[i], local.x[j], local.mu[lo[k]], local.mu[hi[k]]
+        if value[k] >= best[0]:
+            best = (value[k], x_I, x_F, t[k], mu_lo, mu_hi)
+        reach = offsets[-1] * 0.25 ** stage * (1.0 - 1e-9)
+        if recentres < _POLISH_RECENTRES and any(
+            abs(p - c) >= reach and abs(p) < half for p, c in zip((x_I, x_F), centres)
+        ):
+            recentres += 1
+            continue
         stage += 1
     value, x_I, x_F, t_I, mu_lo, mu_hi = map(float, best)
     return x_I, x_F, t_I, pair_value, value, (mu_lo, mu_hi)
@@ -1141,10 +1228,11 @@ def solve_profile(
     Searches the HFH family: the best static hover (`_best_hover`, in
     closed form on [0, D/2]; alpha1 > alpha2 is solved as its mirror),
     then (for V > 0) the best endpoint pair of `pair_tables(params)`,
-    polished by `_best_pair`: in closed form at weight 1/2 when it hovers
-    above both users with both hovers positive, else zoomed on local
-    tables.  A polished pair better than the hover by more than
-    `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots`
+    polished by `_best_pair`: not at all when it is static (x_I == x_F),
+    as the static family's optimum is the hover, in closed form at weight
+    1/2 when it hovers above both users with both hovers positive, else
+    zoomed on local tables.  A polished pair better than the hover by more
+    than `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots`
     slots, warm-started at the midpoint of the pick's weight bracket (1/2
     in closed form), and replaces the hover when that r, too, is better by
     more than the tie.
@@ -1153,7 +1241,8 @@ def solve_profile(
     position, so a solve makes at most one P5 solve, and only for a
     flight.  Diagnostics report the hover value, the
     table pick's value, the polished value, how the pair was polished
-    (`polish`: "hover_both" in closed form, else "zoom"), the P5 solve
+    (`polish`: "static" for a static pick, whose polished value is the
+    hover's, "hover_both" in closed form, else "zoom"), the P5 solve
     count (`p5_calls`) and its weight solves (`weight_solves`).  Raises InvalidParams for
     out-of-range params.
     """
@@ -1176,8 +1265,11 @@ def solve_profile(
         x_I, x_F, t_I, pair_value, polished, bracket = _best_pair(
             params, profile, pair_tables(params)
         )
-        diagnostics.update(pair_value=pair_value, polish_value=polished,
-                           polish="hover_both" if bracket[0] == bracket[1] else "zoom")
+        if polished is None:  # a static pick: the static family's optimum is the hover
+            polish, polished = "static", r_h
+        else:
+            polish = "hover_both" if bracket[0] == bracket[1] else "zoom"
+        diagnostics.update(pair_value=pair_value, polish_value=polished, polish=polish)
         tie = _TIE_TOL_REL * max(r_h, 1e-12)
         # Slots only lose rate against the continuous value, so a polished
         # value within the tie of the hover cannot replace it.

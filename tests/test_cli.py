@@ -194,6 +194,21 @@ class TestRegionCommand:
         points = json.loads(out.with_suffix(".json").read_text())["regions"][0]["points"]
         assert [p["diagnostics"].get("polish") for p in points] == [None, "zoom", "hover_both", "zoom", None]
 
+    def test_sc_sidecar_reports_static_picks(self, scenario, tmp_path):
+        """At 33 profiles alpha1 = 2/32 and 4/32 (and their mirrors) pick a
+        static pair from the global table, which is not polished: the
+        sidecar labels it "static", with the hover's value."""
+        out = tmp_path / "sc.csv"
+        code = main(["region", "--scenario", scenario, "--out", str(out)])
+        assert code == 0
+        points = json.loads(out.with_suffix(".json").read_text())["regions"][0]["points"]
+        assert len(points) == 33
+        static = [k for k, p in enumerate(points) if p["diagnostics"].get("polish") == "static"]
+        assert static == [2, 4, 28, 30]
+        for k in static:
+            diag = points[k]["diagnostics"]
+            assert diag["polish_value"] == diag["hover_r"]
+
     def test_missing_scenario_file(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(
