@@ -390,7 +390,8 @@ def cmd_oracle_check(args):
     def run(prof):
         sol = hfh_solver.solve_profile(params, prof, cfg)
         r_dp, path = oracle.dp_trajectory_oracle(params, prof, dp_cfg)
-        gap = abs(sol.r - r_dp) / max(sol.r, r_dp, 1e-12)
+        top = max(sol.r, r_dp)
+        gap = abs(sol.r - r_dp) / top if top > 0.0 else 0.0  # relative at any rate scale
         unidir, clusters = oracle.path_shape_stats(path, spacing * 1.5)
         return prof, sol, r_dp, gap, unidir, clusters
 

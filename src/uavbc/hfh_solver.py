@@ -1,60 +1,44 @@
 """General finite-speed finite-duration capacity solver.
 
 For a fixed hover-fly-hover (HFH) trajectory the power/rate allocation (P5)
-is convex; its profile-constrained optimum is the root of the rate imbalance
-in a scalar weight mu in [0, 1] (the normalized dual weight of user 1),
-where each weight decouples into independent per-slot full-power splits
-with a closed form.  The root is found by safeguarded regula falsi
-(Illinois), to a balance of `SearchConfig.mu_tol` = 1e-9, from the bracket
-[0, 1] (or from a narrow one around a given weight); bracket ends on the
-flat of the imbalance, where every slot gives all power to its stronger
-user, move to the flat's edge.
+is convex; its profile-constrained optimum is the root of the rate
+imbalance in a scalar weight mu in [0, 1] (the normalized dual weight of
+user 1), where each weight decouples into per-slot full-power splits with a
+closed form.  `_solve_p5_on` finds it by safeguarded regula falsi
+(Illinois) to a balance of `SearchConfig.mu_tol`.
 
-The trajectory is searched over endpoint pairs (x_I, x_F): for fixed
-endpoints, sharing the slack time between the two hovers is a time-share,
-so the pair's rate set is convex and its profile value is one mu-root with
-a blend across the bracket.  Per-weight tables of hover rates, weighted
-hover rates and cumulative flight integrals (`pair_tables`; they depend on
-the channel only, not on T, V or the profile, so they are cached per
-channel and read-only) give every pair's value in a few vectorized passes
-of flat gathers.  The flight integrals are in closed form: between the
-weight's regime changes (`_regime_cuts`) each user's rate is a sum of
-logarithms of |x| and of quadratics in x (`_piece_integrals`), and the
-full-power antiderivative (`_full_power_antiderivative`) also serves
-TDMA.  The global ranking is floored by the best value of a few
-structural candidates (`_rank_floor`: an end at a user, a static hover, a
-longest flight).  By weak duality a pair's value is at most its weighted
-rate over the profile's weighted share, at every weight.  Before any pair
-is ranked, blocks of four nodes are bounded at nine weights
-(`_block_bounds`) and the pairs of the blocks below the floor are dropped;
-in the bisection each weight row it visits bounds the survivors, and a
-pair whose bound falls below the floor leaves it.  Every pair at the
-maximum stays and runs the unfloored operations, so the pick is the
-unfloored one bit for bit, from ~5% of the gathers; the pairs and the
-candidates are cached per (D, V T) (`global_pairs`), the block bounds per
-channel and V T.  A static best pair (x_I == x_F) is not polished: the
-static family's optimum is `_best_hover`'s.  A best pair that hovers
-above both users (-D/2 to D/2) with both hovers positive is placed in
-closed form: its weight is 1/2, where SC serves the stronger user alone
-as TDMA does, and the hover time is the root TDMA's hover-both family shares
-(`_hover_both_pick`, `_hover_both_time`).  Any other best pair is zoomed
-on local tables, built like the global ones, ranked unfloored, and the
-best pick of the zoom is reported.  The static hovers
-(x_I == x_F) are placed in closed form (`_best_hover`, also behind
-`asymptotic.solve_v0`): the mirror fold leaves alpha1 <= alpha2, the
-paper's static hover then lies on [0, D/2], nearer user 2, and there it
-is one monotone root in the rate scale at a quadratic's vertex.  A
-winning flight is reported with one P5 solve on `SearchConfig.n_slots`
-slots, warm-started from the polish's weight bracket; nothing is tuned
-to the slots and the slot count is not doubled.  A winning hover, like a
+The trajectory is searched over endpoint pairs (x_I, x_F): sharing a pair's
+slack between its two hovers is a time-share, so its profile value is one
+mu-root with a blend across the bracket.  Per-channel tables of hover
+rates and cumulative flight integrals (`pair_tables`; the integrals are in
+closed form between each weight's regime changes, `_piece_integrals`, from
+the antiderivative TDMA shares, `_full_power_antiderivative`) value every
+pair in a few vectorized gathers (`_batched_profile_values`).  The global
+ranking is floored by a few structural candidates (`_rank_floor`), and by
+weak duality blocks of nodes (`_block_bounds`), then single pairs, whose
+weighted-rate bound falls below the floor drop out; the pick is the
+unfloored one bit for bit.
+
+The pick fixes its HFH family, which the first-order conditions place: a
+static pick's family optimum is the static hover (`_best_hover`: on
+[0, D/2], after the mirror fold to alpha1 <= alpha2, one monotone root at a
+quadratic's vertex, also behind `asymptotic.solve_v0`); hovering above both
+users with both hovers positive is placed in closed form at weight 1/2,
+where SC serves the stronger user alone as TDMA does (`_hover_both_pick`);
+and a fly-hover, hover-fly or pure flight by `_family_root`: by the
+envelope theorem a hovering end sits at a stationary point of the weighted
+hover rate and a free end where both ends' weighted rates are equal, a
+root `numerics.illinois_root` (TDMA's too) finds one member (a table of
+the pair's two ends) a step.
+
+A winning flight is reported with one P5 solve on `SearchConfig.n_slots`
+slots, warm-started from its pair's weight bracket, evaluated with exact
+per-slot integration (closed-form hovers, Gauss nodes on flight segments
+cut at the hover/flight switches and at x = 0).  A winning hover, like a
 corner profile, is reported from its `fixed_boundary` point, the same
-split in every slot, with no P5 (`_hover_solution`).
-
-Every reported flight is evaluated with exact per-slot integration
-(closed-form hover segments, Gauss nodes on flight segments cut at the
-hover/flight switch times and at x = 0), and a reported hover's rates are
-the closed form at its position, so emitted rate pairs are achievable to
-quadrature precision and survive independent feasibility re-checks.
+split in every slot, with no P5 (`_hover_solution`).  Emitted rate pairs
+are achievable to quadrature precision and survive independent
+feasibility re-checks.
 """
 
 from __future__ import annotations
@@ -62,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -82,7 +66,7 @@ from .core import (
 from .errors import DiscretizationInvalid, InvalidParams
 from .fixed_region import fixed_boundary
 # golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 1).
-from .numerics import bisect_increasing, golden_max  # noqa: F401
+from .numerics import FOC_XTOL, bisect_increasing, golden_max, illinois_root  # noqa: F401
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -465,7 +449,7 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
     a1, a2 = profile.alpha1, profile.alpha2
 
     def balanced(r, r1, r2):
-        return abs(r1 / a1 - r2 / a2) <= mu_tol * max(r, 1e-12)
+        return abs(r1 / a1 - r2 / a2) <= mu_tol * r
 
     # lo and hi are (mu, g, state) with g <= 0 at lo and g > 0 at hi; fL and
     # fH are the g values regula falsi uses, halved by the Illinois rule.
@@ -532,7 +516,10 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
     # intermediate power; blend with the ratio-matching coefficient.  Gains
     # apart by more than that tie but so little that the ratio jumps where
     # no weight lies strictly inside the bracket (`collapsed`) are blended
-    # too: the blend's rates are re-evaluated, so they are achievable.
+    # too, and so are slots that flip all power across the bracket, as at
+    # so low an SNR that a slot's interior split spans less than a double's
+    # spacing of weights: the blend's rates are re-evaluated, so they are
+    # achievable.
     mixed = None
     if lo is not None and hi is not None:
         (mu_lo, gL, (p1L, p2L, _, _)), (mu_hi, gH, (p1H, p2H, _, _)) = lo, hi
@@ -541,7 +528,9 @@ def _solve_p5_on(params, ev: TrajectoryEvaluator, profile, mu_tol, max_iter, *, 
         p2_mix = p2L.copy()
         differ = np.abs(p2L - p2H) > 1e-9 * Pbar
         tied = np.abs(ev.h1m - ev.h2m) <= 1e-9 * np.maximum(ev.h1m, ev.h2m)
-        if collapsed or np.all(~differ | tied):
+        flip = np.minimum(p2L, p2H) == 0.0
+        flip &= np.maximum(p2L, p2H) == Pbar
+        if collapsed or np.all(~differ | tied | flip):
             h = ev.h2m[differ]
             r2L_slot = np.log1p(p2L[differ] * h)
             r2H_slot = np.log1p(p2H[differ] * h)
@@ -703,18 +692,11 @@ def _piece_integrals(params, edges, mu):
 # ---------------------------------------------------------------------------
 
 
-# Position nodes (odd, so x = 0 is a node) and weights mu of the pair tables.
-# The polish zooms in _POLISH_STAGES stages, each on _POLISH_SIDE positions
-# around either endpoint at a quarter of the previous spacing and
-# _POLISH_WEIGHTS weights across the widened bracket.
+# Position nodes (odd, so x = 0 is a node) and weights mu of the pair tables,
+# and the weights of a family member's table (`_member`).
 _PAIR_NODES = 201
 _PAIR_WEIGHTS = 129
-_POLISH_SIDE = 9
-_POLISH_WEIGHTS = 17
-_POLISH_STAGES = 5
-# A stage whose pick lands on its window's edge is repeated around the pick,
-# at most this many times per search.
-_POLISH_RECENTRES = 8
+_MEMBER_WEIGHTS = 17
 # A floored ranking drops a pair whose weighted-rate bound is below the
 # floor by more than this (relative); the tables' row dominance holds to
 # ~3e-15.
@@ -875,21 +857,16 @@ def _batched_profile_values(params, pairs, profile, tables, floor=-np.inf):
     return out
 
 
-def _reachable_pairs(params, x):
-    """The pairs (i, j) of sorted positions x, i <= j, whose flight from
-    x[i] to x[j] fits in T, each i's by rising j."""
-    return _pairs_within(x, params.V * params.T)
-
-
 def _pairs_within(x, reach):
-    """`_reachable_pairs` with the reach V T given."""
+    """The pairs (i, j) of sorted positions x, i <= j, whose flight from
+    x[i] to x[j] is at most `reach` (V T), each i's by rising j."""
     i, j = np.triu_indices(len(x))
     keep = x[j] - x[i] <= reach
     return np.stack([i[keep], j[keep]], axis=1)
 
 
 def _floor_candidates(pairs, n):
-    """The structural candidates among `pairs` (`_reachable_pairs` order)
+    """The structural candidates among `pairs` (`_pairs_within` order)
     of n positions: an end at x = -+D/2, a static hover (x_I == x_F), or
     each x_I's longest reachable flight.  Most winners hover above a user
     or fly as far as T allows, so their best value is near the best
@@ -900,7 +877,7 @@ def _floor_candidates(pairs, n):
 
 
 def global_pairs(params: SystemParams):
-    """(pairs, candidates): the global table's `_reachable_pairs` and their
+    """(pairs, candidates): the global table's `_pairs_within` V T and their
     `_floor_candidates`.  Built once per (D, V T) and shared: the arrays
     are read-only.  `_block_bounds` bounds the same pairs block by block,
     cached per channel and V T."""
@@ -1018,8 +995,13 @@ def _hover_both_pick(params, profile, tables):
     rate.  Here g = C_strong / 2, which peaks exactly above the users, so
     the value is stationary at (-D/2, D/2), and as g rises toward each user
     for the weights near 1/2 that nearby pairs balance at, moving either end
-    inward (both hovers stay positive) lowers the value.  So none of the
-    pairs the zoom would try, a few grid steps around the ends, beats it."""
+    inward (both hovers stay positive) lowers the value.  It is also the
+    only pair whose ends can both hover at an optimum: both then sit at
+    stationary points of g with equal values, and for mu* > 1/2 g's
+    maximum beside user 1 (mu* C) exceeds any value beside user 2, where
+    mu* r1 + (1 - mu*) r2 <= mu* C (C the full-power rate above a user),
+    and the mirror for mu* < 1/2.  So `_best_pair` sets it against every
+    other family's placement."""
     m = _PAIR_WEIGHTS // 2
     h1, h2 = tables.h1[m], tables.h2[m]
     F1, F2 = tables.c1[m, -1] - tables.c1[m, 0], tables.c2[m, -1] - tables.c2[m, 0]
@@ -1032,23 +1014,145 @@ def _hover_both_pick(params, profile, tables):
     return float(t_I), float(min(r1 / profile.alpha1, r2 / profile.alpha2))
 
 
-def _best_pair(params, profile, tables):
+class _Pick(NamedTuple):
+    """`_best_pair`'s pair x_I <= x_F with hover time t_I at x_I, the global
+    table pick's value, the pair's value (None for the static family, whose
+    value is the hover's), the weights its value blends ((1/2, 1/2) in
+    closed form), its family and its relative first-order residual."""
+
+    x_I: float
+    x_F: float
+    t_I: float
+    pair_value: float
+    value: Optional[float]
+    bracket: tuple
+    family: str
+    foc: float
+
+
+class _Member(NamedTuple):
+    """A point of a root search at coordinate s: value r and residual foc.
+    A family member (`_member`) adds its pair, hover time t_I at x_I,
+    weight bracket and balancing weight mu."""
+
+    r: float
+    s: float
+    foc: float
+    x_I: float = 0.0
+    x_F: float = 0.0
+    t_I: float = 0.0
+    bracket: tuple = (0.0, 1.0)
+    mu: float = 0.5
+
+
+_ONE_PAIR = np.array([[0, 1]])
+
+
+def _weighted_rate(params, x, mu):
+    """(g, g') at the positions x (an array): g = mu r1 + (1 - mu) r2 of the
+    weight-mu split, in bps/Hz, and its slope per metre, in which only the
+    gains move (the split is optimal): h_k' = -2 (x - x_k) h_k / d_k, and
+    the strong and weak rates' slopes are ps hs' / (1 + ps hs) and
+    (Pbar - ps) hw' / ((1 + Pbar hw) (1 + ps hw))."""
+    Pbar, half, H2 = params.Pbar, 0.5 * params.D, params.H * params.H
+    frame = _split_frame(*gain_pair(params, x), Pbar)
+    strong2, hs, hw, cw = frame[:4]
+    ps = _strong_power(frame, mu, Pbar)
+    r1, r2 = _sc_rates(strong2, hs, hw, ps, Pbar - ps)
+    ys, yw = x - np.where(strong2, half, -half), x + np.where(strong2, half, -half)
+    mus = np.where(strong2, 1.0 - mu, mu)
+    slope = (mus * ps * (-2.0 * ys * hs / (H2 + ys * ys)) / (1.0 + ps * hs)
+             + (1.0 - mus) * (Pbar - ps) * (-2.0 * yw * hw / (H2 + yw * yw)) / (cw * (1.0 + ps * hw)))
+    return (mu * r1 + (1.0 - mu) * r2) / LOG2, slope / LOG2
+
+
+def _hover_weight(params, profile, tables, i, j, e):
+    """The weight at which the pair (x[i], x[j]) of `tables` balances with
+    all its slack at x[e]: the secant of its imbalance a2 r1 - a1 r2, which
+    rises with mu, across the rows where it turns positive."""
+    t, V = tables, params.V
+    slack = params.T - (t.x[j] - t.x[i]) / V
+    r1 = (t.c1[:, j] - t.c1[:, i]) / V + slack * t.h1[:, e]
+    imb = profile.alpha2 * r1 - profile.alpha1 * ((t.c2[:, j] - t.c2[:, i]) / V + slack * t.h2[:, e])
+    k = int(np.argmax(imb > 0.0))
+    if k == 0:
+        return float(t.mu[0] if imb[0] > 0.0 else t.mu[-1])
+    return float(t.mu[k - 1] + (t.mu[k] - t.mu[k - 1]) * (imb[k - 1] / (imb[k - 1] - imb[k])))
+
+
+def _member(params, profile, x_I, x_F, s, centre, width, e):
+    """The pair x_I <= x_F as a family member at coordinate s, valued by
+    `_batched_profile_values` on the `_rate_tables` of its two ends, at
+    _MEMBER_WEIGHTS weights across centre +- 1.5 width (predicted from
+    nearby members), then at distances doubling out to mu = 0 and 1.  A
+    value that blends two rows outside that core is valued again on a core
+    across them, so no member blends rows the prediction missed, a mu = 0
+    or 1 row included.  foc is the free end's residual
+    (g(x_F) - g(x_I)) / (V T den r) per metre, at the weight mu
+    that balances the pair with all slack at its hovering end e (0 for x_I;
+    `_hover_weight`): r's relative slope while the free end does not hover,
+    smooth through the root, where hovering there starts to pay."""
+    half_width = 1.5 * max(width, 2.0 ** -40)
+    tails = half_width * 2.0 ** np.arange(1.0, 1.0 - math.log2(half_width))
+    weights = np.union1d(np.linspace(centre - half_width, centre + half_width, _MEMBER_WEIGHTS),
+                         np.concatenate([centre - tails, centre + tails, [0.0, 1.0]]))
+    ends = np.array([x_I, x_F])
+    tables = _rate_tables(params, ends, weights[(weights >= 0.0) & (weights <= 1.0)])
+    value, t_I, a, b = (float(v[0]) for v in _batched_profile_values(params, _ONE_PAIR, profile, tables))
+    lo, hi = float(tables.mu[int(a)]), float(tables.mu[int(b)])
+    if lo < centre - half_width or hi > centre + half_width:  # a tail's bracket: again on a core
+        return _member(params, profile, x_I, x_F, s, 0.5 * (lo + hi), hi - lo, e)
+    mu = _hover_weight(params, profile, tables, 0, 1, e)
+    residual = _free_residual(params, profile, ends, mu, value)
+    return _Member(value, s, residual, x_I, x_F, t_I, (lo, hi), mu)
+
+
+def _free_residual(params, profile, ends, mu, value):
+    """`_member`'s foc of the pair `ends` worth `value`, at weight mu."""
+    g = _weighted_rate(params, ends, mu)[0]
+    den = params.V * params.T * (mu * profile.alpha1 + (1.0 - mu) * profile.alpha2) * value
+    return float((g[1] - g[0]) / den) if den > 0.0 else 0.0
+
+
+def _root_within(point, start, lo, hi, step, xtol):
+    """The best point of `illinois_root` runs within [lo, hi], each from
+    `start` out to one step on the side its residual points to; while the
+    far end keeps the sign, the next run starts there."""
+    best = start
+    while True:
+        outer = min(hi, start.s + step) if start.foc > 0.0 else max(lo, start.s - step)
+        seen = []
+        found = illinois_root(lambda s: seen.append(point(s)) or seen[-1], start, outer, xtol)
+        best = found if found.r > best.r else best
+        if not seen or seen[-1].s != outer or seen[-1].foc * start.foc <= 0.0:
+            return best
+        start = seen[-1]
+
+
+def _stationary_end(params, mu, x, lo, hi):
+    """A hovering end moved from x to a stationary point of g_mu within
+    [lo, hi] (`_root_within` on g'_mu; the point's foc is g'_mu)."""
+
+    def level(s):
+        g, slope = _weighted_rate(params, np.array([s]), mu)
+        return _Member(float(g[0]), s, float(slope[0]))
+
+    return _root_within(level, level(x), lo, hi, params.D / (_PAIR_NODES - 1), FOC_XTOL * params.D)
+
+
+def _best_pair(params, profile, tables) -> _Pick:
     """The best feasible pair of the global `tables` (`pair_tables(params)`),
-    then polished.
+    placed in its HFH family.
 
     The ranking is floored by `_rank_floor`: `_block_survivors` drops the
     node blocks whose bound is below it before any pair is ranked, and
     `_batched_profile_values` prunes the survivors' bisection by the same
     floor; neither drops the first maximum.  A static pick (x_I == x_F) is
-    returned as it is: it belongs to the static family, whose optimum
-    `_best_hover` places in closed form.  A pick that hovers above both
-    users (-D/2 to D/2) with both hovers positive is placed in closed form
-    (`_hover_both_pick`: its weight is exactly 1/2).  Any other pick is
-    zoomed (`_zoom`).  Returns (x_I, x_F, t_I, value, polished value,
-    bracket): the reported pick's endpoints and hover time, the table
-    pick's value, then the reported pick's value (None at a static pick)
-    and the weights (mu_lo, mu_hi) its value blends, (1/2, 1/2) in closed
-    form."""
+    returned as it is: the static family's optimum is `_best_hover`'s.  A
+    pick that hovers above both users (-D/2 to D/2) with both hovers
+    positive is placed in closed form (`_hover_both_pick`, at weight 1/2).
+    Any other pick is placed by `_family_root`, against that closed form
+    where it applies."""
     pairs, candidates = global_pairs(params)
     floor = _rank_floor(params, candidates, profile, tables)
     if floor > -np.inf:
@@ -1057,58 +1161,122 @@ def _best_pair(params, profile, tables):
     k = int(np.argmax(value))
     i, j = pairs[k]
     x, mu = tables.x, tables.mu
-    pair_value, bracket = float(value[k]), (float(mu[lo[k]]), float(mu[hi[k]]))
+    pick = _Pick(float(x[i]), float(x[j]), float(t_I[k]), float(value[k]), None,
+                 (float(mu[lo[k]]), float(mu[hi[k]])), "static", 0.0)
     if i == j:
-        return float(x[i]), float(x[j]), float(t_I[k]), pair_value, None, bracket
-    if i == 0 and j == len(x) - 1:
-        pick = _hover_both_pick(params, profile, tables)
-        if pick is not None:
-            return float(x[i]), float(x[j]), pick[0], pair_value, pick[1], (0.5, 0.5)
-    return _zoom(params, profile, tables, float(x[i]), float(x[j]), float(t_I[k]), pair_value, bracket)
+        return pick
+    closed = _hover_both_pick(params, profile, tables)
+    both = closed and pick._replace(x_I=float(x[0]), x_F=float(x[-1]), t_I=closed[0], value=closed[1],
+                                    bracket=(0.5, 0.5), family="hover_both")
+    if closed and i == 0 and j == len(x) - 1:
+        return both
+    placed = _family_root(params, profile, tables, pick, i, j, both.value if closed else -np.inf)
+    return both if closed and (placed.value is None or both.value >= placed.value) else placed
 
 
-def _zoom(params, profile, tables, x_I, x_F, t_I, pair_value, bracket):
-    """`_best_pair`'s polish of the global pick (x_I, x_F), with hover time
-    t_I, value `pair_value` and weight bracket `bracket`, in _POLISH_STAGES
-    stages of local tables around it, each ranked unfloored: on the polish
-    tables (~170 pairs) the candidate ranking costs more than the pruning
-    saves.  A stage whose pick lands on the edge of its endpoint's window
-    (not at -+D/2) is repeated around that pick at the same spacing, up to
-    _POLISH_RECENTRES times in all: the optimum lies outside the window,
-    and a finer window would shrink away from it.  Each stage centres on
-    the previous stage's pick, but a stage's best can fall below an earlier
-    one, so the best pick of all stages, the global one's included, is
-    reported, in `_best_pair`'s form."""
-    half = 0.5 * params.D
-    offsets = (tables.x[1] - tables.x[0]) * (np.arange(_POLISH_SIDE) - _POLISH_SIDE // 2)
-    mu_lo, mu_hi = bracket
-    best = (pair_value, x_I, x_F, t_I, mu_lo, mu_hi)
-    stage, recentres = 1, 0
-    while stage <= _POLISH_STAGES:
-        centres = (x_I, x_F)
-        pos = np.union1d(
-            np.clip(x_I + offsets * 0.25 ** stage, -half, half),
-            np.clip(x_F + offsets * 0.25 ** stage, -half, half),
-        )
-        w = mu_hi - mu_lo  # widened bracket, with mu = 0 and 1 as sentinels
-        mu = np.linspace(max(mu_lo - w, 0.0), min(mu_hi + w, 1.0), _POLISH_WEIGHTS)
-        local = _rate_tables(params, pos, np.union1d([0.0, 1.0], mu))
-        pairs = _reachable_pairs(params, local.x)
-        value, t, lo, hi = _batched_profile_values(params, pairs, profile, local)
-        k = int(np.argmax(value))
-        i, j = pairs[k]
-        x_I, x_F, mu_lo, mu_hi = local.x[i], local.x[j], local.mu[lo[k]], local.mu[hi[k]]
-        if value[k] >= best[0]:
-            best = (value[k], x_I, x_F, t[k], mu_lo, mu_hi)
-        reach = offsets[-1] * 0.25 ** stage * (1.0 - 1e-9)
-        if recentres < _POLISH_RECENTRES and any(
-            abs(p - c) >= reach and abs(p) < half for p, c in zip((x_I, x_F), centres)
-        ):
-            recentres += 1
-            continue
-        stage += 1
-    value, x_I, x_F, t_I, mu_lo, mu_hi = map(float, best)
-    return x_I, x_F, t_I, pair_value, value, (mu_lo, mu_hi)
+def _family_root(params, profile, tables, pick, i, j, rival):
+    """`_best_pair`'s placement of its `pick`, the pair (x[i], x[j]) of
+    `tables`, by its family's first-order conditions.
+
+    By the envelope theorem at the pair's balancing weight mu, with
+    g = g_mu and den = mu alpha1 + (1 - mu) alpha2, an end x with hover
+    time t moves r at t g'(x) / (T den), so a hovering end sits at a
+    stationary point of g (`_stationary_end`): above a user, or at SC's
+    interior maximum beside one; and a free end, which does not hover,
+    moves r at +-(g(x_F) - g(x_I)) / (V T den), so its optimum has equal
+    weighted rates at both ends (`_member`'s foc).  The families are
+    "fly_hover" (x_I free) and "hover_fly" (x_F free), by the end the pick
+    hovers at longer, and "flight" (x_F - x_I = V T, both ends slide),
+    which a pick without slack, or a hovering end held by the reach, is.
+    Each round places the hovering end at the last weight, then seeks the
+    free coordinate's root by `_root_within`, one `_member` a step, to
+    FOC_XTOL D, the first from the pick as the global table values it;
+    rounds repeat while the hovering end moves.  At a bound its
+    residual points out of, a free end at the reach hands over to the
+    flight, and a flight at -D/2 (D/2) to hover-fly (fly-hover).  A pair
+    that collapses onto its hover is the static family's: the pick is
+    returned as a static one.  The best member is valued once more on a
+    finer core unless it is below `rival` (the hover-both closed form's
+    value, which `_best_pair` then reports).  foc is the best member's
+    |residual|, 0 at a bound it points out of."""
+    half, reach, xtol = 0.5 * params.D, params.V * params.T, FOC_XTOL * params.D
+    step = params.D / (_PAIR_NODES - 1)
+    slack = params.T - (pick.x_F - pick.x_I) / params.V
+    at_i = pick.t_I > 0.5 * slack
+    family = "flight" if slack * params.V <= xtol else "hover_fly" if at_i else "fly_hover"
+    hover, free = (pick.x_I, pick.x_F) if at_i else (pick.x_F, pick.x_I)
+    bracket, mu = pick.bracket, _hover_weight(params, profile, tables, i, j, i if at_i else j)
+
+    def ends(s):
+        return {"hover_fly": (hover, s), "fly_hover": (s, hover)}.get(family, (s, min(s + reach, half)))
+
+    best = top = rooted = None
+    for _ in range(4):  # the first family's rounds and handovers
+        placed, right = hover, family == "fly_hover"
+        if family != "flight":
+            lo, hi = (free, min(half, free + reach)) if right else (max(-half, free - reach), free)
+            end = _stationary_end(params, mu, hover, lo, hi)
+            placed = end.s
+            held = (placed == hi < half and end.foc > 0.0) if right else \
+                (placed == lo > -half and end.foc < 0.0)
+            if held:  # by the reach: the pair is a pure flight
+                family, free = "flight", free if right else placed
+        if rooted == family and abs(placed - hover) <= xtol:
+            break  # the hovering end stays where the last root left it
+        hover = placed
+        if family == "fly_hover":
+            lo, hi = max(-half, hover - reach), hover
+        elif family == "hover_fly":
+            lo, hi = hover, min(half, hover + reach)
+        else:
+            lo, hi = -half, max(-half, half - reach)
+        free = min(max(free, lo), hi)
+        seen = [top._replace(s=free)] if top and (top.x_I, top.x_F) == ends(free) else []
+
+        def member(s):
+            mu_lo, mu_hi = seen[-1].bracket if seen else bracket
+            centre = 0.5 * (mu_lo + mu_hi)
+            if len(seen) > 1 and seen[-2].s != seen[-1].s:  # extrapolate the last two
+                p, q = seen[-2], seen[-1]
+                centre += (s - q.s) * (centre - sum(p.bracket) / 2) / (q.s - p.s)
+            seen.append(_member(params, profile, *ends(s), s, min(max(centre, 0.0), 1.0), mu_hi - mu_lo,
+                                0 if family == "hover_fly" else 1))
+            return seen[-1]
+
+        glob = None  # the global pick, valued on the global table, as the first start
+        if not seen and best is None and ends(free) == (pick.x_I, pick.x_F):
+            residual = _free_residual(params, profile, np.array(ends(free)), mu, pick.pair_value)
+            glob = _Member(pick.pair_value, free, residual, *ends(free), pick.t_I, bracket, mu)
+        top = _root_within(member, glob or (seen[-1] if seen else member(free)), lo, hi, step, xtol)
+        if top is glob:  # no member beat it: value it on its own table
+            top = member(free)
+        out = (top.s == lo and top.foc < 0.0) or (top.s == hi and top.foc > 0.0)
+        if best is None or top.r > best[0].r:
+            best = (top, family, 0.0 if out else abs(top.foc))
+        bracket, mu, free, rooted = top.bracket, top.mu, top.s, family
+        if family != "flight" and top.s == hover:  # collapsed onto the hover
+            if best[0] is top:
+                return pick
+            break
+        if family == "flight" and out:
+            family = "hover_fly" if top.foc < 0.0 else "fly_hover"
+            free, hover = (top.x_F, -half) if top.foc < 0.0 else (top.x_I, half)
+        elif out and (lo if family == "fly_hover" else -hi) > -half:  # the bound is the reach
+            family, free = "flight", top.x_I
+        elif out:
+            break
+    m, family, foc = best
+    if m.r >= rival:
+        # Value the best again on a core 1/16 as wide, at its own weight:
+        # its value is a chord across its bracket, which the root's last
+        # steps may have left wide (the global pick's, if no member beat it).
+        fine = _member(params, profile, m.x_I, m.x_F, m.s, m.mu, (m.bracket[1] - m.bracket[0]) / 16.0,
+                       0 if family == "hover_fly" else 1)
+        m = fine if fine.r > m.r else m
+    if m.r < pick.pair_value:  # the global pick is a member too
+        return pick._replace(value=pick.pair_value, family=family)
+    return pick._replace(x_I=m.x_I, x_F=m.x_F, t_I=m.t_I, value=m.r, bracket=m.bracket,
+                         family=family, foc=foc)
 
 
 # ---------------------------------------------------------------------------
@@ -1228,22 +1396,24 @@ def solve_profile(
     Searches the HFH family: the best static hover (`_best_hover`, in
     closed form on [0, D/2]; alpha1 > alpha2 is solved as its mirror),
     then (for V > 0) the best endpoint pair of `pair_tables(params)`,
-    polished by `_best_pair`: not at all when it is static (x_I == x_F),
-    as the static family's optimum is the hover, in closed form at weight
-    1/2 when it hovers above both users with both hovers positive, else
-    zoomed on local tables.  A polished pair better than the hover by more
-    than `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots`
-    slots, warm-started at the midpoint of the pick's weight bracket (1/2
-    in closed form), and replaces the hover when that r, too, is better by
-    more than the tie.
+    placed by `_best_pair` in its family: not at all when it is static
+    (x_I == x_F), as the static family's optimum is the hover, in closed
+    form at weight 1/2 when it hovers above both users with both hovers
+    positive, else by its first-order conditions (`_family_root`).  A
+    placed pair better than the hover by more than `_TIE_TOL_REL` is solved
+    once with the exact P5 on `cfg.n_slots` slots, warm-started at the
+    midpoint of the pair's weight bracket (1/2 in closed form), and
+    replaces the hover when that r, too, is better by more than the tie.
     Otherwise the hover is reported from its `fixed_boundary` point
     (`_hover_solution`), as is a corner profile from the served user's
     position, so a solve makes at most one P5 solve, and only for a
-    flight.  Diagnostics report the hover value, the
-    table pick's value, the polished value, how the pair was polished
-    (`polish`: "static" for a static pick, whose polished value is the
-    hover's, "hover_both" in closed form, else "zoom"), the P5 solve
-    count (`p5_calls`) and its weight solves (`weight_solves`).  Raises InvalidParams for
+    flight.  Diagnostics report the hover value, the table pick's value,
+    the placed value (`polish_value`), the pair's family (`polish`:
+    "static", whose value is the hover's, "hover_both", "fly_hover",
+    "hover_fly" or "flight"), its relative first-order residual per metre
+    (`foc_residual`: 0 in closed form, for a static pick and at a bound
+    the residual points out of), the P5 solve count (`p5_calls`) and its
+    weight solves (`weight_solves`).  Raises InvalidParams for
     out-of-range params.
     """
     validate_params(params)
@@ -1262,21 +1432,19 @@ def solve_profile(
 
     sol = None
     if params.V > 0.0:
-        x_I, x_F, t_I, pair_value, polished, bracket = _best_pair(
-            params, profile, pair_tables(params)
-        )
-        if polished is None:  # a static pick: the static family's optimum is the hover
-            polish, polished = "static", r_h
-        else:
-            polish = "hover_both" if bracket[0] == bracket[1] else "zoom"
-        diagnostics.update(pair_value=pair_value, polish_value=polished, polish=polish)
-        tie = _TIE_TOL_REL * max(r_h, 1e-12)
+        pick = _best_pair(params, profile, pair_tables(params))
+        # A static pick's family optimum is the hover.
+        polished = r_h if pick.value is None else pick.value
+        diagnostics.update(pair_value=pick.pair_value, polish_value=polished, polish=pick.family,
+                           foc_residual=pick.foc)
+        tie = _TIE_TOL_REL * r_h
         # Slots only lose rate against the continuous value, so a polished
         # value within the tie of the hover cannot replace it.
         if polished > r_h + tie:
-            slack = params.T - (x_F - x_I) / params.V
-            flight = _exact_solution(params, profile, make_hfh(params, x_I, x_F, min(t_I, slack)),
-                                     cfg.n_slots, cfg, diagnostics, guess=0.5 * sum(bracket))
+            slack = params.T - (pick.x_F - pick.x_I) / params.V
+            traj = make_hfh(params, pick.x_I, pick.x_F, min(pick.t_I, slack))
+            flight = _exact_solution(params, profile, traj, cfg.n_slots, cfg, diagnostics,
+                                     guess=0.5 * sum(pick.bracket))
             p5_calls, weight_solves = 1, flight.diagnostics["mu_iterations"]
             if flight.r > r_h + tie:
                 sol = flight

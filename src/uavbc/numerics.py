@@ -9,6 +9,11 @@ import math
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
+# A first-order root (`illinois_root`) of a family's free coordinate stops
+# at this bracket width, relative to the coordinate's scale (D for a
+# position, T for a time).
+FOC_XTOL = 1e-9
+
 
 def bisect_increasing(f, lo, hi, iters=80):
     """Root of a nondecreasing scalar function on [lo, hi] by bisection.
@@ -32,6 +37,50 @@ def bisect_increasing(f, lo, hi, iters=80):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def illinois_root(point, start, outer, xtol):
+    """The best point evaluated on a root search of a residual that has the
+    sign of a value's slope in one coordinate.
+
+    `point(s)` evaluates a point with fields `r` (the value), `s` and `foc`
+    (the residual); `start` is one such point and `outer` the coordinate
+    that bounds the search on the side `start.foc` points to.  Nothing is
+    evaluated when the residual is 0 or outer equals start.s.  Otherwise
+    outer is evaluated, and where the residual falls from + to - across
+    the bracket, Illinois regula falsi narrows it to xtol, halving the
+    residual of an end kept twice running, and stops early at a residual
+    of exactly 0.  The first point of the best value is returned, start
+    included: without a sign change the better end wins."""
+    best, s, f = start, start.s, start.foc
+    if f == 0.0 or outer == s:
+        return best
+    end = point(outer)
+    if end.r > best.r:
+        best = end
+    if end.foc * f < 0.0:  # foc falls from + at sa to - at sb
+        (sa, fa), (sb, fb) = sorted([(s, f), (outer, end.foc)])
+        kept = 0  # +1 if sb, -1 if sa was kept by the last step
+        while sb - sa > xtol:
+            v = sb - fb * (sb - sa) / (fb - fa)
+            if not sa < v < sb:
+                v = 0.5 * (sa + sb)
+            p = point(v)
+            if p.r > best.r:
+                best = p
+            if p.foc > 0.0:
+                sa, fa = v, p.foc
+                if kept > 0:
+                    fb *= 0.5  # Illinois: halve the end kept twice
+                kept = 1
+            elif p.foc < 0.0:
+                sb, fb = v, p.foc
+                if kept < 0:
+                    fa *= 0.5
+                kept = -1
+            else:
+                break
+    return best
 
 
 def golden_max(f, a, b, iters=60, xtol=0.0):

@@ -55,7 +55,7 @@ from .core import (
 from .errors import TimeOutOfRange
 from .hfh_solver import _full_power_antiderivative, _hover_both_time
 # golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 1).
-from .numerics import golden_max  # noqa: F401
+from .numerics import FOC_XTOL, golden_max, illinois_root  # noqa: F401
 
 # Newton steps of `solve_t1` over a flight, and the step (relative to D)
 # after which the next would change nothing: convergence is quadratic.
@@ -347,7 +347,7 @@ def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
     """
     half = 0.5 * params.D
     V, T, D = params.V, params.T, params.D
-    n, xtol = cfg.x_grid, 1e-9 * D
+    n, xtol = cfg.x_grid, FOC_XTOL * D
     reach = V * T
 
     def family(case, lo, hi, n, step, xtol, ends, foc):
@@ -368,7 +368,7 @@ def _families(params: SystemParams, cfg: TdmaSearchConfig) -> list:
     if reach >= D:
         slack = T - D / V
         out.append(family(4, 0.0, slack, cfg.ti_grid, slack / max(cfg.ti_grid - 1, 1),
-                          1e-9 * T, lambda t: (-half, half, t), None))
+                          FOC_XTOL * T, lambda t: (-half, half, t), None))
     return out
 
 
@@ -470,11 +470,11 @@ def _foc_root(params, profile, fam, start: _Point) -> _Point:
     of `fam.foc`.
 
     The root is sought on the side of start.s that foc points to, out to one
-    grid step (within [lo, hi]), by Illinois regula falsi to `fam.xtol`, one
-    `_evaluate` a step.  The best point evaluated is kept, start included,
-    so r never falls below the grid winner's; without a + to - sign change
-    on the bracket, the better end wins.  The returned point's foc is
-    |foc|, or 0 at a family end foc points out of.
+    grid step (within [lo, hi]), by `numerics.illinois_root` to `fam.xtol`,
+    one `_evaluate` a step.  The best point evaluated is kept, start
+    included, so r never falls below the grid winner's; without a + to -
+    sign change on the bracket, the better end wins.  The returned point's
+    foc is |foc|, or 0 at a family end foc points out of.
     """
 
     def point(s):
@@ -482,34 +482,9 @@ def _foc_root(params, profile, fam, start: _Point) -> _Point:
         r, t1, pair = _evaluate(params, traj, profile)
         return _Point(r, s, traj, t1, pair, fam.foc(params, profile, traj, t1))
 
-    best, s, f = start, start.s, start.foc
-    outer = min(fam.hi, s + fam.step) if f > 0.0 else max(fam.lo, s - fam.step)
-    if f != 0.0 and outer != s:
-        end = point(outer)
-        if end.r > best.r:
-            best = end
-        if end.foc * f < 0.0:  # foc falls from + at sa to - at sb
-            (sa, fa), (sb, fb) = sorted([(s, f), (outer, end.foc)])
-            kept = 0  # +1 if sb, -1 if sa was kept by the last step
-            while sb - sa > fam.xtol:
-                v = sb - fb * (sb - sa) / (fb - fa)
-                if not sa < v < sb:
-                    v = 0.5 * (sa + sb)
-                p = point(v)
-                if p.r > best.r:
-                    best = p
-                if p.foc > 0.0:
-                    sa, fa = v, p.foc
-                    if kept > 0:
-                        fb *= 0.5  # Illinois: halve the end kept twice
-                    kept = 1
-                elif p.foc < 0.0:
-                    sb, fb = v, p.foc
-                    if kept < 0:
-                        fa *= 0.5
-                    kept = -1
-                else:
-                    break
+    s = start.s
+    outer = min(fam.hi, s + fam.step) if start.foc > 0.0 else max(fam.lo, s - fam.step)
+    best = illinois_root(point, start, outer, fam.xtol)
     points_out = (best.s == fam.lo and best.foc < 0.0) or (best.s == fam.hi and best.foc > 0.0)
     return best._replace(foc=0.0 if points_out else abs(best.foc))
 

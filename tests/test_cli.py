@@ -185,26 +185,33 @@ class TestRegionCommand:
         assert not out.exists()
 
     def test_sc_sidecar_reports_the_polish(self, scenario, tmp_path):
-        """Each flight's sidecar entry says how its pair was polished: the
-        reference scenario's balanced profiles hover above both users and
-        are placed in closed form."""
+        """Each flight's sidecar entry names its pair's family and its
+        first-order residual: at 5 profiles the reference scenario's
+        non-corner profiles hover above both users and are placed in closed
+        form (alpha1 = 1/4 and 3/4 used to be zoomed from -495 m to D/2)."""
         out = tmp_path / "sc.csv"
         code = main(["region", "--scenario", scenario, "--profiles", "5", "--out", str(out)])
         assert code == 0
         points = json.loads(out.with_suffix(".json").read_text())["regions"][0]["points"]
-        assert [p["diagnostics"].get("polish") for p in points] == [None, "zoom", "hover_both", "zoom", None]
+        assert [p["diagnostics"].get("polish") for p in points] == [None] + ["hover_both"] * 3 + [None]
+        assert [p["diagnostics"].get("foc_residual") for p in points] == [None] + [0.0] * 3 + [None]
 
     def test_sc_sidecar_reports_static_picks(self, scenario, tmp_path):
         """At 33 profiles alpha1 = 2/32 and 4/32 (and their mirrors) pick a
-        static pair from the global table, which is not polished: the
-        sidecar labels it "static", with the hover's value."""
+        static pair from the global table, which is not placed, and at 1/32
+        and 3/32 the pair one node apart collapses onto the hover: the
+        sidecar labels them "static", with the hover's value.  The
+        fly-hover roots at 5/32 to 7/32 report a residual below 1e-12."""
         out = tmp_path / "sc.csv"
         code = main(["region", "--scenario", scenario, "--out", str(out)])
         assert code == 0
         points = json.loads(out.with_suffix(".json").read_text())["regions"][0]["points"]
         assert len(points) == 33
         static = [k for k, p in enumerate(points) if p["diagnostics"].get("polish") == "static"]
-        assert static == [2, 4, 28, 30]
+        assert static == [1, 2, 3, 4, 28, 29, 30, 31]
+        flights = [k for k, p in enumerate(points) if p["diagnostics"].get("polish") == "fly_hover"]
+        assert flights == [5, 6, 7, 25, 26, 27]
+        assert all(points[k]["diagnostics"]["foc_residual"] < 1e-12 for k in flights)
         for k in static:
             diag = points[k]["diagnostics"]
             assert diag["polish_value"] == diag["hover_r"]

@@ -327,6 +327,23 @@ class TestSolveProfile:
         report = check_feasibility(params, sol, tolerance=1e-9)
         assert report.passed, report
 
+    @pytest.mark.parametrize("alpha1", [0.05, 0.3])
+    @pytest.mark.parametrize("Pbar", [1e-24, 1e-30])
+    def test_tiny_power(self, base, Pbar, alpha1):
+        """At so low a power every rate is ~1e-20 bps/Hz or less.  The tie
+        with the hover and P5's balance are relative, so a flight still
+        replaces the hover (an absolute 1e-12 bps/Hz floor in the tie kept
+        the hover, 72% and 92% below TDMA) and P5 ends balanced: each
+        slot's interior split spans less than a double's spacing of
+        weights, so the blend across the final bracket balances it."""
+        params, prof = replace(base, Pbar=Pbar), RateProfile.of(alpha1)
+        sol = solve_profile(params, prof)
+        assert sol.diagnostics["p5_calls"] == 1
+        assert not sol.diagnostics["unbalanced"]
+        assert sol.r >= tdma_solve_profile(params, prof).r * (1.0 - 1e-6)
+        report = check_feasibility(params, sol, tolerance=1e-9)
+        assert report.passed, report
+
     def test_optimal_pair_satisfies_hull_condition(self, base):
         """Intermediate hover locations are covered by the endpoints' hull."""
         sol = solve_profile(base, RateProfile.of(0.45))
@@ -432,35 +449,20 @@ class TestSearchExactness:
         assert sol.trajectory.t_I == 13.333333333333329
 
     def test_polish_follows_an_optimum_past_its_window(self, base):
-        """Here polish stages 2 to 5 used to pick x_I on their window's edge
-        and then shrink away from it, ending at 129.16 m with a polished
-        value of 2.0357674378868786 and r = 2.035769087606972.  The best
-        pick is stage 3's; the last stage's, 2.0357695624145338 at
-        129.639 m, used to be reported."""
+        """Here polish stages 2 to 5 of the zoom the family root replaced used
+        to pick x_I on their window's edge and shrink away from it, ending at
+        129.16 m with a polished value of 2.0357674378868786; its best stage
+        reached 2.0357696787422377 at 129.6875 m.  The fly-hover root places
+        the hover end at g's maximum beside user 2 (499.05 m) and x_I where
+        the ends' weighted rates are equal."""
         sol = solve_profile(replace(base, Pbar=1e-3, T=20.0), RateProfile.of(0.05))
-        assert sol.diagnostics["polish_value"] == 2.0357696787422377
-        assert sol.trajectory.x_I == 129.6875
-        assert sol.r >= 2.035769087606972
-
-    def test_polish_reports_its_best_stage(self, base, monkeypatch):
-        """Each stage centres on the previous stage's pick, so a stage's best
-        can fall below an earlier pick: here stage 4's first pick is worth
-        2.0357375576 against stage 3's 2.0357696787.  The polished value is
-        the best pick of every stage."""
-        params, prof = replace(base, Pbar=1e-3, T=20.0), RateProfile.of(0.05)
-        picks = []
-        batched = hfh_solver._batched_profile_values
-
-        def recording(*args):
-            out = batched(*args)
-            picks.append(float(np.max(out[0])))
-            return out
-
-        monkeypatch.setattr(hfh_solver, "_batched_profile_values", recording)
-        *_, polished, _ = hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
-        assert len(picks) > hfh_solver._POLISH_STAGES + 1  # the search recentred
-        assert picks[-1] < max(picks)
-        assert polished == max(picks)
+        d = sol.diagnostics
+        assert d["polish"] == "fly_hover"
+        assert d["polish_value"] == 2.035770207384952
+        assert sol.trajectory.x_I == pytest.approx(130.0857, abs=1e-4)
+        assert sol.trajectory.x_F == pytest.approx(499.0531, abs=1e-4)
+        assert sol.r >= 2.035770162921787
+        assert d["foc_residual"] < 1e-10
 
     @pytest.mark.parametrize(
         "V, T, alpha1, r, pair, mu, hover_r, x",
@@ -669,13 +671,11 @@ class TestKernelEquivalence:
         trajectory; P5 balances the rates to 1e-10 here, below its default
         mu_tol, so the gap measures slotting and quadrature alone."""
         prof = RateProfile.of(alpha1)
-        x_I, x_F, t_I, pair, polished, _ = hfh_solver._best_pair(
-            base, prof, hfh_solver.pair_tables(base)
-        )
-        assert pair <= polished
-        disc = discretize(base, make_hfh(base, x_I, x_F, t_I), 4096)
+        pick = hfh_solver._best_pair(base, prof, hfh_solver.pair_tables(base))
+        assert pick.pair_value <= pick.value
+        disc = discretize(base, make_hfh(base, pick.x_I, pick.x_F, pick.t_I), 4096)
         res = solve_p5(base, disc, prof, SearchConfig(mu_tol=1e-10, mu_max_iter=100))
-        assert res.r == pytest.approx(polished, abs=1e-6)
+        assert res.r == pytest.approx(pick.value, abs=1e-6)
 
     @pytest.mark.parametrize("mu", [0.0, 0.37, 0.5, 1.0])
     def test_solve_weight(self, base, mu):
@@ -918,7 +918,7 @@ class TestGlobalPairsCache:
     def test_equal_to_a_fresh_build(self, base):
         params = replace(base, T=20.0)  # a reach of 600 m: not every pair fits
         pairs, candidates = hfh_solver.global_pairs(params)
-        fresh = hfh_solver._reachable_pairs(params, hfh_solver.pair_tables(params).x)
+        fresh = hfh_solver._pairs_within(hfh_solver.pair_tables(params).x, params.V * params.T)
         assert np.array_equal(pairs, fresh) and len(pairs) < 201 * 202 // 2
         assert np.array_equal(candidates, hfh_solver._floor_candidates(fresh, hfh_solver._PAIR_NODES))
 
@@ -948,56 +948,91 @@ WIDE_SLICE = [
 ]
 
 
-def _closed_form_cases(base, cases):
-    """(params, profile, _best_pair output) where the pick hovers above both
-    users and is placed in closed form."""
+def _picks(base, cases):
+    """(params, profile, `_best_pair` pick) of each case."""
     for change, alpha1 in cases:
         params, prof = replace(base, **change), RateProfile.of(alpha1)
-        out = hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
-        if out[5] == (0.5, 0.5):
-            yield params, prof, out
+        yield params, prof, hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
+
+
+def _closed_form_cases(base, cases):
+    """(params, profile, pick) where the pick hovers above both users and
+    is placed in closed form."""
+    return [case for case in _picks(base, cases) if case[2].family == "hover_both"]
 
 
 def _static_cases(base, cases):
-    """(params, profile, _best_pair output) where the global pick is
-    static, and so is not polished."""
-    for change, alpha1 in cases:
-        params, prof = replace(base, **change), RateProfile.of(alpha1)
-        out = hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
-        if out[4] is None:
-            yield params, prof, out
+    """(params, profile, pick) where the global pick is static, or its
+    family root collapses onto the hover, and so the hover is the value."""
+    return [case for case in _picks(base, cases) if case[2].value is None]
+
+
+def _family_scan(params, prof, family, hover, s0, bracket, n=61):
+    """The best value of an exhaustive scan of a family's members: n values
+    of the free coordinate s within two global node spacings of s0, the
+    hovering end held at `hover` (ignored for a pure flight), all valued on
+    one table of their ends at 4,001 weights across +-0.05 around the
+    bracket's centre (and mu = 0 and 1), so that a member's weight bracket
+    is ~2.5e-5 wide."""
+    half, reach = 0.5 * params.D, params.V * params.T
+    step = params.D / (hfh_solver._PAIR_NODES - 1)
+    if family == "flight":
+        lo, hi = -half, half - reach
+    elif family == "fly_hover":
+        lo, hi = max(-half, hover - reach), hover
+    else:
+        lo, hi = hover, min(half, hover + reach)
+    s = np.linspace(max(lo, s0 - 2.0 * step), min(hi, s0 + 2.0 * step), n)
+    s = s[(s != hover)] if family != "flight" else s
+    if not len(s):
+        return -np.inf
+    ends = {"flight": (s, s + reach), "fly_hover": (s, np.full_like(s, hover)),
+            "hover_fly": (np.full_like(s, hover), s)}[family]
+    x = np.unique(np.concatenate(ends))
+    centre = 0.5 * sum(bracket)
+    mu = np.union1d([0.0, 1.0], np.clip(np.linspace(centre - 0.05, centre + 0.05, 4001), 0.0, 1.0))
+    tables = hfh_solver._rate_tables(params, x, mu)
+    pairs = np.stack([np.searchsorted(x, e) for e in ends], axis=1)
+    return float(np.max(hfh_solver._batched_profile_values(params, pairs, prof, tables)[0]))
+
+
+def _family_members(pick):
+    """`_family_scan`'s arguments for the family and hovering end of `pick`."""
+    if pick.family == "hover_fly":
+        return pick.family, pick.x_I, pick.x_F
+    return pick.family, pick.x_F, pick.x_I
 
 
 class TestHoverBothPick:
     """A global pick from -D/2 to D/2 with both hovers positive is placed in
-    closed form at weight 1/2, with no polish stage."""
+    closed form at weight 1/2, with no member table."""
 
     @pytest.mark.parametrize("cases", [POWER_AXIS, WIDE_SLICE], ids=["power-axis", "D=3000m"])
-    def test_not_below_the_zoom(self, base, cases, monkeypatch):
-        """The closed form against the zoom on the same pick, forced by a
-        closed form that never applies: never lower beyond rounding."""
-        closed = list(_closed_form_cases(base, cases))
+    def test_not_below_the_family_root(self, base, cases, monkeypatch):
+        """The closed form against the family root on the same pick, forced
+        by a closed form that never applies: never lower beyond rounding."""
+        closed = _closed_form_cases(base, cases)
         assert len(closed) >= 10
         monkeypatch.setattr(hfh_solver, "_hover_both_time", lambda *args: None)
-        for params, prof, (x_I, x_F, t_I, pair_value, polished, _) in closed:
-            zoom = hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
-            assert zoom[5][0] < zoom[5][1]
-            assert zoom[3] == pair_value
-            assert polished >= zoom[4] * (1.0 - 1e-13), (params, prof)
-            assert (x_I, x_F) == (-0.5 * params.D, 0.5 * params.D)
-            assert 0.0 < t_I < params.T - params.D / params.V
+        for params, prof, pick in closed:
+            root = hfh_solver._best_pair(params, prof, hfh_solver.pair_tables(params))
+            assert root.family != "hover_both"
+            assert root.pair_value == pick.pair_value
+            assert root.value is None or pick.value >= root.value * (1.0 - 1e-13), (params, prof)
+            assert (pick.x_I, pick.x_F) == (-0.5 * params.D, 0.5 * params.D)
+            assert 0.0 < pick.t_I < params.T - params.D / params.V
 
     def test_not_below_tdma(self, base):
         """SC and TDMA place this family alike (at weight 1/2 the split
-        serves the stronger user alone), so the polished value is TDMA's r
+        serves the stronger user alone), so the placed value is TDMA's r
         or above, and its hover time is TDMA's."""
-        closed = list(_closed_form_cases(base, POWER_AXIS))
+        closed = _closed_form_cases(base, POWER_AXIS)
         assert len(closed) >= 40
-        for params, prof, (_, _, t_I, _, polished, _) in closed:
+        for params, prof, pick in closed:
             td = tdma_solve_profile(params, prof)
-            assert polished >= td.r * (1.0 - 1e-12), (params, prof)
+            assert pick.value >= td.r * (1.0 - 1e-12), (params, prof)
             if td.diagnostics["case"] == 4:
-                assert t_I == pytest.approx(td.trajectory.t_I, rel=1e-9, abs=1e-9 * params.T)
+                assert pick.t_I == pytest.approx(td.trajectory.t_I, rel=1e-9, abs=1e-9 * params.T)
 
     def test_reported_with_one_p5(self, base):
         sol = solve_profile(base, RateProfile.of(0.4))
@@ -1009,8 +1044,9 @@ class TestHoverBothPick:
 
 
 class TestPolishBuilds:
-    """Where the zoom runs: polish tables are built for every pick but a
-    closed-form one."""
+    """Where member tables are built: for every pick but a static or a
+    closed-form one.  (The class and two of its tests keep the names they
+    had under the zoom the family root replaced, so their ids stay.)"""
 
     @staticmethod
     def _builds(params, prof, monkeypatch):
@@ -1026,7 +1062,7 @@ class TestPolishBuilds:
     def test_none_above_both_users(self, base, k, monkeypatch):
         """alpha1 = k/32 for k = 9 .. 16 picks -D/2 to D/2 from the global
         table with both hovers positive.  (At k = 8 the table picks
-        -495 m to D/2, and its zoom reaches -D/2.)"""
+        -495 m to D/2, and the closed form wins over its fly-hover root.)"""
         builds, sol = self._builds(base, RateProfile.of(k / 32), monkeypatch)
         assert builds == 0
         assert sol.diagnostics["polish"] == "hover_both"
@@ -1035,21 +1071,26 @@ class TestPolishBuilds:
     def test_no_slack_zooms(self, base, Pbar, monkeypatch):
         """At T = D/V the pick -D/2 to D/2 is a pure flight, with no hover
         time to split (the closed form's t_I is 0 up to rounding, of either
-        sign), so the zoom runs."""
+        sign): it has nowhere to slide, and its residual is 0 up to rounding
+        by symmetry, so a few member tables confirm it (whichever family's
+        members value it highest names it) and the pure flight is
+        reported."""
         params = replace(base, Pbar=Pbar, T=base.D / base.V)
         builds, sol = self._builds(params, RateProfile.of(0.5), monkeypatch)
-        assert builds >= hfh_solver._POLISH_STAGES
-        assert sol.diagnostics["polish"] == "zoom"
-        assert (sol.trajectory.x_I, sol.trajectory.x_F) == (-500.0, 500.0)
+        assert 1 <= builds <= 4
+        assert sol.diagnostics["polish"] in ("flight", "fly_hover", "hover_fly")
+        assert (sol.trajectory.x_I, sol.trajectory.x_F) == pytest.approx((-500.0, 500.0), abs=1e-6)
         assert check_feasibility(params, sol, 1e-9).passed
 
     def test_fly_hover_zooms(self, base, monkeypatch):
-        """alpha1 = 5/32 picks a fly-hover pair, -380.6 m to D/2 with no
-        hover at x_I: the zoom runs its stages."""
+        """alpha1 = 5/32 picks a fly-hover pair, -375 m to D/2; its root
+        moves x_I to -380.632 m, where hovering there starts to pay, in
+        at most eleven member tables, the last valuing the best on a finer
+        weight grid (the zoom took six stages)."""
         builds, sol = self._builds(base, RateProfile.of(5 / 32), monkeypatch)
-        assert builds >= hfh_solver._POLISH_STAGES
-        assert sol.diagnostics["polish"] == "zoom"
-        assert sol.trajectory.x_I == pytest.approx(-380.6, abs=0.1)
+        assert 3 <= builds <= 11
+        assert sol.diagnostics["polish"] == "fly_hover"
+        assert sol.trajectory.x_I == pytest.approx(-380.632, abs=1e-3)
         assert sol.trajectory.x_F == 500.0
         assert sol.trajectory.t_I < 1e-3
 
@@ -1057,9 +1098,9 @@ class TestPolishBuilds:
     def test_none_at_a_static_pick(self, base, k, monkeypatch):
         """alpha1 = k/32 for k = 2, 4 picks a static pair from the global
         table (495 m, 485 m): the static family's optimum is the hover, so
-        no polish table is built, and the polished value is the hover's.
+        no member table is built, and the placed value is the hover's.
         (At k = 1 and 3 the table picks a pair one node apart, 495 to 500 m
-        and 490 to 495 m, and its zoom closes in on the hover.)"""
+        and 490 to 495 m, whose root collapses onto the hover.)"""
         builds, sol = self._builds(base, RateProfile.of(k / 32), monkeypatch)
         assert builds == 0
         assert sol.diagnostics["polish"] == "static"
@@ -1067,44 +1108,132 @@ class TestPolishBuilds:
         assert sol.trajectory.x_I == sol.trajectory.x_F
         assert sol.diagnostics["p5_calls"] == 0
 
+
+class TestFamilyRoot:
+    """`_family_root` places each flight pick by its family's first-order
+    condition, against exhaustive scans, TDMA and finite differences."""
+
     @pytest.mark.parametrize("cases", [POWER_AXIS, WIDE_SLICE], ids=["power-axis", "D=3000m"])
-    def test_static_zoom_not_above_the_hover(self, base, cases):
-        """Where the global pick is static, its zoom, run on the same pick,
-        ends no higher than the best hover beyond the tie."""
-        static = list(_static_cases(base, cases))
+    def test_not_below_the_family_scan(self, base, cases):
+        """On every pick a family root places, its value reaches the best of
+        a dense scan of the family's members around it (the scan's spacing
+        is 1/15 of a node spacing)."""
+        placed = [case for case in _picks(base, cases)
+                  if case[2].family in ("fly_hover", "hover_fly", "flight")]
+        assert len(placed) >= 3
+        for params, prof, pick in placed:
+            scan = _family_scan(params, prof, *_family_members(pick), pick.bracket)
+            assert pick.value >= scan * (1.0 - 1e-9), (params, prof, pick)
+
+    @pytest.mark.parametrize("cases", [POWER_AXIS, WIDE_SLICE], ids=["power-axis", "D=3000m"])
+    def test_static_scan_not_above_the_hover(self, base, cases):
+        """Where the global pick is static, or its root collapses onto the
+        hover, no fly-hover onto the pick's node, nor hover-fly from it,
+        within two node spacings beats the best hover beyond the tie."""
+        static = _static_cases(base, cases)
         assert len(static) >= 3
-        for params, prof, (x_I, x_F, t_I, pair_value, _, bracket) in static:
-            assert x_I == x_F
-            zoom = hfh_solver._zoom(params, prof, hfh_solver.pair_tables(params),
-                                    x_I, x_F, t_I, pair_value, bracket)
+        for params, prof, pick in static:
             hover_r = hfh_solver._best_hover(params, prof)[1]
-            assert zoom[4] <= hover_r * (1.0 + hfh_solver._TIE_TOL_REL), (params, prof)
+            for family, node in (("fly_hover", pick.x_F), ("hover_fly", pick.x_I)):
+                scan = _family_scan(params, prof, family, node, node, pick.bracket)
+                assert scan <= hover_r * (1.0 + hfh_solver._TIE_TOL_REL), (params, prof, family)
 
-    @pytest.mark.parametrize("cases", [POWER_AXIS, WIDE_SLICE], ids=["power-axis", "D=3000m"])
-    def test_static_reported_as_zoomed(self, base, cases, monkeypatch):
-        """Where the global pick is static, the reported solution equals the
-        one reported when the pick is zoomed, field for field; only the
-        polish diagnostics differ."""
-        static = [(params, prof) for params, prof, _ in _static_cases(base, cases)]
-        skipped = [solve_profile(params, prof) for params, prof in static]
-        best_pair = hfh_solver._best_pair
+    @pytest.mark.parametrize(
+        "change, alpha1, family, tol",
+        [
+            pytest.param({"Pbar": 1e-3, "D": 3000.0}, 0.4, "flight", 1e-8, id="wide-worst"),
+            pytest.param({"Pbar": 1e-4}, 0.075, "fly_hover", 1e-8, id="dense-worst"),
+            pytest.param({"H": 3e4}, 0.1, "fly_hover", 1e-6, id="tied-0.1"),
+            pytest.param({"H": 3e4}, 0.5, "hover_both", 1e-6, id="tied-0.5"),
+        ],
+    )
+    def test_not_below_tdma(self, base, change, alpha1, family, tol):
+        """Picks whose zoom stayed on or near the global nodes, where the
+        continuous value (the larger of the placed value and the hover's)
+        was 1.76e-4, 4.02e-5, 1.34e-6 and 3.30e-6 below TDMA."""
+        params, prof = replace(base, T=60.0, **change), RateProfile.of(alpha1)
+        sol = solve_profile(params, prof)
+        d = sol.diagnostics
+        assert d["polish"] == family
+        assert max(d["polish_value"], d["hover_r"]) >= tdma_solve_profile(params, prof).r * (1.0 - tol)
+        assert check_feasibility(params, sol, tolerance=1e-9).passed
 
-        def zoom_static(params, prof, tables):
-            out = best_pair(params, prof, tables)
-            if out[4] is not None:
-                return out
-            return hfh_solver._zoom(params, prof, tables, *out[:4], out[5])
+    @pytest.mark.parametrize(
+        "change, alpha1, s, x_F",
+        [
+            pytest.param({"Pbar": 1e-3, "D": 3000.0}, 0.4, -765.0, None, id="flight"),
+            pytest.param({"Pbar": 1e-4}, 0.075, -412.0, 500.0, id="fly-hover-low-snr"),
+            pytest.param({}, 5 / 32, -386.0, 500.0, id="fly-hover"),
+        ],
+    )
+    def test_residual_matches_central_difference(self, base, change, alpha1, s, x_F):
+        """A member's foc, the relative slope of r per metre of its free end
+        (a pure flight's slide), against a central difference (h = 1e-3 m)
+        of a 16,384-slot P5 balanced to 1e-12, off the root where the free
+        end does not hover; the member is valued at its own weight."""
+        params, prof = replace(base, **change), RateProfile.of(alpha1)
+        reach = params.V * params.T
 
-        monkeypatch.setattr(hfh_solver, "_best_pair", zoom_static)
-        for (params, prof), p in zip(static, skipped):
-            q = solve_profile(params, prof)
-            assert (p.r, p.rate_pair, p.trajectory, p.mu) == (q.r, q.rate_pair, q.trajectory, q.mu)
-            assert np.array_equal(p.schedule.p1, q.schedule.p1)
-            assert np.array_equal(p.schedule.p2, q.schedule.p2)
-            assert (p.diagnostics.pop("polish"), q.diagnostics.pop("polish")) == ("static", "zoom")
-            assert p.diagnostics.pop("polish_value") == p.diagnostics["hover_r"]
-            q.diagnostics.pop("polish_value")
-            assert p.diagnostics == q.diagnostics
+        def ends(x):
+            return (x, x + reach) if x_F is None else (x, x_F)
+
+        m = hfh_solver._member(params, prof, *ends(s), s, 0.5, 0.5, 1)
+        for _ in range(3):
+            m = hfh_solver._member(params, prof, *ends(s), s, sum(m.bracket) / 2,
+                                   m.bracket[1] - m.bracket[0], 1)
+        assert m.t_I == 0.0
+        cfg = SearchConfig(mu_tol=1e-12, mu_max_iter=200)
+
+        def r(x):
+            disc = discretize(params, make_hfh(params, *ends(x), 0.0), 16384)
+            return solve_p5(params, disc, prof, cfg).r
+
+        h = 1e-3
+        slope = (r(s + h) - r(s - h)) / (2.0 * h) / r(s)
+        assert abs(m.foc) > 1e-5
+        assert m.foc == pytest.approx(slope, rel=1e-4)
+
+    def test_reports_its_best_member(self, base, monkeypatch):
+        """The placed value is the best member the root valued, and no
+        member ends on a mu = 0 or 1 row its table holds only as a bound."""
+        params, prof = replace(base, Pbar=1e-3, T=20.0), RateProfile.of(0.05)
+        global_tables = hfh_solver.pair_tables(params)
+        members, tables = [], []
+        member, build = hfh_solver._member, hfh_solver._rate_tables
+
+        def recording(*args):  # with the table it was valued on, the last built
+            members.append((member(*args), tables[-1]))
+            return members[-1][0]
+
+        monkeypatch.setattr(hfh_solver, "_member", recording)
+        monkeypatch.setattr(hfh_solver, "_rate_tables",
+                            lambda *args: tables.append(build(*args)) or tables[-1])
+        pick = hfh_solver._best_pair(params, prof, global_tables)
+        assert len(members) >= 3
+        assert pick.value == max(m.r for m, _ in members)
+        for m, t in members:
+            lo, hi = m.bracket
+            assert 0.0 < lo < hi < 1.0
+            assert np.sum((t.mu > lo) & (t.mu < hi)) == 0  # adjacent rows
+
+    def test_walks_to_hover_both(self, base):
+        """At alpha1 = 8/32 the table picks -495 m to D/2; the closed form
+        at -D/2 is the better pair, and no member search walks there."""
+        pick = hfh_solver._best_pair(base, RateProfile.of(0.25), hfh_solver.pair_tables(base))
+        assert pick.family == "hover_both"
+        assert (pick.x_I, pick.x_F) == (-500.0, 500.0)
+        assert pick.pair_value < pick.value
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_collapse_is_static(self, base, k, monkeypatch):
+        """alpha1 = 1/32 and 3/32 pick a pair one node apart; the free end
+        runs onto the hover, so the pick is the static family's, whose
+        value is the hover's, after two member tables."""
+        builds, sol = TestPolishBuilds._builds(base, RateProfile.of(k / 32), monkeypatch)
+        assert builds == 2
+        assert sol.diagnostics["polish"] == "static"
+        assert sol.diagnostics["polish_value"] == sol.diagnostics["hover_r"]
+        assert sol.trajectory.x_I == sol.trajectory.x_F
 
 
 # Polish-stage windows: (x_I, x_F, stage) on the reference D, scaled with D.
@@ -1235,7 +1364,7 @@ def _floor_cases(base, channel):
     for T in (20.0, 400.0):
         params = replace(base, T=T, **channel)
         tables = hfh_solver.pair_tables(params)
-        pairs = hfh_solver._reachable_pairs(params, tables.x)
+        pairs = hfh_solver._pairs_within(tables.x, params.V * params.T)
         for alpha1 in (0.05, 0.3, 0.5):
             yield params, RateProfile.of(alpha1), tables, pairs
 
@@ -1272,7 +1401,7 @@ class TestFlooredRanking:
         """The tightest floor a pair reaches still keeps the first maximum."""
         params, prof = replace(base, T=20.0), RateProfile.of(alpha1)
         tables = hfh_solver.pair_tables(params)
-        pairs = hfh_solver._reachable_pairs(params, tables.x)
+        pairs = hfh_solver._pairs_within(tables.x, params.V * params.T)
         plain = hfh_solver._batched_profile_values(params, pairs, prof, tables)
         floored = hfh_solver._batched_profile_values(params, pairs, prof, tables, plain[0].max())
         _assert_same_pick(plain, floored)
@@ -1284,7 +1413,7 @@ class TestFlooredRanking:
         params, prof = replace(base, T=20.0), RateProfile.of(0.3)
         x, _ = _polish_stage_inputs(params, -250.0, 150.0, 1, 0.45, 0.05)
         tables = hfh_solver._rate_tables(params, x, np.array([0.0, 1.0]))
-        pairs = hfh_solver._reachable_pairs(params, x)
+        pairs = hfh_solver._pairs_within(x, params.V * params.T)
         plain = hfh_solver._batched_profile_values(params, pairs, prof, tables)
         floored = hfh_solver._batched_profile_values(params, pairs, prof, tables, plain[0].max())
         for a, b in zip(plain, floored):
