@@ -23,13 +23,12 @@ The pick fixes its HFH family, which the first-order conditions place: a
 static pick's family optimum is the static hover (`_best_hover`: on
 [0, D/2], after the mirror fold to alpha1 <= alpha2, one monotone root at a
 quadratic's vertex, also behind `asymptotic.solve_v0`); hovering above both
-users with both hovers positive is placed in closed form at weight 1/2,
-where SC serves the stronger user alone as TDMA does (`_hover_both_pick`);
-and a fly-hover, hover-fly or pure flight by `_family_root`: by the
-envelope theorem a hovering end sits at a stationary point of the weighted
-hover rate and a free end where both ends' weighted rates are equal, a
-root `numerics.illinois_root` (TDMA's too) finds one member (a table of
-the pair's two ends) a step.
+users with both hovers positive is placed in closed form at weight 1/2
+(`_hover_both_pick`); and a fly-hover, hover-fly or pure flight by
+`_family_root`: a hovering end at a stationary point of the weighted hover
+rate, and a free end where both ends' weighted rates are equal, a root
+`numerics.illinois_root` (TDMA's too) finds one member a step, each valued
+exactly, in scalar closed form, by `_pair_value`.
 
 A winning flight is reported with one P5 solve on `SearchConfig.n_slots`
 slots, warm-started from its pair's weight bracket, evaluated with exact
@@ -65,7 +64,7 @@ from .core import (
 )
 from .errors import DiscretizationInvalid, InvalidParams
 from .fixed_region import fixed_boundary
-# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 1).
+# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 2).
 from .numerics import FOC_XTOL, bisect_increasing, golden_max, illinois_root  # noqa: F401
 
 _SQRT3 = math.sqrt(3.0)
@@ -202,29 +201,23 @@ def _strong_power(frame, mu, Pbar):
     mus and muw weigh the strong and the weak user.  The derivative of the
     weighted objective in p_s is proportional to
     mus*hs/(1 + p hs) - muw*hw/(1 + p hw), whose root is unique and whose
-    endpoint signs decide the clamping: nonpositive at 0 means all power to
-    the weak user, nonnegative at Pbar means all power to the strong one,
-    otherwise the interior stationary point
+    signs at the ends (d0 at 0, dP at Pbar) decide the clamping:
+    nonpositive at 0 means all power to the weak user, nonnegative at Pbar
+    means all power to the strong one, otherwise the interior stationary
+    point
         p* = (muw*hw - mus*hs) / (hw*hs*(mus - muw)),
     clamped to [0, Pbar].  At mu = 1/2 the denominator is zero: p* is
     +-inf, which the clamp sends to a corner (reached only when rounding
     makes d0 > 0 > dP on near-tied gains, where both corners are within
     rounding of each other), or NaN, which needs d0 = 0 and is discarded.
     """
-    d0, dP = _split_tests(frame, mu)
+    strong2, hs, hw, cw, cs, _ = frame
+    a = np.where(strong2, 1.0 - mu, mu) * hs
+    b = np.where(strong2, mu, 1.0 - mu) * hw
+    d0, dP = a - b, a * cw - b * cs
     with np.errstate(divide="ignore", invalid="ignore"):
         p_star = np.minimum(np.maximum(d0 / (frame[5] * (mu - (1.0 - mu))), 0.0), Pbar)
     return np.where(d0 <= 0.0, 0.0, np.where(dP >= 0.0, Pbar, p_star))
-
-
-def _split_tests(frame, mu):
-    """`_strong_power`'s tests: d0 and dP, whose signs are the weighted
-    derivative's at p_s = 0 and at Pbar."""
-    strong2, hs, hw, cw, cs, _ = frame
-    nu = 1.0 - mu
-    a = np.where(strong2, nu, mu) * hs
-    b = np.where(strong2, mu, nu) * hw
-    return a - b, a * cw - b * cs
 
 
 def _sc_rates(strong2, hs, hw, ps, pw):
@@ -692,11 +685,10 @@ def _piece_integrals(params, edges, mu):
 # ---------------------------------------------------------------------------
 
 
-# Position nodes (odd, so x = 0 is a node) and weights mu of the pair tables,
-# and the weights of a family member's table (`_member`).
+# Position nodes (odd, so x = 0 is a node) and weights mu of the global pair
+# tables.
 _PAIR_NODES = 201
 _PAIR_WEIGHTS = 129
-_MEMBER_WEIGHTS = 17
 # A floored ranking drops a pair whose weighted-rate bound is below the
 # floor by more than this (relative); the tables' row dominance holds to
 # ~3e-15.
@@ -1031,9 +1023,8 @@ class _Pick(NamedTuple):
 
 
 class _Member(NamedTuple):
-    """A point of a root search at coordinate s: value r and residual foc.
-    A family member (`_member`) adds its pair, hover time t_I at x_I,
-    weight bracket and balancing weight mu."""
+    """A root search's point at s: value r, residual foc and, for a family
+    member, its pair, hover time t_I at x_I and weight bracket."""
 
     r: float
     s: float
@@ -1042,102 +1033,133 @@ class _Member(NamedTuple):
     x_F: float = 0.0
     t_I: float = 0.0
     bracket: tuple = (0.0, 1.0)
-    mu: float = 0.5
 
 
-_ONE_PAIR = np.array([[0, 1]])
+def _point_split(params, x, mu):
+    """(strong2, hs, hw, ps, r1, r2): `_strong_power`'s split at weight mu
+    at one position x, in `math`, with its rates in nats."""
+    Pbar, (h1, h2), nu = params.Pbar, gain_pair(params, x), 1.0 - mu
+    strong2 = h2 >= h1
+    hs, hw = (h2, h1) if strong2 else (h1, h2)
+    a, b = (nu * hs, mu * hw) if strong2 else (mu * hs, nu * hw)
+    if a - b <= 0.0:
+        ps = 0.0
+    elif a * (1.0 + Pbar * hw) - b * (1.0 + Pbar * hs) >= 0.0:
+        ps = Pbar
+    else:  # at mu = 1/2 only rounding reaches here, where both corners tie
+        den = hs * hw * ((mu - nu) if strong2 else (nu - mu))
+        ps = min(max((a - b) / den, 0.0), Pbar) if den else Pbar
+    r_s, r_w = math.log1p(ps * hs), math.log1p((Pbar - ps) * hw / (ps * hw + 1.0))
+    return (strong2, hs, hw, ps) + ((r_w, r_s) if strong2 else (r_s, r_w))
 
 
 def _weighted_rate(params, x, mu):
-    """(g, g') at the positions x (an array): g = mu r1 + (1 - mu) r2 of the
-    weight-mu split, in bps/Hz, and its slope per metre, in which only the
-    gains move (the split is optimal): h_k' = -2 (x - x_k) h_k / d_k, and
-    the strong and weak rates' slopes are ps hs' / (1 + ps hs) and
+    """The root-search point at x of g = mu r1 + (1 - mu) r2 of the weight-mu
+    split, in bps/Hz, with g' per metre as its residual; only the gains move
+    g' (the split is optimal): h_k' = -2 (x - x_k) h_k / d_k, and the strong
+    and weak rates' slopes are ps hs' / (1 + ps hs) and
     (Pbar - ps) hw' / ((1 + Pbar hw) (1 + ps hw))."""
     Pbar, half, H2 = params.Pbar, 0.5 * params.D, params.H * params.H
-    frame = _split_frame(*gain_pair(params, x), Pbar)
-    strong2, hs, hw, cw = frame[:4]
-    ps = _strong_power(frame, mu, Pbar)
-    r1, r2 = _sc_rates(strong2, hs, hw, ps, Pbar - ps)
-    ys, yw = x - np.where(strong2, half, -half), x + np.where(strong2, half, -half)
-    mus = np.where(strong2, 1.0 - mu, mu)
+    strong2, hs, hw, ps, r1, r2 = _point_split(params, x, mu)
+    ys, yw = (x - half, x + half) if strong2 else (x + half, x - half)
+    mus = 1.0 - mu if strong2 else mu
     slope = (mus * ps * (-2.0 * ys * hs / (H2 + ys * ys)) / (1.0 + ps * hs)
-             + (1.0 - mus) * (Pbar - ps) * (-2.0 * yw * hw / (H2 + yw * yw)) / (cw * (1.0 + ps * hw)))
-    return (mu * r1 + (1.0 - mu) * r2) / LOG2, slope / LOG2
+             + (1.0 - mus) * (Pbar - ps) * (-2.0 * yw * hw / (H2 + yw * yw))
+             / ((1.0 + Pbar * hw) * (1.0 + ps * hw)))
+    return _Member((mu * r1 + (1.0 - mu) * r2) / LOG2, x, slope / LOG2)
 
 
-def _hover_weight(params, profile, tables, i, j, e):
-    """The weight at which the pair (x[i], x[j]) of `tables` balances with
-    all its slack at x[e]: the secant of its imbalance a2 r1 - a1 r2, which
-    rises with mu, across the rows where it turns positive."""
-    t, V = tables, params.V
-    slack = params.T - (t.x[j] - t.x[i]) / V
-    r1 = (t.c1[:, j] - t.c1[:, i]) / V + slack * t.h1[:, e]
-    imb = profile.alpha2 * r1 - profile.alpha1 * ((t.c2[:, j] - t.c2[:, i]) / V + slack * t.h2[:, e])
-    k = int(np.argmax(imb > 0.0))
-    if k == 0:
-        return float(t.mu[0] if imb[0] > 0.0 else t.mu[-1])
-    return float(t.mu[k - 1] + (t.mu[k] - t.mu[k - 1]) * (imb[k - 1] / (imb[k - 1] - imb[k])))
+def _pair_value(params, profile, x_I, x_F, e):
+    """(value, t_I, (mu_lo, mu_hi), foc) of the pair x_I <= x_F with all its
+    slack at its end e (0 for x_I), in `math`: numpy costs ~10 times as
+    much on one pair.
 
+    At weight mu the rates are the flight's integrals between the weight's
+    `_regime_cuts`, as `_piece_integrals` takes them, plus slack times the
+    hover rates at x_e.  `numerics.illinois_root` narrows the root mu* of
+    the imbalance a2 r1 - a1 r2, which rises with mu, from 1/2 to a few
+    ulps, and the primal points at its bracket's ends are time-shared onto
+    the profile ray: by weak duality the pair's value, across the jump at
+    mu = 1/2 of a hover at x = 0 too.  foc is the free end's residual
+    (g(x_F) - g(x_I)) / (V T den r) per metre at mu*, den = mu* alpha1 +
+    (1 - mu*) alpha2: r's relative slope while the free end does not hover,
+    0 where g's ends are equal to a few ulps."""
+    Pbar, V, T, H, half = params.Pbar, params.V, params.T, params.H, 0.5 * params.D
+    H2, Pb, a1, a2 = H * H, Pbar * params.beta0, profile.alpha1, profile.alpha2
+    A, slack, log_2D = math.sqrt(H2 + Pb), T - (x_F - x_I) / V, math.log(2.0 * params.D)
+    AmH, HA = Pb / (A + H), H * A
 
-def _member(params, profile, x_I, x_F, s, centre, width, e):
-    """The pair x_I <= x_F as a family member at coordinate s, valued by
-    `_batched_profile_values` on the `_rate_tables` of its two ends, at
-    _MEMBER_WEIGHTS weights across centre +- 1.5 width (predicted from
-    nearby members), then at distances doubling out to mu = 0 and 1.  A
-    value that blends two rows outside that core is valued again on a core
-    across them, so no member blends rows the prediction missed, a mu = 0
-    or 1 row included.  foc is the free end's residual
-    (g(x_F) - g(x_I)) / (V T den r) per metre, at the weight mu
-    that balances the pair with all slack at its hovering end e (0 for x_I;
-    `_hover_weight`): r's relative slope while the free end does not hover,
-    smooth through the root, where hovering there starts to pay."""
-    half_width = 1.5 * max(width, 2.0 ** -40)
-    tails = half_width * 2.0 ** np.arange(1.0, 1.0 - math.log2(half_width))
-    weights = np.union1d(np.linspace(centre - half_width, centre + half_width, _MEMBER_WEIGHTS),
-                         np.concatenate([centre - tails, centre + tails, [0.0, 1.0]]))
-    ends = np.array([x_I, x_F])
-    tables = _rate_tables(params, ends, weights[(weights >= 0.0) & (weights <= 1.0)])
-    value, t_I, a, b = (float(v[0]) for v in _batched_profile_values(params, _ONE_PAIR, profile, tables))
-    lo, hi = float(tables.mu[int(a)]), float(tables.mu[int(b)])
-    if lo < centre - half_width or hi > centre + half_width:  # a tail's bracket: again on a core
-        return _member(params, profile, x_I, x_F, s, 0.5 * (lo + hi), hi - lo, e)
-    mu = _hover_weight(params, profile, tables, 0, 1, e)
-    residual = _free_residual(params, profile, ends, mu, value)
-    return _Member(value, s, residual, x_I, x_F, t_I, (lo, hi), mu)
+    def phi(y):  # `_full_power_antiderivative` at y from the user
+        y2 = y * y
+        return y * math.log1p(Pb / (H2 + y2)) + 2.0 * (AmH * math.atan(y / A)
+                                                       - H * math.atan(y * AmH / (HA + y2)))
 
+    def log_quadratic(c, ya, w):  # `_log_quadratic_integral`
+        yb, c2 = ya + w, c * c
+        return (ya * math.log1p(w * (ya + yb) / (c2 + ya * ya)) + w * (math.log(c2 + yb * yb) - 2.0)
+                + 2.0 * c * math.atan2(c * w, c2 + ya * yb))
 
-def _free_residual(params, profile, ends, mu, value):
-    """`_member`'s foc of the pair `ends` worth `value`, at weight mu."""
-    g = _weighted_rate(params, ends, mu)[0]
-    den = params.V * params.T * (mu * profile.alpha1 + (1.0 - mu) * profile.alpha2) * value
-    return float((g[1] - g[0]) / den) if den > 0.0 else 0.0
+    def rates(mu):
+        nu = 1.0 - mu
+        cuts = [0.0]
+        for c in (0.0, Pb):
+            k = half * half + H2 + c
+            disc = half * half - (nu - mu) ** 2 * k
+            if disc >= 0.0:
+                cuts.append((nu - mu) * k / (-half - math.sqrt(disc)))
+        edges = sorted({x_I, x_F, *(c for c in cuts if x_I < c < x_F)})
+        f1 = f2 = 0.0
+        for a, b in zip(edges, edges[1:]):
+            strong2, _, _, ps, _, _ = _point_split(params, 0.5 * (a + b), mu)
+            if 0.0 < ps < Pbar:  # `_interior_integrals`
+                (mus, muw), gap = ((nu, mu), mu - nu) if strong2 else ((mu, nu), nu - mu)
+                w, p, q = b - a, min(abs(a), abs(b)), max(abs(a), abs(b))
+                log_x = w * (log_2D + math.log(q) - 1.0) + p * math.log1p(w / p)
+                x_s = half if strong2 else -half
+                r_s = w * math.log(mus / gap) + log_x - log_quadratic(H, a - x_s, w)
+                r_w = log_quadratic(A, a + x_s, w) - log_x - w * math.log(muw / gap)
+                f1, f2 = (f1 + r_w, f2 + r_s) if strong2 else (f1 + r_s, f2 + r_w)
+            elif (ps <= 0.0) == strong2:  # user 1 has all power
+                f1 += phi(b + half) - phi(a + half)
+            else:
+                f2 += phi(b - half) - phi(a - half)
+        h1, h2 = _point_split(params, x_F if e else x_I, mu)[4:]
+        return (f1 / V + slack * h1) / (T * LOG2), (f2 / V + slack * h2) / (T * LOG2)
+
+    last = {}  # the last (mu, imbalance, r1, r2) of each sign: the bracket's ends
+
+    def point(mu):
+        r1, r2 = rates(mu)
+        g = a2 * r1 - a1 * r2
+        for side in {g > 0.0, g >= 0.0}:  # a root (g = 0) is both ends
+            last[side] = (mu, g, r1, r2)
+        return _Member(min(r1 / a1, r2 / a2), mu, -g)
+
+    start = point(0.5)
+    illinois_root(point, start, 1.0 if start.foc > 0.0 else 0.0, 8.0 * math.ulp(0.5))
+    mu_lo, gL, r1L, r2L = last[False]  # mu = 0 gives r1 = 0, so some point has g <= 0
+    mu_hi, gH, r1H, r2H = last[True]  # and mu = 1 gives r2 = 0, so some point has g >= 0
+    lam = gH / (gH - gL) if gH > gL else 1.0
+    mu = lam * mu_lo + (1.0 - lam) * mu_hi
+    value = min((lam * r1L + (1.0 - lam) * r1H) / a1, (lam * r2L + (1.0 - lam) * r2H) / a2)
+    gI, gF = _weighted_rate(params, x_I, mu).r, _weighted_rate(params, x_F, mu).r
+    den = V * T * (mu * a1 + (1.0 - mu) * a2) * value
+    tied = abs(gF - gI) <= 4.0 * math.ulp(max(gF, gI))
+    return value, 0.0 if e else slack, (mu_lo, mu_hi), 0.0 if tied or den <= 0.0 else (gF - gI) / den
 
 
 def _root_within(point, start, lo, hi, step, xtol):
     """The best point of `illinois_root` runs within [lo, hi], each from
     `start` out to one step on the side its residual points to; while the
-    far end keeps the sign, the next run starts there."""
-    best = start
+    far end keeps the sign, the next run starts there.  Equal values go to
+    the least |residual|: near the root they differ by rounding only."""
+    seen = [start]
     while True:
         outer = min(hi, start.s + step) if start.foc > 0.0 else max(lo, start.s - step)
-        seen = []
-        found = illinois_root(lambda s: seen.append(point(s)) or seen[-1], start, outer, xtol)
-        best = found if found.r > best.r else best
-        if not seen or seen[-1].s != outer or seen[-1].foc * start.foc <= 0.0:
-            return best
+        illinois_root(lambda s: seen.append(point(s)) or seen[-1], start, outer, xtol)
+        if seen[-1] is start or seen[-1].s != outer or seen[-1].foc * start.foc <= 0.0:
+            return max(seen, key=lambda p: (p.r, -abs(p.foc)))
         start = seen[-1]
-
-
-def _stationary_end(params, mu, x, lo, hi):
-    """A hovering end moved from x to a stationary point of g_mu within
-    [lo, hi] (`_root_within` on g'_mu; the point's foc is g'_mu)."""
-
-    def level(s):
-        g, slope = _weighted_rate(params, np.array([s]), mu)
-        return _Member(float(g[0]), s, float(slope[0]))
-
-    return _root_within(level, level(x), lo, hi, params.D / (_PAIR_NODES - 1), FOC_XTOL * params.D)
 
 
 def _best_pair(params, profile, tables) -> _Pick:
@@ -1170,52 +1192,56 @@ def _best_pair(params, profile, tables) -> _Pick:
                                     bracket=(0.5, 0.5), family="hover_both")
     if closed and i == 0 and j == len(x) - 1:
         return both
-    placed = _family_root(params, profile, tables, pick, i, j, both.value if closed else -np.inf)
+    placed = _family_root(params, profile, pick)
     return both if closed and (placed.value is None or both.value >= placed.value) else placed
 
 
-def _family_root(params, profile, tables, pick, i, j, rival):
-    """`_best_pair`'s placement of its `pick`, the pair (x[i], x[j]) of
-    `tables`, by its family's first-order conditions.
+def _family_root(params, profile, pick):
+    """`_best_pair`'s placement of its `pick` by its family's first-order
+    conditions.
 
     By the envelope theorem at the pair's balancing weight mu, with
     g = g_mu and den = mu alpha1 + (1 - mu) alpha2, an end x with hover
     time t moves r at t g'(x) / (T den), so a hovering end sits at a
-    stationary point of g (`_stationary_end`): above a user, or at SC's
-    interior maximum beside one; and a free end, which does not hover,
-    moves r at +-(g(x_F) - g(x_I)) / (V T den), so its optimum has equal
-    weighted rates at both ends (`_member`'s foc).  The families are
-    "fly_hover" (x_I free) and "hover_fly" (x_F free), by the end the pick
-    hovers at longer, and "flight" (x_F - x_I = V T, both ends slide),
-    which a pick without slack, or a hovering end held by the reach, is.
-    Each round places the hovering end at the last weight, then seeks the
-    free coordinate's root by `_root_within`, one `_member` a step, to
-    FOC_XTOL D, the first from the pick as the global table values it;
-    rounds repeat while the hovering end moves.  At a bound its
+    stationary point of g (a root of `_weighted_rate`'s slope): above a
+    user, or at SC's interior maximum beside one; and a free end, which
+    does not hover, moves r at +-(g(x_F) - g(x_I)) / (V T den), so its
+    optimum has equal weighted rates at both ends (`_pair_value`'s foc).
+    The families are "fly_hover" (x_I free) and "hover_fly" (x_F free), by
+    the end the pick hovers at longer, and "flight" (x_F - x_I = V T, both
+    ends slide), which a pick without slack, or a hovering end held by the
+    reach, is.  Each round places the hovering end at the last member's
+    weight (the pick's first), then roots the free coordinate by
+    `_root_within` to FOC_XTOL D, one `_pair_value` with all slack at the
+    hovering end a step, while the hovering end moves.  At a bound its
     residual points out of, a free end at the reach hands over to the
     flight, and a flight at -D/2 (D/2) to hover-fly (fly-hover).  A pair
     that collapses onto its hover is the static family's: the pick is
-    returned as a static one.  The best member is valued once more on a
-    finer core unless it is below `rival` (the hover-both closed form's
-    value, which `_best_pair` then reports).  foc is the best member's
+    returned as a static one.  The table's value of the pick, whose slack
+    both ends may share, is kept if higher.  foc is the best member's
     |residual|, 0 at a bound it points out of."""
     half, reach, xtol = 0.5 * params.D, params.V * params.T, FOC_XTOL * params.D
-    step = params.D / (_PAIR_NODES - 1)
-    slack = params.T - (pick.x_F - pick.x_I) / params.V
+    step, slack = params.D / (_PAIR_NODES - 1), params.T - (pick.x_F - pick.x_I) / params.V
     at_i = pick.t_I > 0.5 * slack
     family = "flight" if slack * params.V <= xtol else "hover_fly" if at_i else "fly_hover"
     hover, free = (pick.x_I, pick.x_F) if at_i else (pick.x_F, pick.x_I)
-    bracket, mu = pick.bracket, _hover_weight(params, profile, tables, i, j, i if at_i else j)
 
     def ends(s):
         return {"hover_fly": (hover, s), "fly_hover": (s, hover)}.get(family, (s, min(s + reach, half)))
 
-    best = top = rooted = None
+    def member(s):
+        value, t_I, bracket, foc = _pair_value(params, profile, *ends(s), 0 if family == "hover_fly" else 1)
+        return _Member(value, s, foc, *ends(s), t_I, bracket)
+
+    top = member(free)
+    best = rooted = None
     for _ in range(4):  # the first family's rounds and handovers
         placed, right = hover, family == "fly_hover"
         if family != "flight":
             lo, hi = (free, min(half, free + reach)) if right else (max(-half, free - reach), free)
-            end = _stationary_end(params, mu, hover, lo, hi)
+            mu = 0.5 * sum(top.bracket)  # the hovering end moves to a stationary point of g_mu
+            end = _root_within(lambda s: _weighted_rate(params, s, mu), _weighted_rate(params, hover, mu),
+                               lo, hi, step, xtol)
             placed = end.s
             held = (placed == hi < half and end.foc > 0.0) if right else \
                 (placed == lo > -half and end.foc < 0.0)
@@ -1224,36 +1250,15 @@ def _family_root(params, profile, tables, pick, i, j, rival):
         if rooted == family and abs(placed - hover) <= xtol:
             break  # the hovering end stays where the last root left it
         hover = placed
-        if family == "fly_hover":
-            lo, hi = max(-half, hover - reach), hover
-        elif family == "hover_fly":
-            lo, hi = hover, min(half, hover + reach)
-        else:
-            lo, hi = -half, max(-half, half - reach)
+        lo, hi = {"hover_fly": (hover, min(half, hover + reach)), "flight": (-half, max(-half, half - reach)),
+                  "fly_hover": (max(-half, hover - reach), hover)}[family]
         free = min(max(free, lo), hi)
-        seen = [top._replace(s=free)] if top and (top.x_I, top.x_F) == ends(free) else []
-
-        def member(s):
-            mu_lo, mu_hi = seen[-1].bracket if seen else bracket
-            centre = 0.5 * (mu_lo + mu_hi)
-            if len(seen) > 1 and seen[-2].s != seen[-1].s:  # extrapolate the last two
-                p, q = seen[-2], seen[-1]
-                centre += (s - q.s) * (centre - sum(p.bracket) / 2) / (q.s - p.s)
-            seen.append(_member(params, profile, *ends(s), s, min(max(centre, 0.0), 1.0), mu_hi - mu_lo,
-                                0 if family == "hover_fly" else 1))
-            return seen[-1]
-
-        glob = None  # the global pick, valued on the global table, as the first start
-        if not seen and best is None and ends(free) == (pick.x_I, pick.x_F):
-            residual = _free_residual(params, profile, np.array(ends(free)), mu, pick.pair_value)
-            glob = _Member(pick.pair_value, free, residual, *ends(free), pick.t_I, bracket, mu)
-        top = _root_within(member, glob or (seen[-1] if seen else member(free)), lo, hi, step, xtol)
-        if top is glob:  # no member beat it: value it on its own table
-            top = member(free)
+        start = top._replace(s=free) if (top.x_I, top.x_F) == ends(free) else member(free)
+        top = _root_within(member, start, lo, hi, step, xtol)
         out = (top.s == lo and top.foc < 0.0) or (top.s == hi and top.foc > 0.0)
         if best is None or top.r > best[0].r:
             best = (top, family, 0.0 if out else abs(top.foc))
-        bracket, mu, free, rooted = top.bracket, top.mu, top.s, family
+        free, rooted = top.s, family
         if family != "flight" and top.s == hover:  # collapsed onto the hover
             if best[0] is top:
                 return pick
@@ -1266,13 +1271,6 @@ def _family_root(params, profile, tables, pick, i, j, rival):
         elif out:
             break
     m, family, foc = best
-    if m.r >= rival:
-        # Value the best again on a core 1/16 as wide, at its own weight:
-        # its value is a chord across its bracket, which the root's last
-        # steps may have left wide (the global pick's, if no member beat it).
-        fine = _member(params, profile, m.x_I, m.x_F, m.s, m.mu, (m.bracket[1] - m.bracket[0]) / 16.0,
-                       0 if family == "hover_fly" else 1)
-        m = fine if fine.r > m.r else m
     if m.r < pick.pair_value:  # the global pick is a member too
         return pick._replace(value=pick.pair_value, family=family)
     return pick._replace(x_I=m.x_I, x_F=m.x_F, t_I=m.t_I, value=m.r, bracket=m.bracket,
@@ -1395,14 +1393,14 @@ def solve_profile(
 
     Searches the HFH family: the best static hover (`_best_hover`, in
     closed form on [0, D/2]; alpha1 > alpha2 is solved as its mirror),
-    then (for V > 0) the best endpoint pair of `pair_tables(params)`,
-    placed by `_best_pair` in its family: not at all when it is static
-    (x_I == x_F), as the static family's optimum is the hover, in closed
-    form at weight 1/2 when it hovers above both users with both hovers
-    positive, else by its first-order conditions (`_family_root`).  A
-    placed pair better than the hover by more than `_TIE_TOL_REL` is solved
-    once with the exact P5 on `cfg.n_slots` slots, warm-started at the
-    midpoint of the pair's weight bracket (1/2 in closed form), and
+    then (for V > 0) the best endpoint pair of `pair_tables(params)`, the
+    only tables built, placed by `_best_pair` in its family: not at all
+    when it is static (x_I == x_F), as the static family's optimum is the
+    hover, in closed form at weight 1/2 when it hovers above both users
+    with both hovers positive, else by its first-order conditions
+    (`_family_root`).  A placed pair better than the hover by more than
+    `_TIE_TOL_REL` is solved once with the exact P5 on `cfg.n_slots`
+    slots, warm-started at the midpoint of the pair's weight bracket, and
     replaces the hover when that r, too, is better by more than the tie.
     Otherwise the hover is reported from its `fixed_boundary` point
     (`_hover_solution`), as is a corner profile from the served user's
@@ -1411,10 +1409,10 @@ def solve_profile(
     the placed value (`polish_value`), the pair's family (`polish`:
     "static", whose value is the hover's, "hover_both", "fly_hover",
     "hover_fly" or "flight"), its relative first-order residual per metre
-    (`foc_residual`: 0 in closed form, for a static pick and at a bound
-    the residual points out of), the P5 solve count (`p5_calls`) and its
-    weight solves (`weight_solves`).  Raises InvalidParams for
-    out-of-range params.
+    (`foc_residual`: 0 in closed form, for a static pick, at a bound the
+    residual points out of, and within a few ulps), the P5 solve count
+    (`p5_calls`) and its weight solves (`weight_solves`).  Raises
+    InvalidParams for out-of-range params.
     """
     validate_params(params)
     if profile.is_corner:

@@ -54,7 +54,7 @@ from .core import (
 )
 from .errors import TimeOutOfRange
 from .hfh_solver import _full_power_antiderivative, _hover_both_time
-# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 1).
+# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 2).
 from .numerics import FOC_XTOL, golden_max, illinois_root  # noqa: F401
 
 # Newton steps of `solve_t1` over a flight, and the step (relative to D)

@@ -458,10 +458,11 @@ class TestSearchExactness:
         sol = solve_profile(replace(base, Pbar=1e-3, T=20.0), RateProfile.of(0.05))
         d = sol.diagnostics
         assert d["polish"] == "fly_hover"
-        assert d["polish_value"] == 2.035770207384952
+        assert d["polish_value"] == 2.0357702073849877
         assert sol.trajectory.x_I == pytest.approx(130.0857, abs=1e-4)
         assert sol.trajectory.x_F == pytest.approx(499.0531, abs=1e-4)
-        assert sol.r >= 2.035770162921787
+        # The reported r may move by P5's rounding as the pair moves by ~1e-11 m.
+        assert sol.r >= 2.035770162921787 * (1.0 - 1e-12)
         assert d["foc_residual"] < 1e-10
 
     @pytest.mark.parametrize(
@@ -1044,18 +1045,22 @@ class TestHoverBothPick:
 
 
 class TestPolishBuilds:
-    """Where member tables are built: for every pick but a static or a
-    closed-form one.  (The class and two of its tests keep the names they
-    had under the zoom the family root replaced, so their ids stay.)"""
+    """Where family members are valued (`_pair_value`): for every pick but
+    a static or a closed-form one; no table is built beyond the cached
+    global one.  (The class and its tests keep the names they had under the
+    zoom the family root replaced, so their ids stay.)"""
 
     @staticmethod
-    def _builds(params, prof, monkeypatch):
+    def _members(params, prof, monkeypatch):
         hfh_solver.pair_tables(params)  # the global tables, cached
-        calls = []
-        build = hfh_solver._rate_tables
-        monkeypatch.setattr(hfh_solver, "_rate_tables", lambda *args: calls.append(1) or build(*args))
+        calls, builds = [], []
+        value, build = hfh_solver._pair_value, hfh_solver._rate_tables
+        monkeypatch.setattr(hfh_solver, "_pair_value", lambda *args: calls.append(1) or value(*args))
+        monkeypatch.setattr(hfh_solver, "_rate_tables", lambda *args: builds.append(1) or build(*args))
         sol = solve_profile(params, prof)
+        monkeypatch.setattr(hfh_solver, "_pair_value", value)
         monkeypatch.setattr(hfh_solver, "_rate_tables", build)
+        assert not builds
         return len(calls), sol
 
     @pytest.mark.parametrize("k", range(9, 17))
@@ -1063,32 +1068,32 @@ class TestPolishBuilds:
         """alpha1 = k/32 for k = 9 .. 16 picks -D/2 to D/2 from the global
         table with both hovers positive.  (At k = 8 the table picks
         -495 m to D/2, and the closed form wins over its fly-hover root.)"""
-        builds, sol = self._builds(base, RateProfile.of(k / 32), monkeypatch)
-        assert builds == 0
+        members, sol = self._members(base, RateProfile.of(k / 32), monkeypatch)
+        assert members == 0
         assert sol.diagnostics["polish"] == "hover_both"
 
     @pytest.mark.parametrize("Pbar", [1e-5, 1e-2])
     def test_no_slack_zooms(self, base, Pbar, monkeypatch):
         """At T = D/V the pick -D/2 to D/2 is a pure flight, with no hover
         time to split (the closed form's t_I is 0 up to rounding, of either
-        sign): it has nowhere to slide, and its residual is 0 up to rounding
-        by symmetry, so a few member tables confirm it (whichever family's
-        members value it highest names it) and the pure flight is
-        reported."""
+        sign): it has nowhere to slide, and its residual is 0 by symmetry,
+        so the one member that values the pick ends the root with no
+        handover, and the pure flight is reported."""
         params = replace(base, Pbar=Pbar, T=base.D / base.V)
-        builds, sol = self._builds(params, RateProfile.of(0.5), monkeypatch)
-        assert 1 <= builds <= 4
-        assert sol.diagnostics["polish"] in ("flight", "fly_hover", "hover_fly")
+        members, sol = self._members(params, RateProfile.of(0.5), monkeypatch)
+        assert members == 1
+        assert sol.diagnostics["polish"] == "flight"
+        assert sol.diagnostics["foc_residual"] == 0.0
         assert (sol.trajectory.x_I, sol.trajectory.x_F) == pytest.approx((-500.0, 500.0), abs=1e-6)
         assert check_feasibility(params, sol, 1e-9).passed
 
     def test_fly_hover_zooms(self, base, monkeypatch):
         """alpha1 = 5/32 picks a fly-hover pair, -375 m to D/2; its root
         moves x_I to -380.632 m, where hovering there starts to pay, in
-        at most eleven member tables, the last valuing the best on a finer
-        weight grid (the zoom took six stages)."""
-        builds, sol = self._builds(base, RateProfile.of(5 / 32), monkeypatch)
-        assert 3 <= builds <= 11
+        at most eight members, the pick's included (the zoom took six
+        stages)."""
+        members, sol = self._members(base, RateProfile.of(5 / 32), monkeypatch)
+        assert 3 <= members <= 8
         assert sol.diagnostics["polish"] == "fly_hover"
         assert sol.trajectory.x_I == pytest.approx(-380.632, abs=1e-3)
         assert sol.trajectory.x_F == 500.0
@@ -1098,11 +1103,11 @@ class TestPolishBuilds:
     def test_none_at_a_static_pick(self, base, k, monkeypatch):
         """alpha1 = k/32 for k = 2, 4 picks a static pair from the global
         table (495 m, 485 m): the static family's optimum is the hover, so
-        no member table is built, and the placed value is the hover's.
+        no member is valued, and the placed value is the hover's.
         (At k = 1 and 3 the table picks a pair one node apart, 495 to 500 m
         and 490 to 495 m, whose root collapses onto the hover.)"""
-        builds, sol = self._builds(base, RateProfile.of(k / 32), monkeypatch)
-        assert builds == 0
+        members, sol = self._members(base, RateProfile.of(k / 32), monkeypatch)
+        assert members == 0
         assert sol.diagnostics["polish"] == "static"
         assert sol.diagnostics["polish_value"] == sol.diagnostics["hover_r"]
         assert sol.trajectory.x_I == sol.trajectory.x_F
@@ -1145,12 +1150,15 @@ class TestFamilyRoot:
             pytest.param({"Pbar": 1e-4}, 0.075, "fly_hover", 1e-8, id="dense-worst"),
             pytest.param({"H": 3e4}, 0.1, "fly_hover", 1e-6, id="tied-0.1"),
             pytest.param({"H": 3e4}, 0.5, "hover_both", 1e-6, id="tied-0.5"),
+            pytest.param({"H": 3e5}, 0.1, "fly_hover", 1e-8, id="tied-3e5-0.1"),
         ],
     )
     def test_not_below_tdma(self, base, change, alpha1, family, tol):
         """Picks whose zoom stayed on or near the global nodes, where the
         continuous value (the larger of the placed value and the hover's)
-        was 1.76e-4, 4.02e-5, 1.34e-6 and 3.30e-6 below TDMA."""
+        was 1.76e-4, 4.02e-5, 1.34e-6 and 3.30e-6 below TDMA, and a
+        near-tied pick that members valued as chords across their weight
+        brackets left 1.38e-8 below it."""
         params, prof = replace(base, T=60.0, **change), RateProfile.of(alpha1)
         sol = solve_profile(params, prof)
         d = sol.diagnostics
@@ -1177,11 +1185,8 @@ class TestFamilyRoot:
         def ends(x):
             return (x, x + reach) if x_F is None else (x, x_F)
 
-        m = hfh_solver._member(params, prof, *ends(s), s, 0.5, 0.5, 1)
-        for _ in range(3):
-            m = hfh_solver._member(params, prof, *ends(s), s, sum(m.bracket) / 2,
-                                   m.bracket[1] - m.bracket[0], 1)
-        assert m.t_I == 0.0
+        _, t_I, _, foc = hfh_solver._pair_value(params, prof, *ends(s), 1)
+        assert t_I == 0.0
         cfg = SearchConfig(mu_tol=1e-12, mu_max_iter=200)
 
         def r(x):
@@ -1190,31 +1195,24 @@ class TestFamilyRoot:
 
         h = 1e-3
         slope = (r(s + h) - r(s - h)) / (2.0 * h) / r(s)
-        assert abs(m.foc) > 1e-5
-        assert m.foc == pytest.approx(slope, rel=1e-4)
+        assert abs(foc) > 1e-5
+        assert foc == pytest.approx(slope, rel=1e-4)
 
     def test_reports_its_best_member(self, base, monkeypatch):
-        """The placed value is the best member the root valued, and no
-        member ends on a mu = 0 or 1 row its table holds only as a bound."""
+        """The placed value is the best `_pair_value` the root evaluated, and
+        every member's weight bracket is a few ulps wide, inside (0, 1)."""
         params, prof = replace(base, Pbar=1e-3, T=20.0), RateProfile.of(0.05)
         global_tables = hfh_solver.pair_tables(params)
-        members, tables = [], []
-        member, build = hfh_solver._member, hfh_solver._rate_tables
-
-        def recording(*args):  # with the table it was valued on, the last built
-            members.append((member(*args), tables[-1]))
-            return members[-1][0]
-
-        monkeypatch.setattr(hfh_solver, "_member", recording)
-        monkeypatch.setattr(hfh_solver, "_rate_tables",
-                            lambda *args: tables.append(build(*args)) or tables[-1])
+        members = []
+        value = hfh_solver._pair_value
+        monkeypatch.setattr(hfh_solver, "_pair_value",
+                            lambda *args: members.append(value(*args)) or members[-1])
         pick = hfh_solver._best_pair(params, prof, global_tables)
         assert len(members) >= 3
-        assert pick.value == max(m.r for m, _ in members)
-        for m, t in members:
-            lo, hi = m.bracket
-            assert 0.0 < lo < hi < 1.0
-            assert np.sum((t.mu > lo) & (t.mu < hi)) == 0  # adjacent rows
+        assert pick.value == max(m[0] for m in members)
+        for _, _, (lo, hi), _ in members:
+            assert 0.0 < lo <= hi < 1.0  # lo == hi where a weight balances exactly
+            assert hi - lo <= 1e-15
 
     def test_walks_to_hover_both(self, base):
         """At alpha1 = 8/32 the table picks -495 m to D/2; the closed form
@@ -1228,12 +1226,105 @@ class TestFamilyRoot:
     def test_collapse_is_static(self, base, k, monkeypatch):
         """alpha1 = 1/32 and 3/32 pick a pair one node apart; the free end
         runs onto the hover, so the pick is the static family's, whose
-        value is the hover's, after two member tables."""
-        builds, sol = TestPolishBuilds._builds(base, RateProfile.of(k / 32), monkeypatch)
-        assert builds == 2
+        value is the hover's, after three members: the pick, the root's
+        start once the hovering end has moved, and the hover."""
+        members, sol = TestPolishBuilds._members(base, RateProfile.of(k / 32), monkeypatch)
+        assert members == 3
         assert sol.diagnostics["polish"] == "static"
         assert sol.diagnostics["polish_value"] == sol.diagnostics["hover_r"]
         assert sol.trajectory.x_I == sol.trajectory.x_F
+
+
+def _table_pair_value(params, prof, x_I, x_F, e, centre):
+    """The table valuation of the pair x_I < x_F with all its slack at its
+    end e, as `_family_scan` values a member: `_rate_tables` of its ends at
+    4,001 weights across +-0.05 around centre (and mu = 0 and 1), ranked by
+    `_batched_profile_values` with the other end's weighted hover rate
+    below any, so that it never hovers.  Returns (value, t_I, the least
+    weak-duality bound over the rows, the best single row's value)."""
+    mu = np.union1d([0.0, 1.0], np.clip(np.linspace(centre - 0.05, centre + 0.05, 4001), 0.0, 1.0))
+    tables = hfh_solver._rate_tables(params, np.array([x_I, x_F]), mu)
+    g = tables.g.copy()
+    g[:, 1 - e] = -1.0
+    tables = replace(tables, g=g)
+    value, t_I, _, _ = (float(v[0]) for v in
+                        hfh_solver._batched_profile_values(params, np.array([[0, 1]]), prof, tables))
+    slack = params.T - (x_F - x_I) / params.V
+    r1, r2, _ = hfh_solver._pair_primal(params, tables, slack, np.arange(len(mu)), 0, 1)
+    bound = np.min((mu * r1 + (1.0 - mu) * r2) / (mu * prof.alpha1 + (1.0 - mu) * prof.alpha2))
+    return value, t_I, float(bound), float(np.max(np.minimum(r1 / prof.alpha1, r2 / prof.alpha2)))
+
+
+def _quad_pair_value(params, prof, x_I, x_F, e, bracket):
+    """The pair's value from scipy's quad: its primal points at both weights
+    of `bracket`, flight (`_quad_flight`) plus slack at its end e,
+    time-shared onto the profile ray."""
+    slack = params.T - (x_F - x_I) / params.V
+    x_e = x_F if e else x_I
+    points = []
+    for mu in bracket:
+        hover = sc_rate_pair(params, x_e, *per_slot_weighted_split(params, x_e, mu))
+        points.append([(_quad_flight(params, mu, x_I, x_F, k) / params.V + slack * h) / params.T
+                       for k, h in ((1, hover.r1), (2, hover.r2))])
+    (r1L, r2L), (r1H, r2H) = points
+    gL, gH = prof.alpha2 * r1L - prof.alpha1 * r2L, prof.alpha2 * r1H - prof.alpha1 * r2H
+    lam = min(max(gH / (gH - gL), 0.0), 1.0) if gH != gL else 1.0
+    return min((lam * r1L + (1.0 - lam) * r1H) / prof.alpha1, (lam * r2L + (1.0 - lam) * r2H) / prof.alpha2)
+
+
+# (channel change, alpha1, x_I, x_F, hovering end e) of `_pair_value` cases.
+PAIR_CASES = {
+    "across-zero": ({}, 0.3, -300.0, 250.0, 1),
+    "hover-at-zero": ({"T": 200.0}, 0.5, -100.0, 0.0, 1),
+    "hover-at-x_I": ({"T": 200.0}, 0.2, -480.0, 120.0, 0),
+    "Pbar=1e-8": ({"Pbar": 1e-8}, 0.2, -400.0, 500.0, 1),
+    "no-slack": ({"T": 1000.0 / 30.0}, 0.4, -500.0, 500.0, 1),
+}
+
+
+class TestPairValue:
+    """`_pair_value`, one pair's exact value with all slack at one end,
+    against the fine-weight table valuation and against quad."""
+
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_between_the_table_chord_and_bound(self, base, case):
+        """Never below the table's chord (an achievable value) nor above the
+        least weak-duality bound of its rows, which are 2.5e-5 apart."""
+        change, alpha1, x_I, x_F, e = PAIR_CASES[case]
+        params, prof = replace(base, **change), RateProfile.of(alpha1)
+        value, t_I, bracket, _ = hfh_solver._pair_value(params, prof, x_I, x_F, e)
+        chord, table_t_I, bound, _ = _table_pair_value(params, prof, x_I, x_F, e, sum(bracket) / 2)
+        assert chord * (1.0 - 1e-13) <= value <= bound * (1.0 + 1e-13)
+        assert bound - chord <= 1e-12 * value
+        assert t_I == pytest.approx(table_t_I, abs=1e-12 * params.T)
+        assert 0.0 <= bracket[0] <= bracket[1] <= 1.0 and bracket[1] - bracket[0] <= 1e-15
+
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_matches_quad(self, base, case):
+        change, alpha1, x_I, x_F, e = PAIR_CASES[case]
+        params, prof = replace(base, **change), RateProfile.of(alpha1)
+        value, _, bracket, _ = hfh_solver._pair_value(params, prof, x_I, x_F, e)
+        assert value == pytest.approx(_quad_pair_value(params, prof, x_I, x_F, e, bracket), rel=1e-9)
+
+    def test_shares_across_the_jump_at_zero(self, base):
+        """Hovering at x = 0, where the gains tie, the hover serves user 2
+        alone below mu = 1/2 and user 1 alone from it: the root is the jump,
+        and no single weight's point reaches the value, so the time-share
+        weight lies strictly inside (0, 1)."""
+        change, alpha1, x_I, x_F, e = PAIR_CASES["hover-at-zero"]
+        params, prof = replace(base, **change), RateProfile.of(alpha1)
+        value, _, (lo, hi), _ = hfh_solver._pair_value(params, prof, x_I, x_F, e)
+        assert lo < 0.5 <= hi
+        best_row = _table_pair_value(params, prof, x_I, x_F, e, 0.5)[3]
+        assert best_row < value * (1.0 - 1e-3)
+
+    def test_zero_residual_by_symmetry(self, base):
+        """The pure flight -D/2 to D/2 at alpha1 = 1/2 balances at mu = 1/2,
+        where both ends' weighted rates are equal: its residual is 0, and
+        so it is with x_I one ulp inside, where they differ by rounding."""
+        params, prof = replace(base, T=base.D / base.V), RateProfile.of(0.5)
+        assert hfh_solver._pair_value(params, prof, -500.0, 500.0, 1)[3] == 0.0
+        assert hfh_solver._pair_value(params, prof, math.nextafter(-500.0, 0.0), 500.0, 1)[3] == 0.0
 
 
 # Polish-stage windows: (x_I, x_F, stage) on the reference D, scaled with D.
