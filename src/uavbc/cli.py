@@ -227,16 +227,12 @@ def _point_row(point, mode):
 REGION_COLUMNS = ["alpha1", "alpha2", "r1", "r2", "x_I", "x_F", "t_I", "t_F", "mode"]
 
 
-def write_region_csv(path, boundary, extra_key=None):
-    columns = (list(extra_key) if extra_key else []) + REGION_COLUMNS
+def write_region_csv(path, boundary):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=REGION_COLUMNS)
         writer.writeheader()
         for point in boundary.points:
-            row = _point_row(point, boundary.mode)
-            if extra_key:
-                row.update(extra_key)
-            writer.writerow(row)
+            writer.writerow(_point_row(point, boundary.mode))
 
 
 def _point_json(point, mode):

@@ -203,14 +203,58 @@ def uniform_profiles(n: int) -> list:
     return [RateProfile.of(i / (n - 1)) for i in range(n)]
 
 
-def sc_rate_pair(params: SystemParams, x: float, p1: float, p2: float) -> RatePair:
-    """Instantaneous superposition-coding rate pair at a fixed position.
+def sc_rates(hs, hw, ps, pw):
+    """Superposition rates (strong, weak) in nats at strong/weak gains hs, hw
+    and powers ps, pw: the strong user decodes and cancels the weak user's
+    signal, log(1 + ps hs), while the weak one decodes under the strong
+    one's, log(1 + pw hw / (ps hw + 1))."""
+    return math.log1p(ps * hs), math.log1p(pw * hw / (ps * hw + 1.0))
 
-    The user with the larger gain decodes and cancels the other user's
-    signal (ties at x = 0 resolve to user 2 strong, which does not affect
-    the sum): strong rate log2(1 + p_s h_s), weak rate
-    log2(1 + p_w h_w / (p_s h_w + 1)).  Raises PowerBudgetExceeded for
-    powers outside the budget or not finite, and for a non-finite x.
+
+def sc_weight(h1, h2, ps):
+    """The weight mu at which a full-power split giving the strong user ps
+    maximizes mu r1 + (1 - mu) r2: h2 (1 + ps h1) / (h2 (1 + ps h1) +
+    h1 (1 + ps h2)), 1/2 at tied gains.  Pure arithmetic, so h1, h2 and ps
+    may be floats or arrays."""
+    top = h2 * (1.0 + ps * h1)
+    return top / (top + h1 * (1.0 + ps * h2))
+
+
+def sc_split(params: SystemParams, x: float, mu: float):
+    """(strong2, hs, hw, ps, r1, r2): the full-power split at position x
+    maximizing mu r1 + (1 - mu) r2, with its rates in nats; the library's
+    only scalar copy (`hfh_solver._strong_power` is its array version).
+
+    User 2 is strong where h2 >= h1.  The weighted rate's slope in the
+    strong power p is proportional to mus hs / (1 + p hs) - muw hw / (1 + p hw)
+    (mus, muw the strong and weak users' weights), whose signs at p = 0 and
+    p = Pbar decide the clamping: nonpositive at 0 gives the weak user all
+    power, nonnegative at Pbar the strong one; otherwise ps is its root
+    (muw hw - mus hs) / (hs hw (mus - muw)).  At mu = 1/2 only rounding
+    reaches the root, where both corners tie, so it takes Pbar.
+    """
+    Pbar, (h1, h2), nu = params.Pbar, gain_pair(params, x), 1.0 - mu
+    strong2 = h2 >= h1
+    hs, hw = (h2, h1) if strong2 else (h1, h2)
+    a, b = (nu * hs, mu * hw) if strong2 else (mu * hs, nu * hw)
+    if a - b <= 0.0:
+        ps = 0.0
+    elif a * (1.0 + Pbar * hw) - b * (1.0 + Pbar * hs) >= 0.0:
+        ps = Pbar
+    else:
+        den = hs * hw * ((mu - nu) if strong2 else (nu - mu))
+        ps = min(max((a - b) / den, 0.0), Pbar) if den else Pbar
+    r_s, r_w = sc_rates(hs, hw, ps, Pbar - ps)
+    return (strong2, hs, hw, ps) + ((r_w, r_s) if strong2 else (r_s, r_w))
+
+
+def sc_rate_pair(params: SystemParams, x: float, p1: float, p2: float) -> RatePair:
+    """Instantaneous superposition-coding rate pair (`sc_rates`) at a fixed
+    position.
+
+    The user with the larger gain is strong (ties at x = 0 resolve to user
+    2 strong, which does not affect the sum).  Raises PowerBudgetExceeded
+    for powers outside the budget or not finite, and for a non-finite x.
     """
     if not (p1 >= 0.0 and p2 >= 0.0 and p1 + p2 <= params.Pbar * (1.0 + REL_EPS)):
         raise PowerBudgetExceeded(
@@ -220,12 +264,10 @@ def sc_rate_pair(params: SystemParams, x: float, p1: float, p2: float) -> RatePa
         raise PowerBudgetExceeded(f"position x={x!r} is not finite")
     h1, h2 = gain_pair(params, x)
     if h2 >= h1:  # user 2 strong
-        r2 = log2_1p(p2 * h2)
-        r1 = log2_1p(p1 * h1 / (p2 * h1 + 1.0))
+        r2, r1 = sc_rates(h2, h1, p2, p1)
     else:
-        r1 = log2_1p(p1 * h1)
-        r2 = log2_1p(p2 * h2 / (p1 * h2 + 1.0))
-    return RatePair(r1, r2)
+        r1, r2 = sc_rates(h1, h2, p1, p2)
+    return RatePair(r1 / LOG2, r2 / LOG2)
 
 
 @dataclass(frozen=True)

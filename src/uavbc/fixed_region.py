@@ -21,14 +21,12 @@ from .core import (
     gain_pair,
     log2_1p,
     sc_rate_pair,
+    sc_rates,
+    sc_split,
     uniform_profiles,
 )
 from .errors import DegenerateLocations
 from .numerics import bisect_increasing
-
-# Gains closer than this (relatively) are treated as tied, i.e. the x = 0
-# triangle region whose boundary is the straight line r1 + r2 = const.
-_TIE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,6 @@ class TangentLine:
 
 def _strong_user(h1: float, h2: float) -> int:
     return 2 if h2 >= h1 else 1
-
-
-def _point_from_strong_power(params, x, h1, h2, p_strong) -> FixedBoundaryPoint:
-    if _strong_user(h1, h2) == 2:
-        p1, p2 = params.Pbar - p_strong, p_strong
-    else:
-        p1, p2 = p_strong, params.Pbar - p_strong
-    return FixedBoundaryPoint(x, p1, p2, sc_rate_pair(params, x, p1, p2))
 
 
 def corner_rates(params: SystemParams, x: float) -> RatePair:
@@ -101,9 +91,8 @@ def fixed_boundary(params: SystemParams, x: float, profile: RateProfile) -> Fixe
         a_s, a_w = profile.alpha1, profile.alpha2
 
     def gap(ps, pw):
-        r_s = log2_1p(ps * hs)
-        r_w = log2_1p(pw * hw / (ps * hw + 1.0))
-        return a_w * r_s - a_s * r_w
+        r_s, r_w = sc_rates(hs, hw, ps, pw)
+        return a_w * (r_s / LOG2) - a_s * (r_w / LOG2)
 
     half = 0.5 * Pbar
     if gap(half, half) >= 0.0:
@@ -208,66 +197,37 @@ def intersection_point(params: SystemParams, xB: float, xC: float) -> RatePair:
     return RatePair(r1, boundary_r2_at(params, xB, r1))
 
 
-def _support(params: SystemParams, x: float, k: float):
-    """Support point of C_f(x) for the line family r2 - k r1 = const (k < 0).
-
-    Maximizes r2 - k r1 over the boundary.  The stationary strong-power has
-    a closed form from the analytic boundary slope
-        slope(p) = -h2 (1 + p h1) / (h1 (1 + p h2)),
-    with p the strong user's power; corners cover the clamped cases.
-    Returns (RatePair, support value).
-    """
-    h1, h2 = gain_pair(params, x)
-    Pbar = params.Pbar
-    candidates = [0.0, Pbar]
-    if abs(h1 - h2) > _TIE_REL * max(h1, h2) and k != -1.0:
-        p_star = -(h2 + k * h1) / (h1 * h2 * (1.0 + k))
-        if 0.0 < p_star < Pbar:
-            candidates.append(p_star)
-    best = None
-    best_val = -math.inf
-    for ps in candidates:
-        point = _point_from_strong_power(params, x, h1, h2, ps)
-        val = point.rate_pair.r2 - k * point.rate_pair.r1
-        if val > best_val:
-            best_val = val
-            best = point.rate_pair
-    return best, best_val
+def _support(params: SystemParams, x: float, mu: float):
+    """Support point of C_f(x) in the direction (mu, 1 - mu), the
+    `sc_split` point at weight mu, and its weighted rate
+    mu r1 + (1 - mu) r2."""
+    r1, r2 = (r / LOG2 for r in sc_split(params, x, mu)[4:])
+    return RatePair(r1, r2), mu * r1 + (1.0 - mu) * r2
 
 
 def common_tangent(params: SystemParams, xB: float, xC: float) -> TangentLine:
     """Upper-right common tangent of C_f(xB) and C_f(xC), xC < xB.
 
-    Bisection on the slope k of the supporting-line intercept difference:
-    steep lines are won by the region reaching furthest in r1 (the left
-    location), flat lines by the one reaching furthest in r2 (the right
-    location), and the crossing is the common tangent.
+    Bisection on the weight mu in [0, 1] of the supporting lines'
+    weighted-rate difference: weights near 1 (steep lines) are won by the
+    region reaching furthest in r1 (the left location), weights near 0
+    (flat lines) by the one reaching furthest in r2 (the right location),
+    and the crossing is the common tangent.
     """
     if xB == xC:
         raise DegenerateLocations("tangent needs two distinct locations")
     if xC > xB:
         raise ValueError("expected xC < xB")
 
-    h1B, h2B = gain_pair(params, xB)
-    h1C, h2C = gain_pair(params, xC)
-
-    def gap(k):
-        _, vB = _support(params, xB, k)
-        _, vC = _support(params, xC, k)
-        return vB - vC
-
-    k_lo = 2.0 * min(-h2B / h1B, -h2C / h1C) - 1.0
-    k_hi = -1e-12
-    tries = 0
-    while gap(k_lo) >= 0.0 and tries < 60:
-        k_lo *= 2.0
-        tries += 1
-    k = bisect_increasing(gap, k_lo, k_hi, iters=120)
-
-    touch_B, _ = _support(params, xB, k)
-    touch_C, _ = _support(params, xC, k)
+    mu = bisect_increasing(lambda mu: _support(params, xC, mu)[1] - _support(params, xB, mu)[1],
+                           0.0, 1.0, iters=120)
+    touch_B, _ = _support(params, xB, mu)
+    touch_C, _ = _support(params, xC, mu)
     dr1 = touch_C.r1 - touch_B.r1
-    slope = (touch_C.r2 - touch_B.r2) / dr1 if abs(dr1) > 1e-15 else k
+    if abs(dr1) > 1e-15:
+        slope = (touch_C.r2 - touch_B.r2) / dr1
+    else:  # the weight's line; vertical where both regions reach the same r1 only
+        slope = -mu / (1.0 - mu) if mu < 1.0 else -math.inf
     return TangentLine(slope, touch_B, touch_C)
 
 

@@ -58,6 +58,8 @@ from .core import (
     SystemParams,
     gain_pair,
     make_hfh,
+    sc_split,
+    sc_weight,
     trace,
     validate_least,
     validate_params,
@@ -196,17 +198,10 @@ def _split_frame(h1, h2, Pbar):
 
 
 def _strong_power(frame, mu, Pbar):
-    """Strong-user power maximizing mus*r_s + muw*r_w at full total power.
-
-    mus and muw weigh the strong and the weak user.  The derivative of the
-    weighted objective in p_s is proportional to
-    mus*hs/(1 + p hs) - muw*hw/(1 + p hw), whose root is unique and whose
-    signs at the ends (d0 at 0, dP at Pbar) decide the clamping:
-    nonpositive at 0 means all power to the weak user, nonnegative at Pbar
-    means all power to the strong one, otherwise the interior stationary
-    point
-        p* = (muw*hw - mus*hs) / (hw*hs*(mus - muw)),
-    clamped to [0, Pbar].  At mu = 1/2 the denominator is zero: p* is
+    """Strong-user power of `core.sc_split` at weight mu, slot by slot: all
+    power to the weak user where the weighted slope d0 at p = 0 is not
+    positive, to the strong one where dP at Pbar is not negative, else the
+    clamped stationary point.  At mu = 1/2 its denominator is zero: p* is
     +-inf, which the clamp sends to a corner (reached only when rounding
     makes d0 > 0 > dP on near-tied gains, where both corners are within
     rounding of each other), or NaN, which needs d0 = 0 and is discarded.
@@ -221,7 +216,7 @@ def _strong_power(frame, mu, Pbar):
 
 
 def _sc_rates(strong2, hs, hw, ps, pw):
-    """Superposition rates (r1, r2) in nats at strong/weak powers ps, pw."""
+    """`core.sc_rates` slot by slot, as (r1, r2) in nats."""
     r_strong = np.log1p(ps * hs)
     r_weak = np.log1p(pw * hw / (ps * hw + 1.0))
     return np.where(strong2, r_weak, r_strong), np.where(strong2, r_strong, r_weak)
@@ -245,9 +240,9 @@ def split_weighted(h1, h2, mu, Pbar):
 
 
 def per_slot_weighted_split(params: SystemParams, x: float, mu: float):
-    """Scalar convenience wrapper of split_weighted at a single position."""
-    p1, p2 = split_weighted(*gain_pair(params, np.array([x])), mu, params.Pbar)
-    return float(p1[0]), float(p2[0])
+    """(p1, p2) of `split_weighted` at a single position, from `sc_split`."""
+    strong2, _, _, ps = sc_split(params, x, mu)[:4]
+    return (params.Pbar - ps, ps) if strong2 else (ps, params.Pbar - ps)
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +367,13 @@ class TrajectoryEvaluator:
         """Weights (lo, hi) between which every slot gives all power to its
         stronger user, so `solve_weight` returns one state on (lo, hi).
 
-        `_strong_power` gives the strong user all power while dP >= 0: for
-        mu <= hs*cw / (hs*cw + hw*cs) where user 2 is strong, and for
-        mu >= hw*cs / (hs*cw + hw*cs) where user 1 is.  Both bounds meet at
-        1/2 on tied gains, so lo <= 1/2 <= hi up to rounding.
+        `_strong_power` gives the strong user all power while dP >= 0: up
+        to the weight `sc_weight` at ps = Pbar where user 2 is strong, and
+        from it where user 1 is.  Both bounds meet at 1/2 on tied gains, so
+        lo <= 1/2 <= hi up to rounding.
         """
-        strong2, hs, hw, cw, cs, _ = self.frame
-        top, bottom = hs * cw, hw * cs
-        total = top + bottom
-        return (float(np.max(bottom[~strong2] / total[~strong2], initial=0.0)),
-                float(np.min(top[strong2] / total[strong2], initial=1.0)))
+        mu, strong2 = sc_weight(self.h1m, self.h2m, self.params.Pbar), self.frame[0]
+        return float(np.max(mu[~strong2], initial=0.0)), float(np.min(mu[strong2], initial=1.0))
 
 
 @dataclass
@@ -1035,24 +1027,6 @@ class _Member(NamedTuple):
     bracket: tuple = (0.0, 1.0)
 
 
-def _point_split(params, x, mu):
-    """(strong2, hs, hw, ps, r1, r2): `_strong_power`'s split at weight mu
-    at one position x, in `math`, with its rates in nats."""
-    Pbar, (h1, h2), nu = params.Pbar, gain_pair(params, x), 1.0 - mu
-    strong2 = h2 >= h1
-    hs, hw = (h2, h1) if strong2 else (h1, h2)
-    a, b = (nu * hs, mu * hw) if strong2 else (mu * hs, nu * hw)
-    if a - b <= 0.0:
-        ps = 0.0
-    elif a * (1.0 + Pbar * hw) - b * (1.0 + Pbar * hs) >= 0.0:
-        ps = Pbar
-    else:  # at mu = 1/2 only rounding reaches here, where both corners tie
-        den = hs * hw * ((mu - nu) if strong2 else (nu - mu))
-        ps = min(max((a - b) / den, 0.0), Pbar) if den else Pbar
-    r_s, r_w = math.log1p(ps * hs), math.log1p((Pbar - ps) * hw / (ps * hw + 1.0))
-    return (strong2, hs, hw, ps) + ((r_w, r_s) if strong2 else (r_s, r_w))
-
-
 def _weighted_rate(params, x, mu):
     """The root-search point at x of g = mu r1 + (1 - mu) r2 of the weight-mu
     split, in bps/Hz, with g' per metre as its residual; only the gains move
@@ -1060,7 +1034,7 @@ def _weighted_rate(params, x, mu):
     and weak rates' slopes are ps hs' / (1 + ps hs) and
     (Pbar - ps) hw' / ((1 + Pbar hw) (1 + ps hw))."""
     Pbar, half, H2 = params.Pbar, 0.5 * params.D, params.H * params.H
-    strong2, hs, hw, ps, r1, r2 = _point_split(params, x, mu)
+    strong2, hs, hw, ps, r1, r2 = sc_split(params, x, mu)
     ys, yw = (x - half, x + half) if strong2 else (x + half, x - half)
     mus = 1.0 - mu if strong2 else mu
     slope = (mus * ps * (-2.0 * ys * hs / (H2 + ys * ys)) / (1.0 + ps * hs)
@@ -1110,7 +1084,7 @@ def _pair_value(params, profile, x_I, x_F, e):
         edges = sorted({x_I, x_F, *(c for c in cuts if x_I < c < x_F)})
         f1 = f2 = 0.0
         for a, b in zip(edges, edges[1:]):
-            strong2, _, _, ps, _, _ = _point_split(params, 0.5 * (a + b), mu)
+            strong2, _, _, ps, _, _ = sc_split(params, 0.5 * (a + b), mu)
             if 0.0 < ps < Pbar:  # `_interior_integrals`
                 (mus, muw), gap = ((nu, mu), mu - nu) if strong2 else ((mu, nu), nu - mu)
                 w, p, q = b - a, min(abs(a), abs(b)), max(abs(a), abs(b))
@@ -1123,7 +1097,7 @@ def _pair_value(params, profile, x_I, x_F, e):
                 f1 += phi(b + half) - phi(a + half)
             else:
                 f2 += phi(b - half) - phi(a - half)
-        h1, h2 = _point_split(params, x_F if e else x_I, mu)[4:]
+        h1, h2 = sc_split(params, x_F if e else x_I, mu)[4:]
         return (f1 / V + slack * h1) / (T * LOG2), (f2 / V + slack * h2) / (T * LOG2)
 
     last = {}  # the last (mu, imbalance, r1, r2) of each sign: the bracket's ends
@@ -1211,9 +1185,12 @@ def _family_root(params, profile, pick):
     the end the pick hovers at longer, and "flight" (x_F - x_I = V T, both
     ends slide), which a pick without slack, or a hovering end held by the
     reach, is.  Each round places the hovering end at the last member's
-    weight (the pick's first), then roots the free coordinate by
-    `_root_within` to FOC_XTOL D, one `_pair_value` with all slack at the
-    hovering end a step, while the hovering end moves.  At a bound its
+    weight (the pick's first), unless that walk ends on the free end,
+    which would collapse the pair (at a weight near 0 or 1 the hover rate
+    can rise all the way there): the hovering end then stays for the
+    round.  It then roots the free coordinate by `_root_within` to
+    FOC_XTOL D, one `_pair_value` with all slack at the hovering end a
+    step, while the hovering end moves.  At a bound its
     residual points out of, a free end at the reach hands over to the
     flight, and a flight at -D/2 (D/2) to hover-fly (fly-hover).  A pair
     that collapses onto its hover is the static family's: the pick is
@@ -1247,6 +1224,8 @@ def _family_root(params, profile, pick):
                 (placed == lo > -half and end.foc < 0.0)
             if held:  # by the reach: the pair is a pure flight
                 family, free = "flight", free if right else placed
+            elif placed == (lo if right else hi):  # on the free end: the hover stays this round
+                placed = hover
         if rooted == family and abs(placed - hover) <= xtol:
             break  # the hovering end stays where the last root left it
         hover = placed
@@ -1350,13 +1329,11 @@ def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None
 def _hover_solution(params, profile, x, point, cfg, diagnostics) -> BoundarySolution:
     """Hover at x the whole flight with the split of `fixed_boundary`'s
     `point` at x in every slot: the fixed-location boundary point, with no
-    P5.  mu is the weight at which that split is stationary,
-    h2 (1 + ps h1) / (h2 (1 + ps h1) + h1 (1 + ps h2)) with ps the strong
-    user's power (1/2 at tied gains), or 0 or 1 at the corners."""
+    P5.  mu is the weight at which that split is stationary (`sc_weight`
+    at the strong user's power), or 0 or 1 at the corners."""
     h1, h2 = gain_pair(params, x)
     ps = point.p2 if h2 >= h1 else point.p1
-    top = h2 * (1.0 + ps * h1)
-    mu = float(profile.alpha2 == 0.0) if profile.is_corner else top / (top + h1 * (1.0 + ps * h2))
+    mu = float(profile.alpha2 == 0.0) if profile.is_corner else sc_weight(h1, h2, ps)
     n, pair = cfg.n_slots, point.rate_pair
     return BoundarySolution(profile, pair, profile.rate_scale(pair.r1, pair.r2),
                             make_hfh(params, x, x, params.T),

@@ -164,6 +164,14 @@ class TestCommonTangent:
         with pytest.raises(DegenerateLocations):
             common_tangent(base, 10.0, 10.0)
 
+    def test_regions_reaching_one_r1(self, base):
+        """1 um from user 1 both regions' r1 corners round to one value, so
+        the weight ends at 1 and the tangent is vertical there."""
+        tl = common_tangent(base, -500.0 + 1e-6, -500.0)
+        assert tl.slope == -math.inf
+        assert tl.touch_B.r1 == tl.touch_C.r1 == corner_rates(base, -500.0).r1
+        assert triangle_contains(base, -500.0, -500.0 + 1e-6, -500.0 + 5e-7)
+
 
 class TestTriangleContains:
     def test_own_region(self, base):

@@ -22,6 +22,7 @@ from uavbc import (
     triangle_contains,
 )
 from uavbc import hfh_solver
+from uavbc.core import gain_pair, sc_split, sc_weight
 from uavbc.hfh_solver import (
     DiscretizedTrajectory,
     SearchConfig,
@@ -76,6 +77,32 @@ class TestPerSlotSplit:
                 corner = np.log1p(Pbar * hs)
                 assert np.all(r1 + r2 >= corner * (1.0 - 1e-12))
         assert reached > 0
+
+    @pytest.mark.parametrize("change", [{}, {"Pbar": 1e-6, "D": 3000.0}, {"H": 3e5}])
+    def test_scalar_split_is_the_array_split(self, base, change):
+        """`core.sc_split` and its array version (`_strong_power`,
+        `_sc_rates`) give the same power bit for bit, at the corner
+        weights, around 1/2 and at random weights, and the same rates to
+        rounding (`math.log1p` and `np.log1p` may differ in the last ulp)."""
+        params = replace(base, **change)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([[0.0, -0.5 * params.D, 0.5 * params.D], rng.uniform(-0.5, 0.5, 60) * params.D])
+        frame = hfh_solver._split_frame(*gain_pair(params, x), params.Pbar)
+        for mu in (0.0, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1.0, *rng.uniform(0.0, 1.0, 8)):
+            ps = hfh_solver._strong_power(frame, mu, params.Pbar)
+            r1, r2 = hfh_solver._sc_rates(*frame[:3], ps, params.Pbar - ps)
+            for k, xk in enumerate(x):
+                strong2, _, _, p, q1, q2 = sc_split(params, float(xk), mu)
+                assert (strong2, p) == (frame[0][k], ps[k]), (xk, mu)
+                assert (q1, q2) == pytest.approx((r1[k], r2[k]), rel=1e-15, abs=0.0), (xk, mu)
+
+    def test_split_is_stationary_at_its_weight(self, base):
+        """At weight `sc_weight(h1, h2, ps)` the split gives the strong user
+        ps back, to rounding."""
+        for x in (-400.0, -30.0, 30.0, 250.0):
+            h1, h2 = gain_pair(base, x)
+            for ps in (0.1 * base.Pbar, 0.5 * base.Pbar, 0.9 * base.Pbar):
+                assert sc_split(base, x, sc_weight(h1, h2, ps))[3] == pytest.approx(ps, rel=1e-9)
 
 
 def _random_p5_cases(base, rng, n):
@@ -947,6 +974,13 @@ WIDE_SLICE = [
     for T in (200.0, 400.0)
     for alpha1 in (0.05, 0.2, 0.35, 0.5)
 ]
+# Low SNR on a long, low corridor: H = 50 m, D = 3000 m.
+LOW_SNR_SLICE = [
+    ({"Pbar": Pbar, "H": 50.0, "D": 3000.0, "T": T}, k / 40)
+    for Pbar in (1e-6, 1e-5)
+    for T in (60.0, 120.0)
+    for k in range(1, 21)
+]
 
 
 def _picks(base, cases):
@@ -1146,25 +1180,43 @@ class TestFamilyRoot:
     @pytest.mark.parametrize(
         "change, alpha1, family, tol",
         [
-            pytest.param({"Pbar": 1e-3, "D": 3000.0}, 0.4, "flight", 1e-8, id="wide-worst"),
-            pytest.param({"Pbar": 1e-4}, 0.075, "fly_hover", 1e-8, id="dense-worst"),
-            pytest.param({"H": 3e4}, 0.1, "fly_hover", 1e-6, id="tied-0.1"),
-            pytest.param({"H": 3e4}, 0.5, "hover_both", 1e-6, id="tied-0.5"),
-            pytest.param({"H": 3e5}, 0.1, "fly_hover", 1e-8, id="tied-3e5-0.1"),
+            pytest.param({"Pbar": 1e-3, "D": 3000.0, "T": 60.0}, 0.4, "flight", 1e-8, id="wide-worst"),
+            pytest.param({"Pbar": 1e-4, "T": 60.0}, 0.075, "fly_hover", 1e-8, id="dense-worst"),
+            pytest.param({"H": 3e4, "T": 60.0}, 0.1, "fly_hover", 1e-6, id="tied-0.1"),
+            pytest.param({"H": 3e4, "T": 60.0}, 0.5, "hover_both", 1e-6, id="tied-0.5"),
+            pytest.param({"H": 3e5, "T": 60.0}, 0.1, "fly_hover", 1e-8, id="tied-3e5-0.1"),
+            *(pytest.param({"Pbar": 1e-6, "H": 50.0, "D": 3000.0, "T": 120.0}, alpha1, "fly_hover", 1e-8,
+                           id=f"low-snr-{alpha1}") for alpha1 in (0.05, 0.075, 0.1)),
         ],
     )
     def test_not_below_tdma(self, base, change, alpha1, family, tol):
         """Picks whose zoom stayed on or near the global nodes, where the
         continuous value (the larger of the placed value and the hover's)
-        was 1.76e-4, 4.02e-5, 1.34e-6 and 3.30e-6 below TDMA, and a
-        near-tied pick that members valued as chords across their weight
-        brackets left 1.38e-8 below it."""
-        params, prof = replace(base, T=60.0, **change), RateProfile.of(alpha1)
+        was 1.76e-4, 4.02e-5, 1.34e-6 and 3.30e-6 below TDMA; a near-tied
+        pick that members valued as chords across their weight brackets
+        left 1.38e-8 below it; and low-SNR fly-hovers whose hovering end,
+        at a balancing weight near 1, walked onto the free end, so that
+        the pair collapsed onto a static hover 97-99% below TDMA.  The
+        reported r, on slots, is within 1e-6 of TDMA's."""
+        params, prof = replace(base, **change), RateProfile.of(alpha1)
         sol = solve_profile(params, prof)
-        d = sol.diagnostics
+        d, td = sol.diagnostics, tdma_solve_profile(params, prof).r
         assert d["polish"] == family
-        assert max(d["polish_value"], d["hover_r"]) >= tdma_solve_profile(params, prof).r * (1.0 - tol)
+        assert max(d["polish_value"], d["hover_r"]) >= td * (1.0 - tol)
+        assert sol.r >= td * (1.0 - 1e-6)
         assert check_feasibility(params, sol, tolerance=1e-9).passed
+
+    def test_low_snr_slice_not_below_tdma(self, base):
+        """On `LOW_SNR_SLICE` the continuous value reaches TDMA's to 1e-8,
+        and a static pick's table value never beats the hover it reports
+        beyond the tie, which a pair collapsed onto the hover would."""
+        for change, alpha1 in LOW_SNR_SLICE:
+            params, prof = replace(base, **change), RateProfile.of(alpha1)
+            d = solve_profile(params, prof).diagnostics
+            td = tdma_solve_profile(params, prof).r
+            assert max(d["polish_value"], d["hover_r"]) >= td * (1.0 - 1e-8), (change, alpha1)
+            if d["polish"] == "static":
+                assert d["pair_value"] <= d["hover_r"] * (1.0 + hfh_solver._TIE_TOL_REL), (change, alpha1)
 
     @pytest.mark.parametrize(
         "change, alpha1, s, x_F",
