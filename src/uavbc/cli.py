@@ -388,7 +388,9 @@ def cmd_oracle_check(args):
         r_dp, path = oracle.dp_trajectory_oracle(params, prof, dp_cfg)
         top = max(sol.r, r_dp)
         gap = abs(sol.r - r_dp) / top if top > 0.0 else 0.0  # relative at any rate scale
-        unidir, clusters = oracle.path_shape_stats(path, spacing * 1.5)
+        # half a grid step, as criterion 6: validate_dp_config keeps the
+        # spacing within V*delta, so a full-speed step is never grid noise
+        unidir, clusters = oracle.path_shape_stats(path, 0.5 * spacing)
         return prof, sol, r_dp, gap, unidir, clusters
 
     results = [run(prof) for prof in profiles]

@@ -48,9 +48,11 @@ class DiscretizationInvalid(UavbcError, ValueError):
 class GridTooCoarse(UavbcError, ValueError):
     """DP grid that the oracle cannot represent.
 
-    Raised for fewer than 2 slots or 3 positions, for a position spacing
-    wider than the per-slot motion budget, and for a per-slot motion of more
-    than 127 grid steps (the time grid is too coarse for the int8 move code).
+    Raised for fewer than 2 slots, 3 positions or 2 user-1 rate bins, for a
+    negative mu_steps, for a position spacing wider than the per-slot motion
+    budget, and for a per-slot motion of more than 127 grid steps: the
+    motion stage makes 2m + 2 passes over the values for m steps a slot, so
+    a coarse time grid calls for more slots, not a longer motion loop.
     """
 
 

@@ -14,6 +14,7 @@ importing `uavbc` loads numpy only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,12 +36,10 @@ from .fixed_region import fixed_region_sample
 from .hfh_solver import (
     BoundarySolution,
     PowerSchedule,
-    _batched_profile_values,
     _sc_rates,
     _split_frame,
     _strong_power,
     _time_windows,
-    pair_tables,
     positions_at,
 )
 from .numerics import bisect_increasing
@@ -53,6 +52,11 @@ class DpConfig:
 
     mu_steps controls the resolution of the per-slot power-split menu; the
     accumulated user-1 rate is quantized to r1_bins levels.
+
+    The DP's forward pass reads no profile, so every profile on one
+    (params, DpConfig) shares one pass, cached until the next pair comes.
+    Its float32 values after every 4th slot and after the last take about
+    n_slots * n_positions * r1_bins / 2 bytes: 14.1 MB at the defaults.
     """
 
     n_slots: int = 64
@@ -88,12 +92,11 @@ class FeasibilityReport:
 # as a configuration error.
 _MAX_MOVE_STEPS = 127
 
-# The forward pass keeps per slot only the bins that can still end at an
-# objective of at least _WINDOW_SHARE (criterion 6's tolerance) of the best
-# HFH value in the pair tables; _WINDOW_WEIGHTS are the weights mu of the
-# weighted-rate bound on the last bin.
-_WINDOW_SHARE = 0.97
-_WINDOW_WEIGHTS = np.linspace(0.0, 1.0, 27)[1:-1]
+# The forward pass keeps the values after every _KEEP_STRIDE-th slot and
+# after the last; the backtrack recomputes the others from the kept values
+# before them.  Keeping every 2nd slot holds 13 MB more values at the
+# default DpConfig.
+_KEEP_STRIDE = 4
 
 
 def validate_dp_config(params: SystemParams, cfg: DpConfig) -> DpConfig:
@@ -179,13 +182,11 @@ def _path_profile_value(params, positions, profile):
     return best
 
 
-def _window(kept, r0, r1, b0, b1):
-    """Rows [r0, r1) x bins [b0, b1) of kept = (first bin, values) as a
-    float32 copy, -inf wherever it leaves the values."""
-    start, value = kept
+def _window(value, r0, r1, b0, b1):
+    """Rows [r0, r1) x bins [b0, b1) of value as a float32 copy, -inf
+    wherever it leaves value."""
     out = np.full((r1 - r0, b1 - b0), -np.inf, dtype=np.float32)
     rows, bins = value.shape
-    b0, b1 = b0 - start, b1 - start
     ra, rb, ba, bb = max(r0, 0), min(r1, rows), max(b0, 0), min(b1, bins)
     if ra < rb and ba < bb:
         out[ra - r0:rb - r0, ba - b0:bb - b0] = value[ra:rb, ba:bb]
@@ -225,17 +226,17 @@ class _DpStages:
                 src += np.multiply(value[lo - t_far:up - t_far], self.w_far, out=tmp[lo:up])
             np.maximum(w[lo:up], src, out=w[lo:up])
 
-    def reward(self, w, value, row0=0, off=0):
+    def reward(self, w, value, row0=0):
         """value[i, k] = max over the menu entries of grid row row0 + i of
-        w[i, off + k - d] + dr2: one gather, add and max per row.
+        w[i, k - d] + dr2: one gather, add and max per row.
 
-        value's bins start `off` bins after w's (0 <= off <= step); bins
-        outside w count as -inf, and value ends at most `step` bins past w.
+        Bins outside w count as -inf, and value ends at most `step` bins
+        past w.
         """
         step, hi = self.step, w.shape[1]
         pad = np.full(hi + 2 * step, -np.inf, dtype=np.float32)
-        # view[t, k] = pad[off + t + k], so view[step - d, k] = w[i, off + k - d]
-        view = sliding_window_view(pad[off:off + value.shape[1] + step], step + 1).T
+        # view[t, k] = pad[t + k], so view[step - d, k] = w[i, k - d]
+        view = sliding_window_view(pad[:value.shape[1] + step], step + 1).T
         for w_row, out, shifts, gains in zip(w, value, self.shifts[row0:], self.gains[row0:]):
             pad[step:step + hi] = w_row
             c = view[shifts]
@@ -243,14 +244,14 @@ class _DpStages:
             np.max(c, axis=0, out=out)
 
     def values(self, hist, i, r0, r1, b0, b1):
-        """Rows [r0, r1) x bins [b0, b1) of the values hist[i] = (first bin,
-        values), -inf off the grid and the window; recomputed from
-        hist[i - 1] when hist[i] is not kept."""
+        """Rows [r0, r1) x bins [b0, b1) of the values after i slots, -inf
+        off the grid and the frontier; recomputed from the values after
+        i - 1 slots when hist[i] is not kept."""
         if hist[i] is not None:
             return _window(hist[i], r0, r1, b0, b1)
         R, step = self.reach, self.step
         ra, rb = max(r0, 0), min(r1, len(self.shifts))
-        w = self.moved(_window(hist[i - 1], ra - R, rb + R, b0 - step, b1))[R:R + rb - ra]
+        w = self.moved(self.values(hist, i - 1, ra - R, rb + R, b0 - step, b1))[R:R + rb - ra]
         out = np.full((r1 - r0, b1 - b0 + step), -np.inf, dtype=np.float32)
         self.reward(w, out[ra - r0:rb - r0], ra)
         return out[:, step:]
@@ -282,151 +283,64 @@ class _DpStages:
                 best, code = src, c
         return code
 
-    def forward(self, lo, hi):
-        """The forward pass on the bin windows [lo[n], hi[n]) of every slot n.
+    def forward(self, widths):
+        """The forward pass on the frontier [0, widths[n]) of every slot n.
 
-        Returns hist: hist[n + 1] = (lo[n], slot n's values on its window)
-        when n is even or last, else None; hist[0] is before the first slot:
-        any position, nothing accrued.
+        Returns hist: hist[i] = the values after i slots when i is a
+        multiple of _KEEP_STRIDE or the last, else None; hist[0] is before
+        the first slot: any position, nothing accrued.
         """
-        N, P = len(lo), len(self.shifts)
-        kept = [n % 2 == 0 or n == N - 1 for n in range(N)]
-        sizes = [int(b - a) for a, b in zip(lo, hi)]
-        block = np.empty(P * sum(s for s, keep in zip(sizes, kept) if keep), np.float32)
-        hist = [(0, np.zeros((P, 1), dtype=np.float32))]
-        odd, win, cand, tmp = (np.empty((P, max(sizes)), dtype=np.float32) for _ in range(4))
-        start, value, at = 0, hist[0][1], 0
-        for n in range(N):
-            width = value.shape[1]
+        N, P = len(widths), len(self.shifts)
+        kept = [(n + 1) % _KEEP_STRIDE == 0 or n == N - 1 for n in range(N)]
+        block = np.empty(P * sum(s for s, keep in zip(widths, kept) if keep), np.float32)
+        hist = [np.zeros((P, 1), dtype=np.float32)]
+        spare, win, cand, tmp = (np.empty((P, max(widths)), dtype=np.float32) for _ in range(4))
+        value, at = hist[0], 0
+        for n, width in enumerate(widths):
+            prev = value.shape[1]
             # motion stage: best predecessor within |dx| <= V*delta
-            w = win[:, :width]
-            self.motion(value, w, cand[:, :width], tmp[:, :width])
+            w = win[:, :prev]
+            self.motion(value, w, cand[:, :prev], tmp[:, :prev])
             # reward stage: choose a power split, advancing the user-1 bin by
             # the row's constant dk[j, s]
             if kept[n]:
-                value = block[at:at + P * sizes[n]].reshape(P, sizes[n])
-                at += P * sizes[n]
+                value = block[at:at + P * width].reshape(P, width)
+                at += P * width
             else:
-                value = odd[:, :sizes[n]]
-            self.reward(w, value, off=int(lo[n]) - start)
-            start = int(lo[n])
-            hist.append((start, value) if kept[n] else None)
+                value = spare[:, :width]
+            self.reward(w, value)
+            hist.append(value if kept[n] else None)
         return hist
 
 
-def _window_threshold(params, profile):
-    """_WINDOW_SHARE of the best HFH value of the cached pair tables over
-    every 4th node (at P = 51 the DP's own grid); -inf at V = 0, where the
-    tables' flight terms divide by V, so that DP runs on the whole frontier."""
-    if params.V == 0.0:
-        return -math.inf
-    tables = pair_tables(params)
-    nodes = np.arange(0, len(tables.x), 4)
-    i, j = (nodes[a] for a in np.triu_indices(len(nodes)))
-    keep = tables.x[j] - tables.x[i] <= params.V * params.T
-    value = _batched_profile_values(params, np.stack([i[keep], j[keep]], axis=1), profile, tables)[0]
-    thr = _WINDOW_SHARE * float(value.max())
-    return thr if math.isfinite(thr) else -math.inf
+@dataclass(frozen=True)
+class _DpForward:
+    """The profile-free part of the DP on one (params, cfg): its grid, its
+    stages and its forward values."""
+
+    xs: np.ndarray  # grid positions
+    q: float  # width of a user-1 bin
+    dk: np.ndarray  # per (row, menu entry): bin advance
+    move_scale: int  # the backtrack moves in units of 1/move_scale of a grid step
+    stages: _DpStages
+    hist: list  # `_DpStages.forward`'s kept values, read-only
 
 
-def _bin_windows(thr, profile, q, dk, dr2, widths):
-    """Per slot n, the bins [lo[n], hi[n]) of its frontier [0, widths[n])
-    outside which no path ends at an objective of at least thr.
+@functools.lru_cache(maxsize=1)
+def _dp_forward(params: SystemParams, cfg: DpConfig) -> _DpForward:
+    """The DP's forward pass on the whole frontier, which reads no profile.
 
-    - lo: a last bin below K_lo, the least k with (k * q) / a1 >= thr (the
-      final objective's own expression), falls short, and a slot advances
-      at most `step` bins; so lo[n] = max(0, K_lo - (N - 1 - n) * step).
-    - hi: for any weight mu, a path's last bin k and value v obey
-      mu * k * q + (1 - mu) * v <= N * G_mu, where G_mu is the best
-      mu-weighted menu reward of one slot, since a motion blend is a convex
-      combination within one bin.  (1 + eps) covers the float32 rounding of
-      v, at most about 4 units of 2**-24 a slot.  An objective of at least
-      thr needs v >= thr * a2, so k <= K_hi, the least bound over
-      _WINDOW_WEIGHTS, and bins only grow: hi[n] = min(widths[n], K_hi + 1).
-
-    The windows are closed: slot n's bins [lo[n], hi[n]) read bins
-    lo[n] - step ... hi[n] - 1 of slot n - 1, all inside its window, below
-    bin 0 or past its frontier.  At thr = -inf they are the whole frontier.
+    One entry: the profiles of one region share it, and a scan over
+    channels would only hold more memory.  Its arrays are read-only.
     """
-    N, step = len(widths), int(dk.max())
-    if thr == -math.inf:
-        return np.zeros(N, dtype=int), np.array(widths)
-    a1, a2 = profile.alpha1, profile.alpha2
-    k_lo = max(math.ceil(thr * a1 / q), 0)
-    while k_lo > 0 and ((k_lo - 1) * q) / a1 >= thr:
-        k_lo -= 1
-    while (k_lo * q) / a1 < thr:
-        k_lo += 1
-    mu = _WINDOW_WEIGHTS
-    g = (mu[:, None, None] * (dk * q) + (1.0 - mu[:, None, None]) * dr2).max(axis=(1, 2))
-    eps = 8 * N * 2.0 ** -24
-    k_hi = np.floor((N * g * (1.0 + eps) - (1.0 - mu) * thr * a2) / (mu * q)).min()
-    lo = np.maximum(k_lo - (N - 1 - np.arange(N)) * step, 0)
-    hi = np.minimum(widths, k_hi + 1).astype(int)
-    return lo, hi
-
-
-def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConfig):
-    """Brute-force profile-constrained optimum over free gridded trajectories.
-
-    Dynamic program over (slot, grid position, quantized accumulated user-1
-    rate) maximizing the accumulated user-2 rate; per-slot rewards come from
-    a power-split menu and transitions allow any motion |dx| <= V*delta,
-    with the value function linearly interpolated between grid positions so
-    full-speed moves are not rounded away.  The user-1 axis is floored into
-    bins, which only understates the claim.  The backtracked path is finally
-    re-scored with its own exact profile-constrained allocation, so the
-    returned value is achieved by a concrete speed-feasible path.  No HFH
-    structure is imposed.
-
-    The forward pass carries values only; the backtrack recomputes the one
-    choice it needs at each of its cells.  It relies on these invariants:
-    - After n slots only bins below min(B, 1 + n * max(dk)) can be finite,
-      so both stages run on that frontier, and bins past it are -inf, which
-      never wins.
-    - Both stages run only on the closed bin window of each slot that
-      `_bin_windows` derives from a threshold thr (0.97 of the best pair-table
-      value): a kept cell reads only kept bins, so every kept value is the
-      one the whole frontier gives, and every cell outside the last window
-      has an objective below thr.  When the best kept objective is below
-      thr, the pass runs again on the whole frontier (thr = -inf).  So
-      (r, positions) depends neither on thr nor on the pair tables.
-    - Both stages take the maximum of their candidates in float32, each
-      candidate computed by the same operations in the forward pass and in
-      the backtrack; a choice is the first candidate in a fixed order
-      (stay, shifts +-1 ... +-m, then the two interpolated moves; menu
-      entries in index order, one per run of equal bin advance) that
-      reaches the maximum, and split 0 at a -inf cell.
-    - The values of every even slot and of the last are kept, each on its
-      window; an odd slot's values at the few cells the backtrack reads are
-      recomputed from the even slot before it.  The backtrack reads bins
-      k - step ... k of the slot before a chain cell at bin k, which stay
-      inside the windows.
-
-    Returns (r, positions): the certified rate scale and the winning path
-    positions (length cfg.n_slots).  Raises InvalidParams for out-of-range
-    params, then GridTooCoarse for a grid `validate_dp_config` rejects.
-    """
-    validate_params(params)
-    validate_dp_config(params, cfg)
     half = 0.5 * params.D
     P = cfg.n_positions
     N = cfg.n_slots
     xs = np.linspace(-half, half, P)
-    a1, a2 = profile.alpha1, profile.alpha2
     spacing = xs[1] - xs[0]
     delta = params.T / N
 
-    n_menu = max(2 * cfg.mu_steps + 1, 9)
-    menu_r1, menu_r2 = _split_menu(params, xs, n_menu)
-
-    if profile.is_corner:
-        # all power to one user: the best path greedily hovers above them
-        per_slot = (menu_r2 if a1 == 0.0 else menu_r1).max(axis=1)
-        j = int(np.argmax(per_slot))
-        positions = np.full(N, xs[j])
-        return float(per_slot[j]), positions
-
+    menu_r1, menu_r2 = _split_menu(params, xs, max(2 * cfg.mu_steps + 1, 9))
     B = cfg.r1_bins
     q = params.peak_rate / (B - 1)
     dk = np.minimum((menu_r1 / N / q).astype(np.int64), B - 1)  # floored bins
@@ -448,7 +362,6 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     reach = params.V * delta
     m = int(math.floor(reach / spacing + 1e-12))
     frac = reach / spacing - m
-    # the backtrack moves in units of 1/move_scale of a grid step
     move_scale = max(1, 120 // (m + 1))
     # motion offers (move code, near row shift, far row shift) in tie-break
     # order; shift t takes predecessor j - t, and an interpolated offer
@@ -465,30 +378,82 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
         [step - dk[j, e] for j, e in enumerate(entries)],
         [dr2[j, e][:, None] for j, e in enumerate(entries)],
     )
+    hist = stages.forward([min(B, 1 + (n + 1) * step) for n in range(N)])
+    for a in [xs, dk, *entries, *stages.shifts, *stages.gains, *hist]:
+        if a is not None:
+            a.flags.writeable = False
+    return _DpForward(xs, q, dk, move_scale, stages, hist)
 
-    widths = [min(B, 1 + (n + 1) * step) for n in range(N)]
-    # the windowed pass, then, if its best falls short, the whole frontier
-    for thr in (_window_threshold(params, profile), -math.inf):
-        lo, hi = _bin_windows(thr, profile, q, dk, dr2, widths)
-        if not np.all(lo < hi):
-            continue
-        hist = stages.forward(lo, hi)
-        start, value = hist[-1]
-        bins = np.arange(start, start + value.shape[1])[None, :]
-        with np.errstate(invalid="ignore"):
-            objective = np.minimum((bins * q) / a1, value / a2)
-        best = int(np.nanargmax(objective))
-        if objective.flat[best] >= thr:
-            break
-    j_best, k_best = np.unravel_index(best, objective.shape)
+
+def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConfig):
+    """Brute-force profile-constrained optimum over free gridded trajectories.
+
+    Dynamic program over (slot, grid position, quantized accumulated user-1
+    rate) maximizing the accumulated user-2 rate; per-slot rewards come from
+    a power-split menu and transitions allow any motion |dx| <= V*delta,
+    with the value function linearly interpolated between grid positions so
+    full-speed moves are not rounded away.  The user-1 axis is floored into
+    bins, which only understates the claim.  The backtracked path is finally
+    re-scored with its own exact profile-constrained allocation, so the
+    returned value is achieved by a concrete speed-feasible path.  No HFH
+    structure is imposed.
+
+    The forward values do not depend on the profile: V[n][j][k] is the best
+    user-2 rate accrued after n slots at row j with user-1 bin k.  So the
+    forward pass runs once per (params, cfg) and every profile on that
+    channel shares it (`_dp_forward`, which holds one); a call then takes
+    its objective min(k q / alpha1, v / alpha2) from the last slot's values
+    and backtracks.  The cached values take 14.1 MB at the default
+    DpConfig, where a first call on a channel pays the pass (~0.25 s) and
+    each call after it ~0.02 s.  Corner profiles build no forward pass.
+
+    The forward pass carries values only; the backtrack recomputes the one
+    choice it needs at each of its cells.  It relies on these invariants:
+    - After n slots only bins below min(B, 1 + n * max(dk)) can be finite,
+      so both stages run on that frontier, and bins past it are -inf, which
+      never wins.
+    - Both stages take the maximum of their candidates in float32, each
+      candidate computed by the same operations in the forward pass and in
+      the backtrack; a choice is the first candidate in a fixed order
+      (stay, shifts +-1 ... +-m, then the two interpolated moves; menu
+      entries in index order, one per run of equal bin advance) that
+      reaches the maximum, and split 0 at a -inf cell.
+    - The values after every _KEEP_STRIDE-th slot and after the last are
+      kept; the others, at the few cells the backtrack reads, are
+      recomputed from the kept values before them.  The backtrack reads
+      bins k - step ... k of the slot before a chain cell at bin k.
+
+    Returns (r, positions): the certified rate scale and the winning path
+    positions (length cfg.n_slots).  Raises InvalidParams for out-of-range
+    params, then GridTooCoarse for a grid `validate_dp_config` rejects.
+    """
+    validate_params(params)
+    validate_dp_config(params, cfg)
+    a1, a2 = profile.alpha1, profile.alpha2
+
+    if profile.is_corner:
+        # all power to one user: the best path greedily hovers above them
+        xs = np.linspace(-0.5 * params.D, 0.5 * params.D, cfg.n_positions)
+        menu_r1, menu_r2 = _split_menu(params, xs, max(2 * cfg.mu_steps + 1, 9))
+        per_slot = (menu_r2 if a1 == 0.0 else menu_r1).max(axis=1)
+        j = int(np.argmax(per_slot))
+        return float(per_slot[j]), np.full(cfg.n_slots, xs[j])
+
+    fwd = _dp_forward(params, cfg)
+    stages, hist, dk = fwd.stages, fwd.hist, fwd.dk
+    value = hist[-1]
+    bins = np.arange(value.shape[1])[None, :]
+    with np.errstate(invalid="ignore"):
+        objective = np.minimum((bins * fwd.q) / a1, value / a2)
+    j_best, k = map(int, np.unravel_index(int(np.nanargmax(objective)), objective.shape))
 
     # backtrack: continuous positions, choices recomputed at the nearest grid
     # row from a window of the previous slot's values around it
-    R = stages.reach
-    positions = np.empty(N)
+    xs, R, step = fwd.xs, stages.reach, stages.step
+    half, spacing = 0.5 * params.D, xs[1] - xs[0]
+    positions = np.empty(cfg.n_slots)
     x = float(xs[j_best])
-    k = start + int(k_best)
-    for n in range(N - 1, -1, -1):
+    for n in range(cfg.n_slots - 1, -1, -1):
         positions[n] = x
         j = int(round((x + half) / spacing))
         prev = stages.values(hist, n, j - R, j + R + 1, k - step, k + 1)
@@ -496,7 +461,7 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
         d = int(dk[j, stages.split(w[R], j)])
         k = k - d
         if n > 0:
-            x = x + float(stages.move(prev, step - d)) * spacing / move_scale
+            x = x + float(stages.move(prev, step - d)) * spacing / fwd.move_scale
             x = min(max(x, -half), half)
 
     r = _path_profile_value(params, positions, profile)

@@ -351,6 +351,18 @@ class TestOracleCheckCommand:
         for row in rows:
             assert float(row["rel_gap"]) <= 0.03
 
+    def test_path_shape_at_the_default_grid(self, scenario, tmp_path):
+        """The path columns count within half a grid step, as criterion 6
+        does: the α1 = 0.5 path is one hover-fly-hover, two hover clusters
+        (1.5 steps, 30 m here, exceeds the 28.1 m full-speed move and
+        merged the whole path into one)."""
+        out = tmp_path / "oracle.csv"
+        code = main(["oracle-check", "--scenario", scenario, "--profiles", "3", "--out", str(out)])
+        assert code == 0
+        [row] = [row for row in read_csv(out) if float(row["alpha1"]) == 0.5]
+        assert row["unidirectional"] == "1"
+        assert row["hover_clusters"] == "2"
+
     def test_flags_win_over_scenario_keys(self, tmp_path, monkeypatch):
         """--dp-slots, --dp-positions and --tol win over the scenario's
         dp_slots, dp_positions and oracle_tol, as --profiles wins over

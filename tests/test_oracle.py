@@ -118,42 +118,63 @@ class TestDpOracle:
         assert r == r_want
         assert np.array_equal(path, path_want)
 
-    @pytest.fixture()
-    def windows(self, monkeypatch):
-        """Records (thr, args, (lo, hi)) of every `_bin_windows` call."""
+    def test_shared_forward_pass_is_exact(self, base):
+        """Criterion 6's profiles give the same (r, path), bit for bit, from
+        a cold forward pass (cache cleared) and from the one an earlier
+        profile built, in either order."""
+        cfg = DpConfig(64, 51, 11)
+        cold = {}
+        for i in range(1, 7):
+            oracle._dp_forward.cache_clear()
+            cold[i] = dp_trajectory_oracle(base, RateProfile.of(i / 7), cfg)
+        oracle._dp_forward.cache_clear()
+        for i in [*range(1, 7), *range(6, 0, -1)]:
+            r, path = dp_trajectory_oracle(base, RateProfile.of(i / 7), cfg)
+            assert r == cold[i][0]
+            assert np.array_equal(path, cold[i][1])
+
+    def test_one_forward_pass_serves_a_channel(self, base, monkeypatch):
+        """Profiles on one (params, cfg) share one forward pass, a new cfg
+        builds its own, and corner profiles build none."""
         calls = []
+        real = oracle._DpStages.forward
+        monkeypatch.setattr(oracle._DpStages, "forward",
+                            lambda self, widths: calls.append(len(widths)) or real(self, widths))
+        oracle._dp_forward.cache_clear()
+        for alpha1 in (0.0, 0.2, 0.5, 0.8, 1.0):
+            dp_trajectory_oracle(base, RateProfile.of(alpha1), DpConfig(16, 21, 5, 128))
+        assert calls == [16]
+        for alpha1 in (0.3, 0.6):
+            dp_trajectory_oracle(base, RateProfile.of(alpha1), DpConfig(17, 21, 5, 128))
+        assert calls == [16, 17]
 
-        def spy(thr, *args):
-            out = real(thr, *args)
-            calls.append((thr, args, out))
-            return out
-
-        real = oracle._bin_windows
-        monkeypatch.setattr(oracle, "_bin_windows", spy)
-        return calls
-
-    @pytest.mark.parametrize("i", range(1, 7))
-    def test_windows_at_the_workload(self, base, windows, i):
-        """Criterion 6's profiles keep their first windows (no rerun); the
-        windows are closed, prune the frontier, and are the whole frontier at
-        thr = -inf."""
-        dp_trajectory_oracle(base, RateProfile.of(i / 7), DpConfig(64, 51, 11))
-        [(thr, args, (lo, hi))] = windows
-        assert math.isfinite(thr)
-        _, _, dk, _, widths = args
-        step, widths = int(dk.max()), np.array(widths)
-        # closed: slot n reads bins lo[n] - step ... of slot n - 1
-        assert np.all(np.diff(lo)[lo[:-1] > 0] == step)
-        assert np.all(lo[:-1] == np.maximum(lo[1:] - step, 0))
-        assert np.all(hi[:-1] >= np.minimum(hi[1:], widths[:-1]))
-        assert np.sum(hi - lo) < 0.75 * np.sum(widths)
-        lo, hi = oracle._bin_windows(-math.inf, *args)
-        assert np.all(lo == 0) and np.array_equal(hi, widths)
-
-    def test_fallback_runs_the_whole_frontier(self, base, windows):
-        dp_trajectory_oracle(base, RateProfile.of(0.4), DpConfig(16, 21, 5, 128))
-        thrs = [thr for thr, _, _ in windows]
-        assert math.isfinite(thrs[0]) and thrs[1:] == [-math.inf]
+    def test_a_new_channel_evicts_the_last(self, base):
+        """The cache holds one forward pass: after a second (params, cfg),
+        the traced memory stays within that one's history plus 1 MB, without
+        the cyclic collector, so the first history (~3.8 MB) is freed.  The
+        cached arrays are read-only."""
+        prof = RateProfile.of(0.4)
+        first, second = DpConfig(32, 26, 7, 8192), DpConfig(31, 26, 7, 8192)
+        oracle._dp_forward.cache_clear()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dp_trajectory_oracle(base, prof, first)
+            dp_trajectory_oracle(base, prof, second)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        fwd = oracle._dp_forward(base, second)
+        kept = [v for v in fwd.hist if v is not None]
+        assert after - before <= sum(v.nbytes for v in kept) + (1 << 20)
+        stages = fwd.stages
+        arrays = [fwd.xs, fwd.dk, *kept, *stages.entries, *stages.shifts, *stages.gains]
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_no_history_left_alive(self, base):
         """A DP call frees its value history when it returns, without the
