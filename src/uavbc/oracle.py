@@ -94,8 +94,10 @@ _MAX_MOVE_STEPS = 127
 
 # The forward pass keeps the values after every _KEEP_STRIDE-th slot and
 # after the last; the backtrack recomputes the others from the kept values
-# before them.  Keeping every 2nd slot holds 13 MB more values at the
-# default DpConfig.
+# before them, so a block of _KEEP_STRIDE slots costs it one reward-stage
+# window per dropped slot (_KEEP_STRIDE - 1) and one motion stage per
+# window and per chain cell.  Keeping every 2nd slot holds 13 MB more
+# values at the default DpConfig.
 _KEEP_STRIDE = 4
 
 
@@ -243,18 +245,29 @@ class _DpStages:
             c += gains
             np.max(c, axis=0, out=out)
 
-    def values(self, hist, i, r0, r1, b0, b1):
+    def values(self, hist, i, r0, r1, b0, b1, memo):
         """Rows [r0, r1) x bins [b0, b1) of the values after i slots, -inf
-        off the grid and the frontier; recomputed from the values after
-        i - 1 slots when hist[i] is not kept."""
+        off the grid and the frontier, read-only; recomputed from the values
+        after i - 1 slots when hist[i] is not kept.
+
+        memo maps an unkept i to the last window recomputed for it, as
+        ((r0, r1, b0, b1), window); a request inside it is sliced from it.
+        """
         if hist[i] is not None:
             return _window(hist[i], r0, r1, b0, b1)
+        if i in memo:
+            (m0, m1, c0, c1), window = memo[i]
+            if m0 <= r0 and r1 <= m1 and c0 <= b0 and b1 <= c1:
+                return window[r0 - m0:r1 - m0, b0 - c0:b1 - c0]
         R, step = self.reach, self.step
         ra, rb = max(r0, 0), min(r1, len(self.shifts))
-        w = self.moved(self.values(hist, i - 1, ra - R, rb + R, b0 - step, b1))[R:R + rb - ra]
+        w = self.moved(self.values(hist, i - 1, ra - R, rb + R, b0 - step, b1, memo))[R:R + rb - ra]
         out = np.full((r1 - r0, b1 - b0 + step), -np.inf, dtype=np.float32)
         self.reward(w, out[ra - r0:rb - r0], ra)
-        return out[:, step:]
+        window = out[:, step:]
+        window.flags.writeable = False
+        memo[i] = (r0, r1, b0, b1), window
+        return window
 
     def moved(self, prev):
         """The motion stage out of the value window prev; rows within
@@ -404,8 +417,9 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     channel shares it (`_dp_forward`, which holds one); a call then takes
     its objective min(k q / alpha1, v / alpha2) from the last slot's values
     and backtracks.  The cached values take 14.1 MB at the default
-    DpConfig, where a first call on a channel pays the pass (~0.25 s) and
-    each call after it ~0.02 s.  Corner profiles build no forward pass.
+    DpConfig, where a first call on a channel pays the pass (~0.2 s) and
+    each call after it ~0.01 s (one Xeon core).  Corner profiles build no
+    forward pass.
 
     The forward pass carries values only; the backtrack recomputes the one
     choice it needs at each of its cells.  It relies on these invariants:
@@ -422,6 +436,13 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
       kept; the others, at the few cells the backtrack reads, are
       recomputed from the kept values before them.  The backtrack reads
       bins k - step ... k of the slot before a chain cell at bin k.
+    - Each dropped slot's window is recomputed once, at its block's first
+      chain cell, and later cells of the block slice it: a chain step moves
+      the row by at most `reach` and lowers the bin by 0 ... step, which is
+      exactly the margin each recomputed window carries over the one after
+      it.  A step that moves the row further (round() or the clamp to the
+      span) recomputes.  Every cell of a window is computed elementwise
+      from the same inputs, so a slice equals a fresh recomputation.
 
     Returns (r, positions): the certified rate scale and the winning path
     positions (length cfg.n_slots).  Raises InvalidParams for out-of-range
@@ -443,9 +464,8 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     stages, hist, dk = fwd.stages, fwd.hist, fwd.dk
     value = hist[-1]
     bins = np.arange(value.shape[1])[None, :]
-    with np.errstate(invalid="ignore"):
-        objective = np.minimum((bins * fwd.q) / a1, value / a2)
-    j_best, k = map(int, np.unravel_index(int(np.nanargmax(objective)), objective.shape))
+    objective = np.minimum((bins * fwd.q) / a1, value / a2)
+    j_best, k = map(int, np.unravel_index(int(np.argmax(objective)), objective.shape))
 
     # backtrack: continuous positions, choices recomputed at the nearest grid
     # row from a window of the previous slot's values around it
@@ -454,9 +474,11 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     positions = np.empty(cfg.n_slots)
     x = float(xs[j_best])
     for n in range(cfg.n_slots - 1, -1, -1):
+        if hist[n + 1] is not None:
+            memo = {}  # a block's first chain cell: the last block's windows are dead
         positions[n] = x
         j = int(round((x + half) / spacing))
-        prev = stages.values(hist, n, j - R, j + R + 1, k - step, k + 1)
+        prev = stages.values(hist, n, j - R, j + R + 1, k - step, k + 1, memo)
         w = stages.moved(prev)
         d = int(dk[j, stages.split(w[R], j)])
         k = k - d

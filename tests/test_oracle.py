@@ -148,6 +148,52 @@ class TestDpOracle:
             dp_trajectory_oracle(base, RateProfile.of(alpha1), DpConfig(17, 21, 5, 128))
         assert calls == [16, 17]
 
+    def test_memoized_windows_are_exact(self, base):
+        """`_DpStages.values` sliced from a block's memoized windows equals a
+        fresh recomputation bit for bit, on seeded chains of requests like
+        the backtrack's and on requests outside the memo, which recompute
+        it."""
+        fwd = oracle._dp_forward(base, DpConfig(64, 51, 11))
+        stages, hist = fwd.stages, fwd.hist
+        R, step, P = stages.reach, stages.step, len(fwd.xs)
+        rng = np.random.default_rng(34)
+
+        def check(memo, i, j, k):
+            args = (hist, i, j - R, j + R + 1, k - step, k + 1)
+            got = stages.values(*args, memo)
+            assert np.array_equal(got, stages.values(*args, {}))
+
+        for block in rng.choice(16, size=6, replace=False):
+            top = 4 * int(block) + 3
+            memo = {}
+            j, k = int(rng.integers(P)), int(rng.integers(top * step))
+            first = j, k
+            for i in range(top, top - 3, -1):
+                check(memo, i, j, k)
+                j = min(max(j + int(rng.integers(-R, R + 1)), 0), P - 1)
+                k = max(k - int(rng.integers(step + 1)), 0)
+            assert sorted(memo) == [top - 2, top - 1, top]
+            # one bin past the block's first request, and 2R + 1 rows off it
+            for i, j, k in [(top, first[0], first[1] + 1),
+                            (top - 1, (first[0] + 2 * R + 1) % P, first[1])]:
+                before = memo[i][1]
+                check(memo, i, j, k)
+                assert memo[i][1] is not before
+
+    def test_backtrack_recomputes_each_dropped_slot_once(self, base, monkeypatch):
+        """A warm call at the benchmark's config runs the reward stage on one
+        window per dropped slot: 3 in each of its 16 blocks of 4 slots."""
+        cfg = DpConfig(64, 51, 11)
+        oracle._dp_forward(base, cfg)
+        calls = []
+        real = oracle._DpStages.reward
+        monkeypatch.setattr(oracle._DpStages, "reward",
+                            lambda self, w, value, row0=0: calls.append(row0) or real(self, w, value, row0))
+        for i in range(1, 7):
+            calls.clear()
+            dp_trajectory_oracle(base, RateProfile.of(i / 7), cfg)
+            assert len(calls) == 48
+
     def test_a_new_channel_evicts_the_last(self, base):
         """The cache holds one forward pass: after a second (params, cfg),
         the traced memory stays within that one's history plus 1 MB, without
