@@ -149,10 +149,6 @@ class RatePair:
     def total(self) -> float:
         return self.r1 + self.r2
 
-    def dominates(self, other: "RatePair", slack: float = 0.0) -> bool:
-        """Componentwise >= with additive slack."""
-        return self.r1 >= other.r1 - slack and self.r2 >= other.r2 - slack
-
 
 @dataclass(frozen=True)
 class RateProfile:
@@ -379,9 +375,6 @@ class RegionBoundary:
     mode: str
     points: list
     metadata: dict = field(default_factory=dict)
-
-    def rate_pairs(self):
-        return [p.rate_pair for p in self.points]
 
     def __len__(self):
         return len(self.points)

@@ -28,7 +28,8 @@ users with both hovers positive is placed in closed form at weight 1/2
 `_family_root`: a hovering end at a stationary point of the weighted hover
 rate, and a free end where both ends' weighted rates are equal, a root
 `numerics.illinois_root` (TDMA's too) finds one member a step, each valued
-exactly, in scalar closed form, by `_pair_value`.
+exactly, in scalar closed form, by `_pair_value`, whose mu root and time
+share are `numerics.balance_weight`'s (the DP rescoring's too).
 
 A winning flight is reported with one P5 solve on `SearchConfig.n_slots`
 slots, warm-started from its pair's weight bracket, evaluated with exact
@@ -67,7 +68,7 @@ from .core import (
 from .errors import DiscretizationInvalid, InvalidParams
 from .fixed_region import fixed_boundary
 # golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 2).
-from .numerics import FOC_XTOL, bisect_increasing, golden_max, illinois_root  # noqa: F401
+from .numerics import FOC_XTOL, balance_weight, bisect_increasing, golden_max, illinois_root  # noqa: F401
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -1050,11 +1051,10 @@ def _pair_value(params, profile, x_I, x_F, e):
 
     At weight mu the rates are the flight's integrals between the weight's
     `_regime_cuts`, as `_piece_integrals` takes them, plus slack times the
-    hover rates at x_e.  `numerics.illinois_root` narrows the root mu* of
-    the imbalance a2 r1 - a1 r2, which rises with mu, from 1/2 to a few
-    ulps, and the primal points at its bracket's ends are time-shared onto
-    the profile ray: by weak duality the pair's value, across the jump at
-    mu = 1/2 of a hover at x = 0 too.  foc is the free end's residual
+    hover rates at x_e.  `numerics.balance_weight` roots the imbalance
+    a2 r1 - a1 r2 in mu and time-shares its bracket's ends: by weak duality
+    the pair's value, across the jump at mu = 1/2 of a hover at x = 0 too,
+    and mu* is the time share's weight.  foc is the free end's residual
     (g(x_F) - g(x_I)) / (V T den r) per metre at mu*, den = mu* alpha1 +
     (1 - mu*) alpha2: r's relative slope while the free end does not hover,
     0 where g's ends are equal to a few ulps."""
@@ -1100,22 +1100,8 @@ def _pair_value(params, profile, x_I, x_F, e):
         h1, h2 = sc_split(params, x_F if e else x_I, mu)[4:]
         return (f1 / V + slack * h1) / (T * LOG2), (f2 / V + slack * h2) / (T * LOG2)
 
-    last = {}  # the last (mu, imbalance, r1, r2) of each sign: the bracket's ends
-
-    def point(mu):
-        r1, r2 = rates(mu)
-        g = a2 * r1 - a1 * r2
-        for side in {g > 0.0, g >= 0.0}:  # a root (g = 0) is both ends
-            last[side] = (mu, g, r1, r2)
-        return _Member(min(r1 / a1, r2 / a2), mu, -g)
-
-    start = point(0.5)
-    illinois_root(point, start, 1.0 if start.foc > 0.0 else 0.0, 8.0 * math.ulp(0.5))
-    mu_lo, gL, r1L, r2L = last[False]  # mu = 0 gives r1 = 0, so some point has g <= 0
-    mu_hi, gH, r1H, r2H = last[True]  # and mu = 1 gives r2 = 0, so some point has g >= 0
-    lam = gH / (gH - gL) if gH > gL else 1.0
+    value, (mu_lo, mu_hi), lam = balance_weight(rates, a1, a2)
     mu = lam * mu_lo + (1.0 - lam) * mu_hi
-    value = min((lam * r1L + (1.0 - lam) * r1H) / a1, (lam * r2L + (1.0 - lam) * r2H) / a2)
     gI, gF = _weighted_rate(params, x_I, mu).r, _weighted_rate(params, x_F, mu).r
     den = V * T * (mu * a1 + (1.0 - mu) * a2) * value
     tied = abs(gF - gI) <= 4.0 * math.ulp(max(gF, gI))

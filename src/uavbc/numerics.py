@@ -1,13 +1,19 @@
 """Small deterministic search and quadrature routines used throughout.
 
 Everything here is scalar and allocation-free so the solvers can call these
-helpers tens of thousands of times without noticeable overhead.
+helpers tens of thousands of times without noticeable overhead.  One rule
+of the paper lives here too: `balance_weight` values a profile on a convex
+rate set by the root of its rate imbalance in the dual weight mu, with the
+time share across the root's bracket (an HFH pair's, `_pair_value`, and a
+DP path's, `_path_profile_value`).
 """
 
 import math
+from collections import namedtuple
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_Point = namedtuple("_Point", "r s foc")  # a `balance_weight` point: value, weight, residual
 
 # A first-order root (`illinois_root`) of a family's free coordinate stops
 # at this bracket width, relative to the coordinate's scale (D for a
@@ -81,6 +87,37 @@ def illinois_root(point, start, outer, xtol):
             else:
                 break
     return best
+
+
+def balance_weight(rates, alpha1, alpha2):
+    """(value, (mu_lo, mu_hi), lam) of the interior profile (alpha1, alpha2)
+    on a convex rate set.
+
+    `rates(mu)` is the set's support point (r1, r2) at weight mu, one that
+    maximizes mu r1 + (1 - mu) r2, so the imbalance alpha2 r1 - alpha1 r2
+    rises with mu, from <= 0 at mu = 0 (r1 = 0) to >= 0 at mu = 1 (r2 = 0).
+    `illinois_root` narrows its root mu* from 1/2 to a few ulps, and the
+    last points of each sign, at mu_lo and mu_hi (a root is both), are
+    time-shared onto the profile ray, lam of the way at mu_lo: by weak
+    duality the value max min(r1 / alpha1, r2 / alpha2), across a jump of
+    the support point at mu* too.  A root at 1/2 evaluates only there, with
+    lam = 1."""
+    last = {}  # the last (mu, imbalance, r1, r2) of each sign: the bracket's ends
+
+    def point(mu):
+        r1, r2 = rates(mu)
+        g = alpha2 * r1 - alpha1 * r2
+        for side in {g > 0.0, g >= 0.0}:  # a root (g = 0) is both ends
+            last[side] = (mu, g, r1, r2)
+        return _Point(min(r1 / alpha1, r2 / alpha2), mu, -g)
+
+    start = point(0.5)
+    illinois_root(point, start, 1.0 if start.foc > 0.0 else 0.0, 8.0 * math.ulp(0.5))
+    mu_lo, gL, r1L, r2L = last[False]  # mu = 0 gives r1 = 0, so some point has g <= 0
+    mu_hi, gH, r1H, r2H = last[True]  # and mu = 1 gives r2 = 0, so some point has g >= 0
+    lam = gH / (gH - gL) if gH > gL else 1.0
+    value = min((lam * r1L + (1.0 - lam) * r1H) / alpha1, (lam * r2L + (1.0 - lam) * r2H) / alpha2)
+    return value, (mu_lo, mu_hi), lam
 
 
 def golden_max(f, a, b, iters=60, xtol=0.0):

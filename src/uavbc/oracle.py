@@ -42,7 +42,7 @@ from .hfh_solver import (
     _time_windows,
     positions_at,
 )
-from .numerics import bisect_increasing
+from .numerics import balance_weight, bisect_increasing
 from .tdma_solver import TdmaSolution
 
 
@@ -149,39 +149,22 @@ def _split_menu(params, xs, n_entries):
 
 
 def _path_profile_value(params, positions, profile):
-    """Profile-constrained rate scale achievable on a fixed position path."""
-    frame = _split_frame(*gain_pair(params, positions), params.Pbar)
-    a1, a2 = profile.alpha1, profile.alpha2
+    """Profile-constrained rate scale achievable on a fixed position path,
+    for an interior profile.
 
-    def agg(mu):
+    At weight mu the path's support point is the slot average of its
+    per-slot full-power splits, and `numerics.balance_weight` roots its
+    imbalance and time-shares the bracket's ends, as `_pair_value` does
+    for an HFH pair.  A corner profile never comes here:
+    `dp_trajectory_oracle` returns it before the rescoring."""
+    frame = _split_frame(*gain_pair(params, positions), params.Pbar)
+
+    def rates(mu):
         ps = _strong_power(frame, mu, params.Pbar)
         r1, r2 = _sc_rates(*frame[:3], ps, params.Pbar - ps)
         return float(r1.mean() / LOG2), float(r2.mean() / LOG2)
 
-    if a1 == 0.0:
-        return agg(0.0)[1]
-    if a2 == 0.0:
-        return agg(1.0)[0]
-    lo, hi = 0.0, 1.0
-    best = 0.0
-    pair_lo, pair_hi = agg(lo), agg(hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r1, r2 = agg(mid)
-        best = max(best, profile.rate_scale(r1, r2))
-        if a2 * r1 - a1 * r2 <= 0.0:
-            lo, pair_lo = mid, (r1, r2)
-        else:
-            hi, pair_hi = mid, (r1, r2)
-    # Rate-level time sharing between the bracket schedules closes any jump.
-    gL = a2 * pair_lo[0] - a1 * pair_lo[1]
-    gH = a2 * pair_hi[0] - a1 * pair_hi[1]
-    if gL <= 0.0 <= gH and gH - gL > 0.0:
-        lam = gH / (gH - gL)
-        r1 = lam * pair_lo[0] + (1.0 - lam) * pair_hi[0]
-        r2 = lam * pair_lo[1] + (1.0 - lam) * pair_hi[1]
-        best = max(best, profile.rate_scale(r1, r2))
-    return best
+    return balance_weight(rates, profile.alpha1, profile.alpha2)[0]
 
 
 def _window(value, r0, r1, b0, b1):
@@ -418,8 +401,8 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
     its objective min(k q / alpha1, v / alpha2) from the last slot's values
     and backtracks.  The cached values take 14.1 MB at the default
     DpConfig, where a first call on a channel pays the pass (~0.2 s) and
-    each call after it ~0.01 s (one Xeon core).  Corner profiles build no
-    forward pass.
+    each call after it ~0.01-0.02 s (one Xeon core), under 1 ms of it the
+    rescoring.  Corner profiles build no forward pass.
 
     The forward pass carries values only; the backtrack recomputes the one
     choice it needs at each of its cells.  It relies on these invariants:

@@ -1,8 +1,9 @@
+import math
 from typing import NamedTuple
 
 import pytest
 
-from uavbc.numerics import illinois_root
+from uavbc.numerics import balance_weight, illinois_root
 
 
 class Point(NamedTuple):
@@ -58,3 +59,52 @@ class TestIllinoisRoot:
         point, seen = _recorder(lambda s: s, lambda s: -1.0)
         assert illinois_root(point, start, outer, 1e-9) is start
         assert seen == []
+
+
+def _ellipse(a, b, seen):
+    """rates(mu) of the quarter ellipse (r1 / a)^2 + (r2 / b)^2 <= 1: its
+    support point at weight mu, each one recorded in seen."""
+
+    def rates(mu):
+        n = math.hypot(a * mu, b * (1.0 - mu))
+        seen.append((a * a * mu / n, b * b * (1.0 - mu) / n))
+        return seen[-1]
+
+    return rates
+
+
+class TestBalanceWeight:
+    def test_time_shares_across_a_jump(self):
+        """Two support points, (0.2, 1) below mu = 1/2 and (1, 0.2) from
+        it: the imbalance jumps at 1/2, the bracket closes on it, and
+        their time share on the ray of (1/3, 2/3), 3/4 of the way at
+        (0.2, 1), is (0.4, 0.8), worth 1.2."""
+
+        def rates(mu):
+            return (0.2, 1.0) if mu < 0.5 else (1.0, 0.2)
+
+        value, (mu_lo, mu_hi), lam = balance_weight(rates, 1 / 3, 2 / 3)
+        assert mu_lo < 0.5 == mu_hi
+        assert mu_hi - mu_lo <= 8.0 * math.ulp(0.5)
+        assert lam == pytest.approx(0.75, rel=1e-15)
+        assert value == pytest.approx(1.2, rel=1e-15)
+
+    def test_a_root_at_one_half_evaluates_once(self):
+        """The quarter circle balances the profile (1/2, 1/2) at mu = 1/2:
+        only that weight is evaluated, and its point is the value."""
+        seen = []
+        value, bracket, lam = balance_weight(_ellipse(1.0, 1.0, seen), 0.5, 0.5)
+        assert len(seen) == 1
+        assert (bracket, lam) == ((0.5, 0.5), 1.0)
+        assert value == 2.0 * seen[0][0]
+
+    @pytest.mark.parametrize("alpha1", [0.1, 0.3, 0.45, 0.7, 0.9])
+    def test_value_not_below_any_evaluated_point(self, alpha1):
+        """On a quarter ellipse the value is the ray's boundary point to
+        rounding, and no weight evaluated on the way is worth more."""
+        seen = []
+        alpha2 = 1.0 - alpha1
+        value, _, _ = balance_weight(_ellipse(2.0, 0.5, seen), alpha1, alpha2)
+        assert len(seen) > 1
+        assert value >= max(min(r1 / alpha1, r2 / alpha2) for r1, r2 in seen)
+        assert value == pytest.approx(1.0 / math.hypot(alpha1 / 2.0, alpha2 / 0.5), rel=1e-12)

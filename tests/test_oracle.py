@@ -27,7 +27,8 @@ from uavbc import (
     triangle_contains,
 )
 from uavbc import oracle
-from uavbc.hfh_solver import BoundarySolution, PowerSchedule
+from uavbc.core import LOG2, gain_pair
+from uavbc.hfh_solver import BoundarySolution, PowerSchedule, _sc_rates, _split_frame, _strong_power
 from uavbc.oracle import (
     DpConfig,
     check_feasibility,
@@ -64,6 +65,50 @@ class TestIntersectionOracle:
         assert res.r1 == pytest.approx(res.r2, abs=1e-8)
 
 
+def _halving_rescore(params, positions, profile):
+    """The rescoring `_path_profile_value` ran before `balance_weight`: 60
+    halvings of the path's imbalance on [0, 1] after both ends, the best
+    iterate kept, and the final bracket's time share."""
+    frame = _split_frame(*gain_pair(params, positions), params.Pbar)
+    a1, a2 = profile.alpha1, profile.alpha2
+
+    def agg(mu):
+        ps = _strong_power(frame, mu, params.Pbar)
+        r1, r2 = _sc_rates(*frame[:3], ps, params.Pbar - ps)
+        return float(r1.mean() / LOG2), float(r2.mean() / LOG2)
+
+    lo, hi, best = 0.0, 1.0, 0.0
+    pair_lo, pair_hi = agg(lo), agg(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        r1, r2 = agg(mid)
+        best = max(best, profile.rate_scale(r1, r2))
+        if a2 * r1 - a1 * r2 <= 0.0:
+            lo, pair_lo = mid, (r1, r2)
+        else:
+            hi, pair_hi = mid, (r1, r2)
+    gL = a2 * pair_lo[0] - a1 * pair_lo[1]
+    gH = a2 * pair_hi[0] - a1 * pair_hi[1]
+    if gL <= 0.0 <= gH and gH - gL > 0.0:
+        lam = gH / (gH - gL)
+        r1 = lam * pair_lo[0] + (1.0 - lam) * pair_hi[0]
+        r2 = lam * pair_lo[1] + (1.0 - lam) * pair_hi[1]
+        best = max(best, profile.rate_scale(r1, r2))
+    return best
+
+
+@pytest.fixture(scope="module")
+def criterion6_paths(base):
+    """(params, [(profile, path)]) of criterion 6's DP paths, at profiles
+    i / 7 and the benchmark's DpConfig, on the reference channel and two
+    low-SNR ones."""
+    out = {}
+    for name, change in {"reference": {}, "Pbar=1e-5": {"Pbar": 1e-5}, "H=3e4": {"H": 3e4}}.items():
+        params, profiles = replace(base, **change), [RateProfile.of(i / 7) for i in range(1, 7)]
+        out[name] = params, [(p, dp_trajectory_oracle(params, p, DpConfig(64, 51, 11))[1]) for p in profiles]
+    return out
+
+
 class TestDpOracle:
     def test_grid_too_coarse(self, base):
         for cfg in (
@@ -96,11 +141,12 @@ class TestDpOracle:
             ("base", DpConfig(24, 21, 6, 300), 0.3, 5.262593034487025,
              np.r_[[500.0] * 9, 450.0 - 75.0 * np.arange(13), [-500.0] * 2]),
             # (r, path) as the int8 move/split table implementation returned
-            # them: the benchmark's own config
-            ("base", DpConfig(64, 51, 11), 3 / 7, 5.261568200207685,
+            # them, r as `balance_weight`'s rescoring gives it: the
+            # benchmark's own config
+            ("base", DpConfig(64, 51, 11), 3 / 7, 5.261568200207684,
              np.r_[[492.0] * 18, 472.0 - 28.0 * np.arange(35), [-500.0] * 11]),
             # an odd slot count: the last slot's values follow an odd slot's
-            ("base", DpConfig(33, 26, 7, 2048), 0.4, 5.255863308078172,
+            ("base", DpConfig(33, 26, 7, 2048), 0.4, 5.255863308078171,
              np.r_[[498.0] * 10, 458.0 - 54.0 * np.arange(18), [-500.0] * 5]),
             # (r, path) as the unwindowed implementation returned them: the
             # windowed best falls below its threshold, so the whole frontier
@@ -193,6 +239,27 @@ class TestDpOracle:
             calls.clear()
             dp_trajectory_oracle(base, RateProfile.of(i / 7), cfg)
             assert len(calls) == 48
+
+    @pytest.mark.parametrize("channel", ["reference", "Pbar=1e-5", "H=3e4"])
+    def test_rescoring_matches_halving(self, criterion6_paths, channel):
+        """`_path_profile_value` is within 4 ulps of the 60-halving
+        rescoring on criterion 6's paths."""
+        params, paths = criterion6_paths[channel]
+        for prof, path in paths:
+            want = _halving_rescore(params, path, prof)
+            assert abs(oracle._path_profile_value(params, path, prof) - want) <= 4.0 * math.ulp(want)
+
+    def test_rescoring_work(self, criterion6_paths, monkeypatch):
+        """Rescoring a criterion-6 path on the reference channel evaluates at
+        most 16 weights, against 62 for the halving rescoring."""
+        calls = []
+        real = oracle._strong_power
+        monkeypatch.setattr(oracle, "_strong_power", lambda *args: calls.append(1) or real(*args))
+        params, paths = criterion6_paths["reference"]
+        for prof, path in paths:
+            calls.clear()
+            oracle._path_profile_value(params, path, prof)
+            assert 0 < len(calls) <= 16
 
     def test_a_new_channel_evicts_the_last(self, base):
         """The cache holds one forward pass: after a second (params, cfg),
