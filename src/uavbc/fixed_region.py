@@ -164,14 +164,15 @@ def intersection_point(params: SystemParams, xB: float, xC: float) -> RatePair:
 
     # xC < 0 < xB: equate the two eliminated boundary curves; with
     # w = 2^{r1} this reduces to a quadratic with exactly one root > 1.
+    # Rounding is monotone, so h1B <= h2B and h1C >= h2C in floating point
+    # too: A2 <= 0 <= A0, the discriminant is >= 0, and the computed roots
+    # q/A2 and A0/q have opposite signs, or one is skipped or 0, so at most
+    # one of them exceeds 1.
     a, b, c, d = h1B, h2B, h1C, h2C
     A2 = (a - b) * d
     A1 = (a - b) * (c - d) + (Pbar * a + 1.0) * b * d - (Pbar * d + 1.0) * a * c
     A0 = (Pbar * a + 1.0) * b * (c - d)
-    disc = A1 * A1 - 4.0 * A2 * A0
-    if disc < 0.0:
-        raise ArithmeticError("no real intersection; geometry violated")
-    sq = math.sqrt(disc)
+    sq = math.sqrt(A1 * A1 - 4.0 * A2 * A0)
     # Numerically stable pairing of the two roots.
     q = -0.5 * (A1 + math.copysign(sq, A1)) if A1 != 0.0 else 0.5 * sq
     roots = []
@@ -182,17 +183,6 @@ def intersection_point(params: SystemParams, xB: float, xC: float) -> RatePair:
     valid = [w for w in roots if w > 1.0]
     if not valid:
         raise ArithmeticError("quadratic produced no root with w > 1")
-    if len(valid) > 1:
-        # Guard branch: keep the root on which the two curves actually agree.
-        def mismatch(w):
-            r1 = math.log(w) / LOG2
-            return abs(
-                boundary_r2_at(params, xB, r1) - boundary_r2_at(params, xC, r1)
-            )
-
-        valid.sort(key=mismatch)
-        if mismatch(valid[0]) > 1e-9:
-            raise ArithmeticError("no quadratic root lies on both boundaries")
     r1 = math.log(valid[0]) / LOG2
     return RatePair(r1, boundary_r2_at(params, xB, r1))
 

@@ -114,7 +114,8 @@ DEFAULT_CONFIG = SearchConfig()
 
 @dataclass(frozen=True)
 class DiscretizedTrajectory:
-    """Uniform-slot sampling of a trajectory (positions at slot midpoints)."""
+    """Uniform-slot sampling of the HFH trajectory `source` (positions at
+    slot midpoints); `solve_p5` requires the source, which `discretize` sets."""
 
     positions: np.ndarray
     slot_duration: float
@@ -264,14 +265,13 @@ def _time_windows(params, traj):
 
 
 class TrajectoryEvaluator:
-    """Caches per-trajectory geometry for repeated (P5) solves.
+    """Caches an HFH trajectory's geometry for repeated (P5) solves.
 
     Split decisions are taken at slot midpoints; rate aggregation runs over
-    "atoms" (position, time-weight, owning slot).  With exact=True the atoms
-    integrate each slot exactly: hover portions as single weighted points,
-    flight portions with two Gauss-Legendre nodes (the integrand is smooth
-    within a slot once cut at the hover/flight switch times and at the x = 0
-    crossing).
+    "atoms" (position, time-weight, owning slot) that integrate each slot
+    exactly: hover portions as single weighted points, flight portions with
+    two Gauss-Legendre nodes (the integrand is smooth within a slot once cut
+    at the hover/flight switch times and at the x = 0 crossing).
 
     The mu-independent terms (slot split frame, atom strong user and gains)
     are built once here, so `solve_weight` runs only the mu-dependent ufuncs,
@@ -289,19 +289,6 @@ class TrajectoryEvaluator:
         self.n_slots = len(mid_positions)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_positions(cls, params, positions, slot_duration):
-        """Piecewise-constant path (e.g. a DP grid path): midpoints are exact."""
-        positions = np.asarray(positions, dtype=float)
-        n = len(positions)
-        return cls(
-            params,
-            positions,
-            positions,
-            np.full(n, slot_duration),
-            np.arange(n),
-        )
 
     @classmethod
     def exact(cls, params, traj: HfhTrajectory, n_slots: int):
@@ -324,10 +311,7 @@ class TrajectoryEvaluator:
             elif idx.size:
                 mid = 0.5 * (lo[idx] + hi[idx])
                 off = 0.5 * dur[idx] / _SQRT3
-                t_nodes = np.concatenate([mid - off, mid + off])
-                x_nodes = traj.x_I + (t_nodes - traj.t_I) * params.V
-                x_nodes = np.minimum(np.maximum(x_nodes, traj.x_I), traj.x_F)
-                pos_parts.append(x_nodes)
+                pos_parts.append(positions_at(params, traj, np.concatenate([mid - off, mid + off])))
                 w_parts.append(np.concatenate([0.5 * dur[idx]] * 2))
                 slot_parts.append(np.concatenate([idx, idx]))
 
@@ -338,13 +322,6 @@ class TrajectoryEvaluator:
             np.concatenate(w_parts),
             np.concatenate(slot_parts),
         )
-
-    @classmethod
-    def of(cls, params, disc: DiscretizedTrajectory):
-        """Exact evaluator when the analytic source is known, else midpoint."""
-        if disc.source is not None:
-            return cls.exact(params, disc.source, disc.n_slots)
-        return cls.from_positions(params, disc.positions, disc.slot_duration)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -557,10 +534,13 @@ def solve_p5(
     bracket: the aggregated r1 is nondecreasing in mu (and r2
     nonincreasing), so the rate ratio crosses alpha1:alpha2 exactly once.
     It stops once the rates are balanced to cfg.mu_tol.  Zero-weight
-    profiles short-circuit to the corners.
+    profiles short-circuit to the corners.  The rates integrate the slots of
+    disc.source exactly; a discretization without one is invalid.
     """
     validate_discretization(params, disc)
-    ev = TrajectoryEvaluator.of(params, disc)
+    if disc.source is None:
+        raise DiscretizationInvalid("solve_p5 needs the discretization's source trajectory")
+    ev = TrajectoryEvaluator.exact(params, disc.source, disc.n_slots)
     return _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter)
 
 
@@ -1298,12 +1278,10 @@ def _best_hover(params, profile):
 
 
 def _exact_solution(params, profile, traj, n_slots, cfg, diagnostics, guess=None):
-    disc = discretize(params, traj, n_slots)
     res = _solve_p5_on(
         params, TrajectoryEvaluator.exact(params, traj, n_slots), profile,
         cfg.mu_tol, cfg.mu_max_iter, guess=guess,
     )
-    validate_discretization(params, disc)
     diag = dict(diagnostics)
     diag.update(n_slots=n_slots, mu_iterations=res.iterations, tie_break=res.tie_break,
                 unbalanced=res.unbalanced)

