@@ -25,6 +25,7 @@ from .core import (
     leg_rate_integral,
     make_hfh,
     sc_rate_pair,
+    tdma_rates,
     validate_params,
 )
 from .errors import (
@@ -73,7 +74,6 @@ from .tdma_solver import (
     TdmaSearchConfig,
     TdmaSolution,
     solve_t1,
-    tdma_rates,
     tdma_solve_profile,
     tdma_trace_region,
 )

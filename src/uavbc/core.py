@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     InvalidParams,
     InvalidTrajectory,
@@ -21,13 +23,27 @@ from .errors import (
     TimeOutOfRange,
     ZeroSpeedLeg,
 )
-from .numerics import adaptive_simpson
 
 LOG2 = math.log(2.0)
 
 # Relative slack used when checking power budgets and time windows, so that
 # quantities assembled through long float computations do not trip guards.
 REL_EPS = 1e-9
+
+# The independent checks' quadrature rule (`leg_rate_integral`, `tdma_rates`
+# and `oracle._inequality_integrals`): 8-point Gauss-Legendre on [-1, 1], the
+# nodes' positive halves and their weights as `leggauss(8)` gives them
+# (`numpy.polynomial` itself is not loaded, which saves ~1 MB).  A flight leg
+# runs it on equal panels at most _LEG_PANEL * H long, at most
+# _LEG_MAX_PANELS of them: the integrand's nearest singularities lie H off
+# the flight, so the rule's error falls geometrically with the nodes per
+# panel and does not grow with the leg's length.
+_GL_HALF = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_HALF_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+GL_NODES = np.concatenate([-_GL_HALF[::-1], _GL_HALF])
+GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+_LEG_PANEL = 0.5
+_LEG_MAX_PANELS = 1 << 14
 
 
 def log2_1p(x):
@@ -326,20 +342,12 @@ def hfh_position(traj: HfhTrajectory, params: SystemParams, t: float) -> float:
     return min(max(x, traj.x_I), traj.x_F)
 
 
-def leg_rate_integral(
-    params: SystemParams,
-    user: int,
-    x_a: float,
-    x_b: float,
-    p: float,
-    tol: Optional[float] = None,
-) -> float:
+def leg_rate_integral(params: SystemParams, user: int, x_a: float, x_b: float, p: float) -> float:
     """Rate-time integral of log2(1 + p h_user) over a max-speed flight leg.
 
     The leg runs from x_a to x_b (x_a <= x_b) at speed V, so with the
-    substitution t = (x - x_a)/V the result is the x-integral divided by V.
-    Computed with adaptive Simpson quadrature; ``tol`` is the absolute
-    tolerance on the x-integral (default 1e-9 of its magnitude).
+    substitution t = (x - x_a)/V the result is the x-integral divided by V,
+    by the 8-point Gauss-Legendre rule on equal panels (`GL_NODES`).
     """
     if x_b < x_a:
         raise ValueError("leg must satisfy x_a <= x_b")
@@ -347,11 +355,44 @@ def leg_rate_integral(
         return 0.0
     if params.V == 0.0:
         raise ZeroSpeedLeg("cannot traverse a leg of nonzero length with V = 0")
+    panels = min(max(math.ceil((x_b - x_a) / (_LEG_PANEL * params.H)), 1), _LEG_MAX_PANELS)
+    edges = np.linspace(x_a, x_b, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    xs = (edges[:-1] + half)[:, None] + half * GL_NODES
+    vals = np.log1p(p * channel_gain(params, xs, user))
+    return half * float(np.sum(vals @ GL_WEIGHTS)) / (LOG2 * params.V)
 
-    def integrand(x):
-        return log2_1p(p * channel_gain(params, x, user))
 
-    return adaptive_simpson(integrand, x_a, x_b, tol=tol) / params.V
+def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair:
+    """Average TDMA rates at full power: r1 integrates over [0, t1], r2 over
+    [t1, T]; hovers in closed form, the flight by `leg_rate_integral`.
+    Raises TimeOutOfRange for t1 outside [0, T]."""
+    T = params.T
+    if t1 < -REL_EPS * T or t1 > T * (1.0 + REL_EPS):
+        raise TimeOutOfRange(f"t1={t1} outside [0, {T}]")
+    t1 = min(max(t1, 0.0), T)
+    fly_start, fly_end = traj.t_I, T - traj.t_F
+
+    def leg_end(t):
+        return min(max(traj.x_I + (t - fly_start) * params.V, traj.x_I), traj.x_F)
+
+    def window(user, a, b):
+        """Rate-time of `user` at full power over the time window [a, b]."""
+        if b <= a:
+            return 0.0
+        total = 0.0
+        hov = max(min(b, fly_start) - a, 0.0)
+        if hov > 0.0:
+            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_I, user))
+        lo, hi = max(a, fly_start), min(b, fly_end)
+        if hi > lo and params.V > 0.0:
+            total += leg_rate_integral(params, user, leg_end(lo), leg_end(hi), params.Pbar)
+        hov = b - max(a, fly_end)
+        if hov > 0.0:
+            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_F, user))
+        return total
+
+    return RatePair(window(1, 0.0, t1) / T, window(2, t1, T) / T)
 
 
 @dataclass(frozen=True)

@@ -535,11 +535,15 @@ def solve_p5(
     nonincreasing), so the rate ratio crosses alpha1:alpha2 exactly once.
     It stops once the rates are balanced to cfg.mu_tol.  Zero-weight
     profiles short-circuit to the corners.  The rates integrate the slots of
-    disc.source exactly; a discretization without one is invalid.
+    disc.source exactly; a discretization without one, or whose positions
+    are not the source's at the slot midpoints (to 1e-9 D), is invalid.
     """
     validate_discretization(params, disc)
     if disc.source is None:
         raise DiscretizationInvalid("solve_p5 needs the discretization's source trajectory")
+    mids = (np.arange(disc.n_slots) + 0.5) * disc.slot_duration
+    if np.max(np.abs(disc.positions - positions_at(params, disc.source, mids))) > 1e-9 * params.D:
+        raise DiscretizationInvalid("positions are not the source trajectory's at the slot midpoints")
     ev = TrajectoryEvaluator.exact(params, disc.source, disc.n_slots)
     return _solve_p5_on(params, ev, profile, cfg.mu_tol, cfg.mu_max_iter)
 

@@ -1,4 +1,4 @@
-"""Small deterministic search and quadrature routines used throughout.
+"""Small deterministic root and search routines used throughout.
 
 Everything here is scalar and allocation-free so the solvers can call these
 helpers tens of thousands of times without noticeable overhead.  One rule
@@ -149,37 +149,3 @@ def golden_max(f, a, b, iters=60, xtol=0.0):
     if yc > yd:
         return c, yc
     return d, yd
-
-
-def adaptive_simpson(f, a, b, tol=None, max_depth=40):
-    """Adaptive Simpson quadrature of f over [a, b].
-
-    ``tol`` is the absolute tolerance; when None it defaults to 1e-9 of the
-    coarse integral magnitude (floored to 1e-12 for near-zero integrands).
-    Integrands here are smooth rational-log functions, so the classic
-    Richardson acceptance test |S2 - S1| <= 15 tol is reliable.
-    """
-    if b <= a:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    if tol is None:
-        tol = max(1e-9 * abs(whole), 1e-12)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return _simpson_rec(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_rec(
-        f, m, b, fm, frm, fb, right, half, depth - 1
-    )

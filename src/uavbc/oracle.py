@@ -4,8 +4,9 @@ Nothing here assumes the hover-fly-hover structure or the closed forms under
 test: trajectories are certified by a time-position dynamic program over a
 free grid, power splits by exhaustive scans, boundary intersections by
 sign-change bisection on power-bisected curves, and every emitted solution
-can be re-integrated against the defining rate inequalities at higher
-quadrature resolution.
+can be re-integrated against the defining rate inequalities
+(`check_feasibility`), by the one 8-point Gauss-Legendre rule of `core`
+that `core.tdma_rates` runs too.
 
 scipy is loaded on the first `hull_region_containment` call, not at import:
 qhull is the hull oracle's independent reference, and no solver needs it, so
@@ -22,13 +23,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
+    GL_NODES,
+    GL_WEIGHTS,
     LOG2,
     RatePair,
     RateProfile,
     SystemParams,
-    channel_gain,
     gain_pair,
     log2_1p,
+    tdma_rates,
     validate_params,
 )
 from .errors import GridTooCoarse, NoSignChange
@@ -603,20 +606,11 @@ def hull_region_containment(
 # feasibility re-check
 # ---------------------------------------------------------------------------
 
-_SIMPSON9 = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
-_OFFS9 = np.linspace(0.0, 1.0, 9)
 # Slots re-integrated per block by `_inequality_integrals`.
 _FEASIBILITY_BLOCK = 2048
-# `_tdma_integrals`' flight rule: the longest panel over H, the most panels
-# in one window, and the 8-point Gauss-Legendre rule on [-1, 1] per panel
-# (the nodes' positive halves and their weights, as `leggauss(8)` gives
-# them; `numpy.polynomial` itself is not loaded, which saves ~1 MB).
-_TDMA_PANEL = 0.5
-_TDMA_MAX_PANELS = 1 << 14
-_GL_HALF = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
-_GL_HALF_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
-_GL_NODES = np.concatenate([-_GL_HALF[::-1], _GL_HALF])
-_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+# `core`'s Gauss-Legendre rule mapped to [0, 1], one copy per slot piece.
+_UNIT_NODES = 0.5 * (1.0 + GL_NODES)
+_UNIT_WEIGHTS = 0.5 * GL_WEIGHTS
 
 
 def _dual_uplink_powers(p1, p2, h1, h2):
@@ -639,11 +633,12 @@ def _dual_uplink_powers(p1, p2, h1, h2):
 def _inequality_integrals(params, traj, p1_slots, p2_slots):
     """Time-averaged right-hand sides of the three rate inequalities.
 
-    Integrates piecewise: hover portions exactly, flight portions with a
-    9-point composite Simpson rule per slot piece (the integrand is smooth
-    inside a piece once the flight is cut at the x = 0 crossing).  The slots
-    run in blocks of _FEASIBILITY_BLOCK, which bounds the temporaries; the
-    nodes and weights do not depend on the blocks.
+    Integrates piecewise: hover portions exactly, flight portions with the
+    8-point Gauss-Legendre rule of `core.GL_NODES` per slot piece (the
+    integrand is smooth inside a piece once the flight is cut at the x = 0
+    crossing, and no node sits on a cut, where the strong user flips).  The
+    slots run in blocks of _FEASIBILITY_BLOCK, which bounds the temporaries;
+    the nodes and weights do not depend on the blocks.
     """
     p1_slots = np.asarray(p1_slots, dtype=float)
     p2_slots = np.asarray(p2_slots, dtype=float)
@@ -668,10 +663,10 @@ def _inequality_integrals(params, traj, p1_slots, p2_slots):
                 slot_list.append(idx)
                 continue
             idx = np.nonzero(dur > 1e-15 * T)[0]
-            nodes = lo[idx, None] + dur[idx, None] * _OFFS9[None, :]
+            nodes = lo[idx, None] + dur[idx, None] * _UNIT_NODES
             ts_list.append(nodes.ravel())
-            w_list.append((dur[idx, None] * _SIMPSON9[None, :]).ravel())
-            slot_list.append(np.repeat(idx, len(_OFFS9)))
+            w_list.append((dur[idx, None] * _UNIT_WEIGHTS).ravel())
+            slot_list.append(np.repeat(idx, len(_UNIT_NODES)))
 
         ts = np.concatenate(ts_list)
         w = np.concatenate(w_list) / T
@@ -705,7 +700,9 @@ def check_feasibility(params: SystemParams, solution, tolerance: float = 1e-6) -
     The claimed rate pair is compared with an independent re-integration of
     the three polymatroid inequalities at 4x the schedule's slot resolution
     (the schedule's superposition powers are mapped to their dual uplink
-    witness, which carries the same total power).  Nothing is raised:
+    witness, which carries the same total power).  A TDMA solution's rates
+    are re-integrated by `core.tdma_rates` at its switch time clamped to
+    [0, T], and the sum inequality is I1 + I2.  Nothing is raised:
     violations are reported.
     """
     if isinstance(solution, BoundarySolution):
@@ -729,7 +726,8 @@ def check_feasibility(params: SystemParams, solution, tolerance: float = 1e-6) -
         # exactly one user scheduled at a time with full power, so the power
         # budget holds by construction and the sum inequality is I1 + I2
         traj = solution.trajectory
-        I1, I2, I3 = _tdma_integrals(params, traj, solution.t1)
+        pair = tdma_rates(params, traj, min(max(solution.t1, 0.0), params.T))
+        I1, I2, I3 = pair.r1, pair.r2, pair.total
         r1, r2 = solution.rate_pair.r1, solution.rate_pair.r2
         rate_violation = max(r1 - I1, r2 - I2, (r1 + r2) - I3, 0.0)
         power_violation = 0.0
@@ -746,41 +744,3 @@ def check_feasibility(params: SystemParams, solution, tolerance: float = 1e-6) -
         rate_violation, speed_violation, power_violation, passed, tolerance,
         (I1, I2, I3),
     )
-
-
-def _tdma_integrals(params, traj, t1):
-    """Independent re-integration of the TDMA rate windows.
-
-    Hovers are closed forms.  A flight runs composite 8-point
-    Gauss-Legendre on equal panels at most _TDMA_PANEL * H long (at most
-    _TDMA_MAX_PANELS of them): the integrand's nearest singularities lie H
-    off the flight, so the rule's error falls geometrically with the nodes
-    per panel and does not grow with the flight's length.  This is not the
-    pair tables' rule (2-point Gauss on sub-cells of the table grid).
-    """
-    fly_start, fly_end = traj.t_I, params.T - traj.t_F
-
-    def window(user, a, b):
-        if b <= a:
-            return 0.0
-        total = 0.0
-        hov = max(min(b, fly_start) - a, 0.0)
-        if hov > 0.0:
-            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_I, user))
-        lo, hi = max(a, fly_start), min(b, fly_end)
-        if hi > lo:
-            panels = np.clip(np.ceil((hi - lo) * params.V / (_TDMA_PANEL * params.H)), 1, _TDMA_MAX_PANELS)
-            edges = np.linspace(lo, hi, int(panels) + 1)
-            half = 0.5 * (edges[1] - edges[0])
-            ts = (edges[:-1] + half)[:, None] + half * _GL_NODES
-            xs = positions_at(params, traj, ts.ravel())
-            vals = np.log1p(params.Pbar * channel_gain(params, xs, user)).reshape(ts.shape)
-            total += half * float(np.sum(vals @ _GL_WEIGHTS)) / LOG2
-        hov = b - max(a, fly_end)
-        if hov > 0.0:
-            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_F, user))
-        return total
-
-    I1 = window(1, 0.0, t1) / params.T
-    I2 = window(2, t1, params.T) / params.T
-    return I1, I2, I1 + I2

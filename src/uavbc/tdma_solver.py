@@ -22,8 +22,8 @@ conditions, each point scored by the same `_evaluate`: hovering above both
 users in closed form (the switch at x = 0, `_hover_both`), every other
 family by a root of its residual `foc` within a grid step (`_foc_root`).
 The reported rates are the search's own: `CumulativeRates.pair_at` at the
-winner's switch time.  `tdma_rates` integrates the same rates
-independently, by adaptive quadrature.
+winner's switch time.  `core.tdma_rates` integrates the same rates
+independently, by Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -45,16 +45,15 @@ from .core import (
     channel_gain,
     gain_pair,
     hfh_position,
-    leg_rate_integral,
-    log2_1p,
     make_hfh,
     trace,
     validate_least,
     validate_params,
 )
-from .errors import TimeOutOfRange
 from .hfh_solver import _full_power_antiderivative, _hover_both_time
-# golden_max is unread here; the benchmark tracer wraps it (ROADMAP item 2).
+# golden_max, leg_rate_integral and tdma_rates are unread here; the benchmark
+# tracer wraps them (ROADMAP items 2 and 7).
+from .core import leg_rate_integral, tdma_rates  # noqa: F401
 from .numerics import FOC_XTOL, golden_max, illinois_root  # noqa: F401
 
 # Newton steps of `solve_t1` over a flight, and the step (relative to D)
@@ -160,39 +159,6 @@ def _where(cond, a, b):
     """`np.where` over lanes.  One lane keeps its numpy scalars: `np.where`
     would make them 0-d arrays, at an array's cost per operation."""
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
-
-
-def tdma_rates(params: SystemParams, traj: HfhTrajectory, t1: float) -> RatePair:
-    """Average TDMA rates: r1 integrates over [0, t1], r2 over [t1, T].
-
-    Hover portions use closed forms; flight portions the adaptive
-    leg quadrature.
-    """
-    T = params.T
-    if t1 < -1e-9 * T or t1 > T * (1.0 + 1e-9):
-        raise TimeOutOfRange(f"t1={t1} outside [0, {T}]")
-    t1 = min(max(t1, 0.0), T)
-    fly_start, fly_end = traj.t_I, T - traj.t_F
-
-    def window(user, a, b):
-        """Rate-time of `user` at full power over the time window [a, b]."""
-        if b <= a:
-            return 0.0
-        total = 0.0
-        hov = max(min(b, fly_start) - a, 0.0)
-        if hov > 0.0:
-            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_I, user))
-        lo, hi = max(a, fly_start), min(b, fly_end)
-        if hi > lo and params.V > 0.0:
-            xa = traj.x_I + (lo - traj.t_I) * params.V
-            xb = traj.x_I + (hi - traj.t_I) * params.V
-            total += leg_rate_integral(params, user, xa, min(xb, traj.x_F), params.Pbar)
-        hov = b - max(a, fly_end)
-        if hov > 0.0:
-            total += hov * log2_1p(params.Pbar * channel_gain(params, traj.x_F, user))
-        return total
-
-    return RatePair(window(1, 0.0, t1) / T, window(2, t1, T) / T)
 
 
 def solve_t1(

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from uavbc import (
     DpConfig,
@@ -308,3 +309,26 @@ class TestLegRateIntegral:
     def test_zero_speed_leg(self, static):
         with pytest.raises(ZeroSpeedLeg):
             leg_rate_integral(static, 1, -10.0, 10.0, static.Pbar)
+
+    @pytest.mark.parametrize(
+        "change, user, x_a, x_b",
+        [
+            pytest.param({}, 2, -500.0, 500.0, id="reference"),
+            pytest.param({}, 1, -480.0, 130.0, id="partial"),
+            pytest.param({"Pbar": 1e-5, "D": 3000.0}, 1, -1500.0, 1500.0, id="long-low-snr"),
+            pytest.param({"Pbar": 1e-5, "D": 3000.0}, 2, -1425.0, 375.0, id="long-low-snr-far"),
+            pytest.param({"Pbar": 10.0, "H": 10.0, "D": 3000.0}, 1, -1500.0, 1500.0, id="low-high-snr"),
+        ],
+    )
+    def test_against_quad(self, base, change, user, x_a, x_b):
+        """Within 1e-12 relative of adaptive quadrature, on legs of up to
+        300 H (600 panels)."""
+        params = replace(base, **change)
+
+        def rate(x):
+            return math.log2(1.0 + params.Pbar * channel_gain(params, x, user))
+
+        points = [x for x in (-0.5 * params.D, 0.5 * params.D) if x_a < x < x_b] or None
+        ref = quad(rate, x_a, x_b, points=points, epsabs=0.0, epsrel=1e-13, limit=500)[0] / params.V
+        val = leg_rate_integral(params, user, x_a, x_b, params.Pbar)
+        assert val == pytest.approx(ref, rel=1e-12, abs=0.0)

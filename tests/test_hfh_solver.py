@@ -287,9 +287,14 @@ class TestSolveP5:
         outside = DiscretizedTrajectory(np.array([0.0, 700.0]), base.T / 2, None)
         with pytest.raises(DiscretizationInvalid):
             validate_discretization(base, outside)
-        sourceless = replace(discretize(base, make_hfh(base, -300.0, 200.0, 5.0), 8), source=None)
+        traj = make_hfh(base, -300.0, 200.0, 5.0)
+        sourceless = replace(discretize(base, traj, 8), source=None)
         with pytest.raises(DiscretizationInvalid):
             solve_p5(base, sourceless, RateProfile.of(0.5))
+        # P5 integrates the source, so positions that are not its midpoints are invalid
+        mismatched = DiscretizedTrajectory(np.zeros(8), base.T / 8, traj)
+        with pytest.raises(DiscretizationInvalid, match="source"):
+            solve_p5(base, mismatched, RateProfile.of(0.5))
 
 
 class TestSolveProfile:
@@ -1285,6 +1290,15 @@ class TestFamilyRoot:
         assert pick.family == "hover_both"
         assert (pick.x_I, pick.x_F) == (-500.0, 500.0)
         assert pick.pair_value < pick.value
+
+    def test_collapse_after_better_ends_the_walk(self, base, monkeypatch):
+        """On `collapse-after-better` a member collapses onto its hover
+        after a better one, and the walk stops there: 16 members, where
+        walking on would value 43 for the same r."""
+        params = replace(base, Pbar=1.0, T=20.0, D=3000.0)
+        members, sol = TestPolishBuilds._members(params, RateProfile.of(0.4), monkeypatch)
+        assert sol.diagnostics["polish"] == "fly_hover"
+        assert members <= 16
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_collapse_is_static(self, base, k, monkeypatch):

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from uavbc import (
     GridTooCoarse,
+    RatePair,
     RateProfile,
     channel_gain,
     dp_trajectory_oracle,
@@ -23,12 +24,14 @@ from uavbc import (
     numeric_intersection_oracle,
     solve_profile,
     solve_v0,
+    tdma_rates,
     tdma_solve_profile,
     triangle_contains,
 )
 from uavbc import oracle
 from uavbc.core import LOG2, gain_pair
 from uavbc.hfh_solver import BoundarySolution, PowerSchedule, _sc_rates, _split_frame, _strong_power
+from uavbc.tdma_solver import TdmaSolution
 from uavbc.oracle import (
     DpConfig,
     check_feasibility,
@@ -398,6 +401,32 @@ class TestCheckFeasibility:
         sol = tdma_solve_profile(base, RateProfile.of(0.35))
         assert check_feasibility(base, sol).passed
 
+    @pytest.mark.parametrize("late", [True, False], ids=["t1-after-T", "t1-before-0"])
+    def test_tdma_switch_outside_flight_flagged(self, base, late):
+        """A switch time 0.5 T past either end serves no user longer than
+        the whole flight: a claim 10% above that user's whole-flight rate
+        (r1 2.618 against 2.380 at t1 = 1.5 T) fails: hover time outside
+        [0, T] does not count."""
+        sol = tdma_solve_profile(base, RateProfile.of(0.3))
+        t1 = 1.5 * base.T if late else -0.5 * base.T
+        whole = tdma_rates(base, sol.trajectory, base.T if late else 0.0)
+        claim = RatePair(1.1 * whole.r1, 0.0) if late else RatePair(0.0, 1.1 * whole.r2)
+        report = check_feasibility(base, TdmaSolution(sol.profile, claim, sol.trajectory, t1))
+        assert not report.passed
+        assert report.integrals == (whole.r1, whole.r2, whole.r1 + whole.r2)
+
+    def test_sc_reintegration_converges_across_the_cut(self, base):
+        """A hover-both flight crosses x = 0, where the strong user flips:
+        I1 and I2 with every slot split in 4 and in 64 agree to 1e-12
+        relative (a rule with nodes on the cut moves them by 3.3e-6)."""
+        params = replace(base, V=60.0)
+        sol = solve_profile(params, RateProfile.of(0.2))
+        assert sol.diagnostics["polish"] == "hover_both"
+        p1, p2 = sol.schedule.p1, sol.schedule.p2
+        coarse, fine = (oracle._inequality_integrals(params, sol.trajectory, np.repeat(p1, k), np.repeat(p2, k))
+                        for k in (4, 64))
+        assert coarse == pytest.approx(fine, rel=1e-12, abs=0.0)
+
     def test_long_tdma_flight_passes_at_1e9(self, base):
         """A 2,906 m flight (Pbar = 1e-2 W, H = 100 m, D = 3000 m, T = 200 s,
         alpha1 = 0.1): a fixed 257-node Simpson missed r1 by 1.73e-9 here."""
@@ -409,8 +438,8 @@ class TestCheckFeasibility:
     @pytest.mark.parametrize("Pbar", [1e-5, 10.0])
     @pytest.mark.parametrize("H, D", [(10.0, 3000.0), (100.0, 3000.0), (200.0, 1000.0)])
     def test_tdma_integrals_match_quad(self, base, Pbar, H, D):
-        """The TDMA windows' re-integration agrees with adaptive quadrature
-        to 1e-12, on flights of up to 558 panels."""
+        """The TDMA windows' re-integration, `tdma_rates`, agrees with
+        adaptive quadrature to 1e-12, on flights of up to 558 panels."""
         params = replace(base, Pbar=Pbar, H=H, D=D, T=200.0)
         traj = make_hfh(params, -0.45 * D, 0.48 * D, 10.0)
         fly = (traj.t_I, params.T - traj.t_F)
@@ -423,10 +452,11 @@ class TestCheckFeasibility:
             return quad(rate, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=500)[0] / params.T
 
         for t1 in (5.0, 60.0, 150.0):
-            I1, I2, I3 = oracle._tdma_integrals(params, traj, t1)
-            assert I1 == pytest.approx(window(1, 0.0, t1), rel=1e-12, abs=0.0)
-            assert I2 == pytest.approx(window(2, t1, params.T), rel=1e-12, abs=0.0)
-            assert I3 == I1 + I2
+            pair = tdma_rates(params, traj, t1)
+            assert pair.r1 == pytest.approx(window(1, 0.0, t1), rel=1e-12, abs=0.0)
+            assert pair.r2 == pytest.approx(window(2, t1, params.T), rel=1e-12, abs=0.0)
+            report = check_feasibility(params, TdmaSolution(RateProfile.of(0.5), pair, traj, t1))
+            assert report.integrals == (pair.r1, pair.r2, pair.r1 + pair.r2)
 
     def test_blocks_match_one_pass(self, base, monkeypatch):
         """A schedule longer than a block, with its flight cut at x = 0

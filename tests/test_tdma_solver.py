@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from uavbc import (
     HfhTrajectory,
@@ -50,6 +51,34 @@ class TestTdmaRates:
         traj = make_hfh(base, 0.0, 0.0, base.T)
         with pytest.raises(TimeOutOfRange):
             tdma_rates(base, traj, base.T * 1.5)
+
+    @pytest.mark.parametrize(
+        "change, x_I, x_F, t_I",
+        [
+            pytest.param({}, -500.0, 420.0, 7.0, id="reference"),
+            pytest.param({"Pbar": 1e-5, "D": 3000.0}, -1425.0, 375.0, 0.0, id="long-low-snr"),
+            pytest.param({"Pbar": 1e-5, "D": 3000.0, "T": 200.0}, -1500.0, 1500.0, 40.0, id="long-hovers"),
+        ],
+    )
+    def test_matches_quad(self, base, change, x_I, x_F, t_I):
+        """Both windows agree with adaptive quadrature over time to 1e-12
+        relative, on either side of the flight and inside it."""
+        params = replace(base, **change)
+        traj = make_hfh(params, x_I, x_F, t_I)
+        fly = (traj.t_I, params.T - traj.t_F)
+
+        def window(user, a, b):
+            def rate(t):
+                return math.log2(1.0 + params.Pbar * channel_gain(params, hfh_position(traj, params, t), user))
+
+            points = [t for t in fly if a < t < b] or None
+            return quad(rate, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=500)[0] / params.T
+
+        for t1 in (0.5 * fly[0], 0.3 * fly[0] + 0.7 * fly[1], 0.5 * (fly[1] + params.T)):
+            pair = tdma_rates(params, traj, t1)
+            if t1 > 0.0:
+                assert pair.r1 == pytest.approx(window(1, 0.0, t1), rel=1e-12, abs=0.0)
+            assert pair.r2 == pytest.approx(window(2, t1, params.T), rel=1e-12, abs=0.0)
 
     def test_cumulative_matches_adaptive(self, base):
         traj = make_hfh(base, -500.0, 420.0, 7.0)
